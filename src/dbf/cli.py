@@ -1,18 +1,21 @@
 """Batch front end: scenario files in, CSV series and JSON diagnostics out.
 
 Scenario files are JSON documents with fixed sections (domain, material,
-time, data, method, tolerances); unknown keys are rejected by schema.  A run
-writes one CSV time series with 17 significant digit floats and one JSON
-diagnostics document with sorted keys, so identical scenarios produce byte
-identical outputs.  Exit codes: 0 success, 1 invalid scenario or failed
-verification, 2 data outside the solvable range, 3 spectral hypothesis
-failure, 4 solver non-convergence.
+time, data, method, tolerances); unknown keys and non-finite numbers are
+rejected.  A run writes one CSV time series with 17 significant digit floats
+and one JSON diagnostics document with sorted keys, so identical scenarios
+produce byte identical outputs.  Every subcommand maps failures to exit
+codes through EXIT_TABLE: 1 invalid scenario or arguments, 2 data outside
+the solvable range, 3 spectral hypothesis failure, 4 solver
+non-convergence; verify also exits 1 when a check fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -34,7 +37,6 @@ from .dbf_model import (
     solve_dbf,
     solve_generalized,
     uniqueness_energy_probe,
-    verify_dbf_equation,
 )
 from .evo_solver import ZERO_TIME_TOL, NoConvergence, NotContractive
 from .weighted_time import MaterialSymbol, NuTooSmall, TimeGrid
@@ -157,16 +159,40 @@ class ScenarioError(ValueError):
     """Scenario file rejected before solving."""
 
 
+# Exception -> (exit code, message) for every subcommand; the first matching
+# row wins, so the ValueError subclasses come before the catch-all.
+EXIT_TABLE = (
+    (RangeViolation, EXIT_RANGE, "range condition failed"),
+    (HypothesisViolated, EXIT_HYPOTHESIS, "hypothesis failed"),
+    ((NotContractive, NuTooSmall), EXIT_NO_CONVERGENCE, "solver cannot converge"),
+    ((NeumannDiverges, NoConvergence), EXIT_NO_CONVERGENCE, "solver did not converge"),
+    (FileNotFoundError, EXIT_INVALID, "cannot read scenario"),
+    (ValueError, EXIT_INVALID, "invalid scenario"),
+)
+# The exception types EXIT_TABLE covers; anything else is a bug and propagates.
+FAILURES = (ValueError, NeumannDiverges, NoConvergence, FileNotFoundError)
+
+
+def _fail(exc: Exception, prefix: str = "") -> int:
+    """Report a failure from FAILURES on stderr and return its exit code."""
+    for kinds, code, message in EXIT_TABLE:
+        if isinstance(exc, kinds):
+            print(f"{prefix}{message}: {exc}", file=sys.stderr)
+            return code
+    raise exc
+
+
 def _complex_value(v) -> complex:
     if isinstance(v, (int, float)):
         return complex(v)
     return complex(v[0], v[1])
 
 
-def _complex_doc(c: complex):
-    if c.imag == 0.0:
-        return float(c.real)
-    return [float(c.real), float(c.imag)]
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {token}")
+    return value
 
 
 def _matrix2(doc) -> np.ndarray:
@@ -177,8 +203,8 @@ def load_scenario_doc(path: str) -> dict:
     """Read, schema-validate, and default-fill a scenario file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+            doc = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
+        except ValueError as exc:
             raise ScenarioError(f"{path}: not valid JSON: {exc}") from exc
     errors = sorted(_VALIDATOR.iter_errors(doc), key=lambda e: list(e.absolute_path))
     if errors:
@@ -398,24 +424,8 @@ def cmd_run(scenario_path: str, out_dir: str, echo_config: bool = False) -> int:
     """Solve one scenario file and emit its run output."""
     try:
         _run_solution(scenario_path, out_dir, echo_config)
-    except (ScenarioError, ValueError) as exc:
-        if isinstance(exc, RangeViolation):
-            print(f"range condition failed: {exc}", file=sys.stderr)
-            return EXIT_RANGE
-        if isinstance(exc, HypothesisViolated):
-            print(f"hypothesis failed: {exc}", file=sys.stderr)
-            return EXIT_HYPOTHESIS
-        if isinstance(exc, (NotContractive, NuTooSmall)):
-            print(f"solver cannot converge: {exc}", file=sys.stderr)
-            return EXIT_NO_CONVERGENCE
-        print(f"invalid scenario: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (NeumannDiverges, NoConvergence) as exc:
-        print(f"solver did not converge: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except FileNotFoundError as exc:
-        print(f"cannot read scenario: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    except FAILURES as exc:
+        return _fail(exc)
     return EXIT_OK
 
 
@@ -435,18 +445,20 @@ def _observed_omega(series: np.ndarray, times: np.ndarray) -> float:
 
 
 def cmd_verify(scenario_path: str) -> int:
-    """Run the invariant suite for one scenario and print a pass/fail table."""
+    """Run the invariant suite for one scenario and print a pass/fail table.
+
+    A scenario that cannot be loaded or solved exits with its EXIT_TABLE
+    code; a failed check exits 1.
+    """
     try:
         doc = load_scenario_doc(scenario_path)
         scenario = build_scenario(doc)
+    except FAILURES as exc:
+        return _fail(exc)
+    try:
         history = _solve(scenario, doc)
-    except (ScenarioError, FileNotFoundError) as exc:
-        print(f"invalid scenario: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (RangeViolation, HypothesisViolated, NeumannDiverges, NoConvergence,
-            NotContractive, NuTooSmall, ValueError) as exc:
-        print(f"FAIL: solve ({exc})", file=sys.stderr)
-        return EXIT_INVALID
+    except FAILURES as exc:
+        return _fail(exc, "FAIL: solve: ")
 
     tols = doc["tolerances"]
     d = history.diagnostics
@@ -508,13 +520,8 @@ def _scale_scenario(scenario, factor: float):
     W0 = scenario.W0.with_coeffs(factor * scenario.W0.e_part.coeffs, factor * scenario.W0.h_part.coeffs)
     src = scenario.source_J
     if src is not None:
-        src = PairSeries(src.table, src.grid, src.nu, factor * src.e, factor * src.h)
-    if isinstance(scenario, DBFScenario):
-        return DBFScenario(scenario.epsilon, scenario.mu, scenario.eta, scenario.nu,
-                           scenario.K, scenario.grid, W0, src)
-    return GeneralizedScenario(scenario.kappa0, scenario.Mstar0, scenario.nu, scenario.K,
-                               scenario.grid, W0, scenario.kappa1, scenario.Mstar1,
-                               scenario.k_cross, src)
+        src = dataclasses.replace(src, e=factor * src.e, h=factor * src.h)
+    return dataclasses.replace(scenario, W0=W0, source_J=src)
 
 
 def cmd_sweep(scenario_path: str, param: str, values: list, out_dir: str) -> int:
@@ -522,12 +529,14 @@ def cmd_sweep(scenario_path: str, param: str, values: list, out_dir: str) -> int
     if param not in ("eta", "nu", "dt"):
         print(f"sweep parameter must be eta, nu, or dt, got {param!r}", file=sys.stderr)
         return EXIT_INVALID
+    if not all(math.isfinite(v) for v in values):
+        print(f"sweep values must be finite, got {values}", file=sys.stderr)
+        return EXIT_INVALID
     try:
         base = load_scenario_doc(scenario_path)
         base_scenario = build_scenario(base)
-    except (ScenarioError, FileNotFoundError, ValueError) as exc:
-        print(f"invalid scenario: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    except FAILURES as exc:
+        return _fail(exc)
     if param == "eta" and base["material"]["model"] != "dbf":
         print("eta sweeps require the dbf material model", file=sys.stderr)
         return EXIT_INVALID
@@ -566,18 +575,8 @@ def cmd_sweep(scenario_path: str, param: str, values: list, out_dir: str) -> int
             for label, i in zip(labels, data_idx):
                 row[f"omega_{label}"] = _fmt(_observed_omega(history.E[core, i], history.grid.times[core]))
             successes += 1
-        except RangeViolation as exc:
-            row["exit_code"] = EXIT_RANGE
-            print(f"value {value}: range condition failed: {exc}", file=sys.stderr)
-        except HypothesisViolated as exc:
-            row["exit_code"] = EXIT_HYPOTHESIS
-            print(f"value {value}: hypothesis failed: {exc}", file=sys.stderr)
-        except (NeumannDiverges, NoConvergence, NotContractive, NuTooSmall) as exc:
-            row["exit_code"] = EXIT_NO_CONVERGENCE
-            print(f"value {value}: solver did not converge: {exc}", file=sys.stderr)
-        except (ScenarioError, ValueError) as exc:
-            row["exit_code"] = EXIT_INVALID
-            print(f"value {value}: invalid: {exc}", file=sys.stderr)
+        except FAILURES as exc:
+            row["exit_code"] = _fail(exc, f"value {value}: ")
         rows.append(row)
 
     summary = os.path.join(out_dir, f"sweep_{param}.csv")
@@ -607,7 +606,6 @@ def main(argv: list | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="dbf",
         description="Spectral simulator for chiral electromagnetic media on the periodic torus.",
-        epilog="Set DBF_THREADS to cap per-mode solve parallelism.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

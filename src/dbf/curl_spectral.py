@@ -342,13 +342,9 @@ def bounded_generator_C(eta: float, u: FieldPair, *, kernel_tol: float = KERNEL_
     """
     if eta == 0:
         raise ValueError("eta must be nonzero")
-    table = u.table
-    mask_e = _assert_in_range(eta, u.e_part.coeffs, table, kernel_tol)
-    _assert_in_range(eta, u.h_part.coeffs, table, kernel_tol)
-    c = np.zeros(table.n_modes)
-    keep = ~mask_e
-    lam = table.eigenvalues
-    c[keep] = lam[keep] / (1.0 + eta * lam[keep])
+    _assert_in_range(eta, u.e_part.coeffs, u.table, kernel_tol)
+    _assert_in_range(eta, u.h_part.coeffs, u.table, kernel_tol)
+    c = generator_coefficients(eta, u.table, kernel_tol=kernel_tol)
     return u.with_coeffs(-c * u.h_part.coeffs, c * u.e_part.coeffs)
 
 

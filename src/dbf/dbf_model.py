@@ -31,19 +31,17 @@ Mstar(z), which reproduces W0 exactly at t = 0+.
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .curl_spectral import (
-    KERNEL_TOL,
     FieldPair,
     ModeTable,
     NyquistViolation,
     SpectralField,
+    generator_coefficients,
     sample_basis_fields,
 )
 from .evo_solver import (
@@ -51,12 +49,14 @@ from .evo_solver import (
     ZERO_TIME_TOL,
     DEFAULT_FP_TOL,
     DEFAULT_MAX_ITER,
+    J2,
     AbstractIVP,
     WrongCase,
     _apply_symbol_time,
     _causal_mask,
     _check_hermitian_posdef,
     _cumsimp,
+    _right_limit,
     solve_fixed_point,
     solve_integrator,
     solve_modal_exact,
@@ -70,7 +70,6 @@ NEUMANN_MAX_TERMS = 200
 NEUMANN_GROWTH_RUN = 5
 HYPOTHESIS_TOL = 1e-9
 
-J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 I2 = np.eye(2)
 
 DBF_METHODS = ("exact", "fixed_point", "integrator")
@@ -87,15 +86,6 @@ class HypothesisViolated(ValueError):
 
 class NeumannDiverges(RuntimeError):
     """The inversion series for (kappa + lambda)^-1 does not contract."""
-
-
-def _parallel_map(fn, items):
-    """Order-preserving map honoring the DBF_THREADS environment variable."""
-    n_threads = int(os.environ.get("DBF_THREADS", "1") or "1")
-    if n_threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
 
 
 @dataclass
@@ -268,12 +258,6 @@ class FieldHistory:
                 raise ValueError(f"{name} shape {arr.shape} != {shape}")
             setattr(self, name, arr)
 
-    def eh_at(self, index: int) -> FieldPair:
-        return FieldPair(SpectralField(self.table, self.E[index]), SpectralField(self.table, self.H[index]))
-
-    def db_at(self, index: int) -> FieldPair:
-        return FieldPair(SpectralField(self.table, self.D[index]), SpectralField(self.table, self.B[index]))
-
 
 @dataclass
 class DiagnosticReport:
@@ -401,8 +385,8 @@ def assemble_reduced_ivp(s: DBFScenario) -> ReducedSystem:
             f"data loads {len(verdict.offending)} kernel mode(s) of (1 + eta curl): "
             f"{verdict.offending[:4]}, max |coeff| = {verdict.max_violation:.3g}"
         )
-    lam = table.eigenvalues
-    factors = 1.0 + s.eta * lam
+    factors = 1.0 + s.eta * table.eigenvalues
+    coupling = generator_coefficients(s.eta, table)
     kernel = table.kernel_mask(s.eta)
     near = (~kernel) & (np.abs(factors) <= NEAR_KERNEL_BAND)
     near_indices = [int(i) for i in np.nonzero(near)[0]]
@@ -417,7 +401,7 @@ def assemble_reduced_ivp(s: DBFScenario) -> ReducedSystem:
     n = s.grid.n_samples
     blocks: list[tuple[int, AbstractIVP]] = []
     for i in np.nonzero(~kernel)[0]:
-        c = lam[i] / factors[i]
+        c = coupling[i]
         M1 = MaterialSymbol(dim=2, poly_coeffs=[c * J2]) if c != 0.0 else MaterialSymbol.zero(2)
         if s.source_J is not None:
             samples = np.stack([s.source_J.e[:, i], s.source_J.h[:, i]], axis=1) / factors[i]
@@ -431,18 +415,6 @@ def assemble_reduced_ivp(s: DBFScenario) -> ReducedSystem:
                          near_kernel_indices=near_indices)
 
 
-def _right_limit_rows(arr: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Value at t = 0+ by linear extrapolation through the first two t >= 0 rows."""
-    idx = np.nonzero(_causal_mask(grid))[0]
-    if idx.size == 0:
-        raise ValueError("grid has no samples at t >= 0")
-    if idx.size == 1:
-        return arr[idx[0]]
-    i0, i1 = int(idx[0]), int(idx[1])
-    t0, t1 = grid.times[i0], grid.times[i1]
-    return arr[i0] + (arr[i1] - arr[i0]) * ((0.0 - t0) / (t1 - t0))
-
-
 def _history_checks(history: FieldHistory, W0: FieldPair) -> tuple[float, float]:
     """Initial-value proxy error and causality sup of a solved history.
 
@@ -451,8 +423,8 @@ def _history_checks(history: FieldHistory, W0: FieldPair) -> tuple[float, float]
     largest field coefficient before t = 0.
     """
     lam = history.table.eigenvalues
-    d0 = _right_limit_rows(history.D, history.grid)
-    b0 = _right_limit_rows(history.B, history.grid)
+    d0 = _right_limit(history.D, history.grid)
+    b0 = _right_limit(history.B, history.grid)
     w = 1.0 / (1.0 + lam**2)
     iv = float(np.sqrt(np.sum(w * (np.abs(d0 - W0.e_part.coeffs) ** 2 + np.abs(b0 - W0.h_part.coeffs) ** 2))))
     pre = history.grid.times < -ZERO_TIME_TOL
@@ -473,16 +445,49 @@ def _block_is_trivial(ivp: AbstractIVP) -> bool:
 
 
 def _solve_block(ivp: AbstractIVP, method: str, nu: float, fp_tol: float, max_iter: int):
-    """One block solve; returns (samples, iterations, contraction_estimate)."""
+    """One block solve; returns (samples, iterations, contraction_estimate).
+
+    "auto" tries the closed form and falls back to the fixed point when the
+    block is outside its structural case; under "exact" WrongCase propagates.
+    """
     if _block_is_trivial(ivp):
-        shape = (ivp.grid.n_samples, ivp.dim)
-        return np.zeros(shape, dtype=np.complex128), 0, 0.0
-    if method == "exact":
-        return solve_modal_exact(ivp, nu).samples, 0, 0.0
-    if method == "integrator":
+        return np.zeros((ivp.grid.n_samples, ivp.dim), dtype=np.complex128), 0, 0.0
+    if method in ("auto", "exact"):
+        try:
+            return solve_modal_exact(ivp, nu).samples, 0, 0.0
+        except WrongCase:
+            if method == "exact":
+                raise
+    elif method == "integrator":
         return solve_integrator(ivp, nu).samples, 0, 0.0
     report = solve_fixed_point(ivp, nu, max_iter=max_iter, tol=fp_tol)
     return report.solution.samples, report.iterations, report.contraction_estimate
+
+
+def _solved_history(s, method: str, E, H, D, B, iterations: int, contraction: float,
+                    kernel: list = (), near_kernel: list = (), **extra) -> FieldHistory:
+    """Wrap solved series in a FieldHistory with the diagnostics both models share.
+
+    kernel and near_kernel are table positions reported by mode key; extra
+    holds the model's own diagnostic keys.
+    """
+    table = s.table
+    history = FieldHistory(table, s.grid, s.nu, E, H, D, B)
+    iv, caus = _history_checks(history, s.W0)
+    history.diagnostics = {
+        "method": method,
+        "n_modes": int(table.n_modes),
+        "kernel_modes": [str(table.modes[i].key()) for i in kernel],
+        "near_kernel_modes": [str(table.modes[i].key()) for i in near_kernel],
+        "iterations": int(iterations),
+        "contraction_estimate": float(contraction),
+        "initial_value_error": iv,
+        "causality_sup": caus,
+        "weak_residual": verify_dbf_equation(history, s),
+        "nu": float(s.nu),
+        **extra,
+    }
+    return history
 
 
 def solve_dbf(s: DBFScenario, method: str = "exact", *, fp_tol: float = DEFAULT_FP_TOL,
@@ -502,35 +507,17 @@ def solve_dbf(s: DBFScenario, method: str = "exact", *, fp_tol: float = DEFAULT_
     E = np.zeros((n, m), dtype=np.complex128)
     H = np.zeros((n, m), dtype=np.complex128)
     near = set(reduced.near_kernel_indices)
-
-    def run(item):
-        i, ivp = item
-        meth = "exact" if i in near else method
-        return (i,) + _solve_block(ivp, meth, s.nu, fp_tol, max_iter)
-
     iterations = 0
     contraction = 0.0
-    for i, samples, iters, cest in _parallel_map(run, reduced.blocks):
+    for i, ivp in reduced.blocks:
+        samples, iters, cest = _solve_block(ivp, "exact" if i in near else method, s.nu, fp_tol, max_iter)
         E[:, i] = samples[:, 0]
         H[:, i] = samples[:, 1]
         iterations = max(iterations, iters)
         contraction = max(contraction, cest)
     D, B = recover_DB(E, H, s)
-    history = FieldHistory(table, grid, s.nu, E, H, D, B)
-    iv, caus = _history_checks(history, s.W0)
-    history.diagnostics = {
-        "method": method,
-        "n_modes": int(m),
-        "kernel_modes": [str(table.modes[i].key()) for i in reduced.kernel_indices],
-        "near_kernel_modes": [str(table.modes[i].key()) for i in reduced.near_kernel_indices],
-        "iterations": int(iterations),
-        "contraction_estimate": float(contraction),
-        "initial_value_error": iv,
-        "causality_sup": caus,
-        "weak_residual": verify_dbf_equation(history, s),
-        "nu": float(s.nu),
-    }
-    return history
+    return _solved_history(s, method, E, H, D, B, iterations, contraction,
+                           reduced.kernel_indices, reduced.near_kernel_indices)
 
 
 def recover_DB(E, H, s: DBFScenario):
@@ -769,18 +756,6 @@ def _reduced_mode_source(g: GeneralizedScenario, i: int, N: list) -> tuple[np.nd
     return samples, N[0] @ w0
 
 
-def _solve_generalized_block(ivp: AbstractIVP, method: str, nu: float, fp_tol: float, max_iter: int):
-    if method == "auto":
-        if _block_is_trivial(ivp):
-            return np.zeros((ivp.grid.n_samples, ivp.dim), dtype=np.complex128), 0, 0.0
-        try:
-            return solve_modal_exact(ivp, nu).samples, 0, 0.0
-        except WrongCase:
-            report = solve_fixed_point(ivp, nu, max_iter=max_iter, tol=fp_tol)
-            return report.solution.samples, report.iterations, report.contraction_estimate
-    return _solve_block(ivp, method, nu, fp_tol, max_iter)
-
-
 def solve_generalized(g: GeneralizedScenario, method: str = "auto", *, fp_tol: float = DEFAULT_FP_TOL,
                       max_iter: int = DEFAULT_MAX_ITER) -> FieldHistory:
     """Solve an operator-law scenario and recover the flux pair.
@@ -826,17 +801,14 @@ def solve_generalized(g: GeneralizedScenario, method: str = "auto", *, fp_tol: f
     contraction = 0.0
 
     if g.k_cross is None:
-        def run(i):
+        for i in range(m):
             data = per_lam[float(lam[i])]
             samples, w0_eff = _reduced_mode_source(g, i, data["N"])
             m1 = MaterialSymbol(dim=2, poly_coeffs=data["M1"]) if data["M1"] else MaterialSymbol.zero(2)
             ivp = AbstractIVP(dim=2, M0=g.Mstar0, M1=m1, A=A2,
                               source=WeightedSignal(grid, g.nu, samples), W0=w0_eff)
-            sol, iters, cest = _solve_generalized_block(ivp, method, g.nu, fp_tol, max_iter)
+            sol, iters, cest = _solve_block(ivp, method, g.nu, fp_tol, max_iter)
             db = _apply_symbol_time(MaterialSymbol(dim=2, poly_coeffs=data["P"]), sol, grid)
-            return i, sol, db, iters, cest
-
-        for i, sol, db, iters, cest in _parallel_map(run, list(range(m))):
             E[:, i] = sol[:, 0]
             H[:, i] = sol[:, 1]
             D[:, i] = db[:, 0]
@@ -865,8 +837,7 @@ def solve_generalized(g: GeneralizedScenario, method: str = "auto", *, fp_tol: f
                           M1=MaterialSymbol(dim=dim, poly_coeffs=m1_big),
                           A=np.zeros((dim, dim)),
                           source=WeightedSignal(grid, g.nu, source_big), W0=w0_big)
-        joint_method = "fixed_point" if method == "auto" else method
-        sol, iterations, contraction = _solve_block(ivp, joint_method, g.nu, fp_tol, max_iter)
+        sol, iterations, contraction = _solve_block(ivp, method, g.nu, fp_tol, max_iter)
         ka_big = [np.kron(eye_m, g.kappa0) + np.kron(np.diag(lam), I2)]
         ka_big += [np.kron(eye_m, C) for C in kappa1_coeffs]
         mb_big = [np.zeros((dim, dim), dtype=np.complex128) for _ in range(max(2, 1 + len(mstar1_coeffs)))]
@@ -881,21 +852,5 @@ def solve_generalized(g: GeneralizedScenario, method: str = "auto", *, fp_tol: f
         D[:, :] = db[:, 0::2]
         B[:, :] = db[:, 1::2]
 
-    history = FieldHistory(table, grid, g.nu, E, H, D, B)
-    iv, caus = _history_checks(history, g.W0)
-    history.diagnostics = {
-        "method": method,
-        "n_modes": int(m),
-        "kernel_modes": [],
-        "near_kernel_modes": [],
-        "iterations": int(iterations),
-        "contraction_estimate": float(contraction),
-        "initial_value_error": iv,
-        "causality_sup": caus,
-        "weak_residual": verify_dbf_equation(history, g),
-        "hypothesis_margin": margin,
-        "neumann_terms": int(neumann_terms),
-        "q0_sup": float(q_sup),
-        "nu": float(g.nu),
-    }
-    return history
+    return _solved_history(g, method, E, H, D, B, iterations, contraction, hypothesis_margin=margin,
+                           neumann_terms=int(neumann_terms), q0_sup=float(q_sup))

@@ -44,6 +44,8 @@ DEFAULT_FP_TOL = 1e-10
 DEFAULT_MAX_ITER = 64
 CONTRACTION_SAFETY = 1.0
 
+J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+
 
 def _cumsimp(values: np.ndarray, dx: float) -> np.ndarray:
     """Complex-safe composite Simpson antiderivative along axis 0.
@@ -162,6 +164,22 @@ def _causal_mask(grid: TimeGrid) -> np.ndarray:
     return grid.times >= -ZERO_TIME_TOL
 
 
+def _right_limit(arr: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Value at t = 0+ by linear extrapolation through the first two t >= 0 rows.
+
+    On zero-aligned grids this is the stored t = 0 row; a grid with a single
+    sample at t >= 0 returns that sample.
+    """
+    idx = np.nonzero(_causal_mask(grid))[0]
+    if idx.size == 0:
+        raise ValueError("grid has no samples at t >= 0")
+    if idx.size == 1:
+        return arr[idx[0]]
+    i0, i1 = int(idx[0]), int(idx[1])
+    t0, t1 = grid.times[i0], grid.times[i1]
+    return arr[i0] + (arr[i1] - arr[i0]) * ((0.0 - t0) / (t1 - t0))
+
+
 def _causal_cumtrapz(values: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Running trapezoid antiderivative that respects the jump at t = 0.
 
@@ -211,22 +229,25 @@ def causal_resolvent(A_prime: np.ndarray, samples: np.ndarray, grid: TimeGrid) -
     return (np.conj(phase) * integ) @ W.T
 
 
+def _jump_response(A_prime: np.ndarray, inv_sqrt: np.ndarray, w0: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Samples of chi_{t>=0} exp(-t A') sqrt(M0)^-1 w0, exactly zero before 0."""
+    theta, W = _unitary_group_factors(A_prime)
+    mask = _causal_mask(grid)
+    out = np.zeros((grid.n_samples, len(w0)), dtype=np.complex128)
+    out[mask] = _group_apply(theta, W, grid.times[mask], inv_sqrt @ np.asarray(w0, dtype=np.complex128))
+    return out
+
+
 def semigroup_apply(M0: np.ndarray, A: np.ndarray, w0: np.ndarray, grid: TimeGrid, nu: float) -> WeightedSignal:
     """Jump response chi_{t>=0} sqrt(M0)^-1 exp(-t A') sqrt(M0)^-1 w0.
 
     A' = sqrt(M0)^-1 A sqrt(M0)^-1.  The right limit at 0 is M0^-1 w0 and is
     stored at the t = 0 sample; samples before 0 are exactly zero.
     """
-    dim = len(w0)
     inv_sqrt, _, _ = _check_hermitian_posdef(M0)
-    A = _check_skew(A, dim)
-    A_prime = inv_sqrt @ A @ inv_sqrt
-    theta, W = _unitary_group_factors(A_prime)
-    mask = _causal_mask(grid)
-    out = np.zeros((grid.n_samples, dim), dtype=np.complex128)
-    inner = _group_apply(theta, W, grid.times[mask], inv_sqrt @ np.asarray(w0, dtype=np.complex128))
-    out[mask] = inner @ inv_sqrt.T
-    return WeightedSignal(grid, nu, out)
+    A = _check_skew(A, len(w0))
+    jump = _jump_response(inv_sqrt @ A @ inv_sqrt, inv_sqrt, w0, grid)
+    return WeightedSignal(grid, nu, jump @ inv_sqrt.T)
 
 
 def _apply_symbol_time(sym: MaterialSymbol, samples: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -294,13 +315,8 @@ def solve_fixed_point(p: AbstractIVP, nu: float, max_iter: int = DEFAULT_MAX_ITE
         )
     inv_sqrt = p.inv_sqrt_M0
     A_prime = inv_sqrt @ p.A @ inv_sqrt
-    theta, W = _unitary_group_factors(A_prime)
-    mask = _causal_mask(grid)
-
-    jump = np.zeros((grid.n_samples, p.dim), dtype=np.complex128)
-    jump[mask] = _group_apply(theta, W, grid.times[mask], inv_sqrt @ p.W0)
     f = p.source.samples @ inv_sqrt.T
-    v0 = causal_resolvent(A_prime, f, grid) + jump
+    v0 = causal_resolvent(A_prime, f, grid) + _jump_response(A_prime, inv_sqrt, p.W0, grid)
 
     m1_conj = MaterialSymbol(
         dim=p.dim,
@@ -357,8 +373,7 @@ def _rotation_constant(p: AbstractIVP) -> tuple[float, float, complex]:
         return eps, mu, 0.0
     C = np.asarray(p.M1.poly_coeffs[0], dtype=np.complex128)
     c = C[1, 0]
-    J = np.array([[0.0, -1.0], [1.0, 0.0]])
-    if np.max(np.abs(C - c * J)) > 0:
+    if np.max(np.abs(C - c * J2)) > 0:
         raise WrongCase("coupling matrix is not a multiple of [[0,-1],[1,0]]")
     return eps, mu, c
 
@@ -472,22 +487,15 @@ def solve_integrator(p: AbstractIVP, nu: float) -> WeightedSignal:
 def verify_initial_value(report, M0: np.ndarray, W0: np.ndarray) -> float:
     """Distance of the right limit U(0+) from M0^-1 W0.
 
-    U(0+) is estimated by linear extrapolation through the first two samples
-    at t >= 0 evaluated at t = 0; on zero-aligned grids this reproduces the
-    stored right limit exactly.
+    U(0+) is the linear extrapolation of _right_limit; on zero-aligned grids
+    this reproduces the stored right limit exactly.
     """
     u = _solution(report)
-    times = u.grid.times
-    idx = np.nonzero(times >= -ZERO_TIME_TOL)[0]
-    if idx.size < 2:
+    if np.count_nonzero(_causal_mask(u.grid)) < 2:
         raise ValueError("need at least two samples at t >= 0")
-    i0, i1 = idx[0], idx[1]
-    t0, t1 = times[i0], times[i1]
-    slope = (u.samples[i1] - u.samples[i0]) / (t1 - t0)
-    u0_plus = u.samples[i0] - slope * t0
     _, inv, _ = _check_hermitian_posdef(M0)
     target = inv @ np.asarray(W0, dtype=np.complex128)
-    return float(np.linalg.norm(u0_plus - target))
+    return float(np.linalg.norm(_right_limit(u.samples, u.grid) - target))
 
 
 def verify_regularity_ode(report, M0: np.ndarray, W0: np.ndarray, A: np.ndarray | None = None) -> float:

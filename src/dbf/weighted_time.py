@@ -238,10 +238,6 @@ class MaterialSymbol:
         coefficient = np.atleast_2d(np.asarray(coefficient, dtype=np.complex128))
         return cls(dim=coefficient.shape[0], delays=[(h, coefficient)])
 
-    @property
-    def degree(self) -> int:
-        return max(len(self.poly_coeffs) - 1, 0)
-
     def min_nu(self) -> float:
         """Smallest admissible weight: nu must exceed 1/(2 radius)."""
         return 0.0 if math.isinf(self.radius) else 1.0 / (2.0 * self.radius)
@@ -263,11 +259,6 @@ class MaterialSymbol:
         if self.dim == 1:
             return float(np.max(np.abs(vals)))
         return float(np.max(np.linalg.svd(vals, compute_uv=False)))
-
-    def is_zero(self) -> bool:
-        return all(np.all(M == 0) for M in self.poly_coeffs) and all(
-            np.all(C == 0) for _, C in self.delays
-        )
 
 
 def laplace_forward(u: WeightedSignal) -> Spectrum:

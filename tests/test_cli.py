@@ -97,6 +97,17 @@ class TestSchema:
             with pytest.raises(cli.ScenarioError, match=message):
                 cli.build_scenario(cli.load_scenario_doc(write_doc(tmp_path, doc)))
 
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_number_rejected(self, tmp_path, text, capsys):
+        path = write_doc(tmp_path, base_doc())
+        with open(path, encoding="utf-8") as fh:
+            raw = fh.read().replace('"eta": 0.5', f'"eta": {text}')
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(raw)
+        assert cli.cmd_run(path, str(tmp_path / "out")) == cli.EXIT_INVALID
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_window_must_contain_zero(self, tmp_path):
         doc = base_doc()
         doc["time"]["t_start"] = 1.0
@@ -213,6 +224,33 @@ class TestExitCodes:
     def test_valid_run_exits_zero(self, tmp_path):
         assert cli.cmd_run(write_doc(tmp_path, base_doc()), str(tmp_path / "out")) == cli.EXIT_OK
 
+    @pytest.mark.parametrize("case, expected", [
+        ("range", cli.EXIT_RANGE),
+        ("hypothesis", cli.EXIT_HYPOTHESIS),
+        ("neumann", cli.EXIT_NO_CONVERGENCE),
+    ])
+    def test_subcommands_agree_on_solve_failures(self, tmp_path, case, expected):
+        doc = base_doc()
+        if case == "range":
+            doc["material"]["eta"] = -1.0
+        else:
+            doc["method"] = "auto"
+            doc["material"] = {"model": "generalized",
+                               "kappa0": [[1.0, 0.0], [0.0, 1.0]],
+                               "Mstar0": [[1.0, 0.0], [0.0, 1.0]]}
+            if case == "neumann":
+                doc["material"]["kappa0"] = [[2.0, 0.0], [0.0, 2.0]]
+                doc["material"]["kappa1"] = [[[20.0, 0.0], [0.0, 20.0]]]
+                doc["time"]["nu"] = 2.0
+        path = write_doc(tmp_path, doc)
+        assert cli.cmd_run(path, str(tmp_path / "out")) == expected
+        assert cli.cmd_verify(path) == expected
+        out_dir = tmp_path / "sweep"
+        cli.cmd_sweep(path, "nu", [doc["time"]["nu"]], str(out_dir))
+        with open(out_dir / "sweep_nu.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows[0]["exit_code"] == str(expected)
+
 
 class TestVerify:
     def test_reference_scenario_passes(self, tmp_path, capsys):
@@ -249,7 +287,7 @@ class TestVerify:
     def test_unsolvable_scenario_fails(self, tmp_path, capsys):
         doc = base_doc()
         doc["material"]["eta"] = -1.0
-        assert cli.cmd_verify(write_doc(tmp_path, doc)) == cli.EXIT_INVALID
+        assert cli.cmd_verify(write_doc(tmp_path, doc)) == cli.EXIT_RANGE
         assert "FAIL: solve" in capsys.readouterr().err
 
 
@@ -298,6 +336,12 @@ class TestSweep:
         assert cli.cmd_sweep(path, "eta", [], str(out_dir)) == cli.EXIT_OK
         lines = (out_dir / "sweep_eta.csv").read_text().splitlines()
         assert len(lines) == 1
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_value_rejected(self, tmp_path, value, capsys):
+        path = write_doc(tmp_path, base_doc())
+        assert cli.cmd_sweep(path, "eta", [value], str(tmp_path / "sweep")) == cli.EXIT_INVALID
+        assert "finite" in capsys.readouterr().err
 
     def test_invalid_parameter_rejected(self, tmp_path, capsys):
         path = write_doc(tmp_path, base_doc())

@@ -276,17 +276,6 @@ class TestSolveDBF:
         # The stiff mode still solves: rotation amplitude stays bounded.
         assert np.max(np.abs(history.E[:, i])) < 1e4
 
-    def test_parallel_solve_matches_serial(self, table_k2, monkeypatch):
-        i = table_k2.position((1, 0, 0), "plus")
-        j = table_k2.position((1, 1, 0), "minus")
-        W0 = field_pair(table_k2, {i: (1.0, 0.5), j: (-0.3, 0.2j)})
-        s = scenario(table_k2, W0=W0)
-        serial = solve_dbf(s, "exact")
-        monkeypatch.setenv("DBF_THREADS", "4")
-        parallel = solve_dbf(s, "exact")
-        np.testing.assert_array_equal(serial.E, parallel.E)
-        np.testing.assert_array_equal(serial.H, parallel.H)
-
 
 class TestRecoverDB:
     def test_curl_free_modes_scale_by_material_constants(self, table_k1, rng):

@@ -194,7 +194,10 @@ class TestApplySymbol:
         # for that floor to sit below the causality tolerance.
         grid = TimeGrid(t_start=-4.0, dt=1.0 / 128.0, n_samples=2048, pad_fraction=0.5)
         rng = np.random.default_rng(seed)
-        a = float(rng.uniform(-4.0, 0.0))
+        guard = 4.0 * grid.dt
+        # Start the support past t_start + 2 guard so the checked region
+        # t < a - guard always holds samples.
+        a = float(rng.uniform(-4.0 + 2.0 * guard, 0.0))
         samples = oracles.bump(grid.times, a, a + 2.0)
         u = WeightedSignal(grid, 2.0, samples)
         sym = MaterialSymbol(
@@ -203,7 +206,6 @@ class TestApplySymbol:
             delays=[(-0.25, np.array([[0.7]]))],
         )
         out = apply_symbol(sym, u)
-        guard = 4.0 * grid.dt
         before = grid.times < a - guard
         assert np.max(np.abs(out.samples[before])) <= 1e-8 * weighted_norm(u, 0)
 
