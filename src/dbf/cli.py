@@ -7,7 +7,8 @@ and one JSON diagnostics document with sorted keys, so identical scenarios
 produce byte identical outputs.  Every subcommand maps failures to exit
 codes through EXIT_TABLE: 1 invalid scenario or arguments, 2 data outside
 the solvable range, 3 spectral hypothesis failure, 4 solver
-non-convergence; verify also exits 1 when a check fails.
+non-convergence or a non-finite solution; verify also exits 1 when a check
+fails.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .dbf_model import (
     GeneralizedScenario,
     HypothesisViolated,
     NeumannDiverges,
+    NonFiniteSolution,
     PairSeries,
     RangeViolation,
     material_energy_series,
@@ -166,11 +168,12 @@ EXIT_TABLE = (
     (HypothesisViolated, EXIT_HYPOTHESIS, "hypothesis failed"),
     ((NotContractive, NuTooSmall), EXIT_NO_CONVERGENCE, "solver cannot converge"),
     ((NeumannDiverges, NoConvergence), EXIT_NO_CONVERGENCE, "solver did not converge"),
+    (NonFiniteSolution, EXIT_NO_CONVERGENCE, "solution is not finite"),
     (FileNotFoundError, EXIT_INVALID, "cannot read scenario"),
     (ValueError, EXIT_INVALID, "invalid scenario"),
 )
 # The exception types EXIT_TABLE covers; anything else is a bug and propagates.
-FAILURES = (ValueError, NeumannDiverges, NoConvergence, FileNotFoundError)
+FAILURES = (ValueError, NeumannDiverges, NoConvergence, NonFiniteSolution, FileNotFoundError)
 
 
 def _fail(exc: Exception, prefix: str = "") -> int:
@@ -366,18 +369,17 @@ def write_run_output(history: FieldHistory, scenario, doc: dict, out_dir: str, s
         for fld in ("e", "h", "d", "b"):
             columns += [f"{label}_{fld}_re", f"{label}_{fld}_im"]
     columns.append("energy")
-    arrays = {"e": history.E, "h": history.H, "d": history.D, "b": history.B}
     times = history.grid.times
+    body = np.empty((len(times), len(columns)))
+    body[:, 0], body[:, -1] = times, energy
+    # A view into body: (re, im) of e, h, d, b for each tracked mode.
+    cells = body[:, 1:-1].reshape(len(times), len(tracked), 4, 2)
+    for k, arr in enumerate((history.E, history.H, history.D, history.B)):
+        sub = arr[:, tracked]
+        cells[:, :, k, 0], cells[:, :, k, 1] = sub.real, sub.imag
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in range(history.grid.n_samples):
-            vals = [_fmt(times[row])]
-            for i in tracked:
-                for fld in ("e", "h", "d", "b"):
-                    c = arrays[fld][row, i]
-                    vals += [_fmt(c.real), _fmt(c.imag)]
-            vals.append(_fmt(energy[row]))
-            fh.write(",".join(vals) + "\n")
+        np.savetxt(fh, body, fmt="%.17g", delimiter=",")
     json_path = os.path.join(out_dir, f"{stem}.json")
     payload = {
         "model": doc["material"]["model"],

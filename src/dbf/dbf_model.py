@@ -35,14 +35,13 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .curl_spectral import (
     FieldPair,
     ModeTable,
-    NyquistViolation,
     SpectralField,
     generator_coefficients,
-    sample_basis_fields,
 )
 from .evo_solver import (
     SOURCE_CAUSALITY_TOL,
@@ -86,6 +85,10 @@ class HypothesisViolated(ValueError):
 
 class NeumannDiverges(RuntimeError):
     """The inversion series for (kappa + lambda)^-1 does not contract."""
+
+
+class NonFiniteSolution(RuntimeError):
+    """The solved fields or their diagnostics hold NaN or infinity."""
 
 
 @dataclass
@@ -194,9 +197,10 @@ class GeneralizedScenario:
     the 2x2 block-scalar core (6x6 blockwise scalar-times-identity input is
     compressed).  kappa1 and Mstar1 are polynomial symbols in the causal
     antiderivative; delay terms are out of scope here.  k_cross, when set,
-    is the fixed coupling vector of the dense constant term f -> k_cross x f
-    added to Mstar1 at order zero (any physical prefactors are premultiplied
-    into the vector, which is treated as dimensionless).
+    is the fixed coupling vector of the constant term f -> k_cross x f added
+    to Mstar1 at order zero (any physical prefactors are premultiplied into
+    the vector, which is treated as dimensionless).  The term keeps the
+    wavevector, so it couples only the three modes sharing one.
     """
 
     kappa0: np.ndarray
@@ -469,7 +473,8 @@ def _solved_history(s, method: str, E, H, D, B, iterations: int, contraction: fl
     """Wrap solved series in a FieldHistory with the diagnostics both models share.
 
     kernel and near_kernel are table positions reported by mode key; extra
-    holds the model's own diagnostic keys.
+    holds the model's own diagnostic keys.  NonFiniteSolution is raised when
+    a field series or a numeric diagnostic is NaN or infinite.
     """
     table = s.table
     history = FieldHistory(table, s.grid, s.nu, E, H, D, B)
@@ -487,6 +492,10 @@ def _solved_history(s, method: str, E, H, D, B, iterations: int, contraction: fl
         "nu": float(s.nu),
         **extra,
     }
+    bad = [name for name in ("E", "H", "D", "B") if not np.all(np.isfinite(getattr(history, name)))]
+    bad += [key for key, v in history.diagnostics.items() if isinstance(v, (int, float)) and not np.isfinite(v)]
+    if bad:
+        raise NonFiniteSolution(f"non-finite values in {', '.join(bad)}")
     return history
 
 
@@ -595,26 +604,32 @@ def material_energy_series(history: FieldHistory, s) -> np.ndarray:
     return (M[0, 0].real * ee + M[1, 1].real * hh + 2.0 * np.real(M[0, 1] * cross))
 
 
-def cross_coupling_matrix(k_cross: np.ndarray, table: ModeTable, n_grid: int | None = None) -> np.ndarray:
-    """Dense matrix of f -> k_cross x f over the basis, assembled by quadrature.
+def _wavevector_blocks(table: ModeTable) -> list:
+    """Table positions grouped by wavevector in table order; the const modes share k = 0."""
+    groups: dict[tuple, list] = {}
+    for i, k in enumerate(map(tuple, table.kvectors)):
+        groups.setdefault(k, []).append(i)
+    return list(groups.values())
 
-    Entry (i, j) is the grid-mean inner product of basis field i against
-    k_cross x basis field j.  A grid with more than 2K points per axis makes
-    the trigonometric quadrature exact; the result is skew-Hermitian and
-    block diagonal per wavevector.  Cached on the table per coupling vector.
+
+def _cross_block(k_cross: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    """Entries conj(p_i) . (k_cross x p_j) over the amplitudes of one wavevector."""
+    return np.conj(amplitudes) @ np.cross(k_cross, amplitudes).T
+
+
+def cross_coupling_matrix(k_cross: np.ndarray, table: ModeTable) -> np.ndarray:
+    """Dense matrix of f -> k_cross x f over the basis.
+
+    k_cross x (p exp(i k.x)) = (k_cross x p) exp(i k.x) keeps the wavevector,
+    so the matrix is block diagonal per wavevector with the closed-form
+    entries <p_i, k_cross x p_j> of the mode amplitudes; it is
+    skew-Hermitian because the cross product with a real vector is skew.
     """
     k_cross = np.asarray(k_cross, dtype=float).reshape(3)
-    if n_grid is None:
-        n_grid = max(2 * table.K + 2, 8)
-    if n_grid < 2 * table.K + 2:
-        raise NyquistViolation(f"n_grid={n_grid} < 2K+2={2 * table.K + 2}")
-    cache = table.__dict__.setdefault("_cross_cache", {})
-    key = (tuple(k_cross.tolist()), int(n_grid))
-    if key not in cache:
-        fields = sample_basis_fields(table, n_grid)
-        crossed = np.cross(k_cross, fields)
-        cache[key] = np.einsum("ipc,jpc->ij", np.conj(fields), crossed) / fields.shape[1]
-    return cache[key]
+    X = np.zeros((table.n_modes, table.n_modes), dtype=np.complex128)
+    for idx in _wavevector_blocks(table):
+        X[np.ix_(idx, idx)] = _cross_block(k_cross, table.amplitudes[idx])
+    return X
 
 
 def _symbol_values(coeff_map: dict, z: np.ndarray) -> np.ndarray:
@@ -693,14 +708,7 @@ def _neumann_coefficients(kappa0: np.ndarray, kappa1: MaterialSymbol | None, lam
 def _merged_coeff_list(*lists: list) -> list:
     """Elementwise sum of coefficient lists of possibly different lengths."""
     top = max(len(lst) for lst in lists)
-    out = []
-    for d in range(top):
-        acc = np.zeros((2, 2), dtype=np.complex128)
-        for lst in lists:
-            if d < len(lst):
-                acc = acc + np.asarray(lst[d], dtype=np.complex128)
-        out.append(acc)
-    return out
+    return [sum(np.asarray(lst[d], dtype=np.complex128) for lst in lists if d < len(lst)) for d in range(top)]
 
 
 def _convolve_coeff_lists(a: list, b: list) -> list:
@@ -711,6 +719,15 @@ def _convolve_coeff_lists(a: list, b: list) -> list:
         for j, Bc in enumerate(b):
             out[i + j] = out[i + j] + A @ Bc
     return out
+
+
+def _block_diag_coeffs(lists: list) -> list:
+    """Coefficient list of the block-diagonal symbol with these per-mode lists."""
+    if len(lists) == 1:
+        return lists[0]
+    zero = np.zeros((2, 2), dtype=np.complex128)
+    top = max(len(lst) for lst in lists)
+    return [block_diag(*(lst[d] if d < len(lst) else zero for lst in lists)) for d in range(top)]
 
 
 def _hypothesis_scan(kappa0: np.ndarray, lam_values: np.ndarray) -> float:
@@ -760,14 +777,15 @@ def solve_generalized(g: GeneralizedScenario, method: str = "auto", *, fp_tol: f
                       max_iter: int = DEFAULT_MAX_ITER) -> FieldHistory:
     """Solve an operator-law scenario and recover the flux pair.
 
-    Without cross coupling the reduction is per mode: the truncated inverse
-    of kappa(z) + lambda shapes one 2x2 block each, solved by the closed
-    form when the coupling degenerates to a real rotation (method "auto"
-    tries it first) and by the fixed-point solver otherwise.  A nonzero
-    k_cross makes the constant part of Mstar1 dense over the table, so all
-    modes are solved as one joint block.  The flux pair follows by applying
-    the product symbol (kappa(z) + lambda) Mstar(z) in the time domain,
-    which reproduces W0 exactly at t = 0+.
+    The reduction is per block: the truncated inverse of kappa(z) + lambda
+    shapes one 2x2 block per mode, solved by the closed form when the
+    coupling degenerates to a real rotation (method "auto" tries it first)
+    and by the fixed-point solver otherwise.  A nonzero k_cross couples the
+    three modes of each wavevector (the const modes form the k = 0 block),
+    so each wavevector is then solved as one 6x6 block.  Blocks without data
+    are skipped and the contraction test applies per block.  The flux pair
+    follows by applying the product symbol (kappa(z) + lambda) Mstar(z) in
+    the time domain, which reproduces W0 exactly at t = 0+.
     """
     if method not in GENERALIZED_METHODS:
         raise ValueError(f"method must be one of {GENERALIZED_METHODS}, got {method!r}")
@@ -796,61 +814,32 @@ def solve_generalized(g: GeneralizedScenario, method: str = "auto", *, fp_tol: f
     H = np.zeros((n, m), dtype=np.complex128)
     D = np.zeros((n, m), dtype=np.complex128)
     B = np.zeros((n, m), dtype=np.complex128)
-    A2 = np.zeros((2, 2))
     iterations = 0
     contraction = 0.0
-
-    if g.k_cross is None:
-        for i in range(m):
-            data = per_lam[float(lam[i])]
-            samples, w0_eff = _reduced_mode_source(g, i, data["N"])
-            m1 = MaterialSymbol(dim=2, poly_coeffs=data["M1"]) if data["M1"] else MaterialSymbol.zero(2)
-            ivp = AbstractIVP(dim=2, M0=g.Mstar0, M1=m1, A=A2,
-                              source=WeightedSignal(grid, g.nu, samples), W0=w0_eff)
-            sol, iters, cest = _solve_block(ivp, method, g.nu, fp_tol, max_iter)
-            db = _apply_symbol_time(MaterialSymbol(dim=2, poly_coeffs=data["P"]), sol, grid)
-            E[:, i] = sol[:, 0]
-            H[:, i] = sol[:, 1]
-            D[:, i] = db[:, 0]
-            B[:, i] = db[:, 1]
-            iterations = max(iterations, iters)
-            contraction = max(contraction, cest)
-    else:
-        X = cross_coupling_matrix(g.k_cross, table)
-        X_big = np.kron(X, I2)
-        eye_m = np.eye(m)
-        dim = 2 * m
-        top = max(len(per_lam[float(lv)]["M1"]) for lv in np.unique(lam))
-        top = max(top, 1)
-        m1_big = [np.zeros((dim, dim), dtype=np.complex128) for _ in range(top)]
-        m1_big[0] += X_big
-        source_big = np.zeros((n, dim), dtype=np.complex128)
-        w0_big = np.zeros(dim, dtype=np.complex128)
-        for i in range(m):
-            data = per_lam[float(lam[i])]
-            for d, C in enumerate(data["M1"]):
-                m1_big[d][2 * i:2 * i + 2, 2 * i:2 * i + 2] += C
-            samples, w0_eff = _reduced_mode_source(g, i, data["N"])
-            source_big[:, 2 * i:2 * i + 2] = samples
-            w0_big[2 * i:2 * i + 2] = w0_eff
-        ivp = AbstractIVP(dim=dim, M0=np.kron(eye_m, g.Mstar0),
-                          M1=MaterialSymbol(dim=dim, poly_coeffs=m1_big),
+    blocks = [[i] for i in range(m)] if g.k_cross is None else _wavevector_blocks(table)
+    for idx in blocks:
+        modes = [per_lam[float(lam[i])] for i in idx]
+        m1 = _block_diag_coeffs([data["M1"] for data in modes])
+        product = _block_diag_coeffs([data["P"] for data in modes])
+        if g.k_cross is not None:
+            # f -> k_cross x f enters M1 at order zero and Mstar at order one.
+            cross = np.kron(_cross_block(g.k_cross, table.amplitudes[idx]), I2)
+            kappa = _block_diag_coeffs([[g.kappa0 + lam[i] * I2] + kappa1_coeffs for i in idx])
+            m1 = _merged_coeff_list(m1, [cross])
+            product = _merged_coeff_list(product, _convolve_coeff_lists(kappa, [0 * cross, cross]))
+        reduced = [_reduced_mode_source(g, i, data["N"]) for i, data in zip(idx, modes)]
+        dim = 2 * len(idx)
+        ivp = AbstractIVP(dim=dim, M0=block_diag(*[g.Mstar0] * len(idx)),
+                          M1=MaterialSymbol(dim=dim, poly_coeffs=m1) if m1 else MaterialSymbol.zero(dim),
                           A=np.zeros((dim, dim)),
-                          source=WeightedSignal(grid, g.nu, source_big), W0=w0_big)
-        sol, iterations, contraction = _solve_block(ivp, method, g.nu, fp_tol, max_iter)
-        ka_big = [np.kron(eye_m, g.kappa0) + np.kron(np.diag(lam), I2)]
-        ka_big += [np.kron(eye_m, C) for C in kappa1_coeffs]
-        mb_big = [np.zeros((dim, dim), dtype=np.complex128) for _ in range(max(2, 1 + len(mstar1_coeffs)))]
-        mb_big[0] = np.kron(eye_m, g.Mstar0)
-        mb_big[1] = mb_big[1] + X_big
-        for j, C in enumerate(mstar1_coeffs):
-            mb_big[1 + j] = mb_big[1 + j] + np.kron(eye_m, C)
-        p_big = _convolve_coeff_lists(ka_big, mb_big)
-        db = _apply_symbol_time(MaterialSymbol(dim=dim, poly_coeffs=p_big), sol, grid)
-        E[:, :] = sol[:, 0::2]
-        H[:, :] = sol[:, 1::2]
-        D[:, :] = db[:, 0::2]
-        B[:, :] = db[:, 1::2]
+                          source=WeightedSignal(grid, g.nu, np.hstack([r[0] for r in reduced])),
+                          W0=np.concatenate([r[1] for r in reduced]))
+        sol, iters, cest = _solve_block(ivp, method, g.nu, fp_tol, max_iter)
+        db = _apply_symbol_time(MaterialSymbol(dim=dim, poly_coeffs=product), sol, grid)
+        E[:, idx], H[:, idx] = sol[:, 0::2], sol[:, 1::2]
+        D[:, idx], B[:, idx] = db[:, 0::2], db[:, 1::2]
+        iterations = max(iterations, iters)
+        contraction = max(contraction, cest)
 
     return _solved_history(g, method, E, H, D, B, iterations, contraction, hypothesis_margin=margin,
                            neumann_terms=int(neumann_terms), q0_sup=float(q_sup))

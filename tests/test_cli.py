@@ -90,6 +90,8 @@ class TestSchema:
              "'delay'"),
             ({"waveform": "gaussian", "amplitude": 1.0, "modes": [[[1, 0, 0], "plus", 1.0, 0.0]], "t0": 1.0},
              "'sigma'"),
+            ({"waveform": "gaussian", "amplitude": 1.0, "modes": [[[1, 0, 0], "plus", 1.0, 0.0]], "sigma": 0.3},
+             "'t0'"),
         ]
         for src, message in cases:
             doc = base_doc()
@@ -156,6 +158,28 @@ class TestRunOutput:
         np.testing.assert_array_equal(cols["t"], history.grid.times)
         np.testing.assert_array_equal(cols["k1_0_0_plus_e_re"], history.E[:, i].real)
         np.testing.assert_array_equal(cols["k1_0_0_plus_d_im"], history.D[:, i].imag)
+
+    @pytest.mark.parametrize("name", ["dbf_basic", "generalized_memory"])
+    def test_csv_cells_are_17_digit_values(self, tmp_path, name):
+        # The body must equal the per-cell format(x, ".17g") rendering, byte for byte.
+        doc = cli.load_scenario_doc(f"scenarios/{name}.json")
+        scenario = cli.build_scenario(doc)
+        history = cli._solve(scenario, doc)
+        csv_path, _ = cli.write_run_output(history, scenario, doc, str(tmp_path), name)
+        from dbf.dbf_model import material_energy_series
+        energy = material_energy_series(history, scenario)
+        tracked = cli._tracked_indices(history, scenario)
+        lines = []
+        for row, t in enumerate(history.grid.times):
+            cells = [t]
+            for i in tracked:
+                for arr in (history.E, history.H, history.D, history.B):
+                    cells += [arr[row, i].real, arr[row, i].imag]
+            cells.append(energy[row])
+            lines.append(",".join(format(float(x), ".17g") for x in cells) + "\n")
+        with open(csv_path, encoding="utf-8", newline="") as fh:
+            fh.readline()
+            assert fh.read() == "".join(lines)
 
     def test_diagnostics_recomputable_from_csv(self, tmp_path):
         path = write_doc(tmp_path, base_doc())
@@ -228,11 +252,15 @@ class TestExitCodes:
         ("range", cli.EXIT_RANGE),
         ("hypothesis", cli.EXIT_HYPOTHESIS),
         ("neumann", cli.EXIT_NO_CONVERGENCE),
+        ("non_finite", cli.EXIT_NO_CONVERGENCE),
     ])
     def test_subcommands_agree_on_solve_failures(self, tmp_path, case, expected):
         doc = base_doc()
         if case == "range":
             doc["material"]["eta"] = -1.0
+        elif case == "non_finite":
+            # Passes the schema, but 1/epsilon overflows and the solve yields NaN.
+            doc["material"]["epsilon"] = 1e-320
         else:
             doc["method"] = "auto"
             doc["material"] = {"model": "generalized",
@@ -244,6 +272,7 @@ class TestExitCodes:
                 doc["time"]["nu"] = 2.0
         path = write_doc(tmp_path, doc)
         assert cli.cmd_run(path, str(tmp_path / "out")) == expected
+        assert not (tmp_path / "out").exists()
         assert cli.cmd_verify(path) == expected
         out_dir = tmp_path / "sweep"
         cli.cmd_sweep(path, "nu", [doc["time"]["nu"]], str(out_dir))

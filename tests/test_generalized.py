@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from dbf.curl_spectral import NyquistViolation, SpectralField, FieldPair, synthesize_on_grid
+from dbf.curl_spectral import SpectralField, FieldPair, synthesize_on_grid
 from dbf.dbf_model import (
     DBFScenario,
     GeneralizedScenario,
@@ -203,15 +203,6 @@ class TestCrossCoupling:
                 entry = np.mean(np.sum(np.conj(vals[a]) * crossed, axis=1))
                 assert abs(X[i, j] - entry) <= 1e-13
 
-    def test_nyquist_guard(self, table_k2):
-        with pytest.raises(NyquistViolation):
-            cross_coupling_matrix(self.KC, table_k2, n_grid=4)
-
-    def test_cache_returns_same_object(self, table_k1):
-        a = cross_coupling_matrix(self.KC, table_k1)
-        b = cross_coupling_matrix(self.KC, table_k1)
-        assert a is b
-
     def test_joint_solve_matches_dense_reference(self, table_k1):
         nu = 4.0
         kappa0 = 2.0 * I2
@@ -241,6 +232,40 @@ class TestCrossCoupling:
             got = arr[pos][early]
             want = ref[early][:, col::2]
             assert np.max(np.abs(got - want)) < 1e-5
+
+    def test_wavevector_blocks_match_dense_reference_k2(self, table_k2):
+        # Data on the const modes and on two wavevectors; every other block
+        # carries none and must stay exactly zero.
+        nu, kappa0 = 8.0, 2.5 * I2
+        kc = np.array([0.3, -0.2, 0.4])
+        grid = TimeGrid(t_start=-0.1, dt=2e-3, n_samples=768, pad_fraction=0.25)
+        entries = {
+            table_k2.position((0, 0, 0), "const", 0): (1.0, 0.0),
+            table_k2.position((0, 0, 0), "const", 2): (0.0, 0.5j),
+            table_k2.position((1, 0, 0), "plus"): (0.5, -0.3),
+            table_k2.position((1, 1, 0), "minus"): (0.2j, 0.4),
+            table_k2.position((1, 1, 0), "grad"): (0.3, 0.1),
+        }
+        g = GeneralizedScenario(kappa0=kappa0, Mstar0=I2, nu=nu, K=2, grid=grid,
+                                W0=field_pair(table_k2, entries), k_cross=kc)
+        history = solve_generalized(g, "auto", fp_tol=1e-12)
+        assert history.diagnostics["iterations"] > 0
+        assert history.diagnostics["causality_sup"] <= 1e-12
+
+        w0_big = np.zeros(2 * table_k2.n_modes, dtype=np.complex128)
+        for i, (ev, hv) in entries.items():
+            w0_big[2 * i:2 * i + 2] = ev, hv
+        pos = grid.times >= -1e-12
+        stride = 5
+        ref = oracles.joint_kcross_rk4(kappa0, I2, table_k2.eigenvalues,
+                                       cross_coupling_matrix(kc, table_k2), w0_big,
+                                       grid.dt / stride, stride * (int(pos.sum()) - 1))[::stride]
+        early = grid.times[pos] <= 1.0
+        for col, arr in ((0, history.E), (1, history.H)):
+            assert np.max(np.abs(arr[pos][early] - ref[early][:, col::2])) < 1e-5
+        loaded = {int(i) for i in np.nonzero(np.any(history.E != 0, axis=0))[0]}
+        kv = table_k2.kvectors
+        assert {tuple(kv[i]) for i in loaded} == {(0, 0, 0), (1, 0, 0), (1, 1, 0)}
 
 
 class TestHypothesisGuards:
