@@ -527,7 +527,11 @@ def _scale_scenario(scenario, factor: float):
 
 
 def cmd_sweep(scenario_path: str, param: str, values: list, out_dir: str) -> int:
-    """Re-run one scenario across parameter values and summarize."""
+    """Re-run one scenario across parameter values and summarize.
+
+    Exits 0 when some value solves (or no value is given); otherwise with
+    the EXIT_TABLE code of the first value that failed.
+    """
     if param not in ("eta", "nu", "dt"):
         print(f"sweep parameter must be eta, nu, or dt, got {param!r}", file=sys.stderr)
         return EXIT_INVALID
@@ -550,6 +554,7 @@ def cmd_sweep(scenario_path: str, param: str, values: list, out_dir: str) -> int
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     successes = 0
+    first_failure = EXIT_OK
     for pos, value in enumerate(values):
         doc = json.loads(json.dumps(base))
         if param == "eta":
@@ -579,6 +584,7 @@ def cmd_sweep(scenario_path: str, param: str, values: list, out_dir: str) -> int
             successes += 1
         except FAILURES as exc:
             row["exit_code"] = _fail(exc, f"value {value}: ")
+            first_failure = first_failure or row["exit_code"]
         rows.append(row)
 
     summary = os.path.join(out_dir, f"sweep_{param}.csv")
@@ -589,9 +595,7 @@ def cmd_sweep(scenario_path: str, param: str, values: list, out_dir: str) -> int
         for row in rows:
             fh.write(",".join(_fmt(row[c]) if c == "value" else str(row[c]) for c in columns) + "\n")
     print(f"wrote {summary} ({successes}/{len(values)} values solved)")
-    if not values:
-        return EXIT_OK
-    return EXIT_OK if successes >= 1 else EXIT_INVALID
+    return EXIT_OK if successes else first_failure
 
 
 def cmd_basis(K: int, out_path: str) -> int:

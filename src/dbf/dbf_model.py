@@ -35,7 +35,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .curl_spectral import (
     FieldPair,
@@ -721,13 +720,25 @@ def _convolve_coeff_lists(a: list, b: list) -> list:
     return out
 
 
+def _block_diag(blocks) -> np.ndarray:
+    """Block-diagonal matrix of the given square blocks, exact zeros elsewhere."""
+    blocks = [np.asarray(b) for b in blocks]
+    size = sum(b.shape[0] for b in blocks)
+    out = np.zeros((size, size), dtype=np.result_type(*blocks))
+    r = 0
+    for b in blocks:
+        out[r:r + b.shape[0], r:r + b.shape[0]] = b
+        r += b.shape[0]
+    return out
+
+
 def _block_diag_coeffs(lists: list) -> list:
     """Coefficient list of the block-diagonal symbol with these per-mode lists."""
     if len(lists) == 1:
         return lists[0]
     zero = np.zeros((2, 2), dtype=np.complex128)
     top = max(len(lst) for lst in lists)
-    return [block_diag(*(lst[d] if d < len(lst) else zero for lst in lists)) for d in range(top)]
+    return [_block_diag(lst[d] if d < len(lst) else zero for lst in lists) for d in range(top)]
 
 
 def _hypothesis_scan(kappa0: np.ndarray, lam_values: np.ndarray) -> float:
@@ -829,7 +840,7 @@ def solve_generalized(g: GeneralizedScenario, method: str = "auto", *, fp_tol: f
             product = _merged_coeff_list(product, _convolve_coeff_lists(kappa, [0 * cross, cross]))
         reduced = [_reduced_mode_source(g, i, data["N"]) for i, data in zip(idx, modes)]
         dim = 2 * len(idx)
-        ivp = AbstractIVP(dim=dim, M0=block_diag(*[g.Mstar0] * len(idx)),
+        ivp = AbstractIVP(dim=dim, M0=_block_diag([g.Mstar0] * len(idx)),
                           M1=MaterialSymbol(dim=dim, poly_coeffs=m1) if m1 else MaterialSymbol.zero(dim),
                           A=np.zeros((dim, dim)),
                           source=WeightedSignal(grid, g.nu, np.hstack([r[0] for r in reduced])),

@@ -26,14 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, cumulative_trapezoid
-from scipy.linalg import expm
 
 from .weighted_time import (
     MaterialSymbol,
     NuTooSmall,
     TimeGrid,
     WeightedSignal,
+    running_simpson,
+    running_trapezoid,
     weighted_norm,
 )
 
@@ -48,19 +48,18 @@ J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 def _cumsimp(values: np.ndarray, dx: float) -> np.ndarray:
-    """Complex-safe composite Simpson antiderivative along axis 0.
+    """Composite Simpson antiderivative along axis 0 (trapezoid below 3 samples).
 
-    scipy's cumulative_simpson allocates a real accumulator for complex
-    input, so real and imaginary parts are integrated separately.
+    Complex input is integrated as separate real and imaginary parts: a
+    single complex pass can give zero entries the opposite sign, which
+    changes the written CSV bytes.
     """
     values = np.asarray(values)
     if values.shape[0] < 3:
-        return cumulative_trapezoid(values, dx=dx, axis=0, initial=0.0)
+        return running_trapezoid(values, dx)
     if np.iscomplexobj(values):
-        return cumulative_simpson(values.real, dx=dx, axis=0, initial=0.0) + 1j * cumulative_simpson(
-            values.imag, dx=dx, axis=0, initial=0.0
-        )
-    return cumulative_simpson(values, dx=dx, axis=0, initial=0.0)
+        return running_simpson(values.real, dx) + 1j * running_simpson(values.imag, dx)
+    return running_simpson(values, dx)
 
 
 class NotContractive(ValueError):
@@ -194,11 +193,11 @@ def _causal_cumtrapz(values: np.ndarray, grid: TimeGrid) -> np.ndarray:
     carry = np.zeros(values.shape[1:], dtype=values.dtype)
     n_neg = int(np.count_nonzero(~mask))
     if n_neg:
-        pre = cumulative_trapezoid(values[:n_neg], dx=grid.dt, axis=0, initial=0.0)
+        pre = running_trapezoid(values[:n_neg], grid.dt)
         out[:n_neg] = pre
         carry = pre[-1] + grid.dt * values[n_neg - 1]
     if n_neg < values.shape[0]:
-        out[n_neg:] = carry + cumulative_trapezoid(values[n_neg:], dx=grid.dt, axis=0, initial=0.0)
+        out[n_neg:] = carry + running_trapezoid(values[n_neg:], grid.dt)
     return out
 
 
@@ -461,6 +460,8 @@ def solve_integrator(p: AbstractIVP, nu: float) -> WeightedSignal:
     ODE M0 U' + (M1(0) + A) U = J.  Steps with the exact propagator
     exp(-dt B) and a trapezoidal Duhamel term, second order in dt.
     """
+    from scipy.linalg import expm  # only this method needs scipy; keep it off start-up
+
     if p.M1.delays or len(p.M1.poly_coeffs) > 1:
         raise WrongCase("exponential integrator needs a constant symbol M1")
     if p.M1.poly_coeffs:

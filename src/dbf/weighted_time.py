@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 RT_TOL = 1e-10
 NU_INDEP_TOL = 1e-6
@@ -284,6 +283,48 @@ def laplace_inverse(s: Spectrum) -> WeightedSignal:
     return WeightedSignal(s.grid, s.nu, u)
 
 
+def running_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
+    """Cumulative trapezoid integral of y along axis 0, starting at 0.
+
+    Same operations in the same order as scipy's
+    cumulative_trapezoid(y, dx=dx, axis=0, initial=0), so the output
+    matches it bit for bit.
+    """
+    y = np.asarray(y)
+    body = np.cumsum(dx * (y[1:] + y[:-1]) / 2.0, axis=0)
+    out = np.zeros(y.shape, dtype=body.dtype)
+    out[1:] = body
+    return out
+
+
+def running_simpson(y: np.ndarray, dx: float) -> np.ndarray:
+    """Cumulative composite Simpson integral of y along axis 0, starting at 0.
+
+    Each interval's integral comes from the quadratic through three
+    neighbouring samples: the one ahead for even intervals and the one
+    behind for odd ones (and for the last).  Same operations in the same
+    order as scipy's cumulative_simpson(y, dx=dx, axis=0, initial=0),
+    which falls back to the trapezoid below three samples and adds its
+    initial 0 to every running sum (turning -0.0 into +0.0).
+    """
+    y = np.asarray(y)
+    n = y.shape[0]
+    if n < 3:
+        out = running_trapezoid(y, dx)
+        out[1:] += 0.0
+        return out
+    f1, f2, f3 = y[:-2], y[1:-1], y[2:]
+    ahead = dx / 3 * (5 * f1 / 4 + 2 * f2 - f3 / 4)
+    behind = dx / 3 * (5 * f3 / 4 + 2 * f2 - f1 / 4)
+    cells = np.empty((n - 1,) + y.shape[1:], dtype=ahead.dtype)
+    cells[:-1:2] = ahead[::2]
+    cells[1::2] = behind[::2]
+    cells[-1] = behind[-1]
+    out = np.zeros(y.shape, dtype=cells.dtype)
+    out[1:] = np.cumsum(cells, axis=0) + 0.0
+    return out
+
+
 def apply_inverse_derivative(u: WeightedSignal, *, method: str = "trapezoid") -> WeightedSignal:
     """Causal running integral of u, the action of the inverse time derivative.
 
@@ -294,8 +335,7 @@ def apply_inverse_derivative(u: WeightedSignal, *, method: str = "trapezoid") ->
     exp(-nu T) on padded windows.
     """
     if method == "trapezoid":
-        out = cumulative_trapezoid(u.samples, dx=u.grid.dt, initial=0.0, axis=0)
-        return u.with_samples(out)
+        return u.with_samples(running_trapezoid(u.samples, u.grid.dt))
     if method == "spectral":
         return apply_symbol(MaterialSymbol.inverse_derivative(u.channels), u)
     raise ValueError(f"unknown method {method!r}")

@@ -3,12 +3,19 @@
 import copy
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dbf
 from dbf import cli
 from dbf.curl_spectral import ModeTable, build_basis
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def base_doc() -> dict:
@@ -359,6 +366,18 @@ class TestSweep:
         assert rows[0]["weak_residual"] == ""
         assert rows[1]["exit_code"] == "0"
 
+    def test_all_failed_exits_with_first_failure_code(self, tmp_path, capsys):
+        doc = base_doc()
+        doc["material"]["epsilon"] = 1e-320
+        path = write_doc(tmp_path, doc)
+        assert cli.cmd_run(path, str(tmp_path / "run")) == cli.EXIT_NO_CONVERGENCE
+        out_dir = tmp_path / "sweep"
+        assert cli.cmd_sweep(path, "eta", [0.3, -1.0], str(out_dir)) == cli.EXIT_NO_CONVERGENCE
+        with open(out_dir / "sweep_eta.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["exit_code"] for r in rows] == [str(cli.EXIT_NO_CONVERGENCE), str(cli.EXIT_RANGE)]
+        assert cli.cmd_sweep(path, "eta", [-1.0, 0.3], str(out_dir)) == cli.EXIT_RANGE
+
     def test_empty_value_list(self, tmp_path):
         path = write_doc(tmp_path, base_doc())
         out_dir = tmp_path / "sweep"
@@ -407,3 +426,53 @@ class TestMain:
         code = cli.main(["sweep", path, "--param", "nu", "--values", "3.0",
                          "-o", str(tmp_path / "s")])
         assert code == cli.EXIT_OK
+
+
+# Runs in a fresh interpreter: prints the scipy modules loaded after importing
+# the CLI, then the exit code and scipy modules after each `dbf run`.
+STARTUP_PROBE = """
+import json, sys
+from dbf import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+report = {"import": scipy_modules(), "runs": []}
+for path, out in zip(sys.argv[1::2], sys.argv[2::2]):
+    code = cli.main(["run", path, "-o", out])
+    report["runs"].append({"code": code, "scipy": scipy_modules()})
+print(json.dumps(report))
+"""
+
+
+def probe_startup(runs: list) -> dict:
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dbf.__file__)))
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    args = [str(a) for pair in runs for a in pair]
+    result = subprocess.run([sys.executable, "-c", STARTUP_PROBE, *args], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr[-2000:]
+    return json.loads(result.stdout.strip().splitlines()[-1])
+
+
+class TestStartup:
+    """Only the exponential integrator needs scipy, so no other path loads it."""
+
+    def test_import_and_solves_load_no_scipy(self, tmp_path):
+        report = probe_startup([
+            (os.path.join(ROOT, "scenarios", "dbf_basic.json"), tmp_path / "exact"),
+            (os.path.join(ROOT, "scenarios", "generalized_memory.json"), tmp_path / "memory"),
+        ])
+        assert report["import"] == []
+        assert report["runs"] == [{"code": cli.EXIT_OK, "scipy": []}] * 2
+        assert (tmp_path / "memory" / "generalized_memory.csv").exists()
+
+    def test_integrator_imports_expm_on_demand(self, tmp_path):
+        doc = base_doc()
+        doc["method"] = "integrator"
+        path = write_doc(tmp_path, doc)
+        report = probe_startup([(path, tmp_path / "out")])
+        assert report["import"] == []
+        assert report["runs"][0]["code"] == cli.EXIT_OK
+        assert "scipy.linalg" in report["runs"][0]["scipy"]

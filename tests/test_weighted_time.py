@@ -18,6 +18,8 @@ from dbf.weighted_time import (
     check_nu_independence,
     laplace_forward,
     laplace_inverse,
+    running_simpson,
+    running_trapezoid,
     weighted_norm,
 )
 
@@ -144,6 +146,68 @@ class TestInverseDerivative:
         out = apply_inverse_derivative(WeightedSignal(GRID, 2.0, samples))
         before = GRID.times < 1.0
         assert np.max(np.abs(out.samples[before])) == 0.0
+
+
+KERNEL_LENGTHS = [1, 2, 3, 4, 5, 512, 800]
+KERNEL_TRAILING = [(), (3,), (3, 2)]
+
+
+def kernel_inputs(n: int, trailing: tuple, complex_values: bool) -> list:
+    """Random samples behind a run of zeros, and all zeros, with random zero signs.
+
+    Causal signals start with such runs, and the sign of a zero reaches the
+    CSV bytes, so the kernels must also reproduce scipy's signed zeros.
+    """
+    rng = np.random.default_rng(1000 * n + len(trailing))
+    shape = (n,) + trailing
+
+    def draw(values):
+        if not complex_values:
+            return values()
+        out = np.empty(shape, dtype=np.complex128)
+        out.real, out.imag = values(), values()
+        return out
+
+    def normal():
+        return rng.standard_normal(shape)
+
+    def signed_zeros():
+        return rng.choice([0.0, -0.0], size=shape)
+
+    y = draw(normal)
+    y[: n // 3] = draw(signed_zeros)[: n // 3]
+    return [y, draw(signed_zeros)]
+
+
+def assert_same_bits(ours: np.ndarray, reference: np.ndarray) -> None:
+    assert ours.dtype == reference.dtype
+    assert ours.shape == reference.shape
+    np.testing.assert_array_equal(ours, reference)
+    # assert_array_equal treats -0.0 and +0.0 as equal; the CSV writer does not.
+    assert ours.tobytes() == reference.tobytes()
+
+
+class TestRunningKernels:
+    """The numpy kernels reproduce scipy's cumulative quadratures bit for bit."""
+
+    @pytest.mark.parametrize("n", KERNEL_LENGTHS)
+    @pytest.mark.parametrize("trailing", KERNEL_TRAILING)
+    @pytest.mark.parametrize("complex_values", [False, True])
+    def test_trapezoid_matches_scipy(self, n, trailing, complex_values):
+        from scipy.integrate import cumulative_trapezoid
+
+        for y in kernel_inputs(n, trailing, complex_values):
+            for dx in (0.01, 1.0 / 128.0):
+                assert_same_bits(running_trapezoid(y, dx), cumulative_trapezoid(y, dx=dx, axis=0, initial=0.0))
+
+    @pytest.mark.parametrize("n", KERNEL_LENGTHS)
+    @pytest.mark.parametrize("trailing", KERNEL_TRAILING)
+    def test_simpson_matches_scipy(self, n, trailing):
+        from scipy.integrate import cumulative_simpson
+
+        for y in kernel_inputs(n, trailing, False):
+            for dx in (0.01, 1.0 / 128.0):
+                assert_same_bits(running_simpson(y, dx), cumulative_simpson(y, dx=dx, axis=0, initial=0.0))
 
 
 class TestApplySymbol:
