@@ -70,12 +70,7 @@ class Mode:
         else:
             if kk == 0:
                 raise ValueError(f"helicity {self.helicity!r} requires k != 0")
-        expected = {
-            HELICITY_PLUS: np.sqrt(float(kk)),
-            HELICITY_MINUS: -np.sqrt(float(kk)),
-            HELICITY_GRAD: 0.0,
-            HELICITY_CONST: 0.0,
-        }[self.helicity]
+        expected = {HELICITY_PLUS: 1.0, HELICITY_MINUS: -1.0}.get(self.helicity, 0.0) * np.sqrt(float(kk))
         if self.eigenvalue != expected:
             raise ValueError(
                 f"eigenvalue {self.eigenvalue} inconsistent with {self.helicity} at k={self.k}"
@@ -133,9 +128,6 @@ class ModeTable:
     def __post_init__(self) -> None:
         if not self._index:
             self._index = {m.key(): i for i, m in enumerate(self.modes)}
-
-    def __len__(self) -> int:
-        return len(self.modes)
 
     @property
     def n_modes(self) -> int:
@@ -307,14 +299,10 @@ def projector_P(eta: float, f: SpectralField, *, kernel_tol: float = KERNEL_TOL)
 
 def _assert_in_range(eta: float, coeffs: np.ndarray, table: ModeTable, kernel_tol: float) -> np.ndarray:
     mask = table.kernel_mask(eta, kernel_tol)
-    if np.any(mask):
-        bad = np.abs(coeffs[mask])
-        scale = max(float(np.linalg.norm(coeffs)), 1.0)
-        if bad.size and float(np.max(bad)) > kernel_tol * scale:
-            offenders = [table.modes[i].key() for i in np.nonzero(mask)[0] if abs(coeffs[i]) > kernel_tol * scale]
-            raise NotInRange(
-                f"kernel-mode coefficients exceed tolerance for eta={eta}: {offenders}"
-            )
+    over = mask & (np.abs(coeffs) > kernel_tol * max(float(np.linalg.norm(coeffs)), 1.0))
+    if np.any(over):
+        offenders = [table.modes[i].key() for i in np.nonzero(over)[0]]
+        raise NotInRange(f"kernel-mode coefficients exceed tolerance for eta={eta}: {offenders}")
     return mask
 
 

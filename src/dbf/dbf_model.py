@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +56,7 @@ from .evo_solver import (
     _check_hermitian_posdef,
     _cumsimp,
     _right_limit,
+    rotation_closed_form,
     solve_fixed_point,
     solve_integrator,
     solve_modal_exact,
@@ -158,6 +160,7 @@ class DBFScenario:
             raise ValueError(f"epsilon, mu must be > 0, got {self.epsilon}, {self.mu}")
         if self.eta == 0:
             raise ValueError("eta must be nonzero; eta = 0 is the achiral limit")
+        _check_hermitian_posdef(np.diag([self.epsilon, self.mu]))
         _check_scenario_data(self.table, self.K, self.grid, self.nu, self.W0, self.source_J)
 
     @property
@@ -354,22 +357,34 @@ def check_data_range(eta: float, source: PairSeries | None, W0: FieldPair, table
 
 @dataclass
 class ReducedSystem:
-    """Per-mode blocks of the reduced evolution, with excluded modes recorded.
+    """Per-mode reduction of a classical scenario: 1 + eta lambda, c_lambda and masks.
 
-    blocks pairs each retained table position with its 2x2 problem; kernel
-    positions carry no block (their solution coefficients are exactly zero),
-    near-kernel positions are retained but flagged stiff.
+    Kernel positions carry no block (their solution coefficients are exactly
+    zero); near-kernel positions are retained but flagged stiff.  blocks,
+    built on first use, pairs each retained position with its 2x2 problem.
     """
 
-    blocks: list
-    kernel_indices: list
-    near_kernel_indices: list
+    scenario: DBFScenario
+    factors: np.ndarray
+    coupling: np.ndarray
+    kernel: np.ndarray
+    near: np.ndarray
 
-    def __iter__(self):
-        return (ivp for _, ivp in self.blocks)
-
-    def __len__(self) -> int:
-        return len(self.blocks)
+    @cached_property
+    def blocks(self) -> list:
+        s = self.scenario
+        M0 = np.diag([s.epsilon, s.mu]).astype(np.complex128)
+        A = np.zeros((2, 2))
+        blocks: list[tuple[int, AbstractIVP]] = []
+        for i in np.nonzero(~self.kernel)[0]:
+            c, f = self.coupling[i], self.factors[i]
+            M1 = MaterialSymbol(dim=2, poly_coeffs=[c * J2]) if c != 0.0 else MaterialSymbol.zero(2)
+            samples = (np.stack([s.source_J.e[:, i], s.source_J.h[:, i]], axis=1) / f if s.source_J is not None
+                       else np.zeros((s.grid.n_samples, 2), dtype=np.complex128))
+            w0 = np.array([s.W0.e_part.coeffs[i], s.W0.h_part.coeffs[i]]) / f
+            blocks.append((int(i), AbstractIVP(dim=2, M0=M0, M1=M1, A=A,
+                                               source=WeightedSignal(s.grid, s.nu, samples), W0=w0)))
+        return blocks
 
 
 def assemble_reduced_ivp(s: DBFScenario) -> ReducedSystem:
@@ -389,33 +404,15 @@ def assemble_reduced_ivp(s: DBFScenario) -> ReducedSystem:
             f"{verdict.offending[:4]}, max |coeff| = {verdict.max_violation:.3g}"
         )
     factors = 1.0 + s.eta * table.eigenvalues
-    coupling = generator_coefficients(s.eta, table)
     kernel = table.kernel_mask(s.eta)
     near = (~kernel) & (np.abs(factors) <= NEAR_KERNEL_BAND)
-    near_indices = [int(i) for i in np.nonzero(near)[0]]
-    if near_indices:
+    if np.any(near):
         warnings.warn(
-            f"{len(near_indices)} mode(s) within {NEAR_KERNEL_BAND} of the kernel of (1 + eta curl); "
+            f"{np.count_nonzero(near)} mode(s) within {NEAR_KERNEL_BAND} of the kernel of (1 + eta curl); "
             "rotation coefficients are stiff, forcing the exact modal method",
             stacklevel=2,
         )
-    M0 = np.diag([s.epsilon, s.mu]).astype(np.complex128)
-    A = np.zeros((2, 2))
-    n = s.grid.n_samples
-    blocks: list[tuple[int, AbstractIVP]] = []
-    for i in np.nonzero(~kernel)[0]:
-        c = coupling[i]
-        M1 = MaterialSymbol(dim=2, poly_coeffs=[c * J2]) if c != 0.0 else MaterialSymbol.zero(2)
-        if s.source_J is not None:
-            samples = np.stack([s.source_J.e[:, i], s.source_J.h[:, i]], axis=1) / factors[i]
-        else:
-            samples = np.zeros((n, 2), dtype=np.complex128)
-        w0 = np.array([s.W0.e_part.coeffs[i], s.W0.h_part.coeffs[i]]) / factors[i]
-        blocks.append((int(i), AbstractIVP(dim=2, M0=M0, M1=M1, A=A,
-                                           source=WeightedSignal(s.grid, s.nu, samples), W0=w0)))
-    return ReducedSystem(blocks=blocks,
-                         kernel_indices=[int(i) for i in np.nonzero(kernel)[0]],
-                         near_kernel_indices=near_indices)
+    return ReducedSystem(s, factors, generator_coefficients(s.eta, table), kernel, near)
 
 
 def _history_checks(history: FieldHistory, W0: FieldPair) -> tuple[float, float]:
@@ -431,20 +428,8 @@ def _history_checks(history: FieldHistory, W0: FieldPair) -> tuple[float, float]
     w = 1.0 / (1.0 + lam**2)
     iv = float(np.sqrt(np.sum(w * (np.abs(d0 - W0.e_part.coeffs) ** 2 + np.abs(b0 - W0.h_part.coeffs) ** 2))))
     pre = history.grid.times < -ZERO_TIME_TOL
-    caus = 0.0
-    for arr in (history.E, history.H, history.D, history.B):
-        if np.any(pre):
-            caus = max(caus, float(np.max(np.abs(arr[pre]), initial=0.0)))
+    caus = max(float(np.max(np.abs(arr[pre]), initial=0.0)) for arr in (history.E, history.H, history.D, history.B))
     return iv, caus
-
-
-def _block_is_trivial(ivp: AbstractIVP) -> bool:
-    """Zero data forces the zero solution, so the block needs no solve.
-
-    This is exact by uniqueness and keeps modes that carry no data from
-    tripping per-mode contraction limits of the fixed-point method.
-    """
-    return not np.any(ivp.W0 != 0) and not np.any(ivp.source.samples != 0)
 
 
 def _solve_block(ivp: AbstractIVP, method: str, nu: float, fp_tol: float, max_iter: int):
@@ -453,7 +438,8 @@ def _solve_block(ivp: AbstractIVP, method: str, nu: float, fp_tol: float, max_it
     "auto" tries the closed form and falls back to the fixed point when the
     block is outside its structural case; under "exact" WrongCase propagates.
     """
-    if _block_is_trivial(ivp):
+    if not np.any(ivp.W0 != 0) and not np.any(ivp.source.samples != 0):
+        # Zero data gives the zero solution (uniqueness), with no contraction test.
         return np.zeros((ivp.grid.n_samples, ivp.dim), dtype=np.complex128), 0, 0.0
     if method in ("auto", "exact"):
         try:
@@ -502,30 +488,46 @@ def solve_dbf(s: DBFScenario, method: str = "exact", *, fp_tol: float = DEFAULT_
               max_iter: int = DEFAULT_MAX_ITER) -> FieldHistory:
     """Solve a classical scenario mode by mode and lift to (E, H, D, B).
 
-    Kernel coefficients of (E, H) are set to zero exactly, realizing the
-    projection onto the solvable range.  Diagnostics record the flux-pair
-    initial-value proxy error, the causality sup, the weak equation
-    residual, and iteration counts for the fixed-point method.
+    One stacked closed-form pass solves every mode with data under "exact",
+    and the near-kernel modes under any method; fixed_point and integrator
+    solve their other modes one AbstractIVP at a time.  Modes without data
+    and kernel coefficients stay exactly zero, realizing the projection onto
+    the solvable range.  Diagnostics record the flux-pair initial-value proxy
+    error, the causality sup, the weak residual and Picard iterations.
     """
     if method not in DBF_METHODS:
         raise ValueError(f"method must be one of {DBF_METHODS}, got {method!r}")
     reduced = assemble_reduced_ivp(s)
-    table, grid = s.table, s.grid
-    n, m = grid.n_samples, table.n_modes
-    E = np.zeros((n, m), dtype=np.complex128)
-    H = np.zeros((n, m), dtype=np.complex128)
-    near = set(reduced.near_kernel_indices)
-    iterations = 0
-    contraction = 0.0
-    for i, ivp in reduced.blocks:
-        samples, iters, cest = _solve_block(ivp, "exact" if i in near else method, s.nu, fp_tol, max_iter)
-        E[:, i] = samples[:, 0]
-        H[:, i] = samples[:, 1]
-        iterations = max(iterations, iters)
-        contraction = max(contraction, cest)
+    grid, m = s.grid, s.table.n_modes
+    keep, factors = ~reduced.kernel, reduced.factors
+    w0 = np.zeros((m, 2), dtype=np.complex128)
+    w0[keep] = np.stack([s.W0.e_part.coeffs[keep], s.W0.h_part.coeffs[keep]], axis=1) / factors[keep, None]
+    data = np.any(w0 != 0, axis=1)
+    src = np.zeros(0, dtype=int)
+    if s.source_J is not None:
+        src = np.nonzero(keep & (np.any(s.source_J.e != 0, axis=0) | np.any(s.source_J.h != 0, axis=0)))[0]
+        se, sh = s.source_J.e[:, src] / factors[src], s.source_J.h[:, src] / factors[src]
+        pre = grid.times < -ZERO_TIME_TOL
+        if np.any(np.abs(se[pre]) > SOURCE_CAUSALITY_TOL) or np.any(np.abs(sh[pre]) > SOURCE_CAUSALITY_TOL):
+            raise ValueError("source must vanish on t < 0")
+        data[src] |= np.any(se != 0, axis=0) | np.any(sh != 0, axis=0)
+    closed = data & (reduced.near | (method == "exact"))
+    cols = np.nonzero(closed)[0]
+    E, H = np.zeros((2, grid.n_samples, m), dtype=np.complex128)
+    on = closed[src]
+    source = (np.searchsorted(cols, src[on]), se[:, on], sh[:, on]) if np.any(on) else None
+    # + 0.0: a -0.0 coupling acts as +0.0, as in the per-mode blocks.
+    E[:, cols], H[:, cols] = rotation_closed_form(s.epsilon, s.mu, reduced.coupling[cols] + 0.0, w0[cols], grid, source)
+    rest = np.nonzero(data & ~closed)[0]
+    blocks = dict(reduced.blocks) if rest.size else {}
+    iterations, contraction = 0, 0.0
+    for i in rest:
+        samples, iters, cest = _solve_block(blocks[i], method, s.nu, fp_tol, max_iter)
+        E[:, i], H[:, i] = samples[:, 0], samples[:, 1]
+        iterations, contraction = max(iterations, iters), max(contraction, cest)
     D, B = recover_DB(E, H, s)
     return _solved_history(s, method, E, H, D, B, iterations, contraction,
-                           reduced.kernel_indices, reduced.near_kernel_indices)
+                           np.nonzero(reduced.kernel)[0], np.nonzero(reduced.near)[0])
 
 
 def recover_DB(E, H, s: DBFScenario):

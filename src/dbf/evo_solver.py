@@ -14,7 +14,7 @@ part it gives the jump  chi_{t>=0} exp(-t A') sqrt(M0)^-1 W0, and its gain
 on the weighted space with weight nu is 1/nu, which makes the fixed-point
 map a contraction once nu exceeds the symbol bound of M1' .
 
-Three fidelity levels are provided: a per-mode closed form for the 2x2
+Three fidelity levels are provided: a closed form for stacked 2x2
 rotation blocks (exact for jump, step, and delayed-step data), a one-step
 exponential integrator, and the Picard iteration realizing the contraction
 argument.  All methods store the right limit U(0+) at the t = 0 sample and
@@ -85,8 +85,12 @@ def _check_hermitian_posdef(M0: np.ndarray) -> tuple[np.ndarray, np.ndarray, flo
     c0 = float(np.min(w))
     if c0 <= 0:
         raise ValueError(f"M0 spectral floor {c0} is not strictly positive")
+    if c0 < np.finfo(float).tiny:
+        raise ValueError(f"M0 spectral floor {c0} is subnormal; its inverse overflows")
     inv_sqrt = (Q * (1.0 / np.sqrt(w))) @ Q.conj().T
     inv = (Q * (1.0 / w)) @ Q.conj().T
+    if not (np.all(np.isfinite(inv_sqrt)) and np.all(np.isfinite(inv))):
+        raise ValueError(f"M0 spectral floor {c0} gives a non-finite inverse")
     return inv_sqrt, inv, c0
 
 
@@ -357,8 +361,8 @@ def solve_fixed_point(p: AbstractIVP, nu: float, max_iter: int = DEFAULT_MAX_ITE
     )
 
 
-def _rotation_constant(p: AbstractIVP) -> tuple[float, float, complex]:
-    """Extract (epsilon, mu, c) from a 2x2 block with M0 diagonal, M1 = c J."""
+def _rotation_constant(p: AbstractIVP) -> tuple[float, float, float]:
+    """Extract (epsilon, mu, c) from a 2x2 block with M0 diagonal, M1 = c J, c real."""
     if p.dim != 2:
         raise WrongCase(f"modal closed form needs dim 2, got {p.dim}")
     if np.max(np.abs(p.A)) > HERMITICITY_TOL:
@@ -374,83 +378,96 @@ def _rotation_constant(p: AbstractIVP) -> tuple[float, float, complex]:
     c = C[1, 0]
     if np.max(np.abs(C - c * J2)) > 0:
         raise WrongCase("coupling matrix is not a multiple of [[0,-1],[1,0]]")
-    return eps, mu, c
+    if abs(c.imag) > 0:
+        raise WrongCase("coupling constant must be real")
+    return eps, mu, float(c.real)
 
 
-def _rotation_factors(omega: float, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos(omega tau) and sinc-scaled sin, sin(omega tau)/omega (tau at omega=0)."""
-    if omega == 0:
-        return np.ones_like(tau), tau.astype(float)
-    return np.cos(omega * tau), np.sin(omega * tau) / omega
+def _cos_sinc(omega: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos(omega tau), sin(omega tau)/omega per column (1, tau at omega = 0); tau (n, 1) or (n, B)."""
+    zero = omega == 0
+    arg = tau * omega
+    cos_t, sinc_t = np.cos(arg), np.sin(arg, out=arg)
+    sinc_t /= np.where(zero, 1.0, omega)
+    cos_t[:, zero] = 1.0
+    sinc_t[:, zero] = np.broadcast_to(tau, arg.shape)[:, zero]
+    return cos_t, sinc_t
 
 
-def _propagate(eps: float, mu: float, c: complex, omega: float, tau: np.ndarray, vec: np.ndarray, sign: float) -> np.ndarray:
-    """exp(sign tau B) vec with B = M0^-1 c J, B^2 = -omega^2, vectorized in tau."""
-    cos_t, sinc_t = _rotation_factors(omega, tau)
-    b_vec = np.array([-c * vec[1] / eps, c * vec[0] / mu])
-    return cos_t[:, None] * vec[None, :] + sign * sinc_t[:, None] * b_vec[None, :]
+def _rotate(eps: float, mu: float, c: np.ndarray, omega: np.ndarray, s: np.ndarray,
+            ve: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of exp(-s B) v = cos v - sinc B v, with B v = (-c vh / eps, c ve / mu)."""
+    cos_t, sinc_t = _cos_sinc(omega, s)
+    e = cos_t * ve
+    e += -sinc_t * (-c * vh / eps)
+    h = cos_t * vh
+    h += -sinc_t * (c * ve / mu)
+    return e, h
 
 
-def _detect_step_source(samples: np.ndarray, mask: np.ndarray) -> tuple[int, np.ndarray] | None:
-    """Index into the masked range and amplitude if the source is a pure step."""
-    sub = samples[mask]
-    nz = np.nonzero(np.any(sub != 0, axis=1))[0]
-    if nz.size == 0:
-        return 0, np.zeros(samples.shape[1], dtype=np.complex128)
-    first = int(nz[0])
-    a = sub[first]
-    if np.all(sub[first:] == a[None, :]):
-        return first, a
-    return None
+def rotation_closed_form(eps: float, mu: float, c: np.ndarray, w0: np.ndarray, grid: TimeGrid,
+                         source: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Closed form of B stacked 2x2 rotation blocks sharing M0 = diag(eps, mu).
+
+    Column b solves (d/dt) M0 u + c_b J u = J_b + (Dirac at 0) w0_b; c is
+    (B,) and w0 (B, 2).  The propagator is the rotation exp(-t B_b) with
+    B_b = M0^-1 c_b J and B_b^2 = -omega_b^2, omega_b = c_b / sqrt(eps mu).
+    source is None or (idx, se, sh): columns idx carry the samples se, sh of
+    shape (n_samples, len(idx)).  Jump data and step and delayed-step sources
+    (detected per column) integrate exactly; other sources fall back to a
+    Duhamel convolution with Simpson quadrature of exp(s B) M0^-1 J(s).
+    Returns the (e, h) components, each (n_samples, B), zero before t = 0.
+    """
+    c = np.asarray(c, dtype=float)
+    omega = c / np.sqrt(eps * mu)
+    mask = _causal_mask(grid)
+    tau = grid.times[mask]
+    tau = np.where(np.abs(tau) < ZERO_TIME_TOL, 0.0, tau)[:, None]
+    ue, uh = _rotate(eps, mu, c, omega, tau, w0[:, 0] / eps, w0[:, 1] / mu)
+    if source is not None:
+        idx, se, sh = source[0], source[1][mask], source[2][mask]
+        first = np.argmax((se != 0) | (sh != 0), axis=0)
+        ae, ah = se[first, np.arange(len(idx))], sh[first, np.arange(len(idx))]
+        before = np.arange(len(tau))[:, None] < first
+        step = np.all((se == ae) & (sh == ah) | before, axis=0)
+        pe, ph = np.zeros((2,) + se.shape, dtype=np.complex128)
+        # A step a != 0 adds v - exp(-s B) v, v = B^-1 M0^-1 a = -B M0^-1 a / omega^2 with
+        # omega^2 by libm pow (as a scalar power), or s M0^-1 a where omega = 0.
+        k = np.nonzero(step & ((ae != 0) | (ah != 0)))[0]
+        shifted, fe, fh, ck, wk = tau - tau[first[k], 0], ae[k] / eps, ah[k] / mu, c[idx[k]], omega[idx[k]]
+        w2 = np.array([float(w) ** 2 if w else 1.0 for w in wk])
+        ve, vh = ck * fh / eps / w2, -ck * fe / mu / w2
+        re, rh = _rotate(eps, mu, ck, wk, shifted, ve, vh)
+        qe, qh = ve - re, vh - rh
+        flat = wk == 0
+        qe[:, flat], qh[:, flat] = shifted[:, flat] * fe[flat], shifted[:, flat] * fh[flat]
+        qe[before[:, k]] = qh[before[:, k]] = 0.0
+        pe[:, k], ph[:, k] = qe, qh
+        # Other sources: Duhamel, with G the Simpson integral of exp(s B) M0^-1 J(s).
+        d = np.nonzero(~step)[0]
+        cd, (cos_d, sinc_d) = c[idx[d]], _cos_sinc(omega[idx[d]], tau)
+        fe, fh = se[:, d] * (1.0 / eps), sh[:, d] * (1.0 / mu)
+        Ge = _cumsimp(cos_d * fe + sinc_d * (-cd * fh / eps), grid.dt)
+        Gh = _cumsimp(cos_d * fh + sinc_d * (cd * fe / mu), grid.dt)
+        pe[:, d] = cos_d * Ge - sinc_d * (-cd * Gh / eps)
+        ph[:, d] = cos_d * Gh - sinc_d * (cd * Ge / mu)
+        pe += ue[:, idx]
+        ph += uh[:, idx]
+    # Adding the zero particular part turns -0.0 into +0.0, as for sourced columns.
+    ue += 0.0
+    uh += 0.0
+    if source is not None:
+        ue[:, idx], uh[:, idx] = pe, ph
+    pad = np.zeros((grid.n_samples - len(tau), len(c)))
+    return np.concatenate([pad, ue]), np.concatenate([pad, uh])
 
 
 def solve_modal_exact(p: AbstractIVP, nu: float) -> WeightedSignal:
-    """Closed-form solution of one 2x2 rotation block.
-
-    With M0 = diag(eps, mu) and coupling c J the propagator is the rotation
-    exp(-t B), B = M0^-1 c J, B^2 = -omega^2 with omega = c / sqrt(eps mu).
-    Jump, step, and delayed-step data integrate exactly; other sources fall
-    back to a Duhamel convolution with Simpson quadrature of the smooth
-    integrand exp(s B) M0^-1 J(s).
-    """
-    eps, mu, c_raw = _rotation_constant(p)
-    if abs(complex(c_raw).imag) > 0:
-        raise WrongCase("coupling constant must be real")
-    c = float(complex(c_raw).real)
-    omega = c / np.sqrt(eps * mu)
-    grid = p.grid
-    mask = _causal_mask(grid)
-    tau = grid.times[mask]
-    tau = np.where(np.abs(tau) < ZERO_TIME_TOL, 0.0, tau)
-    out = np.zeros((grid.n_samples, 2), dtype=np.complex128)
-
-    u0 = np.array([p.W0[0] / eps, p.W0[1] / mu])
-    hom = _propagate(eps, mu, c, omega, tau, u0, -1.0)
-
-    part = np.zeros_like(hom)
-    if np.any(p.source.samples != 0):
-        step = _detect_step_source(p.source.samples, mask)
-        if step is not None:
-            first, a = step
-            if np.any(a != 0):
-                fa = np.array([a[0] / eps, a[1] / mu])
-                shifted = tau[first:] - tau[first]
-                if omega == 0:
-                    part[first:] = shifted[:, None] * fa[None, :]
-                else:
-                    # int_0^s exp(-r B) dr fa = B^-1 (1 - exp(-s B)) fa, B^-1 = -B/omega^2
-                    b_inv_fa = np.array([c * fa[1] / eps, -c * fa[0] / mu]) / omega**2
-                    part[first:] = b_inv_fa[None, :] - _propagate(eps, mu, c, omega, shifted, b_inv_fa, -1.0)
-        else:
-            f = p.source.samples[mask] @ p.inv_M0.T
-            cos_t, sinc_t = _rotation_factors(omega, tau)
-            bf = np.stack([-c * f[:, 1] / eps, c * f[:, 0] / mu], axis=1)
-            g = cos_t[:, None] * f + sinc_t[:, None] * bf
-            G = _cumsimp(g, grid.dt)
-            bG = np.stack([-c * G[:, 1] / eps, c * G[:, 0] / mu], axis=1)
-            part = cos_t[:, None] * G - sinc_t[:, None] * bG
-    out[mask] = hom + part
-    return WeightedSignal(grid, nu, out)
+    """Closed-form solution of one 2x2 rotation block: rotation_closed_form with B = 1."""
+    eps, mu, c = _rotation_constant(p)
+    source = (np.array([0]), p.source.samples[:, :1], p.source.samples[:, 1:])
+    ue, uh = rotation_closed_form(eps, mu, np.array([c]), p.W0[None, :], p.grid, source)
+    return WeightedSignal(p.grid, nu, np.hstack([ue, uh]))
 
 
 def solve_integrator(p: AbstractIVP, nu: float) -> WeightedSignal:

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-RT_TOL = 1e-10
 NU_INDEP_TOL = 1e-6
 SUPPORTED_NORM_ORDERS = (-2, -1, 0, 1, 2)
 
@@ -106,12 +105,17 @@ class TimeGrid:
         return i
 
 
-def _as_matrix_samples(samples: np.ndarray) -> np.ndarray:
+def _grid_samples(grid: TimeGrid, nu: float, samples: np.ndarray) -> np.ndarray:
+    """Samples as a complex (n_samples, channels) array; validates nu and the row count."""
+    if not nu > 0:
+        raise ValueError(f"nu must be > 0, got {nu}")
     arr = np.asarray(samples, dtype=np.complex128)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2:
         raise ValueError(f"samples must be 1-d or 2-d, got shape {arr.shape}")
+    if arr.shape[0] != grid.n_samples:
+        raise ValueError(f"samples rows {arr.shape[0]} != grid n_samples {grid.n_samples}")
     return arr
 
 
@@ -124,13 +128,7 @@ class WeightedSignal:
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.nu > 0:
-            raise ValueError(f"nu must be > 0, got {self.nu}")
-        self.samples = _as_matrix_samples(self.samples)
-        if self.samples.shape[0] != self.grid.n_samples:
-            raise ValueError(
-                f"samples rows {self.samples.shape[0]} != grid n_samples {self.grid.n_samples}"
-            )
+        self.samples = _grid_samples(self.grid, self.nu, self.samples)
 
     @property
     def channels(self) -> int:
@@ -153,13 +151,7 @@ class Spectrum:
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.nu > 0:
-            raise ValueError(f"nu must be > 0, got {self.nu}")
-        self.samples = _as_matrix_samples(self.samples)
-        if self.samples.shape[0] != self.grid.n_samples:
-            raise ValueError(
-                f"samples rows {self.samples.shape[0]} != grid n_samples {self.grid.n_samples}"
-            )
+        self.samples = _grid_samples(self.grid, self.nu, self.samples)
 
     @property
     def channels(self) -> int:

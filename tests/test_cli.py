@@ -259,15 +259,16 @@ class TestExitCodes:
         ("range", cli.EXIT_RANGE),
         ("hypothesis", cli.EXIT_HYPOTHESIS),
         ("neumann", cli.EXIT_NO_CONVERGENCE),
-        ("non_finite", cli.EXIT_NO_CONVERGENCE),
+        pytest.param("non_finite", cli.EXIT_NO_CONVERGENCE,
+                     marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
     ])
     def test_subcommands_agree_on_solve_failures(self, tmp_path, case, expected):
         doc = base_doc()
         if case == "range":
             doc["material"]["eta"] = -1.0
         elif case == "non_finite":
-            # Passes the schema, but 1/epsilon overflows and the solve yields NaN.
-            doc["material"]["epsilon"] = 1e-320
+            # A valid M0, but the solve overflows and yields NaN.
+            doc["material"]["epsilon"] = 1e-300
         else:
             doc["method"] = "auto"
             doc["material"] = {"model": "generalized",
@@ -286,6 +287,19 @@ class TestExitCodes:
         with open(out_dir / "sweep_nu.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["exit_code"] == str(expected)
+
+    def test_subnormal_spectral_floor_is_invalid(self, tmp_path, capsys):
+        # Passes the schema and epsilon > 0, but 1/sqrt(epsilon) overflows: the
+        # scenario is rejected before any solve instead of failing after it.
+        doc = base_doc()
+        doc["material"]["epsilon"] = 1e-320
+        path = write_doc(tmp_path, doc)
+        assert cli.cmd_run(path, str(tmp_path / "out")) == cli.EXIT_INVALID
+        assert "invalid scenario" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert cli.cmd_verify(path) == cli.EXIT_INVALID
+        assert cli.cmd_sweep(path, "eta", [0.3], str(tmp_path / "sweep")) == cli.EXIT_INVALID
+        assert "subnormal" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -366,9 +380,10 @@ class TestSweep:
         assert rows[0]["weak_residual"] == ""
         assert rows[1]["exit_code"] == "0"
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_all_failed_exits_with_first_failure_code(self, tmp_path, capsys):
         doc = base_doc()
-        doc["material"]["epsilon"] = 1e-320
+        doc["material"]["epsilon"] = 1e-300
         path = write_doc(tmp_path, doc)
         assert cli.cmd_run(path, str(tmp_path / "run")) == cli.EXIT_NO_CONVERGENCE
         out_dir = tmp_path / "sweep"

@@ -20,6 +20,7 @@ from dbf.dbf_model import (
     uniqueness_energy_probe,
     verify_dbf_equation,
 )
+from dbf.evo_solver import AbstractIVP, solve_modal_exact
 from dbf.weighted_time import TimeGrid, WeightedSignal, weighted_norm
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -137,8 +138,8 @@ class TestAssemble:
         j = table_k1.position((1, 0, 0), "minus")
         s = scenario(table_k1, eta=-1.0, W0=field_pair(table_k1, {j: (1.0, 0.0)}))
         reduced = assemble_reduced_ivp(s)
-        assert len(reduced.kernel_indices) == 6
-        assert len(reduced) == table_k1.n_modes - 6
+        assert np.count_nonzero(reduced.kernel) == 6
+        assert len(reduced.blocks) == table_k1.n_modes - 6
 
     def test_unit_mode_coupling_and_scaling(self, table_k1):
         i = table_k1.position((1, 0, 0), "plus")
@@ -275,6 +276,100 @@ class TestSolveDBF:
         assert np.all(np.isfinite(history.E))
         # The stiff mode still solves: rotation amplitude stays bounded.
         assert np.max(np.abs(history.E[:, i])) < 1e4
+
+
+def mixed_data_scenario(table, *, eta, nu, loads):
+    """Scenario whose modes carry the given kinds of data, all other modes none.
+
+    loads maps (k, helicity, component) to one of "jump", "step", "delayed",
+    "gaussian" or "jump+step"; every kind but "jump" is a source.
+    """
+    grid = TimeGrid(t_start=-0.1, dt=0.01, n_samples=256, pad_fraction=0.25)
+    t = grid.times
+    waves = {"step": (t >= -1e-9).astype(float), "delayed": (t >= 0.3 - 1e-9).astype(float),
+             "gaussian": np.where(t >= -1e-9, np.exp(-((t - 0.4) ** 2) / (2 * 0.1 ** 2)), 0.0)}
+    series = PairSeries.zeros(table, grid, nu)
+    jumps = {}
+    for n, ((k, hel, comp), kind) in enumerate(loads.items()):
+        i = table.position(k, hel, comp)
+        if "jump" in kind:
+            # n = 0 is real data: its zero imaginary parts take both signs.
+            jumps[i] = (-0.7 + 0.2j * n, 0.4 - 0.1j * (n % 2))
+        for wave in kind.split("+"):
+            if wave in waves:
+                series.e[:, i] = (0.3 + 0.1j * n) * waves[wave]
+                series.h[:, i] = -0.2 * waves[wave]
+    return DBFScenario(epsilon=1.5, mu=0.5, eta=eta, nu=nu, K=table.K, grid=grid,
+                       W0=field_pair(table, jumps), source_J=series)
+
+
+def assert_same_bits(a, b):
+    np.testing.assert_array_equal(a, b)
+    # Signed zeros count: the CSV writer prints -0.0 as "-0".
+    assert a.tobytes() == b.tobytes()
+
+
+class TestStackedExact:
+    """The stacked closed form against each mode solved alone, bit for bit."""
+
+    def check_against_single_modes(self, s, history, modes, blocks):
+        E = np.zeros_like(history.E)
+        H = np.zeros_like(history.H)
+        for i in modes:
+            solo = solve_modal_exact(blocks[i], s.nu).samples
+            E[:, i], H[:, i] = solo[:, 0], solo[:, 1]
+        D, B = recover_DB(E, H, s)
+        for i in modes:
+            for got, want in ((history.E, E), (history.H, H), (history.D, D), (history.B, B)):
+                assert_same_bits(got[:, i], want[:, i])
+
+    def test_exact_matches_single_mode_solves(self, table_k2):
+        loads = {
+            ((1, 0, 0), "plus", None): "jump",
+            ((1, 1, 0), "minus", None): "jump",
+            ((0, 0, 1), "plus", None): "step",
+            ((1, 0, 1), "minus", None): "delayed",
+            ((0, 1, 1), "plus", None): "jump+gaussian",
+            ((0, 0, 0), "const", 0): "jump",
+            ((0, 0, 0), "const", 1): "step",
+            ((0, 0, 0), "const", 2): "gaussian",
+            ((0, 1, 0), "grad", None): "delayed",
+            ((1, 1, 1), "minus", None): "jump+step",
+        }
+        s = mixed_data_scenario(table_k2, eta=0.5, nu=3.0, loads=loads)
+        history = solve_dbf(s, "exact")
+        loaded = [table_k2.position(*key) for key in loads]
+        self.check_against_single_modes(s, history, loaded, dict(assemble_reduced_ivp(s).blocks))
+        idle = np.setdiff1d(np.arange(table_k2.n_modes), loaded)
+        assert len(history.diagnostics["kernel_modes"]) == 6
+        for arr in (history.E, history.H, history.D, history.B):
+            assert np.all(arr[:, idle] == 0)
+            assert not np.any(np.signbit(arr[:, idle].real)) and not np.any(np.signbit(arr[:, idle].imag))
+
+    def test_near_kernel_mode_under_fixed_point(self, table_k2):
+        # 1 + eta lambda = 5e-4 on the lambda = 1 modes: stiff, so solved in closed form.
+        loads = {((1, 0, 0), "plus", None): "jump+step", ((1, 0, 0), "minus", None): "jump",
+                 ((0, 0, 0), "const", 0): "gaussian"}
+        s = mixed_data_scenario(table_k2, eta=-(1.0 - 5e-4), nu=3.0, loads=loads)
+        with pytest.warns(UserWarning, match="kernel"):
+            history = solve_dbf(s, "fixed_point")
+        with pytest.warns(UserWarning, match="kernel"):
+            blocks = dict(assemble_reduced_ivp(s).blocks)
+        near = table_k2.position((1, 0, 0), "plus")
+        assert str(table_k2.modes[near].key()) in history.diagnostics["near_kernel_modes"]
+        assert history.diagnostics["iterations"] > 0
+        self.check_against_single_modes(s, history, [near], blocks)
+
+    def test_exact_builds_no_per_mode_problem(self, table_k2, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the exact path built a per-mode AbstractIVP")
+
+        s = mixed_data_scenario(table_k2, eta=0.5, nu=3.0, loads={
+            ((1, 0, 0), "plus", None): "jump", ((0, 0, 1), "plus", None): "gaussian"})
+        monkeypatch.setattr(AbstractIVP, "__post_init__", refuse)
+        history = solve_dbf(s, "exact")
+        assert np.any(history.E != 0)
+        assert history.diagnostics["weak_residual"] < 1e-6
 
 
 class TestRecoverDB:
