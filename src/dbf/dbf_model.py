@@ -6,8 +6,9 @@ first order evolution in (D, B) alone the formal symbol starts at order
 one in the antiderivative, with a skew leading coefficient, so no strictly
 positive zeroth coefficient exists (see diagnose_naive_formulation).  The
 workable route inverts (1 + eta curl) on its range per curl eigenmode,
-which yields one small causal initial value problem per mode with a bounded
-rotation coupling c_lambda = lambda / (1 + eta lambda).
+which yields one small causal initial value problem per eigenvalue with a
+bounded rotation coupling c_lambda = lambda / (1 + eta lambda), shared by
+all modes with that eigenvalue and solved for all of them in one call.
 
 The generalized law replaces the scalars by operator pairs: with curl
 diagonalized, mode lambda obeys
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -49,19 +49,20 @@ from .evo_solver import (
     DEFAULT_FP_TOL,
     DEFAULT_MAX_ITER,
     J2,
-    AbstractIVP,
+    NoConvergence,
+    NotContractive,
     WrongCase,
     _apply_symbol_time,
     _causal_mask,
     _check_hermitian_posdef,
     _cumsimp,
     _right_limit,
+    _rotation_constant,
     rotation_closed_form,
-    solve_fixed_point,
-    solve_integrator,
-    solve_modal_exact,
+    solve_fixed_point_blocks,
+    solve_integrator_blocks,
 )
-from .weighted_time import MaterialSymbol, TimeGrid, WeightedSignal
+from .weighted_time import MaterialSymbol, NuTooSmall, TimeGrid
 
 RANGE_TOL = 1e-12
 NEAR_KERNEL_BAND = 1e-3
@@ -359,9 +360,8 @@ def check_data_range(eta: float, source: PairSeries | None, W0: FieldPair, table
 class ReducedSystem:
     """Per-mode reduction of a classical scenario: 1 + eta lambda, c_lambda and masks.
 
-    Kernel positions carry no block (their solution coefficients are exactly
-    zero); near-kernel positions are retained but flagged stiff.  blocks,
-    built on first use, pairs each retained position with its 2x2 problem.
+    Kernel positions carry no problem (their solution coefficients are
+    exactly zero); near-kernel positions are retained but flagged stiff.
     """
 
     scenario: DBFScenario
@@ -369,22 +369,6 @@ class ReducedSystem:
     coupling: np.ndarray
     kernel: np.ndarray
     near: np.ndarray
-
-    @cached_property
-    def blocks(self) -> list:
-        s = self.scenario
-        M0 = np.diag([s.epsilon, s.mu]).astype(np.complex128)
-        A = np.zeros((2, 2))
-        blocks: list[tuple[int, AbstractIVP]] = []
-        for i in np.nonzero(~self.kernel)[0]:
-            c, f = self.coupling[i], self.factors[i]
-            M1 = MaterialSymbol(dim=2, poly_coeffs=[c * J2]) if c != 0.0 else MaterialSymbol.zero(2)
-            samples = (np.stack([s.source_J.e[:, i], s.source_J.h[:, i]], axis=1) / f if s.source_J is not None
-                       else np.zeros((s.grid.n_samples, 2), dtype=np.complex128))
-            w0 = np.array([s.W0.e_part.coeffs[i], s.W0.h_part.coeffs[i]]) / f
-            blocks.append((int(i), AbstractIVP(dim=2, M0=M0, M1=M1, A=A,
-                                               source=WeightedSignal(s.grid, s.nu, samples), W0=w0)))
-        return blocks
 
 
 def assemble_reduced_ivp(s: DBFScenario) -> ReducedSystem:
@@ -415,42 +399,73 @@ def assemble_reduced_ivp(s: DBFScenario) -> ReducedSystem:
     return ReducedSystem(s, factors, generator_coefficients(s.eta, table), kernel, near)
 
 
-def _history_checks(history: FieldHistory, W0: FieldPair) -> tuple[float, float]:
-    """Initial-value proxy error and causality sup of a solved history.
+def _source_columns(s, modes: np.ndarray) -> tuple:
+    """The given modes of scenario s that carry a source, and their (e, h) samples (n, k, 2).
 
-    The initial value compares the flux pair right limit against W0 in the
-    proxy norm with per-mode weight (1 + lambda^2)^(-1/2); causality is the
-    largest field coefficient before t = 0.
+    Samples before t = 0 that PairSeries.is_causal accepted on the unscaled
+    data are zeroed before any scaling or reduction, so whether a scenario
+    solves does not depend on the material.
     """
-    lam = history.table.eigenvalues
-    d0 = _right_limit(history.D, history.grid)
-    b0 = _right_limit(history.B, history.grid)
-    w = 1.0 / (1.0 + lam**2)
-    iv = float(np.sqrt(np.sum(w * (np.abs(d0 - W0.e_part.coeffs) ** 2 + np.abs(b0 - W0.h_part.coeffs) ** 2))))
-    pre = history.grid.times < -ZERO_TIME_TOL
-    caus = max(float(np.max(np.abs(arr[pre]), initial=0.0)) for arr in (history.E, history.H, history.D, history.B))
-    return iv, caus
+    if s.source_J is None:
+        return modes[:0], np.zeros((s.grid.n_samples, 0, 2), dtype=np.complex128)
+    e, h, pre = s.source_J.e, s.source_J.h, s.grid.times < -ZERO_TIME_TOL
+    modes = modes[(np.any((e != 0)[~pre], axis=0) | np.any((h != 0)[~pre], axis=0))[modes]]
+    samples = np.stack([e[:, modes], h[:, modes]], axis=-1)
+    samples[pre] = 0.0
+    return modes, samples
 
 
-def _solve_block(ivp: AbstractIVP, method: str, nu: float, fp_tol: float, max_iter: int):
-    """One block solve; returns (samples, iterations, contraction_estimate).
+def _solve_blocks(method: str, grid: TimeGrid, nu: float, M0: np.ndarray, groups: list, w0: np.ndarray,
+                  source: tuple, fp_tol: float, max_iter: int, closed: np.ndarray | None = None):
+    """Solve the blocks with data: jumps w0 (n_blocks, d), sources (idx, samples (n, len(idx), d)).
 
-    "auto" tries the closed form and falls back to the fixed point when the
-    block is outside its structural case; under "exact" WrongCase propagates.
+    Each group (blocks, M1) shares M0, M1 and A = 0.  One rotation_closed_form
+    call solves the blocks flagged closed and, under "auto" and "exact",
+    every rotation block; "exact" raises WrongCase on any other.  Each other
+    group makes one Picard or integrator call.  The failure raised is that of
+    the first failing block, as in a block-by-block solve.  Returns (fields
+    (d, n, n_blocks), Picard iterations, contraction estimate).
     """
-    if not np.any(ivp.W0 != 0) and not np.any(ivp.source.samples != 0):
-        # Zero data gives the zero solution (uniqueness), with no contraction test.
-        return np.zeros((ivp.grid.n_samples, ivp.dim), dtype=np.complex128), 0, 0.0
-    if method in ("auto", "exact"):
+    (n_blocks, d), n = w0.shape, grid.n_samples
+    A, row, c = np.zeros((d, d)), np.full(n_blocks, -1), np.zeros(n_blocks)
+    row[source[0]] = np.arange(len(source[0]))
+    data = np.any(w0 != 0, axis=1)
+    data[source[0]] |= np.any(source[1] != 0, axis=(0, 2))
+    closed = data & (False if closed is None else closed)
+    u = np.zeros((d, n, n_blocks), dtype=np.complex128)
+    iterations, contraction, failure = 0, 0.0, None
+    for blocks, M1 in sorted(groups, key=lambda group: group[0][0]):  # block order: a failure ends early
         try:
-            return solve_modal_exact(ivp, nu).samples, 0, 0.0
-        except WrongCase:
+            c[blocks], rotation = _rotation_constant(M0, M1, A)[2], None
+            closed[blocks] |= data[blocks] & (method in ("auto", "exact"))
+        except WrongCase as exc:
+            rotation = exc.with_traceback(None)  # kept without the frames it would hold alive
+        cols = blocks[data[blocks] & ~closed[blocks]]
+        if not cols.size or (failure is not None and cols[0] > failure[0]):
+            continue
+        k = row[cols]
+        f = np.zeros((n, len(cols), d), dtype=np.complex128)
+        f[:, k >= 0] = source[1][:, k[k >= 0]]
+        try:
             if method == "exact":
-                raise
-    elif method == "integrator":
-        return solve_integrator(ivp, nu).samples, 0, 0.0
-    report = solve_fixed_point(ivp, nu, max_iter=max_iter, tol=fp_tol)
-    return report.solution.samples, report.iterations, report.contraction_estimate
+                raise rotation
+            if method == "integrator":
+                sol = solve_integrator_blocks(M0, M1, A, f, w0[cols], grid)
+            else:
+                sol, iters, cest, _ = solve_fixed_point_blocks(M0, M1, A, f, w0[cols], grid, nu, max_iter, fp_tol)
+                iterations, contraction = max(iterations, int(iters.max())), max(contraction, cest)
+            u[:, :, cols] = sol.transpose(2, 0, 1)
+        except (WrongCase, NuTooSmall, NotContractive, NoConvergence) as exc:
+            if failure is None or cols[getattr(exc, "block", 0)] < failure[0]:
+                failure = (cols[getattr(exc, "block", 0)], exc)
+    if failure is not None:
+        raise failure[1]
+    cols = np.nonzero(closed)[0]
+    if cols.size:
+        k = row[cols]
+        u[0][:, cols], u[1][:, cols] = rotation_closed_form(M0[0, 0].real, M0[1, 1].real, c[cols], w0[cols], grid,
+                                                            (np.nonzero(k >= 0)[0], source[1][:, k[k >= 0]]))
+    return u, iterations, contraction
 
 
 def _solved_history(s, method: str, E, H, D, B, iterations: int, contraction: float,
@@ -461,9 +476,15 @@ def _solved_history(s, method: str, E, H, D, B, iterations: int, contraction: fl
     holds the model's own diagnostic keys.  NonFiniteSolution is raised when
     a field series or a numeric diagnostic is NaN or infinite.
     """
-    table = s.table
-    history = FieldHistory(table, s.grid, s.nu, E, H, D, B)
-    iv, caus = _history_checks(history, s.W0)
+    table, grid = s.table, s.grid
+    history = FieldHistory(table, grid, s.nu, E, H, D, B)
+    # Initial value: the flux-pair right limit against W0 in the proxy norm with
+    # per-mode weight (1 + lambda^2)^(-1/2).  Causality: the largest value before t = 0.
+    w = 1.0 / (1.0 + table.eigenvalues**2)
+    iv = float(np.sqrt(np.sum(w * (np.abs(_right_limit(history.D, grid) - s.W0.e_part.coeffs) ** 2
+                                   + np.abs(_right_limit(history.B, grid) - s.W0.h_part.coeffs) ** 2))))
+    pre = grid.times < -ZERO_TIME_TOL
+    caus = max(float(np.max(np.abs(arr[pre]), initial=0.0)) for arr in (history.E, history.H, history.D, history.B))
     history.diagnostics = {
         "method": method,
         "n_modes": int(table.n_modes),
@@ -488,43 +509,29 @@ def solve_dbf(s: DBFScenario, method: str = "exact", *, fp_tol: float = DEFAULT_
               max_iter: int = DEFAULT_MAX_ITER) -> FieldHistory:
     """Solve a classical scenario mode by mode and lift to (E, H, D, B).
 
-    One stacked closed-form pass solves every mode with data under "exact",
-    and the near-kernel modes under any method; fixed_point and integrator
-    solve their other modes one AbstractIVP at a time.  Modes without data
-    and kernel coefficients stay exactly zero, realizing the projection onto
-    the solvable range.  Diagnostics record the flux-pair initial-value proxy
-    error, the causality sup, the weak residual and Picard iterations.
+    Modes with one eigenvalue share one 2x2 operator, so each such group is
+    solved in one call: one stacked closed-form pass solves every mode with
+    data under "exact", and the near-kernel modes under any method, while
+    fixed_point and integrator make one call per remaining group.  Modes
+    without data and kernel coefficients stay exactly zero, realizing the
+    projection onto the solvable range.  Diagnostics record the flux-pair
+    initial-value proxy error, the causality sup, the weak residual and
+    Picard iterations.
     """
     if method not in DBF_METHODS:
         raise ValueError(f"method must be one of {DBF_METHODS}, got {method!r}")
     reduced = assemble_reduced_ivp(s)
-    grid, m = s.grid, s.table.n_modes
     keep, factors = ~reduced.kernel, reduced.factors
-    w0 = np.zeros((m, 2), dtype=np.complex128)
+    w0 = np.zeros((s.table.n_modes, 2), dtype=np.complex128)
     w0[keep] = np.stack([s.W0.e_part.coeffs[keep], s.W0.h_part.coeffs[keep]], axis=1) / factors[keep, None]
-    data = np.any(w0 != 0, axis=1)
-    src = np.zeros(0, dtype=int)
-    if s.source_J is not None:
-        src = np.nonzero(keep & (np.any(s.source_J.e != 0, axis=0) | np.any(s.source_J.h != 0, axis=0)))[0]
-        se, sh = s.source_J.e[:, src] / factors[src], s.source_J.h[:, src] / factors[src]
-        pre = grid.times < -ZERO_TIME_TOL
-        if np.any(np.abs(se[pre]) > SOURCE_CAUSALITY_TOL) or np.any(np.abs(sh[pre]) > SOURCE_CAUSALITY_TOL):
-            raise ValueError("source must vanish on t < 0")
-        data[src] |= np.any(se != 0, axis=0) | np.any(sh != 0, axis=0)
-    closed = data & (reduced.near | (method == "exact"))
-    cols = np.nonzero(closed)[0]
-    E, H = np.zeros((2, grid.n_samples, m), dtype=np.complex128)
-    on = closed[src]
-    source = (np.searchsorted(cols, src[on]), se[:, on], sh[:, on]) if np.any(on) else None
-    # + 0.0: a -0.0 coupling acts as +0.0, as in the per-mode blocks.
-    E[:, cols], H[:, cols] = rotation_closed_form(s.epsilon, s.mu, reduced.coupling[cols] + 0.0, w0[cols], grid, source)
-    rest = np.nonzero(data & ~closed)[0]
-    blocks = dict(reduced.blocks) if rest.size else {}
-    iterations, contraction = 0, 0.0
-    for i in rest:
-        samples, iters, cest = _solve_block(blocks[i], method, s.nu, fp_tol, max_iter)
-        E[:, i], H[:, i] = samples[:, 0], samples[:, 1]
-        iterations, contraction = max(iterations, iters), max(contraction, cest)
+    idx, samples = _source_columns(s, np.nonzero(keep)[0])
+    samples /= factors[idx, None]
+    groups = [(np.nonzero(keep & (reduced.coupling == c))[0],
+               MaterialSymbol(dim=2, poly_coeffs=[c * J2]) if c != 0.0 else MaterialSymbol.zero(2))
+              for c in set(reduced.coupling[keep].tolist())]  # not np.unique: its first call imports numpy.ma
+    M0 = np.diag([s.epsilon, s.mu]).astype(np.complex128)
+    (E, H), iterations, contraction = _solve_blocks(method, s.grid, s.nu, M0, groups, w0, (idx, samples),
+                                                    fp_tol, max_iter, closed=reduced.near)
     D, B = recover_DB(E, H, s)
     return _solved_history(s, method, E, H, D, B, iterations, contraction,
                            np.nonzero(reduced.kernel)[0], np.nonzero(reduced.near)[0])
@@ -633,13 +640,6 @@ def cross_coupling_matrix(k_cross: np.ndarray, table: ModeTable) -> np.ndarray:
     return X
 
 
-def _symbol_values(coeff_map: dict, z: np.ndarray) -> np.ndarray:
-    out = np.zeros(z.shape + (2, 2), dtype=np.complex128)
-    for d, C in coeff_map.items():
-        out += (z**d)[..., None, None] * C
-    return out
-
-
 def _neumann_coefficients(kappa0: np.ndarray, kappa1: MaterialSymbol | None, lam: float,
                           z: np.ndarray, nu: float) -> tuple[list, int, float]:
     """Polynomial coefficients of the truncated inverse of kappa(z) + lambda.
@@ -679,7 +679,7 @@ def _neumann_coefficients(kappa0: np.ndarray, kappa1: MaterialSymbol | None, lam
                 else:
                     nxt[dd] = contrib
         term = nxt
-        vals = _symbol_values(term, z)
+        vals = sum((z**d)[..., None, None] * T for d, T in term.items())
         sup = float(np.sqrt(np.max(np.sum(np.abs(vals) ** 2, axis=(-2, -1)))))
         for d, T in term.items():
             coeffs[d] = coeffs[d] + T if d in coeffs else T.copy()
@@ -722,25 +722,13 @@ def _convolve_coeff_lists(a: list, b: list) -> list:
     return out
 
 
-def _block_diag(blocks) -> np.ndarray:
-    """Block-diagonal matrix of the given square blocks, exact zeros elsewhere."""
-    blocks = [np.asarray(b) for b in blocks]
-    size = sum(b.shape[0] for b in blocks)
-    out = np.zeros((size, size), dtype=np.result_type(*blocks))
-    r = 0
-    for b in blocks:
-        out[r:r + b.shape[0], r:r + b.shape[0]] = b
-        r += b.shape[0]
-    return out
-
-
 def _block_diag_coeffs(lists: list) -> list:
-    """Coefficient list of the block-diagonal symbol with these per-mode lists."""
-    if len(lists) == 1:
-        return lists[0]
-    zero = np.zeros((2, 2), dtype=np.complex128)
-    top = max(len(lst) for lst in lists)
-    return [_block_diag(lst[d] if d < len(lst) else zero for lst in lists) for d in range(top)]
+    """Coefficient list of the block-diagonal symbol with these per-mode 2x2 lists, exact zeros elsewhere."""
+    out = [np.zeros((2 * len(lists), 2 * len(lists)), dtype=np.complex128) for _ in range(max(map(len, lists)))]
+    for b, lst in enumerate(lists):
+        for d, C in enumerate(lst):
+            out[d][2 * b:2 * b + 2, 2 * b:2 * b + 2] = C
+    return out
 
 
 def _hypothesis_scan(kappa0: np.ndarray, lam_values: np.ndarray) -> float:
@@ -751,7 +739,7 @@ def _hypothesis_scan(kappa0: np.ndarray, lam_values: np.ndarray) -> float:
     """
     margin = np.inf
     bad: list[tuple[float, float]] = []
-    for lv in np.unique(lam_values):
+    for lv in sorted(set(lam_values.tolist())):  # not np.unique: its first call imports numpy.ma
         smin = float(np.linalg.svd(kappa0 + lv * I2, compute_uv=False)[-1])
         rel = smin / max(1.0, abs(lv))
         margin = min(margin, rel)
@@ -765,40 +753,22 @@ def _hypothesis_scan(kappa0: np.ndarray, lam_values: np.ndarray) -> float:
     return float(margin)
 
 
-def _reduced_mode_source(g: GeneralizedScenario, i: int, N: list) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced source and jump datum of one mode: N applied to j and W0.
-
-    The Dirac datum splits into N(0) W0 at the jump plus the polynomial
-    remainder R(z) = (N(z) - N(0)) / z applied to the Heaviside step of W0.
-    """
-    grid = g.grid
-    n = grid.n_samples
-    w0 = np.array([g.W0.e_part.coeffs[i], g.W0.h_part.coeffs[i]], dtype=np.complex128)
-    samples = np.zeros((n, 2), dtype=np.complex128)
-    if g.source_J is not None:
-        jvec = np.stack([g.source_J.e[:, i], g.source_J.h[:, i]], axis=1)
-        if np.any(jvec):
-            samples = samples + _apply_symbol_time(MaterialSymbol(dim=2, poly_coeffs=N), jvec, grid)
-    if len(N) > 1 and np.any(w0):
-        chi = np.zeros((n, 2), dtype=np.complex128)
-        chi[_causal_mask(grid)] = w0
-        samples = samples + _apply_symbol_time(MaterialSymbol(dim=2, poly_coeffs=N[1:]), chi, grid)
-    return samples, N[0] @ w0
-
-
 def solve_generalized(g: GeneralizedScenario, method: str = "auto", *, fp_tol: float = DEFAULT_FP_TOL,
                       max_iter: int = DEFAULT_MAX_ITER) -> FieldHistory:
     """Solve an operator-law scenario and recover the flux pair.
 
-    The reduction is per block: the truncated inverse of kappa(z) + lambda
-    shapes one 2x2 block per mode, solved by the closed form when the
-    coupling degenerates to a real rotation (method "auto" tries it first)
-    and by the fixed-point solver otherwise.  A nonzero k_cross couples the
-    three modes of each wavevector (the const modes form the k = 0 block),
-    so each wavevector is then solved as one 6x6 block.  Blocks without data
-    are skipped and the contraction test applies per block.  The flux pair
-    follows by applying the product symbol (kappa(z) + lambda) Mstar(z) in
-    the time domain, which reproduces W0 exactly at t = 0+.
+    The reduction is per eigenvalue: the truncated inverse N of
+    kappa(z) + lambda shapes one 2x2 operator shared by every mode with that
+    lambda, and turns the data into N(Dinv) j + R(Dinv) (chi W0) and N(0) W0
+    for all of them at once.  Each group of modes is solved in one call: by
+    the closed form when the coupling degenerates to a real rotation
+    (method "auto" tries it first) and by the fixed-point solver otherwise.
+    A nonzero k_cross couples the three modes of each wavevector (the const
+    modes form the k = 0 block), so each wavevector is then one 6x6 block
+    with its own operator.  Blocks without data are skipped and the
+    contraction test applies per group.  The flux pair follows by applying
+    the product symbol (kappa(z) + lambda) Mstar(z) in the time domain,
+    which reproduces W0 exactly at t = 0+.
     """
     if method not in GENERALIZED_METHODS:
         raise ValueError(f"method must be one of {GENERALIZED_METHODS}, got {method!r}")
@@ -809,50 +779,65 @@ def solve_generalized(g: GeneralizedScenario, method: str = "auto", *, fp_tol: f
     mstar1_coeffs = [np.asarray(C, dtype=np.complex128) for C in (g.Mstar1.poly_coeffs if g.Mstar1 else [])]
     kappa1_coeffs = [np.asarray(C, dtype=np.complex128) for C in (g.kappa1.poly_coeffs if g.kappa1 else [])]
 
-    per_lam: dict[float, dict] = {}
-    neumann_terms = 0
-    q_sup = 0.0
-    for lv in np.unique(lam):
+    n, m = grid.n_samples, table.n_modes
+    jump = np.stack([g.W0.e_part.coeffs, g.W0.h_part.coeffs], axis=1).astype(np.complex128)
+    sourced, j = _source_columns(g, np.arange(m))
+    reduced = np.zeros((n, m, 2), dtype=np.complex128)
+    w0 = np.zeros((m, 2), dtype=np.complex128)
+    ops, neumann_terms, q_sup = {}, 0, 0.0
+    for lv in sorted(set(lam.tolist())):
         N, terms, q0 = _neumann_coefficients(g.kappa0, g.kappa1, float(lv), z, g.nu)
         coupling = [float(lv) * (Nd @ J2) for Nd in N] if lv != 0.0 else []
         m1 = _merged_coeff_list(mstar1_coeffs, coupling) if (mstar1_coeffs or coupling) else []
-        product = _convolve_coeff_lists([g.kappa0 + float(lv) * I2] + kappa1_coeffs,
-                                        [g.Mstar0] + mstar1_coeffs)
-        per_lam[float(lv)] = {"N": N, "M1": m1, "P": product}
-        neumann_terms = max(neumann_terms, terms)
-        q_sup = max(q_sup, q0)
+        ops[float(lv)] = (m1, _convolve_coeff_lists([g.kappa0 + float(lv) * I2] + kappa1_coeffs,
+                                                    [g.Mstar0] + mstar1_coeffs))
+        neumann_terms, q_sup = max(neumann_terms, terms), max(q_sup, q0)
+        # Reduced data of every mode with this lambda: N(Dinv) j, R(Dinv) applied to the
+        # Heaviside step of W0, and N(0) W0 by one matrix-vector product per mode (stacking
+        # them changes the last bits).
+        modes = np.nonzero(lam == lv)[0]
+        w0[modes] = [N[0] @ v for v in jump[modes]]
+        loaded = lam[sourced] == lv
+        if np.any(loaded):
+            reduced[:, sourced[loaded]] = reduced[:, sourced[loaded]] + _apply_symbol_time(
+                MaterialSymbol(dim=2, poly_coeffs=N), j[:, loaded], grid)
+        jumped = modes[np.any(jump[modes] != 0, axis=1)]
+        if len(N) > 1 and jumped.size:
+            chi = np.zeros((n, len(jumped), 2), dtype=np.complex128)
+            chi[_causal_mask(grid)] = jump[jumped]
+            reduced[:, jumped] = reduced[:, jumped] + _apply_symbol_time(
+                MaterialSymbol(dim=2, poly_coeffs=N[1:]), chi, grid)
 
-    n, m = grid.n_samples, table.n_modes
-    E = np.zeros((n, m), dtype=np.complex128)
-    H = np.zeros((n, m), dtype=np.complex128)
-    D = np.zeros((n, m), dtype=np.complex128)
-    B = np.zeros((n, m), dtype=np.complex128)
-    iterations = 0
-    contraction = 0.0
-    blocks = [[i] for i in range(m)] if g.k_cross is None else _wavevector_blocks(table)
-    for idx in blocks:
-        modes = [per_lam[float(lam[i])] for i in idx]
-        m1 = _block_diag_coeffs([data["M1"] for data in modes])
-        product = _block_diag_coeffs([data["P"] for data in modes])
-        if g.k_cross is not None:
+    if g.k_cross is None:
+        modes_of = np.arange(m)[:, None]
+        groups = [(np.nonzero(lam == lv)[0], *op) for lv, op in ops.items()]
+    else:
+        modes_of, groups = np.array(_wavevector_blocks(table)), []
+        for b, idx in enumerate(modes_of):
             # f -> k_cross x f enters M1 at order zero and Mstar at order one.
             cross = np.kron(_cross_block(g.k_cross, table.amplitudes[idx]), I2)
             kappa = _block_diag_coeffs([[g.kappa0 + lam[i] * I2] + kappa1_coeffs for i in idx])
-            m1 = _merged_coeff_list(m1, [cross])
-            product = _merged_coeff_list(product, _convolve_coeff_lists(kappa, [0 * cross, cross]))
-        reduced = [_reduced_mode_source(g, i, data["N"]) for i, data in zip(idx, modes)]
-        dim = 2 * len(idx)
-        ivp = AbstractIVP(dim=dim, M0=_block_diag([g.Mstar0] * len(idx)),
-                          M1=MaterialSymbol(dim=dim, poly_coeffs=m1) if m1 else MaterialSymbol.zero(dim),
-                          A=np.zeros((dim, dim)),
-                          source=WeightedSignal(grid, g.nu, np.hstack([r[0] for r in reduced])),
-                          W0=np.concatenate([r[1] for r in reduced]))
-        sol, iters, cest = _solve_block(ivp, method, g.nu, fp_tol, max_iter)
-        db = _apply_symbol_time(MaterialSymbol(dim=dim, poly_coeffs=product), sol, grid)
-        E[:, idx], H[:, idx] = sol[:, 0::2], sol[:, 1::2]
-        D[:, idx], B[:, idx] = db[:, 0::2], db[:, 1::2]
-        iterations = max(iterations, iters)
-        contraction = max(contraction, cest)
-
+            m1, product = (_block_diag_coeffs([ops[lam[i]][k] for i in idx]) for k in (0, 1))
+            groups.append((np.array([b]), _merged_coeff_list(m1, [cross]),
+                           _merged_coeff_list(product, _convolve_coeff_lists(kappa, [0 * cross, cross]))))
+    n_blocks, dim = len(modes_of), 2 * modes_of.shape[1]
+    symbols = [(blocks, MaterialSymbol(dim=dim, poly_coeffs=m1) if m1 else MaterialSymbol.zero(dim))
+               for blocks, m1, _ in groups]
+    if dim > 2:
+        w0, reduced = w0[modes_of].reshape(n_blocks, dim), reduced[:, modes_of].reshape(n, n_blocks, dim)
+    M0 = _block_diag_coeffs([[g.Mstar0]] * modes_of.shape[1])[0]
+    u, iterations, contraction = _solve_blocks(method, grid, g.nu, M0, symbols, w0, (np.arange(n_blocks), reduced),
+                                               fp_tol, max_iter)
+    del reduced  # not needed by the lift
+    db = np.zeros_like(u)
+    for blocks, _, product in groups:
+        sol = u[:, :, blocks].transpose(1, 2, 0)
+        db[:, :, blocks] = np.moveaxis(_apply_symbol_time(MaterialSymbol(dim, product), sol, grid), -1, 0)
+    if dim == 2:
+        (E, H), (D, B) = u, db
+    else:
+        E, H, D, B = np.zeros((4, n, m), dtype=np.complex128)
+        for out, fields in ((E, u[0::2]), (H, u[1::2]), (D, db[0::2]), (B, db[1::2])):
+            out[:, modes_of.T] = fields.transpose(1, 0, 2)
     return _solved_history(g, method, E, H, D, B, iterations, contraction, hypothesis_margin=margin,
                            neumann_terms=int(neumann_terms), q0_sup=float(q_sup))

@@ -17,8 +17,10 @@ map a contraction once nu exceeds the symbol bound of M1' .
 Three fidelity levels are provided: a closed form for stacked 2x2
 rotation blocks (exact for jump, step, and delayed-step data), a one-step
 exponential integrator, and the Picard iteration realizing the contraction
-argument.  All methods store the right limit U(0+) at the t = 0 sample and
-return exact zeros for t < 0.
+argument.  Each solves a stack of blocks sharing one operator, every block
+bit for bit as alone (solve_fixed_point, solve_integrator and
+solve_modal_exact are the one-block forms).  All methods store the right
+limit U(0+) at the t = 0 sample and return exact zeros for t < 0.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ SOURCE_CAUSALITY_TOL = 1e-14
 ZERO_TIME_TOL = 1e-9
 DEFAULT_FP_TOL = 1e-10
 DEFAULT_MAX_ITER = 64
-CONTRACTION_SAFETY = 1.0
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -67,7 +68,9 @@ class NotContractive(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """Fixed-point iteration exhausted max_iter before reaching tol."""
+    """Fixed-point iteration exhausted max_iter before reaching tol in block `block` of a stack."""
+
+    block = 0
 
 
 class WrongCase(ValueError):
@@ -118,13 +121,10 @@ class AbstractIVP:
     A: np.ndarray
     source: WeightedSignal
     W0: np.ndarray
-    inv_sqrt_M0: np.ndarray = field(init=False, repr=False)
-    inv_M0: np.ndarray = field(init=False, repr=False)
-    c0: float = field(init=False)
 
     def __post_init__(self) -> None:
         self.M0 = np.asarray(self.M0, dtype=np.complex128)
-        self.inv_sqrt_M0, self.inv_M0, self.c0 = _check_hermitian_posdef(self.M0)
+        _check_hermitian_posdef(self.M0)
         if self.M0.shape != (self.dim, self.dim):
             raise ValueError(f"M0 shape {self.M0.shape} != dim {self.dim}")
         if self.M1.dim != self.dim:
@@ -136,10 +136,6 @@ class AbstractIVP:
         pre = self.source.grid.times < -ZERO_TIME_TOL
         if np.any(np.abs(self.source.samples[pre]) > SOURCE_CAUSALITY_TOL):
             raise ValueError("source must vanish on t < 0")
-
-    @property
-    def grid(self) -> TimeGrid:
-        return self.source.grid
 
 
 @dataclass
@@ -205,17 +201,10 @@ def _causal_cumtrapz(values: np.ndarray, grid: TimeGrid) -> np.ndarray:
     return out
 
 
-def _unitary_group_factors(A_prime: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition A' = W diag(-i theta) W* of the skew matrix."""
-    H = 1j * np.asarray(A_prime, dtype=np.complex128)
-    theta, W = np.linalg.eigh(H)
-    return theta, W
-
-
-def _group_apply(theta: np.ndarray, W: np.ndarray, tau: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Samples of exp(-tau A') v, shape (len(tau), dim)."""
-    coeff = W.conj().T @ v
-    return np.exp(1j * np.outer(tau, theta)) * coeff @ W.T
+def _rows_at(x: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """x @ M over the last axis as one flat 2-D product: stacked (n, B, d)
+    blocks then match per-block products bit for bit, unlike a 3-D matmul."""
+    return (x.reshape(-1, x.shape[-1]) @ M).reshape(x.shape[:-1] + M.shape[1:])
 
 
 def causal_resolvent(A_prime: np.ndarray, samples: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -223,21 +212,23 @@ def causal_resolvent(A_prime: np.ndarray, samples: np.ndarray, grid: TimeGrid) -
 
     Diagonalizes the skew A' and integrates each channel by the cumulative
     trapezoid from the window start, so outputs vanish identically before
-    the support of the input.
+    the support of the input.  samples is (n, d) or B stacked blocks (n, B, d).
     """
-    theta, W = _unitary_group_factors(A_prime)
-    g = samples @ np.conj(W)
-    phase = np.exp(-1j * np.outer(grid.times, theta))
+    theta, W = np.linalg.eigh(1j * np.asarray(A_prime, dtype=np.complex128))  # A' = W diag(-i theta) W*
+    phase = np.exp(-1j * np.outer(grid.times, theta))[:, None, :]
+    g = _rows_at(samples.reshape(len(phase), -1, len(theta)), np.conj(W))
     integ = _causal_cumtrapz(phase * g, grid)
-    return (np.conj(phase) * integ) @ W.T
+    return _rows_at(np.conj(phase) * integ, W.T).reshape(samples.shape)
 
 
 def _jump_response(A_prime: np.ndarray, inv_sqrt: np.ndarray, w0: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Samples of chi_{t>=0} exp(-t A') sqrt(M0)^-1 w0, exactly zero before 0."""
-    theta, W = _unitary_group_factors(A_prime)
+    """Samples (n, B, d) of chi_{t>=0} exp(-t A') sqrt(M0)^-1 w0_b for the rows of w0, zero before 0."""
+    theta, W = np.linalg.eigh(1j * np.asarray(A_prime, dtype=np.complex128))
     mask = _causal_mask(grid)
-    out = np.zeros((grid.n_samples, len(w0)), dtype=np.complex128)
-    out[mask] = _group_apply(theta, W, grid.times[mask], inv_sqrt @ np.asarray(w0, dtype=np.complex128))
+    # One matrix-vector product per block: a stacked product changes the last bits.
+    coeff = np.array([W.conj().T @ (inv_sqrt @ v) for v in np.asarray(w0, dtype=np.complex128)])
+    out = np.zeros((grid.n_samples,) + coeff.shape, dtype=np.complex128)
+    out[mask] = _rows_at(np.exp(1j * np.outer(grid.times[mask], theta))[:, None, :] * coeff, W.T)
     return out
 
 
@@ -249,7 +240,7 @@ def semigroup_apply(M0: np.ndarray, A: np.ndarray, w0: np.ndarray, grid: TimeGri
     """
     inv_sqrt, _, _ = _check_hermitian_posdef(M0)
     A = _check_skew(A, len(w0))
-    jump = _jump_response(inv_sqrt @ A @ inv_sqrt, inv_sqrt, w0, grid)
+    jump = _jump_response(inv_sqrt @ A @ inv_sqrt, inv_sqrt, np.asarray(w0)[None], grid)[:, 0]
     return WeightedSignal(grid, nu, jump @ inv_sqrt.T)
 
 
@@ -257,6 +248,7 @@ def _apply_symbol_time(sym: MaterialSymbol, samples: np.ndarray, grid: TimeGrid)
     """Time-domain action of a symbol: iterated causal integrals plus shifts.
 
     Exactly causal by construction.  Delay offsets must be grid-aligned.
+    samples is (n, d) or B stacked blocks (n, B, d).
     """
     out = np.zeros_like(samples)
     if sym.poly_coeffs:
@@ -264,7 +256,7 @@ def _apply_symbol_time(sym: MaterialSymbol, samples: np.ndarray, grid: TimeGrid)
         for j, C in enumerate(sym.poly_coeffs):
             if j > 0:
                 power = _causal_cumtrapz(power, grid)
-            out = out + power @ np.asarray(C, dtype=np.complex128).T
+            out = out + _rows_at(power, np.asarray(C, dtype=np.complex128).T)
     for h, C in sym.delays:
         steps = -h / grid.dt
         m = int(round(steps))
@@ -275,7 +267,7 @@ def _apply_symbol_time(sym: MaterialSymbol, samples: np.ndarray, grid: TimeGrid)
             shifted = samples
         else:
             shifted[m:] = samples[:-m]
-        out = out + shifted @ np.asarray(C, dtype=np.complex128).T
+        out = out + _rows_at(shifted, np.asarray(C, dtype=np.complex128).T)
     return out
 
 
@@ -298,83 +290,84 @@ def weak_residual(p: AbstractIVP, u: WeightedSignal) -> tuple[WeightedSignal, fl
     return r_sig, weighted_norm(r_sig, 0)
 
 
-def solve_fixed_point(p: AbstractIVP, nu: float, max_iter: int = DEFAULT_MAX_ITER, tol: float = DEFAULT_FP_TOL) -> SolveReport:
-    """Picard iteration for the transformed equation (d/dt + A') V = F - M1' V.
+def solve_fixed_point_blocks(M0: np.ndarray, M1: MaterialSymbol, A: np.ndarray, source: np.ndarray,
+                             w0: np.ndarray, grid: TimeGrid, nu: float, max_iter: int = DEFAULT_MAX_ITER,
+                             tol: float = DEFAULT_FP_TOL) -> tuple[np.ndarray, np.ndarray, float, list]:
+    """Picard iteration of B blocks with data source (n, B, d), w0 (B, d) sharing (M0, M1, A).
 
-    The iteration map has gain at most sup|M1| / (nu c0) on the weighted
-    space, so updates contract geometrically; NotContractive is raised when
-    that estimate reaches 1 and NoConvergence when max_iter is exhausted.
-    The initial guess drops M1 entirely (jump response plus Duhamel term).
+    Iterates (d/dt + A') V = F - M1' V from the guess that drops M1.  The
+    map has gain at most sup|M1| / (nu c0) on the weighted space; this
+    estimate is computed once and NotContractive raised when it reaches 1.
+    Each block stops on its own weighted update, so its iterates and stop
+    are those of the block solved alone.  Returns (solution (n, B, d),
+    iterations per block, estimate, update ratios per block).
     """
-    min_nu = p.M1.min_nu()
+    min_nu = M1.min_nu()
     if nu <= min_nu:
         raise NuTooSmall(f"nu={nu} <= 1/(2 radius)={min_nu} for M1")
-    grid = p.grid
-    sup_m1 = p.M1.sup_norm(nu, grid.frequencies)
-    estimate = sup_m1 / (nu * p.c0)
-    if estimate >= 1.0 / CONTRACTION_SAFETY:
-        raise NotContractive(
-            f"contraction estimate {estimate:.3g} >= 1 at nu={nu}; increase nu"
-        )
-    inv_sqrt = p.inv_sqrt_M0
-    A_prime = inv_sqrt @ p.A @ inv_sqrt
-    f = p.source.samples @ inv_sqrt.T
-    v0 = causal_resolvent(A_prime, f, grid) + _jump_response(A_prime, inv_sqrt, p.W0, grid)
+    inv_sqrt, _, c0 = _check_hermitian_posdef(M0)
+    A = _check_skew(A, M1.dim)
+    estimate = M1.sup_norm(nu, grid.frequencies) / (nu * c0)
+    if estimate >= 1.0:
+        raise NotContractive(f"contraction estimate {estimate:.3g} >= 1 at nu={nu}; increase nu")
+    A_prime = inv_sqrt @ A @ inv_sqrt
+    v0 = causal_resolvent(A_prime, _rows_at(source, inv_sqrt.T), grid) + _jump_response(A_prime, inv_sqrt, w0, grid)
+    m1_conj = MaterialSymbol(M1.dim, [inv_sqrt @ C @ inv_sqrt for C in M1.poly_coeffs],
+                             [(h, inv_sqrt @ C @ inv_sqrt) for h, C in M1.delays], M1.radius)
 
-    m1_conj = MaterialSymbol(
-        dim=p.dim,
-        poly_coeffs=[inv_sqrt @ np.asarray(C, dtype=np.complex128) @ inv_sqrt for C in p.M1.poly_coeffs],
-        delays=[(h, inv_sqrt @ np.asarray(C, dtype=np.complex128) @ inv_sqrt) for h, C in p.M1.delays],
-        radius=p.M1.radius,
-    )
-
-    v = v0
-    iterations = 0
-    ratios: list[float] = []
-    update = np.inf
-    prev_update = None
-    for iterations in range(1, max_iter + 1):
-        v_next = v0 - causal_resolvent(A_prime, _apply_symbol_time(m1_conj, v, grid), grid)
-        update = weighted_norm(WeightedSignal(grid, nu, v_next - v), 0)
-        if prev_update is not None and prev_update > 0:
-            ratios.append(update / prev_update)
-        prev_update = update
-        v = v_next
-        if update <= tol:
+    v = v0.copy()
+    iterations = np.zeros(v.shape[1], dtype=int)
+    ratios: list[list[float]] = [[] for _ in iterations]
+    update = np.full(v.shape[1], np.inf)
+    active = np.arange(v.shape[1])
+    for sweep in range(1, max_iter + 1):
+        v_active = v[:, active]
+        v_next = v0[:, active] - causal_resolvent(A_prime, _apply_symbol_time(m1_conj, v_active, grid), grid)
+        diff = v_next - v_active
+        for j, b in enumerate(active):
+            prev, update[b] = update[b], weighted_norm(WeightedSignal(grid, nu, diff[:, j]), 0)
+            if sweep > 1 and prev > 0:
+                ratios[b].append(float(update[b] / prev))
+        v[:, active] = v_next
+        iterations[active] = sweep
+        active = active[~(update[active] <= tol)]
+        if not active.size:
             break
     else:
-        raise NoConvergence(
-            f"no convergence after {max_iter} iterations, last update {update:.3g}"
-        )
-
-    u = WeightedSignal(grid, nu, v @ inv_sqrt.T)
-    _, residual = weak_residual(p, u)
-    iv_err = verify_initial_value(u, p.M0, p.W0)
-    return SolveReport(
-        solution=u,
-        iterations=iterations,
-        final_residual=residual,
-        contraction_estimate=estimate,
-        nu_used=nu,
-        initial_value_error=iv_err,
-        update_ratios=ratios,
-    )
+        err = NoConvergence(f"no convergence after {max_iter} iterations, last update {update[active[0]]:.3g}")
+        err.block = int(active[0])
+        raise err
+    return _rows_at(v, inv_sqrt.T), iterations, estimate, ratios
 
 
-def _rotation_constant(p: AbstractIVP) -> tuple[float, float, float]:
-    """Extract (epsilon, mu, c) from a 2x2 block with M0 diagonal, M1 = c J, c real."""
-    if p.dim != 2:
-        raise WrongCase(f"modal closed form needs dim 2, got {p.dim}")
-    if np.max(np.abs(p.A)) > HERMITICITY_TOL:
+def solve_fixed_point(p: AbstractIVP, nu: float, max_iter: int = DEFAULT_MAX_ITER, tol: float = DEFAULT_FP_TOL) -> SolveReport:
+    """Picard iteration of one block: solve_fixed_point_blocks with B = 1.
+
+    The report adds the weak residual and the initial-value error of the
+    solution.  NotContractive is raised when the contraction estimate
+    reaches 1 and NoConvergence when max_iter is exhausted.
+    """
+    samples, iterations, estimate, ratios = solve_fixed_point_blocks(
+        p.M0, p.M1, p.A, p.source.samples[:, None], p.W0[None], p.source.grid, nu, max_iter, tol)
+    u = WeightedSignal(p.source.grid, nu, samples[:, 0])
+    return SolveReport(u, int(iterations[0]), weak_residual(p, u)[1], estimate, nu,
+                       verify_initial_value(u, p.M0, p.W0), ratios[0])
+
+
+def _rotation_constant(M0: np.ndarray, M1: MaterialSymbol, A: np.ndarray) -> tuple[float, float, float]:
+    """Extract (epsilon, mu, c) from a 2x2 operator with M0 diagonal, M1 = c J, c real, A = 0."""
+    if M1.dim != 2:
+        raise WrongCase(f"modal closed form needs dim 2, got {M1.dim}")
+    if np.max(np.abs(A)) > HERMITICITY_TOL:
         raise WrongCase("modal closed form needs A = 0")
-    if np.max(np.abs(p.M0 - np.diag(np.diag(p.M0)))) > 0 or np.max(np.abs(np.diag(p.M0).imag)) > 0:
+    if np.max(np.abs(M0 - np.diag(np.diag(M0)))) > 0 or np.max(np.abs(np.diag(M0).imag)) > 0:
         raise WrongCase("modal closed form needs M0 = diag(eps, mu) real")
-    eps, mu = float(p.M0[0, 0].real), float(p.M0[1, 1].real)
-    if p.M1.delays or len(p.M1.poly_coeffs) > 1:
+    eps, mu = float(M0[0, 0].real), float(M0[1, 1].real)
+    if M1.delays or len(M1.poly_coeffs) > 1:
         raise WrongCase("modal closed form needs a constant coupling symbol")
-    if not p.M1.poly_coeffs:
+    if not M1.poly_coeffs:
         return eps, mu, 0.0
-    C = np.asarray(p.M1.poly_coeffs[0], dtype=np.complex128)
+    C = np.asarray(M1.poly_coeffs[0], dtype=np.complex128)
     c = C[1, 0]
     if np.max(np.abs(C - c * J2)) > 0:
         raise WrongCase("coupling matrix is not a multiple of [[0,-1],[1,0]]")
@@ -406,16 +399,17 @@ def _rotate(eps: float, mu: float, c: np.ndarray, omega: np.ndarray, s: np.ndarr
 
 
 def rotation_closed_form(eps: float, mu: float, c: np.ndarray, w0: np.ndarray, grid: TimeGrid,
-                         source: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+                         source: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Closed form of B stacked 2x2 rotation blocks sharing M0 = diag(eps, mu).
 
     Column b solves (d/dt) M0 u + c_b J u = J_b + (Dirac at 0) w0_b; c is
     (B,) and w0 (B, 2).  The propagator is the rotation exp(-t B_b) with
     B_b = M0^-1 c_b J and B_b^2 = -omega_b^2, omega_b = c_b / sqrt(eps mu).
-    source is None or (idx, se, sh): columns idx carry the samples se, sh of
-    shape (n_samples, len(idx)).  Jump data and step and delayed-step sources
-    (detected per column) integrate exactly; other sources fall back to a
-    Duhamel convolution with Simpson quadrature of exp(s B) M0^-1 J(s).
+    source is (idx, samples): columns idx carry the (e, h) source samples
+    (n_samples, len(idx), 2), the others none.  Jump data and step and
+    delayed-step sources (detected per column) integrate exactly; other
+    sources fall back to a Duhamel convolution with Simpson quadrature of
+    exp(s B) M0^-1 J(s).
     Returns the (e, h) components, each (n_samples, B), zero before t = 0.
     """
     c = np.asarray(c, dtype=float)
@@ -424,82 +418,84 @@ def rotation_closed_form(eps: float, mu: float, c: np.ndarray, w0: np.ndarray, g
     tau = grid.times[mask]
     tau = np.where(np.abs(tau) < ZERO_TIME_TOL, 0.0, tau)[:, None]
     ue, uh = _rotate(eps, mu, c, omega, tau, w0[:, 0] / eps, w0[:, 1] / mu)
-    if source is not None:
-        idx, se, sh = source[0], source[1][mask], source[2][mask]
-        first = np.argmax((se != 0) | (sh != 0), axis=0)
-        ae, ah = se[first, np.arange(len(idx))], sh[first, np.arange(len(idx))]
-        before = np.arange(len(tau))[:, None] < first
-        step = np.all((se == ae) & (sh == ah) | before, axis=0)
-        pe, ph = np.zeros((2,) + se.shape, dtype=np.complex128)
-        # A step a != 0 adds v - exp(-s B) v, v = B^-1 M0^-1 a = -B M0^-1 a / omega^2 with
-        # omega^2 by libm pow (as a scalar power), or s M0^-1 a where omega = 0.
-        k = np.nonzero(step & ((ae != 0) | (ah != 0)))[0]
-        shifted, fe, fh, ck, wk = tau - tau[first[k], 0], ae[k] / eps, ah[k] / mu, c[idx[k]], omega[idx[k]]
-        w2 = np.array([float(w) ** 2 if w else 1.0 for w in wk])
-        ve, vh = ck * fh / eps / w2, -ck * fe / mu / w2
-        re, rh = _rotate(eps, mu, ck, wk, shifted, ve, vh)
-        qe, qh = ve - re, vh - rh
-        flat = wk == 0
-        qe[:, flat], qh[:, flat] = shifted[:, flat] * fe[flat], shifted[:, flat] * fh[flat]
-        qe[before[:, k]] = qh[before[:, k]] = 0.0
-        pe[:, k], ph[:, k] = qe, qh
-        # Other sources: Duhamel, with G the Simpson integral of exp(s B) M0^-1 J(s).
-        d = np.nonzero(~step)[0]
-        cd, (cos_d, sinc_d) = c[idx[d]], _cos_sinc(omega[idx[d]], tau)
-        fe, fh = se[:, d] * (1.0 / eps), sh[:, d] * (1.0 / mu)
-        Ge = _cumsimp(cos_d * fe + sinc_d * (-cd * fh / eps), grid.dt)
-        Gh = _cumsimp(cos_d * fh + sinc_d * (cd * fe / mu), grid.dt)
-        pe[:, d] = cos_d * Ge - sinc_d * (-cd * Gh / eps)
-        ph[:, d] = cos_d * Gh - sinc_d * (cd * Ge / mu)
-        pe += ue[:, idx]
-        ph += uh[:, idx]
+    idx, (se, sh) = source[0], np.moveaxis(source[1][mask], -1, 0)
+    first = np.argmax((se != 0) | (sh != 0), axis=0)
+    ae, ah = se[first, np.arange(len(idx))], sh[first, np.arange(len(idx))]
+    before = np.arange(len(tau))[:, None] < first
+    step = np.all((se == ae) & (sh == ah) | before, axis=0)
+    pe, ph = np.zeros((2,) + se.shape, dtype=np.complex128)
+    # A step a != 0 adds v - exp(-s B) v, v = B^-1 M0^-1 a = -B M0^-1 a / omega^2 with
+    # omega^2 by libm pow (as a scalar power), or s M0^-1 a where omega = 0.
+    k = np.nonzero(step & ((ae != 0) | (ah != 0)))[0]
+    shifted, fe, fh, ck, wk = tau - tau[first[k], 0], ae[k] / eps, ah[k] / mu, c[idx[k]], omega[idx[k]]
+    w2 = np.array([float(w) ** 2 if w else 1.0 for w in wk])
+    ve, vh = ck * fh / eps / w2, -ck * fe / mu / w2
+    re, rh = _rotate(eps, mu, ck, wk, shifted, ve, vh)
+    qe, qh = ve - re, vh - rh
+    flat = wk == 0
+    qe[:, flat], qh[:, flat] = shifted[:, flat] * fe[flat], shifted[:, flat] * fh[flat]
+    qe[before[:, k]] = qh[before[:, k]] = 0.0
+    pe[:, k], ph[:, k] = qe, qh
+    # Other sources: Duhamel, with G the Simpson integral of exp(s B) M0^-1 J(s).
+    d = np.nonzero(~step)[0]
+    cd, (cos_d, sinc_d) = c[idx[d]], _cos_sinc(omega[idx[d]], tau)
+    fe, fh = se[:, d] * (1.0 / eps), sh[:, d] * (1.0 / mu)
+    Ge = _cumsimp(cos_d * fe + sinc_d * (-cd * fh / eps), grid.dt)
+    Gh = _cumsimp(cos_d * fh + sinc_d * (cd * fe / mu), grid.dt)
+    pe[:, d] = cos_d * Ge - sinc_d * (-cd * Gh / eps)
+    ph[:, d] = cos_d * Gh - sinc_d * (cd * Ge / mu)
+    pe += ue[:, idx]
+    ph += uh[:, idx]
     # Adding the zero particular part turns -0.0 into +0.0, as for sourced columns.
     ue += 0.0
     uh += 0.0
-    if source is not None:
-        ue[:, idx], uh[:, idx] = pe, ph
+    ue[:, idx], uh[:, idx] = pe, ph
     pad = np.zeros((grid.n_samples - len(tau), len(c)))
     return np.concatenate([pad, ue]), np.concatenate([pad, uh])
 
 
 def solve_modal_exact(p: AbstractIVP, nu: float) -> WeightedSignal:
     """Closed-form solution of one 2x2 rotation block: rotation_closed_form with B = 1."""
-    eps, mu, c = _rotation_constant(p)
-    source = (np.array([0]), p.source.samples[:, :1], p.source.samples[:, 1:])
-    ue, uh = rotation_closed_form(eps, mu, np.array([c]), p.W0[None, :], p.grid, source)
-    return WeightedSignal(p.grid, nu, np.hstack([ue, uh]))
+    eps, mu, c = _rotation_constant(p.M0, p.M1, p.A)
+    source = (np.array([0]), p.source.samples[:, None])
+    ue, uh = rotation_closed_form(eps, mu, np.array([c]), p.W0[None, :], p.source.grid, source)
+    return WeightedSignal(p.source.grid, nu, np.hstack([ue, uh]))
 
 
-def solve_integrator(p: AbstractIVP, nu: float) -> WeightedSignal:
-    """One-step exponential integrator for constant-coefficient blocks.
+def solve_integrator_blocks(M0: np.ndarray, M1: MaterialSymbol, A: np.ndarray, source: np.ndarray,
+                            w0: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """One-step exponential integrator of B blocks sharing a constant-coefficient operator.
 
-    Requires M1 to be a constant matrix (no memory): the block is then the
-    ODE M0 U' + (M1(0) + A) U = J.  Steps with the exact propagator
-    exp(-dt B) and a trapezoidal Duhamel term, second order in dt.
+    Requires M1 to be a constant matrix (no memory): block b is then the ODE
+    M0 U' + (M1(0) + A) U = J_b, U(0+) = M0^-1 w0_b (source (n, B, d), w0
+    (B, d)).  Steps with the exact propagator exp(-dt B), computed once, and
+    a trapezoidal Duhamel term, second order in dt.  Returns (n, B, d).
     """
     from scipy.linalg import expm  # only this method needs scipy; keep it off start-up
 
-    if p.M1.delays or len(p.M1.poly_coeffs) > 1:
+    if M1.delays or len(M1.poly_coeffs) > 1:
         raise WrongCase("exponential integrator needs a constant symbol M1")
-    if p.M1.poly_coeffs:
-        C = np.asarray(p.M1.poly_coeffs[0], dtype=np.complex128)
-    else:
-        C = np.zeros((p.dim, p.dim), dtype=np.complex128)
-    B = p.inv_M0 @ (C + p.A)
-    E = expm(-p.grid.dt * B)
-    grid = p.grid
-    mask = _causal_mask(grid)
-    idx = np.nonzero(mask)[0]
-    f = p.source.samples @ p.inv_M0.T
-    out = np.zeros((grid.n_samples, p.dim), dtype=np.complex128)
-    u = p.inv_M0 @ p.W0
-    out[idx[0]] = u
+    C = np.asarray(M1.poly_coeffs[0] if M1.poly_coeffs else np.zeros((M1.dim, M1.dim)), dtype=np.complex128)
+    _, inv, _ = _check_hermitian_posdef(M0)
+    E = expm(-grid.dt * (inv @ (C + _check_skew(A, M1.dim))))
+    idx = np.nonzero(_causal_mask(grid))[0]
+    f = _rows_at(source, inv.T)
+    out = np.zeros_like(f)
     half_dt = 0.5 * grid.dt
-    for j in range(len(idx) - 1):
-        i0, i1 = idx[j], idx[j + 1]
-        u = E @ u + half_dt * (E @ f[i0] + f[i1])
-        out[i1] = u
-    return WeightedSignal(grid, nu, out)
+    # Steps one block at a time: a stacked product with E changes the last bits.
+    for b, w in enumerate(np.asarray(w0, dtype=np.complex128)):
+        u = inv @ w
+        out[idx[0], b] = u
+        for i0, i1 in zip(idx[:-1], idx[1:]):
+            u = E @ u + half_dt * (E @ f[i0, b] + f[i1, b])
+            out[i1, b] = u
+    return out
+
+
+def solve_integrator(p: AbstractIVP, nu: float) -> WeightedSignal:
+    """Exponential integrator of one block: solve_integrator_blocks with B = 1."""
+    samples = solve_integrator_blocks(p.M0, p.M1, p.A, p.source.samples[:, None], p.W0[None], p.source.grid)
+    return WeightedSignal(p.source.grid, nu, samples[:, 0])
 
 
 def verify_initial_value(report, M0: np.ndarray, W0: np.ndarray) -> float:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+import single_mode
 from dbf.curl_spectral import SpectralField, FieldPair, projector_P, reduced_resolvent
 from dbf.dbf_model import (
     DBFScenario,
@@ -139,14 +140,13 @@ class TestAssemble:
         s = scenario(table_k1, eta=-1.0, W0=field_pair(table_k1, {j: (1.0, 0.0)}))
         reduced = assemble_reduced_ivp(s)
         assert np.count_nonzero(reduced.kernel) == 6
-        assert len(reduced.blocks) == table_k1.n_modes - 6
+        assert len(single_mode.dbf_blocks(s)) == table_k1.n_modes - 6
 
     def test_unit_mode_coupling_and_scaling(self, table_k1):
         i = table_k1.position((1, 0, 0), "plus")
         s = scenario(table_k1, eta=0.5, epsilon=2.0, mu=0.5,
                      W0=field_pair(table_k1, {i: (1.0, -0.5j)}))
-        reduced = assemble_reduced_ivp(s)
-        ivp = dict(reduced.blocks)[i]
+        ivp = single_mode.dbf_blocks(s)[i]
         np.testing.assert_array_equal(ivp.M0, np.diag([2.0, 0.5]).astype(complex))
         np.testing.assert_allclose(ivp.M1.poly_coeffs[0], (2.0 / 3.0) * J2, rtol=0, atol=1e-15)
         np.testing.assert_allclose(ivp.W0, np.array([1.0, -0.5j]) / 1.5, rtol=0, atol=1e-15)
@@ -155,7 +155,7 @@ class TestAssemble:
     def test_const_mode_block_has_no_coupling(self, table_k1):
         i = table_k1.position((0, 0, 0), "const", 0)
         s = scenario(table_k1, W0=field_pair(table_k1, {i: (1.0, 0.0)}))
-        ivp = dict(assemble_reduced_ivp(s).blocks)[i]
+        ivp = single_mode.dbf_blocks(s)[i]
         assert not any(np.any(C) for C in ivp.M1.poly_coeffs)
         assert not ivp.M1.delays
 
@@ -339,7 +339,7 @@ class TestStackedExact:
         s = mixed_data_scenario(table_k2, eta=0.5, nu=3.0, loads=loads)
         history = solve_dbf(s, "exact")
         loaded = [table_k2.position(*key) for key in loads]
-        self.check_against_single_modes(s, history, loaded, dict(assemble_reduced_ivp(s).blocks))
+        self.check_against_single_modes(s, history, loaded, single_mode.dbf_blocks(s))
         idle = np.setdiff1d(np.arange(table_k2.n_modes), loaded)
         assert len(history.diagnostics["kernel_modes"]) == 6
         for arr in (history.E, history.H, history.D, history.B):
@@ -354,7 +354,7 @@ class TestStackedExact:
         with pytest.warns(UserWarning, match="kernel"):
             history = solve_dbf(s, "fixed_point")
         with pytest.warns(UserWarning, match="kernel"):
-            blocks = dict(assemble_reduced_ivp(s).blocks)
+            blocks = single_mode.dbf_blocks(s)
         near = table_k2.position((1, 0, 0), "plus")
         assert str(table_k2.modes[near].key()) in history.diagnostics["near_kernel_modes"]
         assert history.diagnostics["iterations"] > 0
