@@ -40,8 +40,8 @@ from .dbf_model import (
     solve_generalized,
     uniqueness_energy_probe,
 )
-from .evo_solver import ZERO_TIME_TOL, NoConvergence, NotContractive
-from .weighted_time import MaterialSymbol, NuTooSmall, TimeGrid
+from .evo_solver import DEFAULT_FP_TOL, DEFAULT_MAX_ITER, NoConvergence, NotContractive
+from .weighted_time import ZERO_TIME_TOL, MaterialSymbol, NuTooSmall, TimeGrid
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -50,8 +50,8 @@ EXIT_HYPOTHESIS = 3
 EXIT_NO_CONVERGENCE = 4
 
 DEFAULT_TOLERANCES = {
-    "fp_tol": 1e-10,
-    "max_iter": 64,
+    "fp_tol": DEFAULT_FP_TOL,
+    "max_iter": DEFAULT_MAX_ITER,
     "iv_tol": 1e-8,
     "caus_tol": 1e-10,
     "resid_tol": 1e-6,
@@ -253,15 +253,16 @@ def _waveform(doc: dict, grid: TimeGrid) -> np.ndarray:
     if kind == "step":
         if extras:
             raise ScenarioError(f"step waveform takes no extra parameters, got {sorted(extras)}")
-        return (t >= -ZERO_TIME_TOL).astype(float)
-    if kind == "delayed_step":
+        w = np.ones(grid.n_samples)
+    elif kind == "delayed_step":
         if extras != {"delay"}:
             raise ScenarioError("delayed_step waveform needs exactly the 'delay' parameter")
-        return (t >= doc["delay"] - ZERO_TIME_TOL).astype(float)
-    if extras != {"t0", "sigma"}:
-        raise ScenarioError("gaussian waveform needs exactly the 't0' and 'sigma' parameters")
-    w = np.exp(-((t - doc["t0"]) ** 2) / (2.0 * doc["sigma"] ** 2))
-    w[t < -ZERO_TIME_TOL] = 0.0
+        w = (t >= doc["delay"] - ZERO_TIME_TOL).astype(float)
+    else:
+        if extras != {"t0", "sigma"}:
+            raise ScenarioError("gaussian waveform needs exactly the 't0' and 'sigma' parameters")
+        w = np.exp(-((t - doc["t0"]) ** 2) / (2.0 * doc["sigma"] ** 2))
+    w[:grid.zero_index] = 0.0
     return w
 
 
@@ -399,7 +400,7 @@ def write_run_output(history: FieldHistory, scenario, doc: dict, out_dir: str, s
         "grid": {"t_start": history.grid.t_start, "dt": history.grid.dt,
                  "n": history.grid.n_samples, "pad_fraction": history.grid.pad_fraction},
         "nu": history.nu,
-        "energy_initial": float(energy[np.argmax(times >= -ZERO_TIME_TOL)]),
+        "energy_initial": float(energy[history.grid.zero_index]),
         "energy_final": float(energy[-1]),
         "diagnostics": history.diagnostics,
     }
@@ -409,25 +410,19 @@ def write_run_output(history: FieldHistory, scenario, doc: dict, out_dir: str, s
     return csv_path, json_path
 
 
-def _run_solution(scenario_path: str, out_dir: str, echo_config: bool = False, stem: str | None = None):
-    """Shared run path; returns (exit_code, history or None, scenario, doc)."""
-    doc = load_scenario_doc(scenario_path)
-    scenario = build_scenario(doc)
-    if echo_config:
-        print(json.dumps(doc, sort_keys=True, indent=2))
-    history = _solve(scenario, doc)
-    stem = stem or os.path.splitext(os.path.basename(scenario_path))[0]
-    csv_path, json_path = write_run_output(history, scenario, doc, out_dir, stem)
-    print(f"wrote {csv_path} and {json_path}")
-    return history, scenario, doc
-
-
 def cmd_run(scenario_path: str, out_dir: str, echo_config: bool = False) -> int:
-    """Solve one scenario file and emit its run output."""
+    """Solve one scenario file and write <stem>.csv and <stem>.json into out_dir."""
     try:
-        _run_solution(scenario_path, out_dir, echo_config)
+        doc = load_scenario_doc(scenario_path)
+        scenario = build_scenario(doc)
+        if echo_config:
+            print(json.dumps(doc, sort_keys=True, indent=2))
+        history = _solve(scenario, doc)
+        stem = os.path.splitext(os.path.basename(scenario_path))[0]
+        csv_path, json_path = write_run_output(history, scenario, doc, out_dir, stem)
     except FAILURES as exc:
         return _fail(exc)
+    print(f"wrote {csv_path} and {json_path}")
     return EXIT_OK
 
 
@@ -449,16 +444,20 @@ def _observed_omega(series: np.ndarray, times: np.ndarray) -> float:
 def cmd_verify(scenario_path: str) -> int:
     """Run the invariant suite for one scenario and print a pass/fail table.
 
-    A scenario that cannot be loaded or solved exits with its EXIT_TABLE
-    code; a failed check exits 1.
+    A scenario that cannot be loaded, or whose solve or doubled-data
+    linearity solve fails, exits with its EXIT_TABLE code; a failed check
+    exits 1.
     """
     try:
         doc = load_scenario_doc(scenario_path)
         scenario = build_scenario(doc)
     except FAILURES as exc:
         return _fail(exc)
+    zero_data = (scenario.W0.norm() == 0.0) and (
+        scenario.source_J is None or scenario.source_J.max_abs() == 0.0)
     try:
         history = _solve(scenario, doc)
+        h2 = None if zero_data else _solve(_scale_scenario(scenario, 2.0), doc)
     except FAILURES as exc:
         return _fail(exc, "FAIL: solve: ")
 
@@ -479,8 +478,6 @@ def cmd_verify(scenario_path: str) -> int:
         else:
             proj_err = 0.0
         checks.append(("projector_algebra", proj_err, 1e-9 / abs(scenario.eta)))
-    zero_data = (scenario.W0.norm() == 0.0) and (
-        scenario.source_J is None or scenario.source_J.max_abs() == 0.0)
     if zero_data:
         if is_dbf:
             checks.append(("uniqueness_energy", uniqueness_energy_probe(history, scenario), tols["energy_tol"]))
@@ -489,8 +486,6 @@ def cmd_verify(scenario_path: str) -> int:
                             for a in (history.E, history.H, history.D, history.B))
             checks.append(("uniqueness_energy", field_sup, tols["energy_tol"]))
     else:
-        doubled = _scale_scenario(scenario, 2.0)
-        h2 = _solve(doubled, doc)
         scale = max(float(np.max(np.abs(history.E))), float(np.max(np.abs(history.H))), 1e-300)
         lin = max(float(np.max(np.abs(h2.E - 2.0 * history.E))),
                   float(np.max(np.abs(h2.H - 2.0 * history.H)))) / scale
@@ -498,9 +493,7 @@ def cmd_verify(scenario_path: str) -> int:
             tols["linearity_tol"], 100.0 * tols["fp_tol"] / scale)
         checks.append(("linearity", lin, lin_tol))
     if is_dbf and scenario.source_J is None and doc["method"] == "exact" and not zero_data:
-        energy = material_energy_series(history, scenario)
-        causal = history.grid.times >= -ZERO_TIME_TOL
-        en = energy[causal]
+        en = material_energy_series(history, scenario)[history.grid.zero_index:]
         drift = float(np.max(np.abs(en - en[0]))) / max(float(en[0]), 1e-300)
         checks.append(("energy_conservation", drift, max(tols["energy_tol"], 1e-12)))
 
@@ -577,8 +570,7 @@ def cmd_sweep(scenario_path: str, param: str, values: list, out_dir: str) -> int
             row["weak_residual"] = _fmt(d["weak_residual"])
             row["initial_value_error"] = _fmt(d["initial_value_error"])
             row["iterations"] = str(d["iterations"])
-            causal = history.grid.times >= -ZERO_TIME_TOL
-            core = causal & (history.grid.times < history.grid.core_end_time)
+            core = slice(history.grid.zero_index, history.grid.n_core)
             for label, i in zip(labels, data_idx):
                 row[f"omega_{label}"] = _fmt(_observed_omega(history.E[core, i], history.grid.times[core]))
             successes += 1

@@ -45,7 +45,6 @@ from .curl_spectral import (
 )
 from .evo_solver import (
     SOURCE_CAUSALITY_TOL,
-    ZERO_TIME_TOL,
     DEFAULT_FP_TOL,
     DEFAULT_MAX_ITER,
     J2,
@@ -53,7 +52,6 @@ from .evo_solver import (
     NotContractive,
     WrongCase,
     _apply_symbol_time,
-    _causal_mask,
     _check_hermitian_posdef,
     _cumsimp,
     _right_limit,
@@ -124,8 +122,8 @@ class PairSeries:
         return float(max(np.max(np.abs(self.e), initial=0.0), np.max(np.abs(self.h), initial=0.0)))
 
     def is_causal(self, tol: float = SOURCE_CAUSALITY_TOL) -> bool:
-        pre = self.grid.times < -ZERO_TIME_TOL
-        return bool(np.all(np.abs(self.e[pre]) <= tol) and np.all(np.abs(self.h[pre]) <= tol))
+        z = self.grid.zero_index
+        return bool(np.all(np.abs(self.e[:z]) <= tol) and np.all(np.abs(self.h[:z]) <= tol))
 
 
 def _check_scenario_data(table: ModeTable, K: int, grid: TimeGrid, nu: float,
@@ -408,10 +406,10 @@ def _source_columns(s, modes: np.ndarray) -> tuple:
     """
     if s.source_J is None:
         return modes[:0], np.zeros((s.grid.n_samples, 0, 2), dtype=np.complex128)
-    e, h, pre = s.source_J.e, s.source_J.h, s.grid.times < -ZERO_TIME_TOL
-    modes = modes[(np.any((e != 0)[~pre], axis=0) | np.any((h != 0)[~pre], axis=0))[modes]]
+    e, h, z = s.source_J.e, s.source_J.h, s.grid.zero_index
+    modes = modes[(np.any(e[z:] != 0, axis=0) | np.any(h[z:] != 0, axis=0))[modes]]
     samples = np.stack([e[:, modes], h[:, modes]], axis=-1)
-    samples[pre] = 0.0
+    samples[:z] = 0.0
     return modes, samples
 
 
@@ -483,8 +481,8 @@ def _solved_history(s, method: str, E, H, D, B, iterations: int, contraction: fl
     w = 1.0 / (1.0 + table.eigenvalues**2)
     iv = float(np.sqrt(np.sum(w * (np.abs(_right_limit(history.D, grid) - s.W0.e_part.coeffs) ** 2
                                    + np.abs(_right_limit(history.B, grid) - s.W0.h_part.coeffs) ** 2))))
-    pre = grid.times < -ZERO_TIME_TOL
-    caus = max(float(np.max(np.abs(arr[pre]), initial=0.0)) for arr in (history.E, history.H, history.D, history.B))
+    caus = max(float(np.max(np.abs(arr[:grid.zero_index]), initial=0.0))
+               for arr in (history.E, history.H, history.D, history.B))
     history.diagnostics = {
         "method": method,
         "n_modes": int(table.n_modes),
@@ -564,18 +562,18 @@ def verify_dbf_equation(history: FieldHistory, s) -> float:
     scenario kinds since only data and eigenvalues enter.
     """
     grid = history.grid
-    mask = _causal_mask(grid)
+    z = grid.zero_index
     lam = history.table.eigenvalues
     if s.source_J is not None:
-        je = s.source_J.e[mask]
-        jh = s.source_J.h[mask]
+        je = s.source_J.e[z:]
+        jh = s.source_J.h[z:]
     else:
         je = jh = 0.0
-    integrand_e = -lam[None, :] * history.H[mask] - je
-    integrand_h = lam[None, :] * history.E[mask] - jh
-    r_e = history.D[mask] + _cumsimp(integrand_e, grid.dt) - s.W0.e_part.coeffs[None, :]
-    r_h = history.B[mask] + _cumsimp(integrand_h, grid.dt) - s.W0.h_part.coeffs[None, :]
-    wt = np.exp(-2.0 * s.nu * grid.times[mask])
+    integrand_e = -lam[None, :] * history.H[z:] - je
+    integrand_h = lam[None, :] * history.E[z:] - jh
+    r_e = history.D[z:] + _cumsimp(integrand_e, grid.dt) - s.W0.e_part.coeffs[None, :]
+    r_h = history.B[z:] + _cumsimp(integrand_h, grid.dt) - s.W0.h_part.coeffs[None, :]
+    wt = np.exp(-2.0 * s.nu * grid.times[z:])
     per_mode = np.sqrt(grid.dt * np.sum(wt[:, None] * (np.abs(r_e) ** 2 + np.abs(r_h) ** 2), axis=0))
     return float(np.sum(per_mode / np.sqrt(1.0 + lam**2)))
 
@@ -804,7 +802,7 @@ def solve_generalized(g: GeneralizedScenario, method: str = "auto", *, fp_tol: f
         jumped = modes[np.any(jump[modes] != 0, axis=1)]
         if len(N) > 1 and jumped.size:
             chi = np.zeros((n, len(jumped), 2), dtype=np.complex128)
-            chi[_causal_mask(grid)] = jump[jumped]
+            chi[grid.zero_index:] = jump[jumped]
             reduced[:, jumped] = reduced[:, jumped] + _apply_symbol_time(
                 MaterialSymbol(dim=2, poly_coeffs=N[1:]), chi, grid)
 

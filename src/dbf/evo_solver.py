@@ -19,8 +19,12 @@ rotation blocks (exact for jump, step, and delayed-step data), a one-step
 exponential integrator, and the Picard iteration realizing the contraction
 argument.  Each solves a stack of blocks sharing one operator, every block
 bit for bit as alone (solve_fixed_point, solve_integrator and
-solve_modal_exact are the one-block forms).  All methods store the right
-limit U(0+) at the t = 0 sample and return exact zeros for t < 0.
+solve_modal_exact are the one-block forms).
+
+The solve window is the rows from TimeGrid.zero_index, the first sample at
+t >= 0: every time-domain helper computes those rows only and leaves the
+rows before it exactly zero, whatever its input holds there.  All methods
+store the right limit U(0+) at the t = 0 sample.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .weighted_time import (
+    ZERO_TIME_TOL,
     MaterialSymbol,
     NuTooSmall,
     TimeGrid,
@@ -41,7 +46,6 @@ from .weighted_time import (
 
 HERMITICITY_TOL = 1e-12
 SOURCE_CAUSALITY_TOL = 1e-14
-ZERO_TIME_TOL = 1e-9
 DEFAULT_FP_TOL = 1e-10
 DEFAULT_MAX_ITER = 64
 
@@ -133,8 +137,7 @@ class AbstractIVP:
         if self.source.channels != self.dim:
             raise ValueError(f"source channels {self.source.channels} != dim {self.dim}")
         self.W0 = np.asarray(self.W0, dtype=np.complex128).reshape(self.dim)
-        pre = self.source.grid.times < -ZERO_TIME_TOL
-        if np.any(np.abs(self.source.samples[pre]) > SOURCE_CAUSALITY_TOL):
+        if np.any(np.abs(self.source.samples[:self.source.grid.zero_index]) > SOURCE_CAUSALITY_TOL):
             raise ValueError("source must vanish on t < 0")
 
 
@@ -159,46 +162,19 @@ def _solution(obj) -> WeightedSignal:
     raise TypeError(f"expected SolveReport or WeightedSignal, got {type(obj)!r}")
 
 
-def _causal_mask(grid: TimeGrid) -> np.ndarray:
-    return grid.times >= -ZERO_TIME_TOL
-
-
 def _right_limit(arr: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Value at t = 0+ by linear extrapolation through the first two t >= 0 rows.
 
     On zero-aligned grids this is the stored t = 0 row; a grid with a single
     sample at t >= 0 returns that sample.
     """
-    idx = np.nonzero(_causal_mask(grid))[0]
-    if idx.size == 0:
+    i0 = grid.zero_index
+    if i0 == grid.n_samples:
         raise ValueError("grid has no samples at t >= 0")
-    if idx.size == 1:
-        return arr[idx[0]]
-    i0, i1 = int(idx[0]), int(idx[1])
-    t0, t1 = grid.times[i0], grid.times[i1]
-    return arr[i0] + (arr[i1] - arr[i0]) * ((0.0 - t0) / (t1 - t0))
-
-
-def _causal_cumtrapz(values: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Running trapezoid antiderivative that respects the jump at t = 0.
-
-    The t = 0 sample stores a right limit, so the cell ending at 0 must not
-    see it: integration restarts at the t = 0 node and the negative-time
-    accumulation is carried across with a flat continuation.  For inputs that
-    vanish on t < 0 the crossing contributes exactly zero instead of the
-    dt/2 * jump smear of a plain cumulative trapezoid.
-    """
-    mask = _causal_mask(grid)
-    out = np.zeros_like(values)
-    carry = np.zeros(values.shape[1:], dtype=values.dtype)
-    n_neg = int(np.count_nonzero(~mask))
-    if n_neg:
-        pre = running_trapezoid(values[:n_neg], grid.dt)
-        out[:n_neg] = pre
-        carry = pre[-1] + grid.dt * values[n_neg - 1]
-    if n_neg < values.shape[0]:
-        out[n_neg:] = carry + running_trapezoid(values[n_neg:], grid.dt)
-    return out
+    if i0 == grid.n_samples - 1:
+        return arr[i0]
+    t0, t1 = grid.times[i0:i0 + 2]
+    return arr[i0] + (arr[i0 + 1] - arr[i0]) * ((0.0 - t0) / (t1 - t0))
 
 
 def _rows_at(x: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -211,24 +187,29 @@ def causal_resolvent(A_prime: np.ndarray, samples: np.ndarray, grid: TimeGrid) -
     """Apply (d/dt + A')^-1 as the causal convolution with exp(-t A').
 
     Diagonalizes the skew A' and integrates each channel by the cumulative
-    trapezoid from the window start, so outputs vanish identically before
-    the support of the input.  samples is (n, d) or B stacked blocks (n, B, d).
+    trapezoid from the t = 0 row; the rows before it are exactly zero and
+    their input is never read.  samples is (n, d) or B stacked blocks (n, B, d).
     """
     theta, W = np.linalg.eigh(1j * np.asarray(A_prime, dtype=np.complex128))  # A' = W diag(-i theta) W*
-    phase = np.exp(-1j * np.outer(grid.times, theta))[:, None, :]
-    g = _rows_at(samples.reshape(len(phase), -1, len(theta)), np.conj(W))
-    integ = _causal_cumtrapz(phase * g, grid)
-    return _rows_at(np.conj(phase) * integ, W.T).reshape(samples.shape)
+    z = grid.zero_index
+    phase = np.exp(-1j * np.outer(grid.times[z:], theta))[:, None, :]
+    g = _rows_at(samples[z:].reshape(len(phase), -1, len(theta)), np.conj(W))
+    # The t = 0 row stores the right limit U(0+), so the cell ending at 0 must
+    # not see it: the running integral restarts at that row.
+    integ = running_trapezoid(phase * g, grid.dt)
+    out = np.zeros_like(samples, dtype=np.complex128)
+    out[z:] = _rows_at(np.conj(phase) * integ, W.T).reshape(out[z:].shape)
+    return out
 
 
 def _jump_response(A_prime: np.ndarray, inv_sqrt: np.ndarray, w0: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Samples (n, B, d) of chi_{t>=0} exp(-t A') sqrt(M0)^-1 w0_b for the rows of w0, zero before 0."""
     theta, W = np.linalg.eigh(1j * np.asarray(A_prime, dtype=np.complex128))
-    mask = _causal_mask(grid)
+    z = grid.zero_index
     # One matrix-vector product per block: a stacked product changes the last bits.
     coeff = np.array([W.conj().T @ (inv_sqrt @ v) for v in np.asarray(w0, dtype=np.complex128)])
     out = np.zeros((grid.n_samples,) + coeff.shape, dtype=np.complex128)
-    out[mask] = _rows_at(np.exp(1j * np.outer(grid.times[mask], theta))[:, None, :] * coeff, W.T)
+    out[z:] = _rows_at(np.exp(1j * np.outer(grid.times[z:], theta))[:, None, :] * coeff, W.T)
     return out
 
 
@@ -247,16 +228,19 @@ def semigroup_apply(M0: np.ndarray, A: np.ndarray, w0: np.ndarray, grid: TimeGri
 def _apply_symbol_time(sym: MaterialSymbol, samples: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Time-domain action of a symbol: iterated causal integrals plus shifts.
 
-    Exactly causal by construction.  Delay offsets must be grid-aligned.
-    samples is (n, d) or B stacked blocks (n, B, d).
+    The polynomial part reads and writes only the rows from the t = 0 row
+    on, so it is exactly causal and the rows before stay zero.  Delay
+    offsets must be grid-aligned.  samples is (n, d) or B stacked blocks
+    (n, B, d).
     """
-    out = np.zeros_like(samples)
-    if sym.poly_coeffs:
-        power = samples
-        for j, C in enumerate(sym.poly_coeffs):
-            if j > 0:
-                power = _causal_cumtrapz(power, grid)
-            out = out + _rows_at(power, np.asarray(C, dtype=np.complex128).T)
+    out = np.zeros(samples.shape, dtype=np.complex128)
+    z = grid.zero_index
+    power = samples[z:]
+    for j, C in enumerate(sym.poly_coeffs):
+        if j > 0:
+            # The running integral restarts at the t = 0 row, which stores the right limit.
+            power = running_trapezoid(power, grid.dt)
+        out[z:] += _rows_at(power, np.asarray(C, dtype=np.complex128).T)
     for h, C in sym.delays:
         steps = -h / grid.dt
         m = int(round(steps))
@@ -280,12 +264,11 @@ def weak_residual(p: AbstractIVP, u: WeightedSignal) -> tuple[WeightedSignal, fl
     returned norm is the weighted L2 norm of R.
     """
     grid = u.grid
-    mask = _causal_mask(grid)
-    integrand = _apply_symbol_time(p.M1, u.samples, grid) + u.samples @ p.A.T - p.source.samples
-    sub = integrand[mask]
-    cum = _cumsimp(sub, grid.dt)
+    z = grid.zero_index
+    sol = u.samples[z:]
+    integrand = _apply_symbol_time(p.M1, u.samples, grid)[z:] + sol @ p.A.T - p.source.samples[z:]
     r = np.zeros_like(u.samples)
-    r[mask] = u.samples[mask] @ p.M0.T + cum - p.W0[None, :]
+    r[z:] = sol @ p.M0.T + _cumsimp(integrand, grid.dt) - p.W0[None, :]
     r_sig = WeightedSignal(grid, u.nu, r)
     return r_sig, weighted_norm(r_sig, 0)
 
@@ -414,11 +397,11 @@ def rotation_closed_form(eps: float, mu: float, c: np.ndarray, w0: np.ndarray, g
     """
     c = np.asarray(c, dtype=float)
     omega = c / np.sqrt(eps * mu)
-    mask = _causal_mask(grid)
-    tau = grid.times[mask]
+    z = grid.zero_index
+    tau = grid.times[z:]
     tau = np.where(np.abs(tau) < ZERO_TIME_TOL, 0.0, tau)[:, None]
     ue, uh = _rotate(eps, mu, c, omega, tau, w0[:, 0] / eps, w0[:, 1] / mu)
-    idx, (se, sh) = source[0], np.moveaxis(source[1][mask], -1, 0)
+    idx, (se, sh) = source[0], np.moveaxis(source[1][z:], -1, 0)
     first = np.argmax((se != 0) | (sh != 0), axis=0)
     ae, ah = se[first, np.arange(len(idx))], sh[first, np.arange(len(idx))]
     before = np.arange(len(tau))[:, None] < first
@@ -450,7 +433,7 @@ def rotation_closed_form(eps: float, mu: float, c: np.ndarray, w0: np.ndarray, g
     ue += 0.0
     uh += 0.0
     ue[:, idx], uh[:, idx] = pe, ph
-    pad = np.zeros((grid.n_samples - len(tau), len(c)))
+    pad = np.zeros((z, len(c)))
     return np.concatenate([pad, ue]), np.concatenate([pad, uh])
 
 
@@ -478,17 +461,17 @@ def solve_integrator_blocks(M0: np.ndarray, M1: MaterialSymbol, A: np.ndarray, s
     C = np.asarray(M1.poly_coeffs[0] if M1.poly_coeffs else np.zeros((M1.dim, M1.dim)), dtype=np.complex128)
     _, inv, _ = _check_hermitian_posdef(M0)
     E = expm(-grid.dt * (inv @ (C + _check_skew(A, M1.dim))))
-    idx = np.nonzero(_causal_mask(grid))[0]
+    z = grid.zero_index
     f = _rows_at(source, inv.T)
     out = np.zeros_like(f)
     half_dt = 0.5 * grid.dt
     # Steps one block at a time: a stacked product with E changes the last bits.
     for b, w in enumerate(np.asarray(w0, dtype=np.complex128)):
         u = inv @ w
-        out[idx[0], b] = u
-        for i0, i1 in zip(idx[:-1], idx[1:]):
-            u = E @ u + half_dt * (E @ f[i0, b] + f[i1, b])
-            out[i1, b] = u
+        out[z, b] = u
+        for i in range(z + 1, grid.n_samples):
+            u = E @ u + half_dt * (E @ f[i - 1, b] + f[i, b])
+            out[i, b] = u
     return out
 
 
@@ -505,7 +488,7 @@ def verify_initial_value(report, M0: np.ndarray, W0: np.ndarray) -> float:
     this reproduces the stored right limit exactly.
     """
     u = _solution(report)
-    if np.count_nonzero(_causal_mask(u.grid)) < 2:
+    if u.grid.n_samples - u.grid.zero_index < 2:
         raise ValueError("need at least two samples at t >= 0")
     _, inv, _ = _check_hermitian_posdef(M0)
     target = inv @ np.asarray(W0, dtype=np.complex128)
@@ -525,14 +508,11 @@ def verify_regularity_ode(report, M0: np.ndarray, W0: np.ndarray, A: np.ndarray 
     _, inv, _ = _check_hermitian_posdef(M0)
     target = inv @ np.asarray(W0, dtype=np.complex128)
     jump = np.zeros_like(u.samples)
-    jump[_causal_mask(u.grid)] = target[None, :]
+    jump[u.grid.zero_index:] = target[None, :]
     return weighted_norm(u.with_samples(u.samples - jump), 1)
 
 
 def verify_causality(report) -> float:
     """Sup of |U| over t < 0; exact zero for the direct methods."""
     u = _solution(report)
-    pre = u.grid.times < -ZERO_TIME_TOL
-    if not np.any(pre):
-        return 0.0
-    return float(np.max(np.abs(u.samples[pre])))
+    return float(np.max(np.abs(u.samples[:u.grid.zero_index]), initial=0.0))

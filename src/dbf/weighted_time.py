@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 NU_INDEP_TOL = 1e-6
+ZERO_TIME_TOL = 1e-9
 SUPPORTED_NORM_ORDERS = (-2, -1, 0, 1, 2)
 
 
@@ -94,6 +96,16 @@ class TimeGrid:
     def frequencies(self) -> np.ndarray:
         """Angular frequencies xi_m of the discrete transform, fftfreq order."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n_samples, self.dt)
+
+    @cached_property
+    def zero_index(self) -> int:
+        """Index of the first sample at t >= 0 (within ZERO_TIME_TOL); n_samples if none.
+
+        Causal data vanish before this row and every time-domain solver
+        leaves the rows before it exactly zero.  Computed once per grid; not
+        a field, so equality and hashing ignore it.
+        """
+        return int(np.count_nonzero(self.times < -ZERO_TIME_TOL))
 
     def index_at(self, t: float, *, tol: float = 1e-9) -> int:
         """Grid index of time t; t must be grid-aligned within tol."""

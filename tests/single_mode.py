@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from dbf.dbf_model import _merged_coeff_list, _neumann_coefficients, assemble_reduced_ivp
-from dbf.evo_solver import J2, AbstractIVP, _apply_symbol_time, _causal_mask
+from dbf.evo_solver import J2, AbstractIVP, _apply_symbol_time
 from dbf.weighted_time import MaterialSymbol, WeightedSignal
 
 
@@ -56,7 +56,7 @@ def generalized_block(g, i: int) -> AbstractIVP:
             samples = samples + _apply_symbol_time(MaterialSymbol(dim=2, poly_coeffs=N), jvec, grid)
     if len(N) > 1 and np.any(w0):
         chi = np.zeros((grid.n_samples, 2), dtype=np.complex128)
-        chi[_causal_mask(grid)] = w0
+        chi[grid.zero_index:] = w0
         samples = samples + _apply_symbol_time(MaterialSymbol(dim=2, poly_coeffs=N[1:]), chi, grid)
     return AbstractIVP(dim=2, M0=g.Mstar0, M1=MaterialSymbol(dim=2, poly_coeffs=m1) if m1 else MaterialSymbol.zero(2),
                        A=np.zeros((2, 2)), source=WeightedSignal(grid, g.nu, samples), W0=N[0] @ w0)
