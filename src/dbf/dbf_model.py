@@ -59,6 +59,7 @@ from .evo_solver import (
     rotation_closed_form,
     solve_fixed_point_blocks,
     solve_integrator_blocks,
+    solve_march_blocks,
 )
 from .weighted_time import MaterialSymbol, NuTooSmall, TimeGrid
 
@@ -420,9 +421,12 @@ def _solve_blocks(method: str, grid: TimeGrid, nu: float, M0: np.ndarray, groups
     Each group (blocks, M1) shares M0, M1 and A = 0.  One rotation_closed_form
     call solves the blocks flagged closed and, under "auto" and "exact",
     every rotation block; "exact" raises WrongCase on any other.  Each other
-    group makes one Picard or integrator call.  The failure raised is that of
-    the first failing block, as in a block-by-block solve.  Returns (fields
-    (d, n, n_blocks), Picard iterations, contraction estimate).
+    group makes one call: a causal march under "auto" (the exact limit of
+    the Picard iteration, so "auto" never iterates), and the Picard
+    iteration or the integrator under "fixed_point" or "integrator".  The
+    failure raised is that of the first failing block, as in a
+    block-by-block solve.  Returns (fields (d, n, n_blocks), Picard
+    iterations, contraction estimate); both are 0 unless Picard ran.
     """
     (n_blocks, d), n = w0.shape, grid.n_samples
     A, row, c = np.zeros((d, d)), np.full(n_blocks, -1), np.zeros(n_blocks)
@@ -449,6 +453,8 @@ def _solve_blocks(method: str, grid: TimeGrid, nu: float, M0: np.ndarray, groups
                 raise rotation
             if method == "integrator":
                 sol = solve_integrator_blocks(M0, M1, A, f, w0[cols], grid)
+            elif method == "auto":
+                sol = solve_march_blocks(M0, M1, f, w0[cols], grid)
             else:
                 sol, iters, cest, _ = solve_fixed_point_blocks(M0, M1, A, f, w0[cols], grid, nu, max_iter, fp_tol)
                 iterations, contraction = max(iterations, int(iters.max())), max(contraction, cest)
@@ -758,15 +764,17 @@ def solve_generalized(g: GeneralizedScenario, method: str = "auto", *, fp_tol: f
     The reduction is per eigenvalue: the truncated inverse N of
     kappa(z) + lambda shapes one 2x2 operator shared by every mode with that
     lambda, and turns the data into N(Dinv) j + R(Dinv) (chi W0) and N(0) W0
-    for all of them at once.  Each group of modes is solved in one call: by
-    the closed form when the coupling degenerates to a real rotation
-    (method "auto" tries it first) and by the fixed-point solver otherwise.
-    A nonzero k_cross couples the three modes of each wavevector (the const
-    modes form the k = 0 block), so each wavevector is then one 6x6 block
-    with its own operator.  Blocks without data are skipped and the
-    contraction test applies per group.  The flux pair follows by applying
-    the product symbol (kappa(z) + lambda) Mstar(z) in the time domain,
-    which reproduces W0 exactly at t = 0+.
+    for all of them at once.  Each group of modes is solved in one call.
+    Method "auto" uses the closed form when the coupling degenerates to a
+    real rotation and otherwise marches the discrete system in one causal
+    pass, which gives the limit of the Picard iteration without iterating,
+    so it needs no contraction and never raises NotContractive; explicit
+    "fixed_point" is that Picard iteration, with the contraction test per
+    group.  A nonzero k_cross couples the three modes of each wavevector
+    (the const modes form the k = 0 block), so each wavevector is then one
+    6x6 block with its own operator.  Blocks without data are skipped.  The
+    flux pair follows by applying the product symbol (kappa(z) + lambda)
+    Mstar(z) in the time domain, which reproduces W0 exactly at t = 0+.
     """
     if method not in GENERALIZED_METHODS:
         raise ValueError(f"method must be one of {GENERALIZED_METHODS}, got {method!r}")

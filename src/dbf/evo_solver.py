@@ -14,12 +14,16 @@ part it gives the jump  chi_{t>=0} exp(-t A') sqrt(M0)^-1 W0, and its gain
 on the weighted space with weight nu is 1/nu, which makes the fixed-point
 map a contraction once nu exceeds the symbol bound of M1' .
 
-Three fidelity levels are provided: a closed form for stacked 2x2
-rotation blocks (exact for jump, step, and delayed-step data), a one-step
-exponential integrator, and the Picard iteration realizing the contraction
-argument.  Each solves a stack of blocks sharing one operator, every block
-bit for bit as alone (solve_fixed_point, solve_integrator and
-solve_modal_exact are the one-block forms).
+Four solvers are provided: a closed form for stacked 2x2 rotation blocks
+(exact for jump, step, and delayed-step data), a one-step exponential
+integrator, the Picard iteration realizing the contraction argument, and a
+causal march.  With A = 0 and M1 a polynomial in the causal trapezoid
+integral, the discrete Picard fixed point solves a lower-triangular system
+in time; the march computes it in one forward pass, with no contraction,
+weight condition or stop tolerance.  Each solves a stack of blocks sharing
+one operator, every block bit for bit as alone (solve_fixed_point,
+solve_integrator and solve_modal_exact are the one-block forms; the march
+takes B = 1).
 
 The solve window is the rows from TimeGrid.zero_index, the first sample at
 t >= 0: every time-domain helper computes those rows only and leaves the
@@ -335,6 +339,49 @@ def solve_fixed_point(p: AbstractIVP, nu: float, max_iter: int = DEFAULT_MAX_ITE
     u = WeightedSignal(p.source.grid, nu, samples[:, 0])
     return SolveReport(u, int(iterations[0]), weak_residual(p, u)[1], estimate, nu,
                        verify_initial_value(u, p.M0, p.W0), ratios[0])
+
+
+def solve_march_blocks(M0: np.ndarray, M1: MaterialSymbol, source: np.ndarray, w0: np.ndarray,
+                       grid: TimeGrid) -> np.ndarray:
+    """Limit of the Picard iteration of B blocks sharing (M0, M1) with A = 0, in one forward pass.
+
+    With A = 0 and M1' = sum_j C'_j T^j a polynomial in the running trapezoid
+    integral T, the fixed point of solve_fixed_point_blocks solves the
+    lower-triangular system v = v0 - T(sum_j C'_j T^j v) with
+    v0 = sqrt(M0)^-1 (w0 + T J).  The states x = (v, T v, ..., T^{p+1} v)
+    obey one trapezoid step L x_{k+1} = R x_k + E v0_{k+1}, solved once for
+    P = L^-1 R and Q = L^-1 E; the blocks then march as columns from
+    x = (v0, 0, ..., 0) at the t = 0 row, where T restarts.  This needs no
+    weight nu, no contraction and no stop tolerance.  source is (n, B, d)
+    and w0 (B, d); returns (n, B, d), exactly zero before t = 0.
+    """
+    if M1.delays:
+        raise WrongCase("marching needs a polynomial symbol M1")
+    inv_sqrt, _, _ = _check_hermitian_posdef(M0)
+    d, z, n_blocks = M1.dim, grid.zero_index, len(w0)
+    coeffs = [inv_sqrt @ np.asarray(C, dtype=np.complex128) @ inv_sqrt for C in M1.poly_coeffs]
+    stages = len(coeffs) + 1  # v, T v, ..., T^{p+1} v
+    width = d * stages
+    # Row 0 of the step: v + sum_j C'_j T^{j+1} v = v0.  Row j: T^j v - dt/2 T^{j-1} v
+    # equals the previous T^j v plus dt/2 times the previous T^{j-1} v.
+    half = np.eye(stages, k=-1) * (0.5 * grid.dt)
+    L = np.kron(np.eye(stages) - half, np.eye(d)).astype(np.complex128)
+    if coeffs:
+        L[:d, d:] = np.hstack(coeffs)
+    R = np.kron(np.eye(stages) + half, np.eye(d))
+    R[:d] = 0.0
+    step = np.linalg.solve(L, np.hstack([R, np.eye(width, d)])).T  # x_{k+1} = (x_k, v0_{k+1}) @ step
+    v0 = _rows_at(w0 + running_trapezoid(source[z:], grid.dt), inv_sqrt.T)
+    # Row k holds (x_k, v0_{k+1}) for every block, padded to two blocks at least: a one-row
+    # product takes another BLAS path, whose last bits differ.
+    xs = np.zeros((len(v0), max(n_blocks, 2), width + d), dtype=np.complex128)
+    xs[:1, :n_blocks, :d] = v0[:1]
+    xs[:-1, :n_blocks, width:] = v0[1:]
+    for k in range(1, len(xs)):
+        np.matmul(xs[k - 1], step, out=xs[k, :, :width])
+    out = np.zeros((grid.n_samples, n_blocks, d), dtype=np.complex128)
+    out[z:] = _rows_at(xs[:, :n_blocks, :d], inv_sqrt.T)
+    return out
 
 
 def _rotation_constant(M0: np.ndarray, M1: MaterialSymbol, A: np.ndarray) -> tuple[float, float, float]:

@@ -11,7 +11,7 @@ import single_mode
 from dbf import dbf_model, evo_solver
 from dbf.curl_spectral import FieldPair, SpectralField
 from dbf.dbf_model import DBFScenario, GeneralizedScenario, PairSeries, solve_dbf, solve_generalized
-from dbf.evo_solver import NoConvergence, NotContractive, solve_fixed_point, solve_modal_exact
+from dbf.evo_solver import NoConvergence, NotContractive, solve_fixed_point, solve_march_blocks, solve_modal_exact
 from dbf.weighted_time import MaterialSymbol, TimeGrid
 
 MEMORY = dict(kappa0=np.diag([2.5, 2.5]), kappa1=MaterialSymbol(dim=2, poly_coeffs=[np.diag([0.4, 0.4])]),
@@ -59,28 +59,39 @@ class TestColumnsMatchSoloBlocks:
         assert len({solo_iterations[i] for i in same_lambda}) > 1, "the scaled mode should stop earlier"
         assert history.diagnostics["iterations"] == max(solo_iterations)
 
-    def test_generalized_memory_auto(self, table_k2, rng):
+    def test_generalized_memory_fixed_point(self, table_k2, rng):
         lam = table_k2.eigenvalues
         tiny = int(np.nonzero(lam == -1.0)[0][0])
         g = memory_scenario(table_k2, rng, {tiny: 1e-6})
-        history = solve_generalized(g, "auto")
+        history = solve_generalized(g, "fixed_point")
         solo_iterations = {}
+        for i in range(table_k2.n_modes):
+            report = solve_fixed_point(single_mode.generalized_block(g, i), g.nu)
+            solo_iterations[i] = report.iterations
+            assert same_bytes(history.E[:, i], report.solution.samples[:, 0])
+            assert same_bytes(history.H[:, i], report.solution.samples[:, 1])
+        group = np.nonzero(lam == -1.0)[0]
+        assert len({solo_iterations[i] for i in group}) > 1, "the scaled mode should stop earlier"
+        assert history.diagnostics["iterations"] == max(solo_iterations.values())
+
+    def test_generalized_memory_auto(self, table_k2, rng):
+        lam = table_k2.eigenvalues
+        g = memory_scenario(table_k2, rng)
+        history = solve_generalized(g, "auto")
         for i in range(table_k2.n_modes):
             ivp = single_mode.generalized_block(g, i)
             if lam[i] == 0.0:
                 solo = solve_modal_exact(ivp, g.nu).samples
             else:
-                report = solve_fixed_point(ivp, g.nu)
-                solo, solo_iterations[i] = report.solution.samples, report.iterations
+                solo = solve_march_blocks(ivp.M0, ivp.M1, ivp.source.samples[:, None], ivp.W0[None], g.grid)[:, 0]
             assert same_bytes(history.E[:, i], solo[:, 0])
             assert same_bytes(history.H[:, i], solo[:, 1])
-        group = np.nonzero(lam == -1.0)[0]
-        assert len({solo_iterations[i] for i in group}) > 1, "the scaled mode should stop earlier"
-        assert history.diagnostics["iterations"] == max(solo_iterations.values())
+        assert history.diagnostics["iterations"] == 0
+        assert history.diagnostics["contraction_estimate"] == 0.0
 
 
 def test_memory_modes_make_one_call_per_group(table_k2, rng, monkeypatch):
-    calls = {"solve_fixed_point": 0, "kernel": 0}
+    calls = {"solve_fixed_point": 0, "picard": 0, "march": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -91,14 +102,14 @@ def test_memory_modes_make_one_call_per_group(table_k2, rng, monkeypatch):
     solo = counted("solve_fixed_point", evo_solver.solve_fixed_point)
     monkeypatch.setattr(evo_solver, "solve_fixed_point", solo)
     monkeypatch.setattr(dbf_model, "solve_fixed_point", solo, raising=False)
-    kernel = getattr(evo_solver, "solve_fixed_point_blocks", None)
-    monkeypatch.setattr(dbf_model, "solve_fixed_point_blocks", counted("kernel", kernel), raising=False)
+    monkeypatch.setattr(dbf_model, "solve_fixed_point_blocks", counted("picard", evo_solver.solve_fixed_point_blocks))
+    monkeypatch.setattr(dbf_model, "solve_march_blocks", counted("march", evo_solver.solve_march_blocks))
     history = solve_generalized(memory_scenario(table_k2, rng), "auto")
-    assert history.diagnostics["iterations"] > 0
+    assert history.diagnostics["iterations"] == 0
     nonzero_lambdas = len(set(table_k2.eigenvalues[table_k2.eigenvalues != 0]))
     assert nonzero_lambdas == 8
-    assert calls["solve_fixed_point"] == 0
-    assert 0 < calls["kernel"] <= nonzero_lambdas
+    assert calls["solve_fixed_point"] == calls["picard"] == 0
+    assert calls["march"] == nonzero_lambdas
 
 
 @pytest.mark.parametrize("nu, failing, error", [(1.0, "minus", NotContractive), (1.5, "minus", NoConvergence)])

@@ -28,6 +28,31 @@ def base_doc() -> dict:
     }
 
 
+MEMORY_LAW = {"model": "generalized", "kappa0": [[2.5, 0.0], [0.0, 2.5]], "kappa1": [[[0.4, 0.0], [0.0, 0.4]]],
+              "Mstar0": [[1.0, 0.0], [0.0, 0.5]]}
+
+
+def memory_auto_doc() -> dict:
+    """K = 2 memory law on the memory benchmark grid, with jumps on eight modes of four eigenvalues."""
+    modes = [[[1, 0, 0], "plus"], [[1, 0, 0], "minus"], [[1, 1, 0], "plus"], [[0, 1, -1], "minus"],
+             [[1, 1, 1], "plus"], [[-1, 1, 1], "minus"], [[2, 0, 0], "plus"], [[0, 0, 2], "minus"]]
+    w0 = [[k, hel, [0.3 + 0.1 * i, -0.2], [0.1, 0.5 - 0.07 * i]] for i, (k, hel) in enumerate(modes)]
+    return {"domain": {"K": 2}, "material": MEMORY_LAW,
+            "time": {"t_start": -0.05, "dt": 0.0005, "n": 512, "pad_fraction": 0.25, "nu": 9.0},
+            "data": {"W0": w0}, "method": "auto"}
+
+
+def cross_auto_doc() -> dict:
+    """K = 1 memory law with k_cross and a jump on every mode: seven 6x6 wavevector blocks."""
+    ks = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
+    modes = [[k, hel] for k in ks for hel in ("plus", "minus", "grad")]
+    w0 = [[k, hel, [0.5 * (-1) ** i, 0.1 * (i % 5)], [0.05 * i - 0.4, 0.3]] for i, (k, hel) in enumerate(modes)]
+    w0 += [[[0, 0, 0], "const", [0.4, 0.0], [0.0, 0.3], c] for c in range(3)]
+    return {"domain": {"K": 1}, "material": dict(MEMORY_LAW, k_cross=[0.3, 0.1, 0.2]),
+            "time": {"t_start": -0.1, "dt": 0.001, "n": 512, "pad_fraction": 0.25, "nu": 3.0},
+            "data": {"W0": w0}, "method": "auto"}
+
+
 def write_doc(tmp_path, doc, name="scenario.json") -> str:
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -333,6 +358,24 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "uniqueness_energy" in out
         assert "linearity" not in out
+
+    @pytest.mark.parametrize("make_doc", [memory_auto_doc, cross_auto_doc])
+    def test_auto_memory_law_passes_linearity(self, tmp_path, capsys, make_doc):
+        # A Picard solve stopped at fp_tol does not double exactly with its data
+        # (about 3e-10 on both documents); auto solves the discrete system
+        # exactly, so the default linearity_tol of 1e-12 holds.
+        assert cli.cmd_verify(write_doc(tmp_path, make_doc())) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert "all checks passed" in out
+        line = next(row for row in out.splitlines() if row.startswith("linearity"))
+        assert line.split()[2] == "1.0000e-12"
+
+    def test_auto_causality_tolerance_is_not_widened(self, tmp_path, capsys):
+        doc = memory_auto_doc()
+        doc["tolerances"] = {"caus_tol": 1e-10, "fp_tol": 1e-6}
+        assert cli.cmd_verify(write_doc(tmp_path, doc)) == cli.EXIT_OK
+        line = next(row for row in capsys.readouterr().out.splitlines() if row.startswith("causality"))
+        assert line.split()[1:] == ["0.0000e+00", "1.0000e-10", "PASS"]
 
     def test_unsolvable_scenario_fails(self, tmp_path, capsys):
         doc = base_doc()

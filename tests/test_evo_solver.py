@@ -6,6 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from dbf import dbf_model
+from dbf.curl_spectral import FieldPair, SpectralField
+from dbf.dbf_model import GeneralizedScenario, solve_generalized
 from dbf.evo_solver import (
     AbstractIVP,
     NoConvergence,
@@ -13,7 +16,9 @@ from dbf.evo_solver import (
     WrongCase,
     semigroup_apply,
     solve_fixed_point,
+    solve_fixed_point_blocks,
     solve_integrator,
+    solve_march_blocks,
     solve_modal_exact,
     verify_causality,
     verify_initial_value,
@@ -21,6 +26,7 @@ from dbf.evo_solver import (
     weak_residual,
 )
 from dbf.weighted_time import MaterialSymbol, TimeGrid, WeightedSignal, weighted_norm
+from test_solve_window import _assert_window_only, _clean_and_poisoned
 
 NU = 2.0
 # Solvers work in the time domain (no circular transforms), so the only grid
@@ -198,6 +204,91 @@ class TestFixedPoint:
         report = solve_fixed_point(p, NU)
         assert np.all(report.solution.samples == 0)
         assert report.final_residual == 0.0
+
+
+MEMORY_LAW = dict(kappa0=np.diag([2.5, 2.5]), kappa1=MaterialSymbol(dim=2, poly_coeffs=[np.diag([0.4, 0.4])]),
+                  Mstar0=np.diag([1.0, 0.5]))
+MEMORY_GRID = TimeGrid(t_start=-0.05, dt=0.0005, n_samples=512, pad_fraction=0.25)
+
+
+def memory_law_scenario(table, nu, grid=MEMORY_GRID, **extra) -> GeneralizedScenario:
+    """The memory law with a seeded random jump on every mode."""
+    rng = np.random.default_rng(11)
+    e, h = (rng.standard_normal(table.n_modes) + 1j * rng.standard_normal(table.n_modes) for _ in range(2))
+    return GeneralizedScenario(nu=nu, K=table.K, grid=grid, W0=FieldPair(SpectralField(table, e), SpectralField(table, h)),
+                               **MEMORY_LAW, **extra)
+
+
+def random_group(rng, dim, n_coeffs, n_blocks, grid):
+    """A random selfadjoint M0, polynomial M1 and causal data for n_blocks blocks."""
+    X = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    M0 = X @ X.conj().T + dim * np.eye(dim)
+    M1 = MaterialSymbol(dim=dim, poly_coeffs=[rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                                              for _ in range(n_coeffs)])
+    source = rng.standard_normal((grid.n_samples, n_blocks, dim)) + 1j * rng.standard_normal((grid.n_samples, n_blocks, dim))
+    source[:grid.zero_index] = 0.0
+    return M0, M1, source, rng.standard_normal((n_blocks, dim)) + 1j * rng.standard_normal((n_blocks, dim))
+
+
+class TestMarch:
+    @pytest.mark.parametrize("k_cross", [None, [0.3, 0.1, 0.2]], ids=["memory_2x2", "k_cross_6x6"])
+    def test_matches_picard_limit(self, table_k1, monkeypatch, k_cross):
+        # The march solves the system whose fixed point Picard approaches, so at
+        # a Picard tolerance of 1e-13 only the Picard stop error separates them.
+        grid = TimeGrid(t_start=-0.1, dt=0.001, n_samples=512, pad_fraction=0.25)
+        g = memory_law_scenario(table_k1, 3.0, grid, k_cross=k_cross)
+        groups = []
+
+        def record(*args):
+            groups.append(args)
+            return solve_march_blocks(*args)
+
+        monkeypatch.setattr(dbf_model, "solve_march_blocks", record)
+        solve_generalized(g, "auto")
+        assert {args[1].dim for args in groups} == {2 if k_cross is None else 6}
+        for M0, M1, source, w0, _ in groups:
+            marched = solve_march_blocks(M0, M1, source, w0, grid)
+            picard = solve_fixed_point_blocks(M0, M1, np.zeros_like(M0), source, w0, grid, g.nu, tol=1e-13)[0]
+            assert np.max(np.abs(marched - picard)) <= 1e-12 * np.max(np.abs(picard))
+
+    @pytest.mark.parametrize("dim, n_coeffs", [(2, 3), (6, 2), (2, 0)])
+    def test_stacked_columns_match_one_block_calls(self, rng, dim, n_coeffs):
+        M0, M1, source, w0 = random_group(rng, dim, n_coeffs, 5, MEMORY_GRID)
+        stacked = solve_march_blocks(M0, M1, source, w0, MEMORY_GRID)
+        for b in range(5):
+            alone = solve_march_blocks(M0, M1, source[:, b:b + 1], w0[b:b + 1], MEMORY_GRID)
+            assert alone.tobytes() == np.ascontiguousarray(stacked[:, b:b + 1]).tobytes()
+
+    def test_never_reads_rows_before_zero(self, rng):
+        grid = TimeGrid(t_start=-0.25, dt=0.05, n_samples=40)
+        M0, M1, _, w0 = random_group(rng, 2, 3, 3, grid)
+        clean, poisoned = _clean_and_poisoned(rng, grid, (grid.n_samples, 3, 2))
+        _assert_window_only(solve_march_blocks(M0, M1, clean, w0, grid),
+                            solve_march_blocks(M0, M1, poisoned, w0, grid), grid)
+
+    def test_scalar_step_response(self):
+        alpha = 0.5
+        M1 = MaterialSymbol(dim=1, poly_coeffs=[np.array([[alpha]])])
+        source = step_source(FP_GRID, [1.0]).samples[:, None]
+        u = solve_march_blocks(np.eye(1), M1, source, np.zeros((1, 1)), FP_GRID)[:, 0, 0]
+        mask = FP_GRID.times >= -1e-9
+        assert np.max(np.abs(u[mask] - oracles.scalar_step_response(alpha, FP_GRID.times[mask]))) < 1e-6
+
+    def test_rejects_delays(self):
+        M1 = MaterialSymbol.delay(-0.1, np.eye(2), dim=2)
+        with pytest.raises(WrongCase):
+            solve_march_blocks(np.eye(2), M1, np.zeros((EXACT_GRID.n_samples, 1, 2)), np.ones((1, 2)), EXACT_GRID)
+
+    def test_auto_solves_where_picard_is_not_contractive(self, table_k2):
+        # At nu = 3 the lambda = -2 group's contraction estimate is 1.5, so Picard
+        # cannot start; the march does not use nu, and the nu = 8 solve agrees.
+        g3 = memory_law_scenario(table_k2, 3.0)
+        with pytest.raises(NotContractive):
+            solve_generalized(g3, "fixed_point")
+        h3 = solve_generalized(g3, "auto")
+        h8 = solve_generalized(memory_law_scenario(table_k2, 8.0), "auto")
+        for a, b in ((h3.E, h8.E), (h3.H, h8.H), (h3.D, h8.D), (h3.B, h8.B)):
+            assert np.max(np.abs(a - b)) <= 1e-8 * np.max(np.abs(b))
 
 
 class TestModalExact:
