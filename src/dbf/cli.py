@@ -1,10 +1,12 @@
 """Batch front end: scenario files in, CSV series and JSON diagnostics out.
 
 Scenario files are JSON documents with fixed sections (domain, material,
-time, data, method, tolerances); unknown keys and non-finite numbers are
-rejected.  A run writes one CSV time series with 17 significant digit floats
-and one JSON diagnostics document with sorted keys, so identical scenarios
-produce byte identical outputs.  Every subcommand maps failures to exit
+time, data, method, tolerances); unknown keys and numbers that are not
+finite floats are rejected.  SCENARIO_SCHEMA is the one definition of the
+format: a JSON Schema (draft 2020-12) that a small built-in checker
+interprets, so no schema library is loaded.  A run writes one CSV time
+series with 17 significant digit floats and one JSON diagnostics document
+with sorted keys, so identical scenarios produce byte identical outputs.  Every subcommand maps failures to exit
 codes through EXIT_TABLE: 1 invalid scenario or arguments, 2 data outside
 the solvable range, 3 spectral hypothesis failure, 4 solver
 non-convergence or a non-finite solution; verify also exits 1 when a check
@@ -17,11 +19,11 @@ import argparse
 import dataclasses
 import json
 import math
+import operator
 import os
 import sys
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from .curl_spectral import FieldPair, Mode, ModeTable, SpectralField, build_basis
 from .dbf_model import (
@@ -154,7 +156,47 @@ SCENARIO_SCHEMA = {
     "additionalProperties": False,
 }
 
-_VALIDATOR = Draft202012Validator(SCENARIO_SCHEMA)
+
+# The Python types json.load makes for each schema type; bool is its own type, so never a number.
+_TYPES = {"object": (dict,), "array": (list,), "number": (int, float), "integer": (int, float)}
+_BOUNDS = {"minimum": operator.ge, "maximum": operator.le, "exclusiveMinimum": operator.gt, "exclusiveMaximum": operator.lt}
+
+
+def _violation(node, schema: dict, path: tuple = ()) -> tuple | None:
+    """(path, message) of the first violation of the draft 2020-12 keywords SCENARIO_SCHEMA uses, or None.
+
+    A node's own rules come before its children, object keys in sorted order
+    and array items in index order: this is the violation with the least path.
+    """
+    kind, is_dict, is_list = schema.get("type"), type(node) is dict, type(node) is list
+    if kind and not (type(node) in _TYPES[kind] and (kind != "integer" or type(node) is int or node.is_integer())):
+        return path, f"{node!r} is not of type {kind!r}"
+    if "enum" in schema and node not in schema["enum"]:
+        return path, f"{node!r} is not one of {schema['enum']!r}"
+    if "oneOf" in schema and sum(_violation(node, sub) is None for sub in schema["oneOf"]) != 1:
+        return path, f"{node!r} does not match exactly one of the oneOf schemas"
+    props = schema.get("properties", {})
+    if is_dict and (missing := [key for key in schema.get("required", ()) if key not in node]):
+        return path, f"{missing[0]!r} is a required property"
+    if is_dict and schema.get("additionalProperties") is False and node.keys() - props.keys():
+        return path, f"unexpected properties {sorted(node.keys() - props.keys())}"
+    most = len(schema.get("prefixItems", ())) if schema.get("items") is False else math.inf
+    if is_list and not schema.get("minItems", 0) <= len(node) <= min(schema.get("maxItems", math.inf), most):
+        return path, f"{node!r} has {len(node)} items, outside the allowed count"
+    for key, holds in _BOUNDS.items():
+        if key in schema and type(node) in _TYPES["number"] and not holds(node, schema[key]):
+            return path, f"{node!r} breaks {key} {schema[key]!r}"
+    if is_dict:
+        children = ((key, node[key], props.get(key)) for key in sorted(node))
+    elif is_list:
+        prefix = schema.get("prefixItems", ())
+        children = ((i, item, prefix[i] if i < len(prefix) else schema.get("items")) for i, item in enumerate(node))
+    else:
+        return None
+    for key, child, sub in children:
+        if type(sub) is dict and (found := _violation(child, sub, path + (key,))) is not None:
+            return found
+    return None
 
 
 class ScenarioError(ValueError):
@@ -198,6 +240,11 @@ def _finite_float(token: str) -> float:
     return value
 
 
+def _finite_int(token: str) -> int:
+    _finite_float(token)
+    return int(token)
+
+
 def _matrix2(doc) -> np.ndarray:
     return np.array([[_complex_value(x) for x in row] for row in doc], dtype=np.complex128)
 
@@ -206,14 +253,14 @@ def load_scenario_doc(path: str) -> dict:
     """Read, schema-validate, and default-fill a scenario file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
+            doc = json.load(fh, parse_float=_finite_float, parse_int=_finite_int,
+                            parse_constant=_finite_float)
         except ValueError as exc:
             raise ScenarioError(f"{path}: not valid JSON: {exc}") from exc
-    errors = sorted(_VALIDATOR.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        first = errors[0]
-        where = "/".join(str(p) for p in first.absolute_path) or "<root>"
-        raise ScenarioError(f"{path}: schema violation at {where}: {first.message}")
+    found = _violation(doc, SCENARIO_SCHEMA)
+    if found is not None:
+        where = "/".join(str(p) for p in found[0]) or "<root>"
+        raise ScenarioError(f"{path}: schema violation at {where}: {found[1]}")
     return normalize_scenario_doc(doc)
 
 
@@ -268,10 +315,10 @@ def _waveform(doc: dict, grid: TimeGrid) -> np.ndarray:
 
 def build_scenario(doc: dict):
     """Materialize a scenario object from a normalized document."""
-    K = doc["domain"]["K"]
+    K = int(doc["domain"]["K"])
     table = build_basis(K)
     time = doc["time"]
-    grid = TimeGrid(t_start=time["t_start"], dt=time["dt"], n_samples=time["n"],
+    grid = TimeGrid(t_start=time["t_start"], dt=time["dt"], n_samples=int(time["n"]),
                     pad_fraction=time["pad_fraction"])
     if grid.times[0] > ZERO_TIME_TOL or grid.times[-1] < 0.0:
         raise ScenarioError("time window must contain t = 0")
@@ -378,9 +425,12 @@ def write_run_output(history: FieldHistory, scenario, doc: dict, out_dir: str, s
     for k, arr in enumerate((history.E, history.H, history.D, history.B)):
         sub = arr[:, tracked]
         cells[:, :, k, 0], cells[:, :, k, 1] = sub.real, sub.imag
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
-        np.savetxt(fh, body, fmt="%.17g", delimiter=",")
+        # One row at a time: a whole-body string would cost tens of MB.
+        for row in body:
+            fh.write(line % tuple(row.tolist()))
     json_path = os.path.join(out_dir, f"{stem}.json")
     payload = {
         "model": doc["material"]["model"],

@@ -95,23 +95,10 @@ def _frame(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if norm > 1e-12:
             e1 = proj / norm
             break
-    e2 = np.cross(khat, e1)
+    # khat x e1 written out: the same products and differences as np.cross, without its overhead.
+    e2 = np.array([khat[1] * e1[2] - khat[2] * e1[1], khat[2] * e1[0] - khat[0] * e1[2],
+                   khat[0] * e1[1] - khat[1] * e1[0]])
     return e1, e2, khat
-
-
-def _amplitude(mode: Mode) -> np.ndarray:
-    """Complex 3-vector amplitude p of the mode, |p| = 1."""
-    if mode.helicity == HELICITY_CONST:
-        p = np.zeros(3, dtype=np.complex128)
-        p[mode.component_index] = 1.0
-        return p
-    k = np.asarray(mode.k, dtype=float)
-    e1, e2, khat = _frame(k)
-    if mode.helicity == HELICITY_PLUS:
-        return (e1 + 1j * e2) / np.sqrt(2.0)
-    if mode.helicity == HELICITY_MINUS:
-        return (e1 - 1j * e2) / np.sqrt(2.0)
-    return khat.astype(np.complex128)
 
 
 @dataclass
@@ -174,7 +161,14 @@ class ModeTable:
 
 
 def _table_from_modes(K: int, modes: list[Mode]) -> ModeTable:
-    amplitudes = np.array([_amplitude(m) for m in modes])
+    """Table over modes in the given order; the frame of each wavevector is built once."""
+    frames = {}
+    for k in dict.fromkeys(m.k for m in modes if m.helicity != HELICITY_CONST):
+        e1, e2, khat = _frame(np.asarray(k, dtype=float))
+        frames[k] = {HELICITY_PLUS: (e1 + 1j * e2) / np.sqrt(2.0), HELICITY_MINUS: (e1 - 1j * e2) / np.sqrt(2.0),
+                     HELICITY_GRAD: khat.astype(np.complex128)}
+    amplitudes = np.array([np.eye(3, dtype=np.complex128)[m.component_index] if m.helicity == HELICITY_CONST
+                           else frames[m.k][m.helicity] for m in modes])
     kvectors = np.array([m.k for m in modes], dtype=int)
     eigenvalues = np.array([m.eigenvalue for m in modes])
     return ModeTable(K=K, modes=modes, amplitudes=amplitudes, kvectors=kvectors, eigenvalues=eigenvalues)

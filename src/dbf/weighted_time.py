@@ -76,10 +76,6 @@ class TimeGrid:
         return self.t_start + self.dt * self.n_samples
 
     @property
-    def window_length(self) -> float:
-        return self.dt * self.n_samples
-
-    @property
     def n_pad(self) -> int:
         return int(round(self.pad_fraction * self.n_samples))
 

@@ -90,6 +90,29 @@ def lattice_count(K: int) -> int:
     return count
 
 
+def mode_amplitude(k: tuple, helicity: str, component_index: int | None = None) -> np.ndarray:
+    """Unit amplitude of one mode, built alone from its own frame.
+
+    e1 is the first coordinate axis not parallel to k, made orthogonal to
+    khat; e2 = khat x e1.  Plus and minus are (e1 +- i e2)/sqrt(2), grad is
+    khat and const the unit axis component_index.
+    """
+    if helicity == "const":
+        p = np.zeros(3, dtype=np.complex128)
+        p[component_index] = 1.0
+        return p
+    kv = np.asarray(k, dtype=float)
+    khat = kv / np.linalg.norm(kv)
+    for axis in range(3):
+        proj = np.eye(3)[axis] - khat[axis] * khat
+        if np.linalg.norm(proj) > 1e-12:
+            e1 = proj / np.linalg.norm(proj)
+            break
+    e2 = np.cross(khat, e1)
+    sign = {"plus": 1.0, "minus": -1.0}.get(helicity)
+    return khat.astype(np.complex128) if sign is None else (e1 + sign * 1j * e2) / np.sqrt(2.0)
+
+
 def fd_curl(samples: np.ndarray) -> np.ndarray:
     """Sixth-order central-difference curl on a periodic n^3 grid of [0, 2 pi)^3.
 

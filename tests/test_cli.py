@@ -9,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dbf
 from dbf import cli
@@ -142,6 +144,39 @@ class TestSchema:
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_integral_floats_solve_like_integers(self, tmp_path):
+        # Draft 2020-12 counts 1.0 as an integer, so the schema accepts it; the
+        # solve must then treat it exactly as 1.
+        doc = base_doc()
+        doc["data"]["W0"].append([[0, 0, 0], "const", 0.5, 0.0, 2])
+        floated = copy.deepcopy(doc)
+        floated["domain"]["K"] = 1.0
+        floated["time"]["n"] = 512.0
+        floated["data"]["W0"] = [[[1.0, 0.0, 0.0], "plus", 1.0, 0.0], [[0.0, 0.0, 0.0], "const", 0.5, 0.0, 2.0]]
+        assert '"K": 1.0' in json.dumps(floated)
+        for name, d in (("ints", doc), ("floats", floated)):
+            assert cli.cmd_run(write_doc(tmp_path, d, "scenario.json"), str(tmp_path / name)) == cli.EXIT_OK
+        for name in ("scenario.csv", "scenario.json"):
+            assert (tmp_path / "ints" / name).read_bytes() == (tmp_path / "floats" / name).read_bytes()
+
+    @pytest.mark.parametrize("where", ["epsilon", "W0"])
+    def test_oversized_integer_rejected(self, tmp_path, where, capsys):
+        # A 401-digit integer literal is no float; every command must reject it, not overflow.
+        path = write_doc(tmp_path, base_doc())
+        with open(path, encoding="utf-8") as fh:
+            raw = fh.read()
+        huge = "1" + "0" * 400
+        raw = raw.replace('"epsilon": 1.0', f'"epsilon": {huge}') if where == "epsilon" else raw.replace(
+            '"plus", 1.0, 0.0]', f'"plus", {huge}, 0.0]')
+        assert huge in raw
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(raw)
+        assert cli.cmd_run(path, str(tmp_path / "out")) == cli.EXIT_INVALID
+        assert cli.cmd_verify(path) == cli.EXIT_INVALID
+        assert cli.cmd_sweep(path, "nu", [3.0], str(tmp_path / "sweep")) == cli.EXIT_INVALID
+        assert capsys.readouterr().err.count("invalid scenario") == 3
+        assert not (tmp_path / "out").exists()
+
     def test_window_must_contain_zero(self, tmp_path):
         doc = base_doc()
         doc["time"]["t_start"] = 1.0
@@ -153,6 +188,120 @@ class TestSchema:
         doc["material"]["kappa0"] = [[2.0, 0.0], [0.0, 2.0]]
         with pytest.raises(cli.ScenarioError, match="does not take"):
             cli.build_scenario(cli.load_scenario_doc(write_doc(tmp_path, doc)))
+
+
+def schema_keywords(schema: dict) -> set:
+    """Every keyword used in schema and its subschemas."""
+    found = set(schema)
+    subschemas = list(schema.get("properties", {}).values()) + schema.get("prefixItems", []) + schema.get("oneOf", [])
+    if isinstance(schema.get("items"), dict):
+        subschemas.append(schema["items"])
+    for sub in subschemas:
+        found |= schema_keywords(sub)
+    return found
+
+
+def node_paths(node, path=()) -> list:
+    """Paths of node and of everything inside it."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    return [path] + [p for key, child in children for p in node_paths(child, path + (key,))]
+
+
+def get_node(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def source_doc() -> dict:
+    doc = memory_auto_doc()
+    doc["material"] = dict(MEMORY_LAW, Mstar1=[[[0.1, 0.0], [0.0, [0.1, 0.2]]]], k_cross=[0.0, 0.1, 1])
+    doc["data"]["source"] = {"waveform": "gaussian", "amplitude": [1.0, -0.5], "t0": 0.2, "sigma": 0.05,
+                             "modes": [[[1, 0, 0], "plus", 1.0, [0.0, 1.0]], [[0, 0, 0], "const", 0.2, 0.1, 1]]}
+    doc["tolerances"] = {"fp_tol": 1e-9, "max_iter": 20, "resid_tol": 1e-5}
+    return doc
+
+
+# Replacements for one node of a valid document, one per rule of the schema.
+MUTATIONS = {
+    "wrong_type": lambda node: "x" if not isinstance(node, str) else 1,
+    "null": lambda node: None,
+    "bool": lambda node: True,
+    "integral_float": lambda node: float(node) if type(node) is int else node,
+    "out_of_range": lambda node: -1 if type(node) in (int, float) else node,
+    "zero": lambda node: 0 if type(node) in (int, float) else node,
+    "one": lambda node: 1.0 if type(node) in (int, float) else node,
+    "bad_enum": lambda node: "bogus" if isinstance(node, str) else node,
+    "extra_key": lambda node: dict(node, bogus=1) if isinstance(node, dict) else node,
+    "missing_key": lambda node: dict(list(node.items())[1:]) if isinstance(node, dict) else node,
+    "one_item": lambda node: node[:1] if isinstance(node, list) else node,
+    "three_items": lambda node: node[:3] if isinstance(node, list) else node,
+    "six_items": lambda node: (node + [0, 0, 0, 0, 0, 0])[:6] if isinstance(node, list) else node,
+    "empty": lambda node: type(node)() if isinstance(node, (list, dict)) else node,
+}
+
+
+@st.composite
+def mutated_docs(draw):
+    doc = copy.deepcopy(draw(st.sampled_from([base_doc, memory_auto_doc, cross_auto_doc, source_doc]))())
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(node_paths(doc)))
+        new = MUTATIONS[draw(st.sampled_from(sorted(MUTATIONS)))](get_node(doc, path))
+        if path:
+            get_node(doc, path[:-1])[path[-1]] = new
+        else:
+            doc = new
+    return doc
+
+
+class TestSchemaChecker:
+    """The built-in checker against jsonschema, the reference implementation of draft 2020-12."""
+
+    @settings(max_examples=400)
+    @given(mutated_docs())
+    def test_agrees_with_jsonschema(self, doc):
+        from jsonschema import Draft202012Validator
+        errors = sorted(Draft202012Validator(cli.SCENARIO_SCHEMA).iter_errors(doc),
+                        key=lambda e: list(e.absolute_path))
+        found = cli._violation(doc, cli.SCENARIO_SCHEMA)
+        assert (found is None) == (not errors)
+        if errors:
+            assert list(found[0]) == list(errors[0].absolute_path)
+
+    @pytest.mark.parametrize("path, value, valid", [
+        (("domain", "K"), 0, True), (("domain", "K"), -1, False), (("domain", "K"), 1.0, True),
+        (("domain", "K"), 1.5, False), (("domain", "K"), True, False),
+        (("time", "n"), 2, True), (("time", "n"), 1, False), (("time", "n"), 2.0, True),
+        (("time", "dt"), 0, False), (("time", "dt"), 1e-300, True), (("material", "epsilon"), 0.0, False),
+        (("time", "pad_fraction"), 0, True), (("time", "pad_fraction"), 1, False), (("time", "pad_fraction"), -0.1, False),
+        (("tolerances", "max_iter"), 1, True), (("tolerances", "max_iter"), 0, False),
+        (("data", "W0", 0, 4), 2, True), (("data", "W0", 0, 4), 3, False), (("data", "W0", 0, 4), -1, False),
+        (("data", "W0", 0, 2), [1.0, False], False), (("data", "W0", 0, 2), [1, 2], True),
+        (("data", "source", "delay"), 0, True), (("data", "source", "delay"), -1e-9, False),
+        (("material", "model"), "DBF", False), (("method",), "fixed_point", True),
+    ])
+    def test_bounds_agree_with_jsonschema(self, path, value, valid):
+        from jsonschema import Draft202012Validator
+        doc = base_doc()
+        doc["tolerances"] = {"max_iter": 5}
+        doc["data"]["W0"] = [[[0, 0, 0], "const", 1.0, 0.0, 0]]
+        doc["data"]["source"] = {"waveform": "delayed_step", "amplitude": 1.0, "modes": [], "delay": 0.5}
+        get_node(doc, path[:-1])[path[-1]] = value
+        assert Draft202012Validator(cli.SCENARIO_SCHEMA).is_valid(doc) == valid
+        assert (cli._violation(doc, cli.SCENARIO_SCHEMA) is None) == valid
+
+    def test_schema_uses_only_checked_keywords(self):
+        checked = {"type", "enum", "properties", "required", "additionalProperties", "items", "prefixItems",
+                   "minItems", "maxItems", "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum", "oneOf"}
+        assert schema_keywords(cli.SCENARIO_SCHEMA) - {"$schema"} <= checked
+
+    def test_reports_least_path(self, tmp_path):
+        doc = base_doc()
+        doc["time"]["n"] = True
+        doc["data"]["W0"][0][2] = [1.0]
+        doc["domain"]["bogus"] = 1
+        with pytest.raises(cli.ScenarioError, match="schema violation at data/W0/0/2: "):
+            cli.load_scenario_doc(write_doc(tmp_path, doc))
 
 
 class TestEcho:
@@ -486,29 +635,30 @@ class TestMain:
         assert code == cli.EXIT_OK
 
 
-# Runs in a fresh interpreter: prints the scipy modules loaded after importing
-# the CLI, then the exit code and scipy modules after each `dbf run`.
+# Runs in a fresh interpreter: prints the scipy and jsonschema modules loaded
+# after importing the CLI, then the exit code and those modules after each
+# `dbf` command (a JSON list of argument lists).
 STARTUP_PROBE = """
 import json, sys
 from dbf import cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def loaded(package):
+    return sorted(m for m in sys.modules if m.split(".")[0] == package)
 
-report = {"import": scipy_modules(), "runs": []}
-for path, out in zip(sys.argv[1::2], sys.argv[2::2]):
-    code = cli.main(["run", path, "-o", out])
-    report["runs"].append({"code": code, "scipy": scipy_modules()})
+report = {"import": loaded("scipy"), "import_jsonschema": loaded("jsonschema"), "runs": []}
+for argv in json.loads(sys.argv[1]):
+    code = cli.main(argv)
+    report["runs"].append({"code": code, "scipy": loaded("scipy"), "jsonschema": loaded("jsonschema")})
 print(json.dumps(report))
 """
 
 
-def probe_startup(runs: list) -> dict:
+def probe_startup(commands: list) -> dict:
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(dbf.__file__)))
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    args = [str(a) for pair in runs for a in pair]
-    result = subprocess.run([sys.executable, "-c", STARTUP_PROBE, *args], env=env,
+    argv = json.dumps([[str(a) for a in command] for command in commands])
+    result = subprocess.run([sys.executable, "-c", STARTUP_PROBE, argv], env=env,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr[-2000:]
     return json.loads(result.stdout.strip().splitlines()[-1])
@@ -519,18 +669,33 @@ class TestStartup:
 
     def test_import_and_solves_load_no_scipy(self, tmp_path):
         report = probe_startup([
-            (os.path.join(ROOT, "scenarios", "dbf_basic.json"), tmp_path / "exact"),
-            (os.path.join(ROOT, "scenarios", "generalized_memory.json"), tmp_path / "memory"),
+            ("run", os.path.join(ROOT, "scenarios", "dbf_basic.json"), "-o", tmp_path / "exact"),
+            ("run", os.path.join(ROOT, "scenarios", "generalized_memory.json"), "-o", tmp_path / "memory"),
         ])
         assert report["import"] == []
-        assert report["runs"] == [{"code": cli.EXIT_OK, "scipy": []}] * 2
+        assert report["runs"] == [{"code": cli.EXIT_OK, "scipy": [], "jsonschema": []}] * 2
         assert (tmp_path / "memory" / "generalized_memory.csv").exists()
 
     def test_integrator_imports_expm_on_demand(self, tmp_path):
         doc = base_doc()
         doc["method"] = "integrator"
         path = write_doc(tmp_path, doc)
-        report = probe_startup([(path, tmp_path / "out")])
+        report = probe_startup([("run", path, "-o", tmp_path / "out")])
         assert report["import"] == []
         assert report["runs"][0]["code"] == cli.EXIT_OK
         assert "scipy.linalg" in report["runs"][0]["scipy"]
+
+    def test_no_command_imports_jsonschema(self, tmp_path):
+        # jsonschema is a test-only oracle: no command may need it at run time.
+        bad = base_doc()
+        bad["domain"]["K"] = "one"
+        report = probe_startup([
+            ("run", write_doc(tmp_path, base_doc()), "-o", tmp_path / "out"),
+            ("verify", os.path.join(ROOT, "scenarios", "generalized_memory.json")),
+            ("sweep", write_doc(tmp_path, base_doc()), "--param", "nu", "--values", "3", "-o", tmp_path / "sweep"),
+            ("basis", "--K", "1", "-o", tmp_path / "basis.json"),
+            ("run", write_doc(tmp_path, bad, "bad.json"), "-o", tmp_path / "bad"),
+        ])
+        assert report["import_jsonschema"] == []
+        assert [r["code"] for r in report["runs"]] == [cli.EXIT_OK] * 4 + [cli.EXIT_INVALID]
+        assert all(r["jsonschema"] == [] for r in report["runs"])

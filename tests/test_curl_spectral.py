@@ -84,6 +84,16 @@ class TestBuildBasis:
         assert json.loads(doc)["K"] == 1
 
 
+    @pytest.mark.parametrize("K", range(1, 7))
+    def test_amplitudes_match_per_mode_frames(self, K):
+        # One frame per wavevector must give the bytes of building every mode alone.
+        table = build_basis(K)
+        expected = np.array([oracles.mode_amplitude(m.k, m.helicity, m.component_index) for m in table.modes])
+        assert table.amplitudes.dtype == expected.dtype and table.amplitudes.shape == expected.shape
+        assert table.amplitudes.tobytes() == expected.tobytes()
+        assert ModeTable.from_json(table.to_json()).amplitudes.tobytes() == expected.tobytes()
+
+
 class TestCurlApply:
     def test_zero_on_curl_free_modes(self, table_k2):
         for i, m in enumerate(table_k2.modes):

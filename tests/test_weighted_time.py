@@ -23,7 +23,7 @@ from dbf.weighted_time import (
     weighted_norm,
 )
 
-# Keep nu * window_length moderate: the unweighting by exp(nu (t - t_start))
+# Keep nu times the window length moderate: the unweighting by exp(nu (t - t_start))
 # amplifies transform roundoff by the window's dynamic range, so raw sup-norm
 # comparisons are only meaningful on well-conditioned windows.
 GRID = TimeGrid(t_start=-4.0, dt=1.0 / 128.0, n_samples=1024, pad_fraction=0.25)
