@@ -37,6 +37,7 @@ from .dbf_model import (
     NonFiniteSolution,
     PairSeries,
     RangeViolation,
+    column_chunks,
     material_energy_series,
     solve_dbf,
     solve_generalized,
@@ -532,13 +533,12 @@ def cmd_verify(scenario_path: str) -> int:
         if is_dbf:
             checks.append(("uniqueness_energy", uniqueness_energy_probe(history, scenario), tols["energy_tol"]))
         else:
-            field_sup = max(float(np.max(np.abs(a), initial=0.0))
-                            for a in (history.E, history.H, history.D, history.B))
+            field_sup = max(_column_max(np.abs, a) for a in (history.E, history.H, history.D, history.B))
             checks.append(("uniqueness_energy", field_sup, tols["energy_tol"]))
     else:
-        scale = max(float(np.max(np.abs(history.E))), float(np.max(np.abs(history.H))), 1e-300)
-        lin = max(float(np.max(np.abs(h2.E - 2.0 * history.E))),
-                  float(np.max(np.abs(h2.H - 2.0 * history.H)))) / scale
+        scale = max(_column_max(np.abs, history.E), _column_max(np.abs, history.H), 1e-300)
+        lin = max(_column_max(lambda a, b: np.abs(a - 2.0 * b), h2.E, history.E),
+                  _column_max(lambda a, b: np.abs(a - 2.0 * b), h2.H, history.H)) / scale
         lin_tol = tols["linearity_tol"] if doc["method"] != "fixed_point" else max(
             tols["linearity_tol"], 100.0 * tols["fp_tol"] / scale)
         checks.append(("linearity", lin, lin_tol))
@@ -558,6 +558,11 @@ def cmd_verify(scenario_path: str) -> int:
         return EXIT_INVALID
     print("all checks passed")
     return EXIT_OK
+
+
+def _column_max(fn, *series) -> float:
+    """Largest entry of fn(*columns) over column chunks of equally shaped (n, m) series."""
+    return max(float(np.max(fn(*(a[:, cols] for a in series)))) for cols in column_chunks(*series[0].shape))
 
 
 def _scale_scenario(scenario, factor: float):
@@ -641,8 +646,11 @@ def cmd_sweep(scenario_path: str, param: str, values: list, out_dir: str) -> int
 
 
 def cmd_basis(K: int, out_path: str) -> int:
-    """Emit the mode table for truncation K as JSON."""
-    table = build_basis(K)
+    """Emit the mode table for truncation K as JSON; an invalid K exits with its EXIT_TABLE code."""
+    try:
+        table = build_basis(K)
+    except FAILURES as exc:
+        return _fail(exc)
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(table.to_json())
         fh.write("\n")

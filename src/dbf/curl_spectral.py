@@ -17,6 +17,7 @@ c_lambda = lambda / (1 + eta lambda) composed with the symplectic rotation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,6 +184,10 @@ def build_basis(K: int, *, max_modes: int = DEFAULT_MAX_MODES) -> ModeTable:
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
+    # The cube |kx|, |ky|, |kz| <= a, 3 a^2 <= K^2, lies in the ball: a lower bound before enumerating.
+    least = 3 * (2 * math.isqrt(K * K // 3) + 1) ** 3
+    if least > max_modes:
+        raise TruncationTooLarge(f"K={K} yields at least {least} modes, exceeding the budget of {max_modes}")
     kvecs = []
     for kx in range(-K, K + 1):
         for ky in range(-K, K + 1):

@@ -69,6 +69,8 @@ NEUMANN_TOL = 1e-12
 NEUMANN_MAX_TERMS = 200
 NEUMANN_GROWTH_RUN = 5
 HYPOTHESIS_TOL = 1e-9
+# Bytes of one (rows, width) complex chunk in the column passes over solved series.
+COLUMN_CHUNK_BYTES = 1_000_000
 
 I2 = np.eye(2)
 
@@ -398,6 +400,15 @@ def assemble_reduced_ivp(s: DBFScenario) -> ReducedSystem:
     return ReducedSystem(s, factors, generator_coefficients(s.eta, table), kernel, near)
 
 
+def column_chunks(n_rows: int, n_cols: int) -> list:
+    """Column slices of about COLUMN_CHUNK_BYTES of complex (n_rows, width) data, none one column
+    wide unless n_cols is 1: numpy sums a lone column over axis 0 pairwise but wider arrays row by
+    row, so per-column results match one whole-array pass bit for bit."""
+    width = max(2, COLUMN_CHUNK_BYTES // (16 * max(n_rows, 1)))
+    edges = [a for a in range(0, n_cols, width) if a == 0 or a < n_cols - 1] + [n_cols]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
 def _source_columns(s, modes: np.ndarray) -> tuple:
     """The given modes of scenario s that carry a source, and their (e, h) samples (n, k, 2).
 
@@ -419,10 +430,10 @@ def _solve_blocks(method: str, grid: TimeGrid, nu: float, M0: np.ndarray, groups
     """Solve the blocks with data: jumps w0 (n_blocks, d), sources (idx, samples (n, len(idx), d)).
 
     Each group (blocks, M1) shares M0, M1 and A = 0.  One rotation_closed_form
-    call solves the blocks flagged closed and, under "auto" and "exact",
-    every rotation block; "exact" raises WrongCase on any other.  Each other
-    group makes one call: a causal march under "auto" (the exact limit of
-    the Picard iteration, so "auto" never iterates), and the Picard
+    call per column chunk solves the blocks flagged closed and, under "auto"
+    and "exact", every rotation block; "exact" raises WrongCase on any other.
+    Each other group makes one call: a causal march under "auto" (the exact
+    limit of the Picard iteration, so "auto" never iterates), and the Picard
     iteration or the integrator under "fixed_point" or "integrator".  The
     failure raised is that of the first failing block, as in a
     block-by-block solve.  Returns (fields (d, n, n_blocks), Picard
@@ -464,8 +475,9 @@ def _solve_blocks(method: str, grid: TimeGrid, nu: float, M0: np.ndarray, groups
                 failure = (cols[getattr(exc, "block", 0)], exc)
     if failure is not None:
         raise failure[1]
-    cols = np.nonzero(closed)[0]
-    if cols.size:
+    closed_cols = np.nonzero(closed)[0]
+    for chunk in column_chunks(n, closed_cols.size):  # every closed-form operation is per column
+        cols = closed_cols[chunk]
         k = row[cols]
         u[0][:, cols], u[1][:, cols] = rotation_closed_form(M0[0, 0].real, M0[1, 1].real, c[cols], w0[cols], grid,
                                                             (np.nonzero(k >= 0)[0], source[1][:, k[k >= 0]]))
@@ -482,13 +494,19 @@ def _solved_history(s, method: str, E, H, D, B, iterations: int, contraction: fl
     """
     table, grid = s.table, s.grid
     history = FieldHistory(table, grid, s.nu, E, H, D, B)
-    # Initial value: the flux-pair right limit against W0 in the proxy norm with
-    # per-mode weight (1 + lambda^2)^(-1/2).  Causality: the largest value before t = 0.
+    # Initial value: the flux-pair right limit against W0 in the proxy norm with per-mode weight
+    # (1 + lambda^2)^(-1/2).  Causality: the largest value before t = 0.  It and the finiteness
+    # guard run over column chunks, so no (n, m) temporary is made.
     w = 1.0 / (1.0 + table.eigenvalues**2)
     iv = float(np.sqrt(np.sum(w * (np.abs(_right_limit(history.D, grid) - s.W0.e_part.coeffs) ** 2
                                    + np.abs(_right_limit(history.B, grid) - s.W0.h_part.coeffs) ** 2))))
-    caus = max(float(np.max(np.abs(arr[:grid.zero_index]), initial=0.0))
-               for arr in (history.E, history.H, history.D, history.B))
+    chunks = column_chunks(grid.n_samples, table.n_modes)
+    sup, finite = np.zeros((4, len(chunks))), np.ones((4, len(chunks)), dtype=bool)
+    for j, cols in enumerate(chunks):
+        for i, arr in enumerate((history.E, history.H, history.D, history.B)):
+            sup[i, j] = np.max(np.abs(arr[:grid.zero_index, cols]), initial=0.0)
+            finite[i, j] = np.all(np.isfinite(arr[:, cols]))
+    caus = max(float(np.max(field_sup, initial=0.0)) for field_sup in sup)  # np.max keeps a NaN chunk sup
     history.diagnostics = {
         "method": method,
         "n_modes": int(table.n_modes),
@@ -502,7 +520,7 @@ def _solved_history(s, method: str, E, H, D, B, iterations: int, contraction: fl
         "nu": float(s.nu),
         **extra,
     }
-    bad = [name for name in ("E", "H", "D", "B") if not np.all(np.isfinite(getattr(history, name)))]
+    bad = [name for name, ok in zip(("E", "H", "D", "B"), finite.all(axis=1)) if not ok]
     bad += [key for key, v in history.diagnostics.items() if isinstance(v, (int, float)) and not np.isfinite(v)]
     if bad:
         raise NonFiniteSolution(f"non-finite values in {', '.join(bad)}")
@@ -565,22 +583,21 @@ def verify_dbf_equation(history: FieldHistory, s) -> float:
     - W0, evaluated per mode with the composite Simpson rule.  Per-mode
     weighted L2 norms in time are scaled by (1 + lambda^2)^(-1/2), the proxy
     for the dual norm where the equation holds, and summed.  Works for both
-    scenario kinds since only data and eigenvalues enter.
+    scenario kinds since only data and eigenvalues enter.  Column chunks
+    bound the memory; the per-mode norms are summed once, over all modes.
     """
     grid = history.grid
     z = grid.zero_index
     lam = history.table.eigenvalues
-    if s.source_J is not None:
-        je = s.source_J.e[z:]
-        jh = s.source_J.h[z:]
-    else:
-        je = jh = 0.0
-    integrand_e = -lam[None, :] * history.H[z:] - je
-    integrand_h = lam[None, :] * history.E[z:] - jh
-    r_e = history.D[z:] + _cumsimp(integrand_e, grid.dt) - s.W0.e_part.coeffs[None, :]
-    r_h = history.B[z:] + _cumsimp(integrand_h, grid.dt) - s.W0.h_part.coeffs[None, :]
     wt = np.exp(-2.0 * s.nu * grid.times[z:])
-    per_mode = np.sqrt(grid.dt * np.sum(wt[:, None] * (np.abs(r_e) ** 2 + np.abs(r_h) ** 2), axis=0))
+    per_mode = np.empty(lam.size)
+    for cols in column_chunks(grid.n_samples - z, lam.size):
+        je, jh = (s.source_J.e[z:, cols], s.source_J.h[z:, cols]) if s.source_J is not None else (0.0, 0.0)
+        integrand_e = -lam[None, cols] * history.H[z:, cols] - je
+        integrand_h = lam[None, cols] * history.E[z:, cols] - jh
+        r_e = history.D[z:, cols] + _cumsimp(integrand_e, grid.dt) - s.W0.e_part.coeffs[None, cols]
+        r_h = history.B[z:, cols] + _cumsimp(integrand_h, grid.dt) - s.W0.h_part.coeffs[None, cols]
+        per_mode[cols] = np.sqrt(grid.dt * np.sum(wt[:, None] * (np.abs(r_e) ** 2 + np.abs(r_h) ** 2), axis=0))
     return float(np.sum(per_mode / np.sqrt(1.0 + lam**2)))
 
 

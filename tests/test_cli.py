@@ -55,6 +55,14 @@ def cross_auto_doc() -> dict:
             "data": {"W0": w0}, "method": "auto"}
 
 
+def package_env() -> dict:
+    """The environment with this package first on PYTHONPATH, for a fresh interpreter."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dbf.__file__)))
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return env
+
+
 def write_doc(tmp_path, doc, name="scenario.json") -> str:
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -613,6 +621,23 @@ class TestBasis:
         assert [m.key() for m in parsed.modes] == [m.key() for m in reference.modes]
         np.testing.assert_array_equal(parsed.eigenvalues, reference.eigenvalues)
 
+    @pytest.mark.parametrize("K, message", [(0, "K must be >= 1"), (40, "exceeding the budget of 4096")])
+    def test_invalid_truncation_exits_through_exit_table(self, tmp_path, K, message, capsys):
+        out = tmp_path / "basis.json"
+        assert cli.main(["basis", "--K", str(K), "-o", str(out)]) == cli.EXIT_INVALID
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("invalid scenario: ") and message in err[0]
+        assert not out.exists()
+
+    def test_huge_truncation_is_rejected_before_enumeration(self, tmp_path):
+        # Enumerating (2K + 1)^3 lattice points for K = 100000 would run for hours.
+        doc = base_doc()
+        doc["domain"]["K"] = 100000
+        result = subprocess.run([sys.executable, "-m", "dbf", "run", write_doc(tmp_path, doc), "-o", str(tmp_path)],
+                                env=package_env(), capture_output=True, text=True, timeout=30)
+        assert result.returncode == cli.EXIT_INVALID
+        assert "K=100000 yields at least" in result.stderr
+
 
 class TestMain:
     def test_run_dispatch(self, tmp_path):
@@ -654,11 +679,8 @@ print(json.dumps(report))
 
 
 def probe_startup(commands: list) -> dict:
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(dbf.__file__)))
-    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     argv = json.dumps([[str(a) for a in command] for command in commands])
-    result = subprocess.run([sys.executable, "-c", STARTUP_PROBE, argv], env=env,
+    result = subprocess.run([sys.executable, "-c", STARTUP_PROBE, argv], env=package_env(),
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr[-2000:]
     return json.loads(result.stdout.strip().splitlines()[-1])

@@ -94,6 +94,23 @@ class TestBuildBasis:
         assert ModeTable.from_json(table.to_json()).amplitudes.tobytes() == expected.tobytes()
 
 
+class TestModeBudget:
+    """The budget is checked from a lower bound on the mode count before any enumeration."""
+
+    @pytest.mark.parametrize("K", range(1, 13))
+    def test_count_matches_lattice_up_to_12(self, K):
+        exact = 3 * oracles.lattice_count(K) + 3
+        assert build_basis(K, max_modes=exact).n_modes == exact
+        with pytest.raises(TruncationTooLarge):
+            build_basis(K, max_modes=exact - 1)
+
+    def test_huge_truncation_rejected_from_the_bound(self):
+        # The cube |k_i| <= 34 alone holds 3 (69^3 - 1) + 3 modes; the ball holds 2,712,267.
+        with pytest.raises(TruncationTooLarge,
+                           match=r"^K=60 yields at least 985527 modes, exceeding the budget of 4096$"):
+            build_basis(60)
+
+
 class TestCurlApply:
     def test_zero_on_curl_free_modes(self, table_k2):
         for i, m in enumerate(table_k2.modes):
