@@ -16,18 +16,20 @@ diagonalized, mode lambda obeys
     d/dt (kappa(Dinv) + lambda) Mstar(Dinv) u + lambda J u = j + (Dirac) W0,
 
 Dinv the causal antiderivative, kappa(z) = kappa0 + z kappa1(z) and
-Mstar(z) = Mstar0 + z Mstar1(z).  Multiplying by the truncated expansion
-N(z) of (kappa(z) + lambda)^-1 produces a standard block
+Mstar(z) = Mstar0 + z Mstar1(z).  Multiplying by the constant
+N0 = (kappa0 + lambda)^-1 alone produces a standard block
 
-    d/dt Mstar0 u + [Mstar1(Dinv) + lambda N(Dinv) J] u
-        = N(Dinv) j + R(Dinv) (chi W0) + (Dirac) N(0) W0,
+    d/dt Mstar0 u + M1(Dinv) u = N0 j + (Dirac) N0 W0,
+    M1(z) = Mstar1(z) + lambda N0 J + N0 kappa1(z) Mstar(z),
 
-with R(z) = (N(z) - N(0)) / z and chi the Heaviside step.  The expansion
-N(z) = sum_p (-N0 z kappa1(z))^p N0, N0 = (kappa0 + lambda)^-1, is
-accumulated at the coefficient level and its terms are monitored on the
-realized frequency grid; divergence is raised, never silently truncated.
-The flux pair is recovered by the product symbol (kappa(z) + lambda)
-Mstar(z), which reproduces W0 exactly at t = 0+.
+a polynomial law with the selfadjoint positive Mstar0 in front.  Both
+sides were multiplied by one invertible matrix, and the discrete running
+integral commutes with it, so the discrete solution is that of the law
+itself.  The first correction N0 z kappa1(z) must stay below 1 on the
+realized frequency grid, the weight condition of the memory term; it is
+checked and NeumannDiverges raised otherwise.  The flux pair is recovered
+by the product symbol (kappa(z) + lambda) Mstar(z), which reproduces W0
+exactly at t = 0+.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from .evo_solver import (
     _cumsimp,
     _right_limit,
     _rotation_constant,
+    _rows_at,
     rotation_closed_form,
     solve_fixed_point_blocks,
     solve_integrator_blocks,
@@ -65,9 +68,6 @@ from .weighted_time import MaterialSymbol, NuTooSmall, TimeGrid
 
 RANGE_TOL = 1e-12
 NEAR_KERNEL_BAND = 1e-3
-NEUMANN_TOL = 1e-12
-NEUMANN_MAX_TERMS = 200
-NEUMANN_GROWTH_RUN = 5
 HYPOTHESIS_TOL = 1e-9
 # Bytes of one (rows, width) complex chunk in the column passes over solved series.
 COLUMN_CHUNK_BYTES = 1_000_000
@@ -87,7 +87,7 @@ class HypothesisViolated(ValueError):
 
 
 class NeumannDiverges(RuntimeError):
-    """The inversion series for (kappa + lambda)^-1 does not contract."""
+    """The first correction N0 z kappa1(z), N0 = (kappa0 + lambda)^-1, reaches norm 1 on the nu-ball."""
 
 
 class NonFiniteSolution(RuntimeError):
@@ -661,72 +661,6 @@ def cross_coupling_matrix(k_cross: np.ndarray, table: ModeTable) -> np.ndarray:
     return X
 
 
-def _neumann_coefficients(kappa0: np.ndarray, kappa1: MaterialSymbol | None, lam: float,
-                          z: np.ndarray, nu: float) -> tuple[list, int, float]:
-    """Polynomial coefficients of the truncated inverse of kappa(z) + lambda.
-
-    Accumulates sum_p (-N0 z kappa1(z))^p N0 at the coefficient level.  Each
-    term's Frobenius sup over the realized frequency grid controls the stop
-    (below NEUMANN_TOL) and the divergence detector (growth on
-    NEUMANN_GROWTH_RUN consecutive terms); additionally the first correction
-    sup |N0 z kappa1(z)| >= 1 aborts immediately.  Returns (coefficients,
-    terms used, first-correction sup).
-    """
-    N0 = np.linalg.inv(kappa0 + lam * I2)
-    kcoeffs = [np.asarray(C, dtype=np.complex128) for C in (kappa1.poly_coeffs if kappa1 else [])]
-    if not kcoeffs or all(not np.any(C) for C in kcoeffs):
-        return [N0], 1, 0.0
-    q_vals = np.matmul(N0, z[..., None, None] * kappa1.evaluate(z))
-    q_sup = float(np.max(np.linalg.svd(q_vals, compute_uv=False)))
-    if q_sup >= 1.0:
-        raise NeumannDiverges(
-            f"inversion series for kappa + lambda has first-correction sup {q_sup:.4g} >= 1 "
-            f"at nu={nu} for eigenvalue lambda={lam}; increase nu"
-        )
-    premult = [-(N0 @ C) for C in kcoeffs]
-    coeffs: dict[int, np.ndarray] = {0: N0.copy()}
-    term: dict[int, np.ndarray] = {0: N0}
-    prev_sup = None
-    growth = 0
-    terms_used = 1
-    for _ in range(1, NEUMANN_MAX_TERMS + 1):
-        nxt: dict[int, np.ndarray] = {}
-        for d, T in term.items():
-            for j, PC in enumerate(premult):
-                dd = d + 1 + j
-                contrib = PC @ T
-                if dd in nxt:
-                    nxt[dd] = nxt[dd] + contrib
-                else:
-                    nxt[dd] = contrib
-        term = nxt
-        vals = sum((z**d)[..., None, None] * T for d, T in term.items())
-        sup = float(np.sqrt(np.max(np.sum(np.abs(vals) ** 2, axis=(-2, -1)))))
-        for d, T in term.items():
-            coeffs[d] = coeffs[d] + T if d in coeffs else T.copy()
-        terms_used += 1
-        if sup < NEUMANN_TOL:
-            break
-        if prev_sup is not None and sup > prev_sup:
-            growth += 1
-            if growth >= NEUMANN_GROWTH_RUN:
-                raise NeumannDiverges(
-                    f"inversion series terms grew {NEUMANN_GROWTH_RUN} consecutive times "
-                    f"(last sup {sup:.4g}) at nu={nu} for eigenvalue lambda={lam}; increase nu"
-                )
-        else:
-            growth = 0
-        prev_sup = sup
-    else:
-        warnings.warn(
-            f"inversion series truncated at {NEUMANN_MAX_TERMS} terms with last sup {prev_sup:.3g}",
-            stacklevel=2,
-        )
-    top = max(coeffs)
-    zero = np.zeros((2, 2), dtype=np.complex128)
-    return [coeffs.get(d, zero) for d in range(top + 1)], terms_used, q_sup
-
-
 def _merged_coeff_list(*lists: list) -> list:
     """Elementwise sum of coefficient lists of possibly different lengths."""
     top = max(len(lst) for lst in lists)
@@ -750,6 +684,33 @@ def _block_diag_coeffs(lists: list) -> list:
         for d, C in enumerate(lst):
             out[d][2 * b:2 * b + 2, 2 * b:2 * b + 2] = C
     return out
+
+
+def _block_law(g: GeneralizedScenario, lams, X: np.ndarray | None = None) -> tuple[list, list]:
+    """Coefficient lists (M1, product symbol) of one block of modes with eigenvalues lams.
+
+    The block has Mstar_b(z) = blockdiag(Mstar(z)) + z X (X the cross term
+    over the block, None for none) and kappa(z) + Lambda block-diagonal per
+    mode.  Multiplied by N0 = (kappa0 + Lambda)^-1 its law has
+    M1 = Mstar1_b + N0 Lambda J + N0 kappa1 Mstar_b, Mstar1_b the order-one
+    part of Mstar_b; the product symbol (kappa + Lambda) Mstar_b lifts the
+    solution to the flux pair.
+    """
+    k1, s1 = ([np.asarray(C, dtype=np.complex128) for C in (sym.poly_coeffs if sym else [])]
+              for sym in (g.kappa1, g.Mstar1))
+    n0 = [np.linalg.inv(g.kappa0 + lv * I2) for lv in lams]
+    kappa = [[g.kappa0 + lv * I2] + k1 for lv in lams]
+    mstar1 = _block_diag_coeffs([s1] * len(lams))
+    cross = [] if X is None else [X]
+    m1 = [mstar1, _block_diag_coeffs([[lv * (N @ J2)] if lv else [] for lv, N in zip(lams, n0)]), cross]
+    if any(map(np.any, k1)):
+        mstar = [_block_diag_coeffs([[g.Mstar0]] * len(lams))[0]] + _merged_coeff_list(mstar1, cross)
+        N0 = _block_diag_coeffs([[N] for N in n0])[0]
+        m1.append([N0 @ C for C in _convolve_coeff_lists(_block_diag_coeffs([k1] * len(lams)), mstar)])
+    product = _block_diag_coeffs([_convolve_coeff_lists(k, [g.Mstar0] + s1) for k in kappa])
+    if X is not None:
+        product = _merged_coeff_list(product, _convolve_coeff_lists(_block_diag_coeffs(kappa), [0 * X, X]))
+    return _merged_coeff_list(*m1), product
 
 
 def _hypothesis_scan(kappa0: np.ndarray, lam_values: np.ndarray) -> float:
@@ -778,19 +739,21 @@ def solve_generalized(g: GeneralizedScenario, method: str = "auto", *, fp_tol: f
                       max_iter: int = DEFAULT_MAX_ITER) -> FieldHistory:
     """Solve an operator-law scenario and recover the flux pair.
 
-    The reduction is per eigenvalue: the truncated inverse N of
-    kappa(z) + lambda shapes one 2x2 operator shared by every mode with that
-    lambda, and turns the data into N(Dinv) j + R(Dinv) (chi W0) and N(0) W0
-    for all of them at once.  Each group of modes is solved in one call.
-    Method "auto" uses the closed form when the coupling degenerates to a
-    real rotation and otherwise marches the discrete system in one causal
-    pass, which gives the limit of the Picard iteration without iterating,
-    so it needs no contraction and never raises NotContractive; explicit
-    "fixed_point" is that Picard iteration, with the contraction test per
-    group.  A nonzero k_cross couples the three modes of each wavevector
-    (the const modes form the k = 0 block), so each wavevector is then one
-    6x6 block with its own operator.  Blocks without data are skipped.  The
-    flux pair follows by applying the product symbol (kappa(z) + lambda)
+    The reduction is per eigenvalue: N0 = (kappa0 + lambda)^-1 turns the
+    law into one 2x2 operator shared by every mode with that lambda (see
+    _block_law), and the data into N0 j and N0 W0 for all of them at once.
+    Each group of modes is solved in one call.  Method "auto" uses the
+    closed form when the coupling degenerates to a real rotation and
+    otherwise marches the discrete system in one causal pass, which gives
+    the limit of the Picard iteration without iterating, so it needs no
+    contraction and never raises NotContractive; explicit "fixed_point" is
+    that Picard iteration, with the contraction test per group, and
+    "integrator" takes the groups whose M1 is constant.  A nonzero k_cross
+    couples the three modes of each wavevector (the const modes form the
+    k = 0 block), so each wavevector is then one 6x6 block with its own
+    operator.  Blocks without data are skipped.  NeumannDiverges is raised
+    when the first correction sup |N0 z kappa1(z)| on the nu-ball reaches 1.
+    The flux pair follows by applying the product symbol (kappa(z) + lambda)
     Mstar(z) in the time domain, which reproduces W0 exactly at t = 0+.
     """
     if method not in GENERALIZED_METHODS:
@@ -798,51 +761,35 @@ def solve_generalized(g: GeneralizedScenario, method: str = "auto", *, fp_tol: f
     table, grid = g.table, g.grid
     lam = table.eigenvalues
     margin = _hypothesis_scan(g.kappa0, lam)
-    z = 1.0 / (1j * grid.frequencies + g.nu)
-    mstar1_coeffs = [np.asarray(C, dtype=np.complex128) for C in (g.Mstar1.poly_coeffs if g.Mstar1 else [])]
-    kappa1_coeffs = [np.asarray(C, dtype=np.complex128) for C in (g.kappa1.poly_coeffs if g.kappa1 else [])]
-
-    n, m = grid.n_samples, table.n_modes
+    z = 1.0 / (1j * grid.frequencies + g.nu)  # the nu-ball, as the grid realizes it
+    n, m, zi = grid.n_samples, table.n_modes, grid.zero_index
     jump = np.stack([g.W0.e_part.coeffs, g.W0.h_part.coeffs], axis=1).astype(np.complex128)
     sourced, j = _source_columns(g, np.arange(m))
     reduced = np.zeros((n, m, 2), dtype=np.complex128)
     w0 = np.zeros((m, 2), dtype=np.complex128)
-    ops, neumann_terms, q_sup = {}, 0, 0.0
-    for lv in sorted(set(lam.tolist())):
-        N, terms, q0 = _neumann_coefficients(g.kappa0, g.kappa1, float(lv), z, g.nu)
-        coupling = [float(lv) * (Nd @ J2) for Nd in N] if lv != 0.0 else []
-        m1 = _merged_coeff_list(mstar1_coeffs, coupling) if (mstar1_coeffs or coupling) else []
-        ops[float(lv)] = (m1, _convolve_coeff_lists([g.kappa0 + float(lv) * I2] + kappa1_coeffs,
-                                                    [g.Mstar0] + mstar1_coeffs))
-        neumann_terms, q_sup = max(neumann_terms, terms), max(q_sup, q0)
-        # Reduced data of every mode with this lambda: N(Dinv) j, R(Dinv) applied to the
-        # Heaviside step of W0, and N(0) W0 by one matrix-vector product per mode (stacking
-        # them changes the last bits).
+    lams, q_sup = sorted(set(lam.tolist())), 0.0
+    for lv in lams:
+        N0 = np.linalg.inv(g.kappa0 + lv * I2)
+        if g.kappa1 is not None:
+            q0 = float(np.max(np.linalg.svd(N0 @ (z[:, None, None] * g.kappa1.evaluate(z)), compute_uv=False)))
+            if q0 >= 1.0:
+                raise NeumannDiverges(f"memory first correction sup |N0 z kappa1(z)| = {q0:.4g} >= 1 "
+                                      f"at nu={g.nu} for eigenvalue lambda={lv}; increase nu")
+            q_sup = max(q_sup, q0)
+        # One matrix-vector product per mode for the jump: stacking them changes the last bits.
         modes = np.nonzero(lam == lv)[0]
-        w0[modes] = [N[0] @ v for v in jump[modes]]
+        w0[modes] = [N0 @ v for v in jump[modes]]
         loaded = lam[sourced] == lv
-        if np.any(loaded):
-            reduced[:, sourced[loaded]] = reduced[:, sourced[loaded]] + _apply_symbol_time(
-                MaterialSymbol(dim=2, poly_coeffs=N), j[:, loaded], grid)
-        jumped = modes[np.any(jump[modes] != 0, axis=1)]
-        if len(N) > 1 and jumped.size:
-            chi = np.zeros((n, len(jumped), 2), dtype=np.complex128)
-            chi[grid.zero_index:] = jump[jumped]
-            reduced[:, jumped] = reduced[:, jumped] + _apply_symbol_time(
-                MaterialSymbol(dim=2, poly_coeffs=N[1:]), chi, grid)
+        reduced[zi:, sourced[loaded]] += _rows_at(j[zi:, loaded], N0.T)
 
     if g.k_cross is None:
         modes_of = np.arange(m)[:, None]
-        groups = [(np.nonzero(lam == lv)[0], *op) for lv, op in ops.items()]
+        groups = [(np.nonzero(lam == lv)[0], *_block_law(g, [lv])) for lv in lams]
     else:
-        modes_of, groups = np.array(_wavevector_blocks(table)), []
-        for b, idx in enumerate(modes_of):
-            # f -> k_cross x f enters M1 at order zero and Mstar at order one.
-            cross = np.kron(_cross_block(g.k_cross, table.amplitudes[idx]), I2)
-            kappa = _block_diag_coeffs([[g.kappa0 + lam[i] * I2] + kappa1_coeffs for i in idx])
-            m1, product = (_block_diag_coeffs([ops[lam[i]][k] for i in idx]) for k in (0, 1))
-            groups.append((np.array([b]), _merged_coeff_list(m1, [cross]),
-                           _merged_coeff_list(product, _convolve_coeff_lists(kappa, [0 * cross, cross]))))
+        # f -> k_cross x f enters Mstar at order one in each wavevector block.
+        modes_of = np.array(_wavevector_blocks(table))
+        crosses = [np.kron(_cross_block(g.k_cross, table.amplitudes[idx]), I2) for idx in modes_of]
+        groups = [(np.array([b]), *_block_law(g, lam[idx], X)) for b, (idx, X) in enumerate(zip(modes_of, crosses))]
     n_blocks, dim = len(modes_of), 2 * modes_of.shape[1]
     symbols = [(blocks, MaterialSymbol(dim=dim, poly_coeffs=m1) if m1 else MaterialSymbol.zero(dim))
                for blocks, m1, _ in groups]
@@ -863,4 +810,4 @@ def solve_generalized(g: GeneralizedScenario, method: str = "auto", *, fp_tol: f
         for out, fields in ((E, u[0::2]), (H, u[1::2]), (D, db[0::2]), (B, db[1::2])):
             out[:, modes_of.T] = fields.transpose(1, 0, 2)
     return _solved_history(g, method, E, H, D, B, iterations, contraction, hypothesis_margin=margin,
-                           neumann_terms=int(neumann_terms), q0_sup=float(q_sup))
+                           q0_sup=float(q_sup))

@@ -185,6 +185,33 @@ def generalized_beta_rk4(kappa0: np.ndarray, Mstar0: np.ndarray, beta: float,
     return u, v
 
 
+def unreduced_trapezoid_solve(kappa0: np.ndarray, kappa1: list, Mstar0: np.ndarray, Mstar1: list,
+                              lam: float, w0: np.ndarray, source: np.ndarray, dt: float) -> np.ndarray:
+    """Dense solve of the integrated law of one mode, with no reduction.
+
+    On the n samples from t = 0, T is the lower-triangular matrix of the
+    running trapezoid integral (row k: dt/2, dt, ..., dt, dt/2).  With
+    kappa(T) = kappa0 + sum_i T^(i+1) kappa1[i] and Mstar(T) likewise, the
+    stacked u (n, 2) solves (kappa(T) + lam) Mstar(T) u + lam J T u
+    = W0 + T j in one np.linalg.solve.  source is j on the same samples.
+    """
+    n = len(source)
+    T = dt * (np.tril(np.ones((n, n))) - 0.5 * np.eye(n))
+    T[:, 0] -= 0.5 * dt
+    T[0, 0] = 0.0
+
+    def symbol(c0, coeffs):
+        op, power = np.kron(np.eye(n), c0), np.eye(n)
+        for C in coeffs:
+            power = power @ T
+            op = op + np.kron(power, np.asarray(C))
+        return op
+
+    A = symbol(kappa0 + lam * np.eye(2), kappa1) @ symbol(Mstar0, Mstar1) + lam * np.kron(T, J2)
+    rhs = np.tile(np.asarray(w0, dtype=np.complex128), n) + (T @ np.asarray(source, dtype=np.complex128)).ravel()
+    return np.linalg.solve(A, rhs).reshape(n, 2)
+
+
 def joint_kcross_rk4(kappa0: np.ndarray, Mstar0: np.ndarray, lam: np.ndarray,
                      X: np.ndarray, w0_big: np.ndarray, dt: float,
                      n_steps: int) -> np.ndarray:

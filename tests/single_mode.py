@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from dbf.dbf_model import _merged_coeff_list, _neumann_coefficients, assemble_reduced_ivp
-from dbf.evo_solver import J2, AbstractIVP, _apply_symbol_time
+from dbf.dbf_model import _block_law, assemble_reduced_ivp
+from dbf.evo_solver import J2, AbstractIVP
 from dbf.weighted_time import MaterialSymbol, WeightedSignal
 
 
@@ -38,25 +38,17 @@ def dbf_blocks(s) -> dict:
 def generalized_block(g, i: int) -> AbstractIVP:
     """The 2x2 problem of mode i of a generalized scenario without k_cross.
 
-    With N the truncated inverse of kappa(z) + lambda, the mode has
-    M1 = Mstar1 + lambda N J, the source N(Dinv) j + R(Dinv) (chi W0) with
-    R(z) = (N(z) - N(0)) / z, and the jump datum N(0) W0.
+    With N0 = (kappa0 + lambda)^-1 the mode has
+    M1 = Mstar1 + lambda N0 J + N0 kappa1 Mstar, the source N0 j and the
+    jump datum N0 W0.
     """
     grid, lam = g.grid, float(g.table.eigenvalues[i])
-    z = 1.0 / (1j * grid.frequencies + g.nu)
-    N, _, _ = _neumann_coefficients(g.kappa0, g.kappa1, lam, z, g.nu)
-    mstar1 = [np.asarray(C, dtype=np.complex128) for C in (g.Mstar1.poly_coeffs if g.Mstar1 else [])]
-    coupling = [lam * (Nd @ J2) for Nd in N] if lam != 0.0 else []
-    m1 = _merged_coeff_list(mstar1, coupling) if (mstar1 or coupling) else []
+    N0 = np.linalg.inv(g.kappa0 + lam * np.eye(2))
+    m1, _ = _block_law(g, [lam])
     w0 = np.array([g.W0.e_part.coeffs[i], g.W0.h_part.coeffs[i]], dtype=np.complex128)
     samples = np.zeros((grid.n_samples, 2), dtype=np.complex128)
     if g.source_J is not None:
-        jvec = np.stack([g.source_J.e[:, i], g.source_J.h[:, i]], axis=1)
-        if np.any(jvec):
-            samples = samples + _apply_symbol_time(MaterialSymbol(dim=2, poly_coeffs=N), jvec, grid)
-    if len(N) > 1 and np.any(w0):
-        chi = np.zeros((grid.n_samples, 2), dtype=np.complex128)
-        chi[grid.zero_index:] = w0
-        samples = samples + _apply_symbol_time(MaterialSymbol(dim=2, poly_coeffs=N[1:]), chi, grid)
+        z = grid.zero_index
+        samples[z:] += np.stack([g.source_J.e[z:, i], g.source_J.h[z:, i]], axis=1) @ N0.T
     return AbstractIVP(dim=2, M0=g.Mstar0, M1=MaterialSymbol(dim=2, poly_coeffs=m1) if m1 else MaterialSymbol.zero(2),
-                       A=np.zeros((2, 2)), source=WeightedSignal(grid, g.nu, samples), W0=N[0] @ w0)
+                       A=np.zeros((2, 2)), source=WeightedSignal(grid, g.nu, samples), W0=N0 @ w0)

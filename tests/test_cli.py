@@ -434,6 +434,18 @@ class TestExitCodes:
         assert cli.cmd_run(write_doc(tmp_path, doc), str(tmp_path / "out")) == cli.EXIT_NO_CONVERGENCE
         assert "cannot converge" in capsys.readouterr().err
 
+    def test_window_without_sample_at_zero_exits_invalid(self, tmp_path, capsys):
+        # The samples straddle t = 0 (-0.003 and +0.002), so no row can hold the
+        # jump: the scenario is rejected rather than solved with an error at 0+.
+        with open(os.path.join(ROOT, "scenarios", "dbf_basic.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["time"]["t_start"], doc["time"]["dt"] = -0.013, 0.005
+        path = write_doc(tmp_path, doc)
+        assert cli.cmd_run(path, str(tmp_path / "out")) == cli.EXIT_INVALID
+        assert cli.cmd_verify(path) == cli.EXIT_INVALID
+        assert capsys.readouterr().err.count("contain t = 0") == 2
+        assert not (tmp_path / "out").exists()
+
     def test_valid_run_exits_zero(self, tmp_path):
         assert cli.cmd_run(write_doc(tmp_path, base_doc()), str(tmp_path / "out")) == cli.EXIT_OK
 
@@ -499,14 +511,12 @@ class TestVerify:
 
     def test_coarse_dt_fails_initial_value_check(self, tmp_path, capsys):
         doc = base_doc()
-        # dt = 0.03 puts t = 0 between grid points, so the right-limit
-        # extrapolation sees the full coarse-step curvature error.
+        # dt = 0.03 puts t = 0 between grid points, where no solver can place
+        # the jump, so the scenario is rejected before it solves.
         doc["method"] = "fixed_point"
         doc["time"] = {"t_start": -1.0, "dt": 0.03, "n": 256, "pad_fraction": 0.25, "nu": 3.0}
         assert cli.cmd_verify(write_doc(tmp_path, doc)) == cli.EXIT_INVALID
-        out = capsys.readouterr().out
-        assert "FAIL: initial_value" in out
-        assert "initial_value" in out.splitlines()[1]
+        assert "contain t = 0" in capsys.readouterr().err
 
     def test_zero_data_scenario_uses_uniqueness_probe(self, tmp_path, capsys):
         doc = base_doc()

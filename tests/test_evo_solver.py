@@ -280,15 +280,18 @@ class TestMarch:
             solve_march_blocks(np.eye(2), M1, np.zeros((EXACT_GRID.n_samples, 1, 2)), np.ones((1, 2)), EXACT_GRID)
 
     def test_auto_solves_where_picard_is_not_contractive(self, table_k2):
-        # At nu = 3 the lambda = -2 group's contraction estimate is 1.5, so Picard
-        # cannot start; the march does not use nu, and the nu = 8 solve agrees.
-        g3 = memory_law_scenario(table_k2, 3.0)
-        with pytest.raises(NotContractive):
-            solve_generalized(g3, "fixed_point")
-        h3 = solve_generalized(g3, "auto")
-        h8 = solve_generalized(memory_law_scenario(table_k2, 8.0), "auto")
-        for a, b in ((h3.E, h8.E), (h3.H, h8.H), (h3.D, h8.D), (h3.B, h8.B)):
-            assert np.max(np.abs(a - b)) <= 1e-8 * np.max(np.abs(b))
+        # At nu = 3 the lambda = -2 group's contraction estimate is 1.6, so Picard
+        # cannot start.  Neither the law nor the march uses nu, so the nu = 8 solve
+        # gives the same bytes, also late in the long dt = 0.01 window, where a
+        # nu-dependent truncation of the law would grow like t^p / p!.
+        for grid in (MEMORY_GRID, TimeGrid(t_start=-0.05, dt=0.01, n_samples=900, pad_fraction=0.25)):
+            g3 = memory_law_scenario(table_k2, 3.0, grid)
+            with pytest.raises(NotContractive):
+                solve_generalized(g3, "fixed_point")
+            h3 = solve_generalized(g3, "auto")
+            h8 = solve_generalized(memory_law_scenario(table_k2, 8.0, grid), "auto")
+            for a, b in ((h3.E, h8.E), (h3.H, h8.H), (h3.D, h8.D), (h3.B, h8.B)):
+                assert a.tobytes() == b.tobytes()
 
 
 class TestModalExact:

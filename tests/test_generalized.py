@@ -1,5 +1,7 @@
 """Tests for operator material laws: memory terms and cross coupling."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from dbf.dbf_model import (
     GeneralizedScenario,
     HypothesisViolated,
     NeumannDiverges,
+    PairSeries,
     block_scalar_matrix,
     cross_coupling_matrix,
     material_energy_series,
@@ -104,7 +107,6 @@ class TestDegenerateConsistency:
         for x, y in ((a.E, b.E), (a.H, b.H), (a.D, b.D), (a.B, b.B)):
             assert np.max(np.abs(x - y)) <= 1e-8
         assert b.diagnostics["iterations"] == 0
-        assert b.diagnostics["neumann_terms"] == 1
         assert b.diagnostics["q0_sup"] == 0.0
 
     def test_six_by_six_input_equivalent(self, table_k1):
@@ -145,9 +147,68 @@ class TestMemoryTerm:
         assert np.max(np.abs(history.H[pos, i] - u[:, 1])) < 1e-6
         assert np.max(np.abs(history.D[pos, i] - v[:, 0])) < 1e-6
         assert np.max(np.abs(history.B[pos, i] - v[:, 1])) < 1e-6
-        assert history.diagnostics["neumann_terms"] > 1
         assert 0.0 < history.diagnostics["q0_sup"] < 1.0
         assert history.diagnostics["causality_sup"] <= 1e-12
+
+    def test_integrator_takes_constant_memory(self, table_k1):
+        # Constant kappa1 and no Mstar1 leave M1 = lambda N0 J + N0 kappa1 Mstar0
+        # constant, so the exponential integrator solves the memory law.
+        beta, kappa0, Mstar0 = 0.4, 2.0 * I2, np.diag([1.0, 0.5])
+        i = table_k1.position((1, 0, 0), "plus")
+        g = GeneralizedScenario(kappa0=kappa0, Mstar0=Mstar0, nu=3.0, K=1, grid=BETA_GRID,
+                                W0=field_pair(table_k1, {i: (1.0, 0.0)}),
+                                kappa1=MaterialSymbol(dim=2, poly_coeffs=[beta * I2]))
+        history = solve_generalized(g, "integrator")
+        pos = BETA_GRID.times >= -1e-12
+        stride = 10
+        u, v = oracles.generalized_beta_rk4(kappa0, Mstar0, beta, 1.0, np.array([1.0, 0.0]),
+                                            BETA_GRID.dt / stride, stride * (int(pos.sum()) - 1))
+        for solved, oracle in ((history.E, u[:, 0]), (history.H, u[:, 1]), (history.D, v[:, 0]), (history.B, v[:, 1])):
+            assert np.max(np.abs(solved[pos, i] - oracle[::stride])) <= 1e-5
+
+    def test_stiff_mode_matches_unreduced_law(self, table_k3):
+        # lambda = -sqrt(6) leaves kappa0 + lambda = 0.05 I: the reduced memory law
+        # N0 kappa1 is 8 times kappa1, and the solve must not truncate anything.
+        grid = TimeGrid(t_start=-0.05, dt=0.001, n_samples=300, pad_fraction=0.25)
+        i = table_k3.position((1, 1, 2), "minus")
+        lam = float(table_k3.eigenvalues[i])
+        assert lam == pytest.approx(-np.sqrt(6.0))
+        w0 = np.array([0.7 - 0.2j, 0.4 + 0.5j])
+        kappa0, kappa1, Mstar0 = 2.5 * I2, [0.4 * I2], np.diag([1.0, 0.5])
+        g = GeneralizedScenario(kappa0=kappa0, Mstar0=Mstar0, nu=9.0, K=3, grid=grid,
+                                W0=field_pair(table_k3, {i: tuple(w0)}),
+                                kappa1=MaterialSymbol(dim=2, poly_coeffs=kappa1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            history = solve_generalized(g, "auto")
+        z = grid.zero_index
+        u = oracles.unreduced_trapezoid_solve(kappa0, kappa1, Mstar0, [], lam, w0,
+                                              np.zeros((grid.n_samples - z, 2)), grid.dt)
+        solved = np.stack([history.E[z:, i], history.H[z:, i]], axis=1)
+        assert np.max(np.abs(solved - u)) <= 1e-12 * np.max(np.abs(u))
+
+    def test_polynomial_memory_matches_unreduced_law(self, table_k1):
+        # A non-diagonal kappa1 of degree 1 and an Mstar1 give M1 terms of degree 0 to 2.
+        grid = TimeGrid(t_start=-0.1, dt=0.002, n_samples=400, pad_fraction=0.25)
+        i = table_k1.position((0, 1, 0), "plus")
+        lam = float(table_k1.eigenvalues[i])
+        kappa0, Mstar0 = 2.0 * I2, np.array([[1.0, 0.2j], [-0.2j, 0.6]])
+        kappa1 = [np.array([[0.3, 0.1], [-0.05, 0.2]]), np.array([[0.0, 0.04], [0.02, -0.03]])]
+        Mstar1 = [np.array([[0.1, 0.02], [0.0, 0.05]])]
+        source = PairSeries.zeros(table_k1, grid, 3.0)
+        source.e[grid.zero_index:, i] = np.sin(3.0 * grid.times[grid.zero_index:])
+        source.h[grid.zero_index:, i] = 0.5j
+        w0 = np.array([1.0, -0.3j])
+        g = GeneralizedScenario(kappa0=kappa0, Mstar0=Mstar0, nu=3.0, K=1, grid=grid,
+                                W0=field_pair(table_k1, {i: tuple(w0)}), source_J=source,
+                                kappa1=MaterialSymbol(dim=2, poly_coeffs=kappa1),
+                                Mstar1=MaterialSymbol(dim=2, poly_coeffs=Mstar1))
+        history = solve_generalized(g, "auto")
+        z = grid.zero_index
+        j = np.stack([source.e[z:, i], source.h[z:, i]], axis=1)
+        u = oracles.unreduced_trapezoid_solve(kappa0, kappa1, Mstar0, Mstar1, lam, w0, j, grid.dt)
+        solved = np.stack([history.E[z:, i], history.H[z:, i]], axis=1)
+        assert np.max(np.abs(solved - u)) <= 1e-12 * np.max(np.abs(u))
 
     def test_explicit_fixed_point_agrees_with_auto(self, table_k1):
         i = table_k1.position((1, 0, 0), "minus")
