@@ -4,7 +4,8 @@ Usage: python3 scripts/convergence_study.py [--levels 4]
 
 Halves dt repeatedly on a fixed window and tabulates, per level: the gap
 between the iterative and closed-form solvers in the weighted norm, the
-integrator's gap (expected second order), the first-order weighted norm of
+integrator's gap (roundoff: its exact propagator steps jump data exactly,
+so it does not shrink with dt), the first-order weighted norm of
 the raw solution (diverges because of the initial jump), and the same norm
 after subtracting the jump response (stable, the quantity the regularity
 check certifies).

@@ -216,7 +216,7 @@ EXIT_TABLE = (
     (ValueError, EXIT_INVALID, "invalid scenario"),
 )
 # The exception types EXIT_TABLE covers; anything else is a bug and propagates.
-FAILURES = (ValueError, NeumannDiverges, NoConvergence, NonFiniteSolution, FileNotFoundError)
+FAILURES = tuple(kind for kinds, _, _ in EXIT_TABLE for kind in (kinds if isinstance(kinds, tuple) else (kinds,)))
 
 
 def _fail(exc: Exception, prefix: str = "") -> int:

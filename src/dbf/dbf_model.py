@@ -61,8 +61,8 @@ from .evo_solver import (
     _rows_at,
     rotation_closed_form,
     solve_fixed_point_blocks,
-    solve_integrator_blocks,
-    solve_march_blocks,
+    solve_propagator_blocks,
+    step_columns,
 )
 from .weighted_time import MaterialSymbol, NuTooSmall, TimeGrid
 
@@ -429,15 +429,15 @@ def _solve_blocks(method: str, grid: TimeGrid, nu: float, M0: np.ndarray, groups
                   source: tuple, fp_tol: float, max_iter: int, closed: np.ndarray | None = None):
     """Solve the blocks with data: jumps w0 (n_blocks, d), sources (idx, samples (n, len(idx), d)).
 
-    Each group (blocks, M1) shares M0, M1 and A = 0.  One rotation_closed_form
-    call per column chunk solves the blocks flagged closed and, under "auto"
-    and "exact", every rotation block; "exact" raises WrongCase on any other.
-    Each other group makes one call: a causal march under "auto" (the exact
-    limit of the Picard iteration, so "auto" never iterates), and the Picard
-    iteration or the integrator under "fixed_point" or "integrator".  The
-    failure raised is that of the first failing block, as in a
-    block-by-block solve.  Returns (fields (d, n, n_blocks), Picard
-    iterations, contraction estimate); both are 0 unless Picard ran.
+    Each group (blocks, M1, lift) shares M0, M1 and A = 0; lift lists the
+    flux symbol's coefficients, or is None.  One rotation_closed_form call
+    per column chunk solves the blocks flagged closed and, under "auto" and
+    "exact", every rotation block; "exact" raises WrongCase on any other.
+    Each other group makes one call: the exact propagator, which also lifts
+    the flux, under "auto" and "integrator", and Picard under "fixed_point";
+    the trapezoid integral lifts the flux of the groups not propagated.  The
+    first failing block's error is raised.  Returns (fields (d, n, n_blocks),
+    flux or None, Picard iterations, contraction estimate).
     """
     (n_blocks, d), n = w0.shape, grid.n_samples
     A, row, c = np.zeros((d, d)), np.full(n_blocks, -1), np.zeros(n_blocks)
@@ -446,13 +446,17 @@ def _solve_blocks(method: str, grid: TimeGrid, nu: float, M0: np.ndarray, groups
     data[source[0]] |= np.any(source[1] != 0, axis=(0, 2))
     closed = data & (False if closed is None else closed)
     u = np.zeros((d, n, n_blocks), dtype=np.complex128)
-    iterations, contraction, failure = 0, 0.0, None
-    for blocks, M1 in sorted(groups, key=lambda group: group[0][0]):  # block order: a failure ends early
+    db = None if all(lift is None for _, _, lift in groups) else np.zeros_like(u)
+    trapezoid_lifts, iterations, contraction, failure = [], 0, 0.0, None
+    for blocks, M1, lift in sorted(groups, key=lambda group: group[0][0]):  # block order: a failure ends early
+        propagated = method == "integrator"
         try:
-            c[blocks], rotation = _rotation_constant(M0, M1, A)[2], None
+            c[blocks] = _rotation_constant(M0, M1, A)[2]
             closed[blocks] |= data[blocks] & (method in ("auto", "exact"))
-        except WrongCase as exc:
-            rotation = exc.with_traceback(None)  # kept without the frames it would hold alive
+        except WrongCase:
+            propagated |= method == "auto"
+        if lift is not None and not propagated:
+            trapezoid_lifts.append((blocks, lift))
         cols = blocks[data[blocks] & ~closed[blocks]]
         if not cols.size or (failure is not None and cols[0] > failure[0]):
             continue
@@ -461,11 +465,12 @@ def _solve_blocks(method: str, grid: TimeGrid, nu: float, M0: np.ndarray, groups
         f[:, k >= 0] = source[1][:, k[k >= 0]]
         try:
             if method == "exact":
-                raise rotation
-            if method == "integrator":
-                sol = solve_integrator_blocks(M0, M1, A, f, w0[cols], grid)
-            elif method == "auto":
-                sol = solve_march_blocks(M0, M1, f, w0[cols], grid)
+                raise WrongCase("method 'exact' needs rotation blocks, and this law has a block that is not a "
+                                "rotation; use method 'auto' or 'integrator'")
+            if propagated:
+                sol, flux = solve_propagator_blocks(M0, M1, f, w0[cols], grid, lift)
+                if flux is not None:
+                    db[:, :, cols] = flux.transpose(2, 0, 1)
             else:
                 sol, iters, cest, _ = solve_fixed_point_blocks(M0, M1, A, f, w0[cols], grid, nu, max_iter, fp_tol)
                 iterations, contraction = max(iterations, int(iters.max())), max(contraction, cest)
@@ -481,7 +486,10 @@ def _solve_blocks(method: str, grid: TimeGrid, nu: float, M0: np.ndarray, groups
         k = row[cols]
         u[0][:, cols], u[1][:, cols] = rotation_closed_form(M0[0, 0].real, M0[1, 1].real, c[cols], w0[cols], grid,
                                                             (np.nonzero(k >= 0)[0], source[1][:, k[k >= 0]]))
-    return u, iterations, contraction
+    for blocks, lift in trapezoid_lifts:
+        sol = u[:, :, blocks].transpose(1, 2, 0)
+        db[:, :, blocks] = np.moveaxis(_apply_symbol_time(MaterialSymbol(d, lift), sol, grid), -1, 0)
+    return u, db, iterations, contraction
 
 
 def _solved_history(s, method: str, E, H, D, B, iterations: int, contraction: float,
@@ -549,11 +557,11 @@ def solve_dbf(s: DBFScenario, method: str = "exact", *, fp_tol: float = DEFAULT_
     idx, samples = _source_columns(s, np.nonzero(keep)[0])
     samples /= factors[idx, None]
     groups = [(np.nonzero(keep & (reduced.coupling == c))[0],
-               MaterialSymbol(dim=2, poly_coeffs=[c * J2]) if c != 0.0 else MaterialSymbol.zero(2))
+               MaterialSymbol(dim=2, poly_coeffs=[c * J2]) if c != 0.0 else MaterialSymbol.zero(2), None)
               for c in set(reduced.coupling[keep].tolist())]  # not np.unique: its first call imports numpy.ma
     M0 = np.diag([s.epsilon, s.mu]).astype(np.complex128)
-    (E, H), iterations, contraction = _solve_blocks(method, s.grid, s.nu, M0, groups, w0, (idx, samples),
-                                                    fp_tol, max_iter, closed=reduced.near)
+    (E, H), _, iterations, contraction = _solve_blocks(method, s.grid, s.nu, M0, groups, w0, (idx, samples),
+                                                       fp_tol, max_iter, closed=reduced.near)
     D, B = recover_DB(E, H, s)
     return _solved_history(s, method, E, H, D, B, iterations, contraction,
                            np.nonzero(reduced.kernel)[0], np.nonzero(reduced.near)[0])
@@ -580,7 +588,8 @@ def verify_dbf_equation(history: FieldHistory, s) -> float:
 
     Integrating the equation once in time removes the Dirac datum: for
     t >= 0 the residual pair is (D, B)(t) + int_0^t [lambda J (E, H) - J_src]
-    - W0, evaluated per mode with the composite Simpson rule.  Per-mode
+    - W0, evaluated per mode with the composite Simpson rule, except that a
+    step source with its onset after t = 0 is integrated exactly.  Per-mode
     weighted L2 norms in time are scaled by (1 + lambda^2)^(-1/2), the proxy
     for the dual norm where the equation holds, and summed.  Works for both
     scenario kinds since only data and eigenvalues enter.  Column chunks
@@ -592,11 +601,20 @@ def verify_dbf_equation(history: FieldHistory, s) -> float:
     wt = np.exp(-2.0 * s.nu * grid.times[z:])
     per_mode = np.empty(lam.size)
     for cols in column_chunks(grid.n_samples - z, lam.size):
-        je, jh = (s.source_J.e[z:, cols], s.source_J.h[z:, cols]) if s.source_J is not None else (0.0, 0.0)
+        je, jh = (s.source_J.e[z:, cols], s.source_J.h[z:, cols]) if s.source_J is not None else np.zeros((2, 1, 1))
+        ramp_e = ramp_h = 0.0
+        # A step with its onset after t = 0 (zero at t = 0, on at the end) integrates exactly, as a (t - t_onset).
+        late = (je[0] == 0) & (jh[0] == 0) & ((je[-1] != 0) | (jh[-1] != 0))
+        if np.any(late):
+            first, ae, ah, before, step = step_columns(je, jh)
+            late &= step
+            je, jh = np.where(late, 0.0, je), np.where(late, 0.0, jh)
+            ramp = np.where(before | ~late, 0.0, grid.times[z:, None] - grid.times[z + first])
+            ramp_e, ramp_h = ae * ramp, ah * ramp
         integrand_e = -lam[None, cols] * history.H[z:, cols] - je
         integrand_h = lam[None, cols] * history.E[z:, cols] - jh
-        r_e = history.D[z:, cols] + _cumsimp(integrand_e, grid.dt) - s.W0.e_part.coeffs[None, cols]
-        r_h = history.B[z:, cols] + _cumsimp(integrand_h, grid.dt) - s.W0.h_part.coeffs[None, cols]
+        r_e = history.D[z:, cols] + _cumsimp(integrand_e, grid.dt) - ramp_e - s.W0.e_part.coeffs[None, cols]
+        r_h = history.B[z:, cols] + _cumsimp(integrand_h, grid.dt) - ramp_h - s.W0.h_part.coeffs[None, cols]
         per_mode[cols] = np.sqrt(grid.dt * np.sum(wt[:, None] * (np.abs(r_e) ** 2 + np.abs(r_h) ** 2), axis=0))
     return float(np.sum(per_mode / np.sqrt(1.0 + lam**2)))
 
@@ -744,17 +762,18 @@ def solve_generalized(g: GeneralizedScenario, method: str = "auto", *, fp_tol: f
     _block_law), and the data into N0 j and N0 W0 for all of them at once.
     Each group of modes is solved in one call.  Method "auto" uses the
     closed form when the coupling degenerates to a real rotation and
-    otherwise marches the discrete system in one causal pass, which gives
-    the limit of the Picard iteration without iterating, so it needs no
-    contraction and never raises NotContractive; explicit "fixed_point" is
-    that Picard iteration, with the contraction test per group, and
-    "integrator" takes the groups whose M1 is constant.  A nonzero k_cross
-    couples the three modes of each wavevector (the const modes form the
-    k = 0 block), so each wavevector is then one 6x6 block with its own
-    operator.  Blocks without data are skipped.  NeumannDiverges is raised
-    when the first correction sup |N0 z kappa1(z)| on the nu-ball reaches 1.
-    The flux pair follows by applying the product symbol (kappa(z) + lambda)
-    Mstar(z) in the time domain, which reproduces W0 exactly at t = 0+.
+    otherwise the exact propagator, which steps the polynomial law exactly
+    and needs no contraction, so it never raises NotContractive;
+    "integrator" takes the propagator for every group, and explicit
+    "fixed_point" is the Picard iteration, with the contraction test per
+    group.  A nonzero k_cross couples the three modes of each wavevector
+    (the const modes form the k = 0 block), so each wavevector is then one
+    6x6 block with its own operator.  Blocks without data are skipped.
+    NeumannDiverges is raised when the first correction
+    sup |N0 z kappa1(z)| on the nu-ball reaches 1.  The flux pair is the
+    product symbol (kappa(z) + lambda) Mstar(z) applied to the solution:
+    the propagator reads it off its state, the other methods apply it with
+    the trapezoid running integral; both reproduce W0 at t = 0+.
     """
     if method not in GENERALIZED_METHODS:
         raise ValueError(f"method must be one of {GENERALIZED_METHODS}, got {method!r}")
@@ -791,18 +810,13 @@ def solve_generalized(g: GeneralizedScenario, method: str = "auto", *, fp_tol: f
         crosses = [np.kron(_cross_block(g.k_cross, table.amplitudes[idx]), I2) for idx in modes_of]
         groups = [(np.array([b]), *_block_law(g, lam[idx], X)) for b, (idx, X) in enumerate(zip(modes_of, crosses))]
     n_blocks, dim = len(modes_of), 2 * modes_of.shape[1]
-    symbols = [(blocks, MaterialSymbol(dim=dim, poly_coeffs=m1) if m1 else MaterialSymbol.zero(dim))
-               for blocks, m1, _ in groups]
+    symbols = [(blocks, MaterialSymbol(dim=dim, poly_coeffs=m1) if m1 else MaterialSymbol.zero(dim), product)
+               for blocks, m1, product in groups]
     if dim > 2:
         w0, reduced = w0[modes_of].reshape(n_blocks, dim), reduced[:, modes_of].reshape(n, n_blocks, dim)
     M0 = _block_diag_coeffs([[g.Mstar0]] * modes_of.shape[1])[0]
-    u, iterations, contraction = _solve_blocks(method, grid, g.nu, M0, symbols, w0, (np.arange(n_blocks), reduced),
-                                               fp_tol, max_iter)
-    del reduced  # not needed by the lift
-    db = np.zeros_like(u)
-    for blocks, _, product in groups:
-        sol = u[:, :, blocks].transpose(1, 2, 0)
-        db[:, :, blocks] = np.moveaxis(_apply_symbol_time(MaterialSymbol(dim, product), sol, grid), -1, 0)
+    u, db, iterations, contraction = _solve_blocks(method, grid, g.nu, M0, symbols, w0,
+                                                   (np.arange(n_blocks), reduced), fp_tol, max_iter)
     if dim == 2:
         (E, H), (D, B) = u, db
     else:

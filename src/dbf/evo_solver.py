@@ -14,16 +14,14 @@ part it gives the jump  chi_{t>=0} exp(-t A') sqrt(M0)^-1 W0, and its gain
 on the weighted space with weight nu is 1/nu, which makes the fixed-point
 map a contraction once nu exceeds the symbol bound of M1' .
 
-Four solvers are provided: a closed form for stacked 2x2 rotation blocks
-(exact for jump, step, and delayed-step data), a one-step exponential
-integrator, the Picard iteration realizing the contraction argument, and a
-causal march.  With A = 0 and M1 a polynomial in the causal trapezoid
-integral, the discrete Picard fixed point solves a lower-triangular system
-in time; the march computes it in one forward pass, with no contraction,
-weight condition or stop tolerance.  Each solves a stack of blocks sharing
-one operator, every block bit for bit as alone (solve_fixed_point,
-solve_integrator and solve_modal_exact are the one-block forms; the march
-takes B = 1).
+Three solvers are provided: a closed form for stacked 2x2 rotation blocks
+(exact for jump, step, and delayed-step data), the Picard iteration
+realizing the contraction argument, and an exact propagator: with A = 0
+and M1 = sum_i C_i I^i, y = (U, I U, ..., I^{p+1} U) obeys a linear ODE
+that one matrix exponential steps exactly, with no contraction, weight
+condition or stop tolerance.  Each solves a stack of blocks sharing one
+operator, every block bit for bit as alone (solve_fixed_point,
+solve_integrator and solve_modal_exact are the one-block forms).
 
 The solve window is the rows from TimeGrid.zero_index, the first sample at
 t >= 0: every time-domain helper computes those rows only and leaves the
@@ -33,6 +31,7 @@ store the right limit U(0+) at the t = 0 sample.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -341,49 +340,6 @@ def solve_fixed_point(p: AbstractIVP, nu: float, max_iter: int = DEFAULT_MAX_ITE
                        verify_initial_value(u, p.M0, p.W0), ratios[0])
 
 
-def solve_march_blocks(M0: np.ndarray, M1: MaterialSymbol, source: np.ndarray, w0: np.ndarray,
-                       grid: TimeGrid) -> np.ndarray:
-    """Limit of the Picard iteration of B blocks sharing (M0, M1) with A = 0, in one forward pass.
-
-    With A = 0 and M1' = sum_j C'_j T^j a polynomial in the running trapezoid
-    integral T, the fixed point of solve_fixed_point_blocks solves the
-    lower-triangular system v = v0 - T(sum_j C'_j T^j v) with
-    v0 = sqrt(M0)^-1 (w0 + T J).  The states x = (v, T v, ..., T^{p+1} v)
-    obey one trapezoid step L x_{k+1} = R x_k + E v0_{k+1}, solved once for
-    P = L^-1 R and Q = L^-1 E; the blocks then march as columns from
-    x = (v0, 0, ..., 0) at the t = 0 row, where T restarts.  This needs no
-    weight nu, no contraction and no stop tolerance.  source is (n, B, d)
-    and w0 (B, d); returns (n, B, d), exactly zero before t = 0.
-    """
-    if M1.delays:
-        raise WrongCase("marching needs a polynomial symbol M1")
-    inv_sqrt, _, _ = _check_hermitian_posdef(M0)
-    d, z, n_blocks = M1.dim, grid.zero_index, len(w0)
-    coeffs = [inv_sqrt @ np.asarray(C, dtype=np.complex128) @ inv_sqrt for C in M1.poly_coeffs]
-    stages = len(coeffs) + 1  # v, T v, ..., T^{p+1} v
-    width = d * stages
-    # Row 0 of the step: v + sum_j C'_j T^{j+1} v = v0.  Row j: T^j v - dt/2 T^{j-1} v
-    # equals the previous T^j v plus dt/2 times the previous T^{j-1} v.
-    half = np.eye(stages, k=-1) * (0.5 * grid.dt)
-    L = np.kron(np.eye(stages) - half, np.eye(d)).astype(np.complex128)
-    if coeffs:
-        L[:d, d:] = np.hstack(coeffs)
-    R = np.kron(np.eye(stages) + half, np.eye(d))
-    R[:d] = 0.0
-    step = np.linalg.solve(L, np.hstack([R, np.eye(width, d)])).T  # x_{k+1} = (x_k, v0_{k+1}) @ step
-    v0 = _rows_at(w0 + running_trapezoid(source[z:], grid.dt), inv_sqrt.T)
-    # Row k holds (x_k, v0_{k+1}) for every block, padded to two blocks at least: a one-row
-    # product takes another BLAS path, whose last bits differ.
-    xs = np.zeros((len(v0), max(n_blocks, 2), width + d), dtype=np.complex128)
-    xs[:1, :n_blocks, :d] = v0[:1]
-    xs[:-1, :n_blocks, width:] = v0[1:]
-    for k in range(1, len(xs)):
-        np.matmul(xs[k - 1], step, out=xs[k, :, :width])
-    out = np.zeros((grid.n_samples, n_blocks, d), dtype=np.complex128)
-    out[z:] = _rows_at(xs[:, :n_blocks, :d], inv_sqrt.T)
-    return out
-
-
 def _rotation_constant(M0: np.ndarray, M1: MaterialSymbol, A: np.ndarray) -> tuple[float, float, float]:
     """Extract (epsilon, mu, c) from a 2x2 operator with M0 diagonal, M1 = c J, c real, A = 0."""
     if M1.dim != 2:
@@ -428,6 +384,15 @@ def _rotate(eps: float, mu: float, c: np.ndarray, omega: np.ndarray, s: np.ndarr
     return e, h
 
 
+def step_columns(se: np.ndarray, sh: np.ndarray) -> tuple:
+    """Per column of the (e, h) source rows from t = 0, each (rows, k): the first nonzero row, the values
+    there, the mask of the rows before it, and whether the column is a step (zero, then constant)."""
+    first = np.argmax((se != 0) | (sh != 0), axis=0)
+    ae, ah = se[first, np.arange(se.shape[1])], sh[first, np.arange(se.shape[1])]
+    before = np.arange(len(se))[:, None] < first
+    return first, ae, ah, before, np.all((se == ae) & (sh == ah) | before, axis=0)
+
+
 def rotation_closed_form(eps: float, mu: float, c: np.ndarray, w0: np.ndarray, grid: TimeGrid,
                          source: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Closed form of B stacked 2x2 rotation blocks sharing M0 = diag(eps, mu).
@@ -449,10 +414,7 @@ def rotation_closed_form(eps: float, mu: float, c: np.ndarray, w0: np.ndarray, g
     tau = np.where(np.abs(tau) < ZERO_TIME_TOL, 0.0, tau)[:, None]
     ue, uh = _rotate(eps, mu, c, omega, tau, w0[:, 0] / eps, w0[:, 1] / mu)
     idx, (se, sh) = source[0], np.moveaxis(source[1][z:], -1, 0)
-    first = np.argmax((se != 0) | (sh != 0), axis=0)
-    ae, ah = se[first, np.arange(len(idx))], sh[first, np.arange(len(idx))]
-    before = np.arange(len(tau))[:, None] < first
-    step = np.all((se == ae) & (sh == ah) | before, axis=0)
+    first, ae, ah, before, step = step_columns(se, sh)
     pe, ph = np.zeros((2,) + se.shape, dtype=np.complex128)
     # A step a != 0 adds v - exp(-s B) v, v = B^-1 M0^-1 a = -B M0^-1 a / omega^2 with
     # omega^2 by libm pow (as a scalar power), or s M0^-1 a where omega = 0.
@@ -492,39 +454,74 @@ def solve_modal_exact(p: AbstractIVP, nu: float) -> WeightedSignal:
     return WeightedSignal(p.source.grid, nu, np.hstack([ue, uh]))
 
 
-def solve_integrator_blocks(M0: np.ndarray, M1: MaterialSymbol, A: np.ndarray, source: np.ndarray,
-                            w0: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """One-step exponential integrator of B blocks sharing a constant-coefficient operator.
+def _expm(A: np.ndarray) -> np.ndarray:
+    """exp(A) by scaling and squaring of the [13/13] Pade approximant (Higham, SIAM J. Matrix Anal. Appl. 26, 2005)."""
+    norm, theta13 = np.linalg.norm(A, 1), 5.371920351148152  # the 1-norm up to which no scaling is needed
+    s = int(np.ceil(np.log2(norm / theta13))) if norm > theta13 else 0
+    A = A / 2.0**s
+    b = [float(math.factorial(26 - k) // (math.factorial(k) * math.factorial(13 - k))) for k in range(14)]
+    A2, eye = A @ A, np.eye(len(A))
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye
+    E = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        E = E @ E
+    return E
 
-    Requires M1 to be a constant matrix (no memory): block b is then the ODE
-    M0 U' + (M1(0) + A) U = J_b, U(0+) = M0^-1 w0_b (source (n, B, d), w0
-    (B, d)).  Steps with the exact propagator exp(-dt B), computed once, and
-    a trapezoidal Duhamel term, second order in dt.  Returns (n, B, d).
+
+def solve_propagator_blocks(M0: np.ndarray, M1: MaterialSymbol, source: np.ndarray, w0: np.ndarray,
+                            grid: TimeGrid, lift: list | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Exact propagator of B blocks sharing (M0, M1) with A = 0 and M1 = sum_i C_i T^i a polynomial.
+
+    With T the exact running integral from t = 0, y = (u, T u, ..., T^{p+1} u) obeys
+    y' = F y + G J: F has the first block row -M0^-1 C_i and identities on the block
+    subdiagonal, G = (M0^-1, 0, ..., 0).  A step h maps y_k to e^{hF} y_k
+    + h phi1(hF) G J_k + h phi2(hF) G (J_{k+1} - J_k), exact for jump data and for
+    sources linear between samples; one _expm of [[hF, hG, 0], [0, 0, I], [0, 0, 0]]
+    gives all three (Van Loan 1978).  The blocks march as columns from
+    y = (M0^-1 w0, 0, ...) at the t = 0 row.  lift, coefficients P_0, ..., P_q with
+    q <= p + 1, adds the flux sum_i P_i T^i u to the same product.  source is
+    (n, B, d) and w0 (B, d); returns (u, flux), each (n, B, d) and exactly zero
+    before t = 0, flux None without lift.
     """
-    from scipy.linalg import expm  # only this method needs scipy; keep it off start-up
-
-    if M1.delays or len(M1.poly_coeffs) > 1:
-        raise WrongCase("exponential integrator needs a constant symbol M1")
-    C = np.asarray(M1.poly_coeffs[0] if M1.poly_coeffs else np.zeros((M1.dim, M1.dim)), dtype=np.complex128)
+    if M1.delays:
+        raise WrongCase("the exact propagator needs a polynomial symbol M1")
     _, inv, _ = _check_hermitian_posdef(M0)
-    E = expm(-grid.dt * (inv @ (C + _check_skew(A, M1.dim))))
-    z = grid.zero_index
-    f = _rows_at(source, inv.T)
-    out = np.zeros_like(f)
-    half_dt = 0.5 * grid.dt
-    # Steps one block at a time: a stacked product with E changes the last bits.
-    for b, w in enumerate(np.asarray(w0, dtype=np.complex128)):
-        u = inv @ w
-        out[z, b] = u
-        for i in range(z + 1, grid.n_samples):
-            u = E @ u + half_dt * (E @ f[i - 1, b] + f[i, b])
-            out[i, b] = u
-    return out
+    d, z, n_blocks, h = M1.dim, grid.zero_index, len(w0), grid.dt
+    width = d * (len(M1.poly_coeffs) + 1)  # u, T u, ..., T^{p+1} u
+    aug = np.zeros((width + 2 * d,) * 2, dtype=np.complex128)
+    aug[:d, :width - d] = -h * (inv @ np.hstack([np.zeros((d, 0)), *M1.poly_coeffs]))
+    aug[d:width, :width - d] = h * np.eye(width - d)
+    aug[:d, width:width + d] = h * inv
+    aug[width:width + d, width + d:] = np.eye(d)
+    X = _expm(aug)[:width]
+    step = np.vstack([(X[:, width:width + d] - X[:, width + d:]).T, X[:, width + d:].T, X[:, :width].T])
+    start = np.hstack([inv.T, np.zeros((d, width - d))])
+    if lift is not None:
+        read = np.zeros((width, d), dtype=np.complex128)  # flux = y @ read
+        read[:len(lift) * d] = np.vstack([np.asarray(P, dtype=np.complex128).T for P in lift])
+        step, start = np.hstack([step, step @ read]), np.hstack([start, start @ read])
+    # Row k holds (J_k, J_{k+1}, y_k, flux_k) for every block; the step maps its first
+    # 2d + width columns to the rest of row k + 1.  The stack is padded to two blocks at
+    # least: a one-row product takes another BLAS path, whose last bits differ.
+    xs = np.zeros((grid.n_samples - z, max(n_blocks, 2), 2 * d + step.shape[1]), dtype=np.complex128)
+    xs[:, :n_blocks, :d] = source[z:]
+    xs[:-1, :n_blocks, d:2 * d] = source[z + 1:]
+    np.matmul(np.pad(w0, ((0, xs.shape[1] - n_blocks), (0, 0))), start, out=xs[0, :, 2 * d:])
+    for k in range(1, len(xs)):
+        np.matmul(xs[k - 1, :, :2 * d + width], step, out=xs[k, :, 2 * d:])
+    out = np.zeros((grid.n_samples, n_blocks, step.shape[1]), dtype=np.complex128)
+    out[z:] = xs[:, :n_blocks, 2 * d:]
+    return out[..., :d], None if lift is None else out[..., width:]
 
 
 def solve_integrator(p: AbstractIVP, nu: float) -> WeightedSignal:
-    """Exponential integrator of one block: solve_integrator_blocks with B = 1."""
-    samples = solve_integrator_blocks(p.M0, p.M1, p.A, p.source.samples[:, None], p.W0[None], p.source.grid)
+    """Exact propagator of one block (solve_propagator_blocks, B = 1), the skew A added to M1's order-zero term."""
+    coeffs = p.M1.poly_coeffs or [np.zeros((p.dim, p.dim), dtype=np.complex128)]
+    M1 = MaterialSymbol(p.dim, [coeffs[0] + p.A] + coeffs[1:], p.M1.delays, p.M1.radius)
+    samples, _ = solve_propagator_blocks(p.M0, M1, p.source.samples[:, None], p.W0[None], p.source.grid)
     return WeightedSignal(p.source.grid, nu, samples[:, 0])
 
 

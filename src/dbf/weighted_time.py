@@ -325,20 +325,9 @@ def running_simpson(y: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def apply_inverse_derivative(u: WeightedSignal, *, method: str = "trapezoid") -> WeightedSignal:
-    """Causal running integral of u, the action of the inverse time derivative.
-
-    The primary path is the cumulative trapezoid in the time domain, which is
-    exactly causal (output vanishes wherever u has not yet been supported).
-    method="spectral" divides by (i xi + nu) in the transformed picture and
-    is kept for cross-checks only; its wraparound is suppressed by
-    exp(-nu T) on padded windows.
-    """
-    if method == "trapezoid":
-        return u.with_samples(running_trapezoid(u.samples, u.grid.dt))
-    if method == "spectral":
-        return apply_symbol(MaterialSymbol.inverse_derivative(u.channels), u)
-    raise ValueError(f"unknown method {method!r}")
+def apply_inverse_derivative(u: WeightedSignal) -> WeightedSignal:
+    """Causal running integral of u (the inverse time derivative) by the cumulative trapezoid: exactly causal."""
+    return u.with_samples(running_trapezoid(u.samples, u.grid.dt))
 
 
 def apply_symbol(M: MaterialSymbol, u: WeightedSignal) -> WeightedSignal:

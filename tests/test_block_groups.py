@@ -11,8 +11,8 @@ import single_mode
 from dbf import dbf_model, evo_solver
 from dbf.curl_spectral import FieldPair, SpectralField
 from dbf.dbf_model import DBFScenario, GeneralizedScenario, PairSeries, solve_dbf, solve_generalized
-from dbf.evo_solver import (NoConvergence, NotContractive, WrongCase, solve_fixed_point, solve_march_blocks,
-                            solve_modal_exact)
+from dbf.evo_solver import (NoConvergence, NotContractive, WrongCase, solve_fixed_point, solve_modal_exact,
+                            solve_propagator_blocks)
 from dbf.weighted_time import MaterialSymbol, TimeGrid
 
 MEMORY = dict(kappa0=np.diag([2.5, 2.5]), kappa1=MaterialSymbol(dim=2, poly_coeffs=[np.diag([0.4, 0.4])]),
@@ -81,11 +81,11 @@ class TestColumnsMatchSoloBlocks:
         history = solve_generalized(g, "auto")
         for i in range(table_k2.n_modes):
             ivp = single_mode.generalized_block(g, i)
-            try:  # a rotation block takes the closed form, any other the march
+            try:  # a rotation block takes the closed form, any other the propagator
                 evo_solver._rotation_constant(ivp.M0, ivp.M1, ivp.A)
                 solo = solve_modal_exact(ivp, g.nu).samples
             except WrongCase:
-                solo = solve_march_blocks(ivp.M0, ivp.M1, ivp.source.samples[:, None], ivp.W0[None], g.grid)[:, 0]
+                solo = solve_propagator_blocks(ivp.M0, ivp.M1, ivp.source.samples[:, None], ivp.W0[None], g.grid)[0][:, 0]
             assert same_bytes(history.E[:, i], solo[:, 0])
             assert same_bytes(history.H[:, i], solo[:, 1])
         assert history.diagnostics["iterations"] == 0
@@ -93,7 +93,7 @@ class TestColumnsMatchSoloBlocks:
 
 
 def test_memory_modes_make_one_call_per_group(table_k2, rng, monkeypatch):
-    calls = {"solve_fixed_point": 0, "picard": 0, "march": 0}
+    calls = {"solve_fixed_point": 0, "picard": 0, "propagator": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -105,14 +105,14 @@ def test_memory_modes_make_one_call_per_group(table_k2, rng, monkeypatch):
     monkeypatch.setattr(evo_solver, "solve_fixed_point", solo)
     monkeypatch.setattr(dbf_model, "solve_fixed_point", solo, raising=False)
     monkeypatch.setattr(dbf_model, "solve_fixed_point_blocks", counted("picard", evo_solver.solve_fixed_point_blocks))
-    monkeypatch.setattr(dbf_model, "solve_march_blocks", counted("march", evo_solver.solve_march_blocks))
+    monkeypatch.setattr(dbf_model, "solve_propagator_blocks", counted("propagator", evo_solver.solve_propagator_blocks))
     history = solve_generalized(memory_scenario(table_k2, rng), "auto")
     assert history.diagnostics["iterations"] == 0
-    # With memory, the lambda = 0 group has M1 = N0 kappa1 Mstar0, no rotation, so it is marched too.
+    # With memory, the lambda = 0 group has M1 = N0 kappa1 Mstar0, no rotation, so it is propagated too.
     lambdas = len(set(table_k2.eigenvalues.tolist()))
     assert lambdas == 9
     assert calls["solve_fixed_point"] == calls["picard"] == 0
-    assert calls["march"] == lambdas
+    assert calls["propagator"] == lambdas
 
 
 @pytest.mark.parametrize("nu, failing, error", [(1.0, "minus", NotContractive), (1.5, "minus", NoConvergence)])

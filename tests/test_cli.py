@@ -55,6 +55,16 @@ def cross_auto_doc() -> dict:
             "data": {"W0": w0}, "method": "auto"}
 
 
+def loaded_memory_doc(nu: float, **material) -> dict:
+    """K = 2 memory law at dt = 0.01 with a seeded jump on every mode."""
+    rng = np.random.default_rng(5)
+    w0 = [[list(m.k), m.helicity] + [[float(v) for v in rng.uniform(-0.7, 0.7, 2)] for _ in range(2)]
+          + ([m.component_index] if m.component_index is not None else []) for m in build_basis(2).modes]
+    return {"domain": {"K": 2}, "material": dict(MEMORY_LAW, **material),
+            "time": {"t_start": -0.05, "dt": 0.01, "n": 900, "pad_fraction": 0.25, "nu": nu},
+            "data": {"W0": w0}, "method": "auto"}
+
+
 def package_env() -> dict:
     """The environment with this package first on PYTHONPATH, for a fresh interpreter."""
     env = dict(os.environ)
@@ -446,6 +456,15 @@ class TestExitCodes:
         assert capsys.readouterr().err.count("contain t = 0") == 2
         assert not (tmp_path / "out").exists()
 
+    def test_exact_on_memory_law_names_the_method(self, tmp_path, capsys):
+        with open(os.path.join(ROOT, "scenarios", "generalized_memory.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["method"] = "exact"
+        assert cli.cmd_run(write_doc(tmp_path, doc), str(tmp_path / "out")) == cli.EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "method 'exact'" in err and "not a rotation" in err and "'auto' or 'integrator'" in err
+        assert "coupling matrix" not in err
+
     def test_valid_run_exits_zero(self, tmp_path):
         assert cli.cmd_run(write_doc(tmp_path, base_doc()), str(tmp_path / "out")) == cli.EXIT_OK
 
@@ -543,6 +562,24 @@ class TestVerify:
         assert cli.cmd_verify(write_doc(tmp_path, doc)) == cli.EXIT_OK
         line = next(row for row in capsys.readouterr().out.splitlines() if row.startswith("causality"))
         assert line.split()[1:] == ["0.0000e+00", "1.0000e-10", "PASS"]
+
+    def test_delayed_step_source_passes(self, tmp_path, capsys):
+        # The exact solution of a delayed step was right; the residual used to
+        # run Simpson across the source's jump at t = delay (8.7e-5).
+        with open(os.path.join(ROOT, "scenarios", "dbf_basic.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["data"]["source"].update(waveform="delayed_step", delay=0.5)
+        assert cli.cmd_verify(write_doc(tmp_path, doc)) == cli.EXIT_OK
+        line = next(row for row in capsys.readouterr().out.splitlines() if row.startswith("weak_residual"))
+        assert float(line.split()[1]) <= 1e-7
+
+    @pytest.mark.parametrize("nu, material", [(3.0, {}), (8.0, {"k_cross": [0.3, 0.1, 0.2]})],
+                             ids=["memory_nu3", "k_cross_nu8"])
+    def test_memory_law_at_coarse_dt_passes(self, tmp_path, capsys, nu, material):
+        # At dt = 0.01 a second-order step left a weak residual of about 1e-4;
+        # the exact propagator meets resid_tol.
+        assert cli.cmd_verify(write_doc(tmp_path, loaded_memory_doc(nu, **material))) == cli.EXIT_OK
+        assert "all checks passed" in capsys.readouterr().out
 
     def test_unsolvable_scenario_fails(self, tmp_path, capsys):
         doc = base_doc()
@@ -697,25 +734,19 @@ def probe_startup(commands: list) -> dict:
 
 
 class TestStartup:
-    """Only the exponential integrator needs scipy, so no other path loads it."""
+    """scipy is a test-only oracle: no method loads it, the exact propagator included."""
 
     def test_import_and_solves_load_no_scipy(self, tmp_path):
+        doc = base_doc()
+        doc["method"] = "integrator"
         report = probe_startup([
             ("run", os.path.join(ROOT, "scenarios", "dbf_basic.json"), "-o", tmp_path / "exact"),
             ("run", os.path.join(ROOT, "scenarios", "generalized_memory.json"), "-o", tmp_path / "memory"),
+            ("run", write_doc(tmp_path, doc), "-o", tmp_path / "integrator"),
         ])
         assert report["import"] == []
-        assert report["runs"] == [{"code": cli.EXIT_OK, "scipy": [], "jsonschema": []}] * 2
+        assert report["runs"] == [{"code": cli.EXIT_OK, "scipy": [], "jsonschema": []}] * 3
         assert (tmp_path / "memory" / "generalized_memory.csv").exists()
-
-    def test_integrator_imports_expm_on_demand(self, tmp_path):
-        doc = base_doc()
-        doc["method"] = "integrator"
-        path = write_doc(tmp_path, doc)
-        report = probe_startup([("run", path, "-o", tmp_path / "out")])
-        assert report["import"] == []
-        assert report["runs"][0]["code"] == cli.EXIT_OK
-        assert "scipy.linalg" in report["runs"][0]["scipy"]
 
     def test_no_command_imports_jsonschema(self, tmp_path):
         # jsonschema is a test-only oracle: no command may need it at run time.
