@@ -217,7 +217,6 @@ class SpectralField:
 
     table: ModeTable
     coeffs: np.ndarray
-    unit: str = ""
 
     def __post_init__(self) -> None:
         self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
@@ -227,7 +226,7 @@ class SpectralField:
             )
 
     def with_coeffs(self, coeffs: np.ndarray) -> "SpectralField":
-        return SpectralField(self.table, coeffs, self.unit)
+        return SpectralField(self.table, coeffs)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))

@@ -96,41 +96,42 @@ class NonFiniteSolution(RuntimeError):
 
 @dataclass
 class PairSeries:
-    """Time series of paired (e, h) coefficients over one ModeTable.
+    """A causal source over one ModeTable, stored as the columns it loads.
 
-    Rows follow the grid, columns the table; used for sources and data that
-    are field pairs at every sample.
+    modes are the sorted table positions of the columns that carry a
+    nonzero sample and samples (n_samples, len(modes), 2) their (e, h)
+    values on the grid; every other column of the table is zero.  The rows
+    before t = 0 must vanish to within SOURCE_CAUSALITY_TOL and are then
+    zeroed, once, on the data as given, so whether a source solves does not
+    depend on a later scaling or on the material.  Columns left without a
+    nonzero sample are dropped.
     """
 
     table: ModeTable
     grid: TimeGrid
-    nu: float
-    e: np.ndarray
-    h: np.ndarray
+    modes: np.ndarray
+    samples: np.ndarray
 
     def __post_init__(self) -> None:
-        shape = (self.grid.n_samples, self.table.n_modes)
-        self.e = np.asarray(self.e, dtype=np.complex128)
-        self.h = np.asarray(self.h, dtype=np.complex128)
-        for name, arr in (("e", self.e), ("h", self.h)):
-            if arr.shape != shape:
-                raise ValueError(f"{name} shape {arr.shape} != {shape}")
-
-    @classmethod
-    def zeros(cls, table: ModeTable, grid: TimeGrid, nu: float) -> "PairSeries":
-        shape = (grid.n_samples, table.n_modes)
-        return cls(table, grid, nu, np.zeros(shape, dtype=np.complex128), np.zeros(shape, dtype=np.complex128))
+        modes = np.asarray(self.modes)
+        if modes.ndim != 1 or modes.size and not (modes.dtype.kind in "iu" and np.all(np.diff(modes) > 0)
+                                                  and 0 <= modes[0] and modes[-1] < self.table.n_modes):
+            raise ValueError(f"modes must be increasing table positions below {self.table.n_modes}")
+        samples = np.array(self.samples, dtype=np.complex128)
+        if samples.shape != (self.grid.n_samples, modes.size, 2):
+            raise ValueError(f"samples shape {samples.shape} != {(self.grid.n_samples, modes.size, 2)}")
+        z = self.grid.zero_index
+        if not np.all(np.abs(samples[:z]) <= SOURCE_CAUSALITY_TOL):
+            raise ValueError("source must vanish on t < 0")
+        samples[:z] = 0.0
+        loaded = np.any(samples != 0, axis=(0, 2))
+        self.modes, self.samples = modes[loaded].astype(np.intp), samples[:, loaded]
 
     def max_abs(self) -> float:
-        return float(max(np.max(np.abs(self.e), initial=0.0), np.max(np.abs(self.h), initial=0.0)))
-
-    def is_causal(self, tol: float = SOURCE_CAUSALITY_TOL) -> bool:
-        z = self.grid.zero_index
-        return bool(np.all(np.abs(self.e[:z]) <= tol) and np.all(np.abs(self.h[:z]) <= tol))
+        return float(np.max(np.abs(self.samples), initial=0.0))
 
 
-def _check_scenario_data(table: ModeTable, K: int, grid: TimeGrid, nu: float,
-                         W0: FieldPair, source_J: PairSeries | None) -> None:
+def _check_scenario_data(table: ModeTable, K: int, grid: TimeGrid, nu: float, source_J: PairSeries | None) -> None:
     if not nu > 0:
         raise ValueError(f"nu must be > 0, got {nu}")
     if table.K != K:
@@ -140,8 +141,6 @@ def _check_scenario_data(table: ModeTable, K: int, grid: TimeGrid, nu: float,
             raise ValueError("source_J must live on the W0 mode table")
         if source_J.grid != grid:
             raise ValueError("source_J grid differs from the scenario grid")
-        if not source_J.is_causal():
-            raise ValueError("source_J must vanish on t < 0")
 
 
 @dataclass
@@ -163,7 +162,7 @@ class DBFScenario:
         if self.eta == 0:
             raise ValueError("eta must be nonzero; eta = 0 is the achiral limit")
         _check_hermitian_posdef(np.diag([self.epsilon, self.mu]))
-        _check_scenario_data(self.table, self.K, self.grid, self.nu, self.W0, self.source_J)
+        _check_scenario_data(self.table, self.K, self.grid, self.nu, self.source_J)
 
     @property
     def table(self) -> ModeTable:
@@ -234,7 +233,7 @@ class GeneralizedScenario:
             self.k_cross = np.asarray(self.k_cross, dtype=float).reshape(3)
             if not np.any(self.k_cross):
                 self.k_cross = None
-        _check_scenario_data(self.table, self.K, self.grid, self.nu, self.W0, self.source_J)
+        _check_scenario_data(self.table, self.K, self.grid, self.nu, self.source_J)
 
     @property
     def table(self) -> ModeTable:
@@ -338,22 +337,14 @@ def check_data_range(eta: float, source: PairSeries | None, W0: FieldPair, table
     1 + eta lambda = 0.  The tolerance is relative to the largest data
     coefficient (floor 1).
     """
-    kernel = table.kernel_mask(eta)
-    scale = max(1.0, float(np.max(np.abs(W0.e_part.coeffs), initial=0.0)),
-                float(np.max(np.abs(W0.h_part.coeffs), initial=0.0)))
+    load = np.maximum(np.abs(W0.e_part.coeffs), np.abs(W0.h_part.coeffs))
+    scale = max(1.0, float(np.max(load, initial=0.0)))
     if source is not None:
         scale = max(scale, source.max_abs())
-    offending: list[tuple[str, float]] = []
-    worst = 0.0
-    for i in np.nonzero(kernel)[0]:
-        load = max(abs(W0.e_part.coeffs[i]), abs(W0.h_part.coeffs[i]))
-        if source is not None:
-            load = max(load, float(np.max(np.abs(source.e[:, i]), initial=0.0)),
-                       float(np.max(np.abs(source.h[:, i]), initial=0.0)))
-        load = float(load)
-        if load > range_tol * scale:
-            offending.append((str(table.modes[i].key()), load))
-            worst = max(worst, load)
+        load[source.modes] = np.maximum(load[source.modes], np.max(np.abs(source.samples), axis=(0, 2), initial=0.0))
+    bad = np.nonzero(table.kernel_mask(eta) & (load > range_tol * scale))[0]
+    offending = [(str(table.modes[i].key()), float(load[i])) for i in bad]
+    worst = float(np.max(load[bad], initial=0.0))
     return Verdict(passed=not offending, offending=offending, max_violation=worst, range_tol=range_tol)
 
 
@@ -409,20 +400,12 @@ def column_chunks(n_rows: int, n_cols: int) -> list:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _source_columns(s, modes: np.ndarray) -> tuple:
-    """The given modes of scenario s that carry a source, and their (e, h) samples (n, k, 2).
-
-    Samples before t = 0 that PairSeries.is_causal accepted on the unscaled
-    data are zeroed before any scaling or reduction, so whether a scenario
-    solves does not depend on the material.
-    """
+def _source_columns(s, keep: np.ndarray) -> tuple:
+    """The sourced table positions of scenario s where the mask keep holds, and their samples (n, k, 2)."""
     if s.source_J is None:
-        return modes[:0], np.zeros((s.grid.n_samples, 0, 2), dtype=np.complex128)
-    e, h, z = s.source_J.e, s.source_J.h, s.grid.zero_index
-    modes = modes[(np.any(e[z:] != 0, axis=0) | np.any(h[z:] != 0, axis=0))[modes]]
-    samples = np.stack([e[:, modes], h[:, modes]], axis=-1)
-    samples[:z] = 0.0
-    return modes, samples
+        return np.zeros(0, dtype=np.intp), np.zeros((s.grid.n_samples, 0, 2), dtype=np.complex128)
+    kept = keep[s.source_J.modes]
+    return s.source_J.modes[kept], s.source_J.samples[:, kept]
 
 
 def _solve_blocks(method: str, grid: TimeGrid, nu: float, M0: np.ndarray, groups: list, w0: np.ndarray,
@@ -554,8 +537,8 @@ def solve_dbf(s: DBFScenario, method: str = "exact", *, fp_tol: float = DEFAULT_
     keep, factors = ~reduced.kernel, reduced.factors
     w0 = np.zeros((s.table.n_modes, 2), dtype=np.complex128)
     w0[keep] = np.stack([s.W0.e_part.coeffs[keep], s.W0.h_part.coeffs[keep]], axis=1) / factors[keep, None]
-    idx, samples = _source_columns(s, np.nonzero(keep)[0])
-    samples /= factors[idx, None]
+    idx, samples = _source_columns(s, keep)
+    samples = samples / factors[idx, None]
     groups = [(np.nonzero(keep & (reduced.coupling == c))[0],
                MaterialSymbol(dim=2, poly_coeffs=[c * J2]) if c != 0.0 else MaterialSymbol.zero(2), None)
               for c in set(reduced.coupling[keep].tolist())]  # not np.unique: its first call imports numpy.ma
@@ -599,22 +582,27 @@ def verify_dbf_equation(history: FieldHistory, s) -> float:
     z = grid.zero_index
     lam = history.table.eigenvalues
     wt = np.exp(-2.0 * s.nu * grid.times[z:])
+    modes, samples = (s.source_J.modes, s.source_J.samples[z:]) if s.source_J is not None else (
+        np.zeros(0, dtype=np.intp), np.zeros((len(wt), 0, 2)))
     per_mode = np.empty(lam.size)
     for cols in column_chunks(grid.n_samples - z, lam.size):
-        je, jh = (s.source_J.e[z:, cols], s.source_J.h[z:, cols]) if s.source_J is not None else np.zeros((2, 1, 1))
-        ramp_e = ramp_h = 0.0
-        # A step with its onset after t = 0 (zero at t = 0, on at the end) integrates exactly, as a (t - t_onset).
-        late = (je[0] == 0) & (jh[0] == 0) & ((je[-1] != 0) | (jh[-1] != 0))
-        if np.any(late):
-            first, ae, ah, before, step = step_columns(je, jh)
-            late &= step
-            je, jh = np.where(late, 0.0, je), np.where(late, 0.0, jh)
-            ramp = np.where(before | ~late, 0.0, grid.times[z:, None] - grid.times[z + first])
-            ramp_e, ramp_h = ae * ramp, ah * ramp
-        integrand_e = -lam[None, cols] * history.H[z:, cols] - je
-        integrand_h = lam[None, cols] * history.E[z:, cols] - jh
-        r_e = history.D[z:, cols] + _cumsimp(integrand_e, grid.dt) - ramp_e - s.W0.e_part.coeffs[None, cols]
-        r_h = history.B[z:, cols] + _cumsimp(integrand_h, grid.dt) - ramp_h - s.W0.h_part.coeffs[None, cols]
+        lo, hi = np.searchsorted(modes, (cols.start, cols.stop))
+        loaded, at_cols = samples[:, lo:hi], modes[lo:hi] - cols.start
+        # A step with its onset after t = 0 (zero at t = 0, then constant) integrates exactly, as a (t - t_onset).
+        first, at, before, step = step_columns(loaded)
+        late = step & (first > 0)
+        integrand_e = -lam[None, cols] * history.H[z:, cols]
+        integrand_h = lam[None, cols] * history.E[z:, cols]
+        integrand_e[:, at_cols[~late]] -= loaded[:, ~late, 0]
+        integrand_h[:, at_cols[~late]] -= loaded[:, ~late, 1]
+        r_e = history.D[z:, cols] + _cumsimp(integrand_e, grid.dt)
+        r_h = history.B[z:, cols] + _cumsimp(integrand_h, grid.dt)
+        ramp = grid.times[z:, None] - grid.times[z + first[late]]
+        ramp[before[:, late]] = 0.0
+        r_e[:, at_cols[late]] -= at[late, 0] * ramp
+        r_h[:, at_cols[late]] -= at[late, 1] * ramp
+        r_e -= s.W0.e_part.coeffs[None, cols]
+        r_h -= s.W0.h_part.coeffs[None, cols]
         per_mode[cols] = np.sqrt(grid.dt * np.sum(wt[:, None] * (np.abs(r_e) ** 2 + np.abs(r_h) ** 2), axis=0))
     return float(np.sum(per_mode / np.sqrt(1.0 + lam**2)))
 
@@ -783,8 +771,8 @@ def solve_generalized(g: GeneralizedScenario, method: str = "auto", *, fp_tol: f
     z = 1.0 / (1j * grid.frequencies + g.nu)  # the nu-ball, as the grid realizes it
     n, m, zi = grid.n_samples, table.n_modes, grid.zero_index
     jump = np.stack([g.W0.e_part.coeffs, g.W0.h_part.coeffs], axis=1).astype(np.complex128)
-    sourced, j = _source_columns(g, np.arange(m))
-    reduced = np.zeros((n, m, 2), dtype=np.complex128)
+    sourced, j = _source_columns(g, np.ones(m, dtype=bool))
+    reduced = np.zeros(j.shape, dtype=np.complex128)  # N0 j on the sourced columns
     w0 = np.zeros((m, 2), dtype=np.complex128)
     lams, q_sup = sorted(set(lam.tolist())), 0.0
     for lv in lams:
@@ -799,7 +787,7 @@ def solve_generalized(g: GeneralizedScenario, method: str = "auto", *, fp_tol: f
         modes = np.nonzero(lam == lv)[0]
         w0[modes] = [N0 @ v for v in jump[modes]]
         loaded = lam[sourced] == lv
-        reduced[zi:, sourced[loaded]] += _rows_at(j[zi:, loaded], N0.T)
+        reduced[zi:, loaded] += _rows_at(j[zi:, loaded], N0.T)
 
     if g.k_cross is None:
         modes_of = np.arange(m)[:, None]
@@ -813,10 +801,16 @@ def solve_generalized(g: GeneralizedScenario, method: str = "auto", *, fp_tol: f
     symbols = [(blocks, MaterialSymbol(dim=dim, poly_coeffs=m1) if m1 else MaterialSymbol.zero(dim), product)
                for blocks, m1, product in groups]
     if dim > 2:
-        w0, reduced = w0[modes_of].reshape(n_blocks, dim), reduced[:, modes_of].reshape(n, n_blocks, dim)
+        # A block is sourced when one of its modes is; its other modes' source channels stay zero.
+        block_of, slot = np.zeros((2, m), dtype=np.intp)
+        block_of[modes_of], slot[modes_of] = np.arange(n_blocks)[:, None], np.arange(modes_of.shape[1])
+        blocks = np.array(sorted(set(block_of[sourced].tolist())), dtype=np.intp)
+        per_block = np.zeros((n, len(blocks), modes_of.shape[1], 2), dtype=np.complex128)
+        per_block[:, np.searchsorted(blocks, block_of[sourced]), slot[sourced]] = reduced
+        w0, sourced, reduced = w0[modes_of].reshape(n_blocks, dim), blocks, per_block.reshape(n, len(blocks), dim)
     M0 = _block_diag_coeffs([[g.Mstar0]] * modes_of.shape[1])[0]
-    u, db, iterations, contraction = _solve_blocks(method, grid, g.nu, M0, symbols, w0,
-                                                   (np.arange(n_blocks), reduced), fp_tol, max_iter)
+    u, db, iterations, contraction = _solve_blocks(method, grid, g.nu, M0, symbols, w0, (sourced, reduced),
+                                                   fp_tol, max_iter)
     if dim == 2:
         (E, H), (D, B) = u, db
     else:

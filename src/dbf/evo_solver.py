@@ -384,13 +384,14 @@ def _rotate(eps: float, mu: float, c: np.ndarray, omega: np.ndarray, s: np.ndarr
     return e, h
 
 
-def step_columns(se: np.ndarray, sh: np.ndarray) -> tuple:
-    """Per column of the (e, h) source rows from t = 0, each (rows, k): the first nonzero row, the values
-    there, the mask of the rows before it, and whether the column is a step (zero, then constant)."""
-    first = np.argmax((se != 0) | (sh != 0), axis=0)
-    ae, ah = se[first, np.arange(se.shape[1])], sh[first, np.arange(se.shape[1])]
-    before = np.arange(len(se))[:, None] < first
-    return first, ae, ah, before, np.all((se == ae) & (sh == ah) | before, axis=0)
+def step_columns(samples: np.ndarray) -> tuple:
+    """Per column of source rows (rows, k, channels) from t = 0: the first row with a nonzero channel, the
+    channels there (k, channels), the mask (rows, k) of the rows before it, and whether the column is a
+    step (zero, then constant)."""
+    first = np.argmax(np.any(samples != 0, axis=2), axis=0)
+    at = samples[first, np.arange(samples.shape[1])]
+    before = np.arange(len(samples))[:, None] < first
+    return first, at, before, np.all(np.all(samples == at, axis=2) | before, axis=0)
 
 
 def rotation_closed_form(eps: float, mu: float, c: np.ndarray, w0: np.ndarray, grid: TimeGrid,
@@ -414,7 +415,8 @@ def rotation_closed_form(eps: float, mu: float, c: np.ndarray, w0: np.ndarray, g
     tau = np.where(np.abs(tau) < ZERO_TIME_TOL, 0.0, tau)[:, None]
     ue, uh = _rotate(eps, mu, c, omega, tau, w0[:, 0] / eps, w0[:, 1] / mu)
     idx, (se, sh) = source[0], np.moveaxis(source[1][z:], -1, 0)
-    first, ae, ah, before, step = step_columns(se, sh)
+    first, at, before, step = step_columns(source[1][z:])
+    ae, ah = at.T
     pe, ph = np.zeros((2,) + se.shape, dtype=np.complex128)
     # A step a != 0 adds v - exp(-s B) v, v = B^-1 M0^-1 a = -B M0^-1 a / omega^2 with
     # omega^2 by libm pow (as a scalar power), or s M0^-1 a where omega = 0.
@@ -479,12 +481,13 @@ def solve_propagator_blocks(M0: np.ndarray, M1: MaterialSymbol, source: np.ndarr
     y' = F y + G J: F has the first block row -M0^-1 C_i and identities on the block
     subdiagonal, G = (M0^-1, 0, ..., 0).  A step h maps y_k to e^{hF} y_k
     + h phi1(hF) G J_k + h phi2(hF) G (J_{k+1} - J_k), exact for jump data and for
-    sources linear between samples; one _expm of [[hF, hG, 0], [0, 0, I], [0, 0, 0]]
-    gives all three (Van Loan 1978).  The blocks march as columns from
-    y = (M0^-1 w0, 0, ...) at the t = 0 row.  lift, coefficients P_0, ..., P_q with
-    q <= p + 1, adds the flux sum_i P_i T^i u to the same product.  source is
-    (n, B, d) and w0 (B, d); returns (u, flux), each (n, B, d) and exactly zero
-    before t = 0, flux None without lift.
+    sources linear between samples; a step column (zero, then constant) holds J_k
+    over each cell, so step and delayed-step sources are exact too.  One _expm of
+    [[hF, hG, 0], [0, 0, I], [0, 0, 0]] gives all three (Van Loan 1978).  The blocks
+    march as columns from y = (M0^-1 w0, 0, ...) at the t = 0 row.  lift, coefficients
+    P_0, ..., P_q with q <= p + 1, adds the flux sum_i P_i T^i u to the same product.
+    source is (n, B, d) and w0 (B, d); returns (u, flux), each (n, B, d) and exactly
+    zero before t = 0, flux None without lift.
     """
     if M1.delays:
         raise WrongCase("the exact propagator needs a polynomial symbol M1")
@@ -508,7 +511,10 @@ def solve_propagator_blocks(M0: np.ndarray, M1: MaterialSymbol, source: np.ndarr
     # least: a one-row product takes another BLAS path, whose last bits differ.
     xs = np.zeros((grid.n_samples - z, max(n_blocks, 2), 2 * d + step.shape[1]), dtype=np.complex128)
     xs[:, :n_blocks, :d] = source[z:]
-    xs[:-1, :n_blocks, d:2 * d] = source[z + 1:]
+    # A column that is zero and then constant is a step at its first nonzero sample, as in
+    # rotation_closed_form: J_k is held over each cell instead of ramping into the onset.
+    held = step_columns(source[z:])[3][:, None]
+    xs[:-1, :n_blocks, d:2 * d] = np.where(held, source[z:-1], source[z + 1:])
     np.matmul(np.pad(w0, ((0, xs.shape[1] - n_blocks), (0, 0))), start, out=xs[0, :, 2 * d:])
     for k in range(1, len(xs)):
         np.matmul(xs[k - 1, :, :2 * d + width], step, out=xs[k, :, 2 * d:])

@@ -211,11 +211,6 @@ class MaterialSymbol:
         return M
 
     @classmethod
-    def constant(cls, M: np.ndarray, radius: float = math.inf) -> "MaterialSymbol":
-        M = np.atleast_2d(np.asarray(M, dtype=np.complex128))
-        return cls(dim=M.shape[0], poly_coeffs=[M], radius=radius)
-
-    @classmethod
     def identity(cls, dim: int) -> "MaterialSymbol":
         return cls(dim=dim, poly_coeffs=[np.eye(dim, dtype=np.complex128)])
 

@@ -247,6 +247,22 @@ def joint_kcross_rk4(kappa0: np.ndarray, Mstar0: np.ndarray, lam: np.ndarray,
     return rk4_solve(rhs, u0, 0.0, dt, n_steps)
 
 
+def dense_source(table, wave: np.ndarray, amplitude, entries: list) -> tuple:
+    """(e, h) samples (n, n_modes) of a scenario file's source over every table column.
+
+    Each entry [k, helicity, e, h] (a fifth element is the component of a
+    constant mode) adds amplitude * (e, h) * wave to its mode's column, in
+    file order; a number is written as x or as [re, im].
+    """
+    value = lambda v: complex(v) if isinstance(v, (int, float)) else complex(v[0], v[1])
+    e, h = np.zeros((2, wave.size, table.n_modes), dtype=np.complex128)
+    for entry in entries:
+        i = table.position(tuple(entry[0]), entry[1], entry[4] if len(entry) == 5 else None)
+        e[:, i] += value(amplitude) * value(entry[2]) * wave
+        h[:, i] += value(amplitude) * value(entry[3]) * wave
+    return e, h
+
+
 def dbf_weak_residual(history, s) -> float:
     """Weak residual of the coupled evolution in one pass over all modes.
 
@@ -265,7 +281,10 @@ def dbf_weak_residual(history, s) -> float:
 
     grid, lam = history.grid, history.table.eigenvalues
     z = grid.zero_index
-    je, jh = (s.source_J.e[z:], s.source_J.h[z:]) if s.source_J is not None else (0.0, 0.0)
+    je = jh = 0.0
+    if s.source_J is not None:
+        je, jh = np.zeros((2, grid.n_samples - z, lam.size), dtype=np.complex128)
+        je[:, s.source_J.modes], jh[:, s.source_J.modes] = np.moveaxis(s.source_J.samples[z:], -1, 0)
     r_e = history.D[z:] + running(-lam[None, :] * history.H[z:] - je) - s.W0.e_part.coeffs[None, :]
     r_h = history.B[z:] + running(lam[None, :] * history.E[z:] - jh) - s.W0.h_part.coeffs[None, :]
     wt = np.exp(-2.0 * s.nu * grid.times[z:])

@@ -5,15 +5,34 @@ call.  These builders set up the problem of one mode alone, as a
 mode-by-mode solver would, so that tests can compare each column of a
 grouped solve with that mode solved by itself.  solve_march_blocks is the
 limit of the Picard iteration, the oracle for explicit fixed_point.
+source_series builds a scenario source from per-mode samples.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from dbf.dbf_model import _block_law, assemble_reduced_ivp
+from dbf.dbf_model import PairSeries, _block_law, assemble_reduced_ivp
 from dbf.evo_solver import J2, AbstractIVP, WrongCase, _check_hermitian_posdef, _rows_at
 from dbf.weighted_time import MaterialSymbol, TimeGrid, WeightedSignal, running_trapezoid
+
+
+def source_series(table, grid: TimeGrid, columns: dict) -> PairSeries:
+    """Source loading the given table positions: columns maps a position to its (e, h) samples,
+    each an array over the grid rows or one number for every row."""
+    modes = sorted(columns)
+    samples = np.zeros((grid.n_samples, len(modes), 2), dtype=np.complex128)
+    for k, i in enumerate(modes):
+        samples[:, k, 0], samples[:, k, 1] = columns[i]
+    return PairSeries(table, grid, np.array(modes, dtype=np.intp), samples)
+
+
+def source_column(s, i: int) -> np.ndarray:
+    """The (e, h) source samples (n, 2) of table position i of scenario s, zero where it has none."""
+    src = s.source_J
+    if src is None or i not in src.modes:
+        return np.zeros((s.grid.n_samples, 2), dtype=np.complex128)
+    return src.samples[:, np.searchsorted(src.modes, i)]
 
 
 def dbf_blocks(s) -> dict:
@@ -28,7 +47,7 @@ def dbf_blocks(s) -> dict:
     for i in np.nonzero(~reduced.kernel)[0]:
         c, f = reduced.coupling[i], reduced.factors[i]
         M1 = MaterialSymbol(dim=2, poly_coeffs=[c * J2]) if c != 0.0 else MaterialSymbol.zero(2)
-        samples = (np.stack([s.source_J.e[:, i], s.source_J.h[:, i]], axis=1) / f if s.source_J is not None
+        samples = (source_column(s, i) / f if s.source_J is not None
                    else np.zeros((s.grid.n_samples, 2), dtype=np.complex128))
         w0 = np.array([s.W0.e_part.coeffs[i], s.W0.h_part.coeffs[i]]) / f
         blocks[int(i)] = AbstractIVP(dim=2, M0=M0, M1=M1, A=np.zeros((2, 2)),
@@ -47,10 +66,8 @@ def generalized_block(g, i: int) -> AbstractIVP:
     N0 = np.linalg.inv(g.kappa0 + lam * np.eye(2))
     m1, _ = _block_law(g, [lam])
     w0 = np.array([g.W0.e_part.coeffs[i], g.W0.h_part.coeffs[i]], dtype=np.complex128)
-    samples = np.zeros((grid.n_samples, 2), dtype=np.complex128)
-    if g.source_J is not None:
-        z = grid.zero_index
-        samples[z:] += np.stack([g.source_J.e[z:, i], g.source_J.h[z:, i]], axis=1) @ N0.T
+    samples, z = np.zeros((grid.n_samples, 2), dtype=np.complex128), grid.zero_index
+    samples[z:] += source_column(g, i)[z:] @ N0.T
     return AbstractIVP(dim=2, M0=g.Mstar0, M1=MaterialSymbol(dim=2, poly_coeffs=m1) if m1 else MaterialSymbol.zero(2),
                        A=np.zeros((2, 2)), source=WeightedSignal(grid, g.nu, samples), W0=N0 @ w0)
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import oracles
+import single_mode
 from dbf import cli
 from dbf.curl_spectral import FieldPair, SpectralField, projector_P
 from dbf.dbf_model import (
@@ -55,13 +56,10 @@ def field_pair(table, entries) -> FieldPair:
     return FieldPair(SpectralField(table, e), SpectralField(table, h))
 
 
-def mode_source(table, grid, nu, entries, onset=0.0) -> PairSeries:
-    series = PairSeries.zeros(table, grid, nu)
+def mode_source(table, grid, entries, onset=0.0) -> PairSeries:
     mask = grid.times >= onset - 1e-9
-    for i, (ev, hv) in entries.items():
-        series.e[mask, i] = ev
-        series.h[mask, i] = hv
-    return series
+    return single_mode.source_series(table, grid, {i: (np.where(mask, ev, 0.0), np.where(mask, hv, 0.0))
+                                                   for i, (ev, hv) in entries.items()})
 
 
 def build_corpus(table_k1, table_k2) -> list:
@@ -80,22 +78,21 @@ def build_corpus(table_k1, table_k2) -> list:
         return DBFScenario(epsilon=eps, mu=mu, eta=eta, nu=nu, K=table.K,
                            grid=g, W0=field_pair(table, entries), source_J=source)
 
-    bump_src = PairSeries.zeros(t1, g, nu)
-    bump_src.e[:, m100] = 0.3 * oracles.bump(g.times, 0.0, 2.0)
+    bump_src = single_mode.source_series(t1, g, {m100: (0.3 * oracles.bump(g.times, 0.0, 2.0), 0.0)})
 
     return [
         dbf(t1, 0.5, 1.0, 1.0, {p100: (1.0, 0.0)}),
         dbf(t1, 0.5, 2.0, 0.5, {p100: (1.0, -0.5j), p010: (0.3, 0.2)}),
         dbf(t1, -1.0, 1.0, 1.0, {m100: (1.0, -1.0), g001: (0.5, 0.0)}),
         dbf(t1, 0.3, 1.5, 0.75, {p100: (1.0, 0.0)},
-            mode_source(t1, g, nu, {p100: (0.4, 0.0)})),
+            mode_source(t1, g, {p100: (0.4, 0.0)})),
         dbf(t1, -0.7, 1.0, 2.0, {g001: (1.0, 0.5), c0: (0.2, 0.0)}),
         dbf(t1, 0.25, 1.0, 1.0, {p100: (0.0, 1.0)}, bump_src),
         dbf(t2, 0.5, 1.0, 1.0, {p110: (1.0, 0.0)}),
         dbf(t2, -1.0 / np.sqrt(2.0), 1.0, 1.0, {m110: (1.0, 0.0)}),
         dbf(t1, 2.0, 1.0, 1.5, {p100: (1.0, 0.0), m100: (0.0, 1.0)}),
         dbf(t1, 0.5, 1.0, 1.0, {p100: (1.0, 0.0)},
-            mode_source(t1, g, nu, {p100: (0.2, 0.0)}, onset=0.25)),
+            mode_source(t1, g, {p100: (0.2, 0.0)}, onset=0.25)),
     ]
 
 
@@ -200,8 +197,7 @@ def test_criterion_05_causality(table_k1, table_k2):
     i = table_k1.position((1, 0, 0), "plus")
     shifted = DBFScenario(epsilon=1.0, mu=1.0, eta=0.5, nu=3.0, K=1, grid=CORPUS_GRID,
                           W0=field_pair(table_k1, {}),
-                          source_J=mode_source(table_k1, CORPUS_GRID, 3.0,
-                                               {i: (0.5, 0.0)}, onset=onset))
+                          source_J=mode_source(table_k1, CORPUS_GRID, {i: (0.5, 0.0)}, onset=onset))
     history = solve_dbf(shifted, "fixed_point")
     before = CORPUS_GRID.times < onset - 1e-9
     shifted_sup = max(np.max(np.abs(arr[before]), initial=0.0)

@@ -10,7 +10,7 @@ import pytest
 import single_mode
 from dbf import dbf_model, evo_solver
 from dbf.curl_spectral import FieldPair, SpectralField
-from dbf.dbf_model import DBFScenario, GeneralizedScenario, PairSeries, solve_dbf, solve_generalized
+from dbf.dbf_model import DBFScenario, GeneralizedScenario, solve_dbf, solve_generalized
 from dbf.evo_solver import (NoConvergence, NotContractive, WrongCase, solve_fixed_point, solve_modal_exact,
                             solve_propagator_blocks)
 from dbf.weighted_time import MaterialSymbol, TimeGrid
@@ -43,9 +43,9 @@ class TestColumnsMatchSoloBlocks:
         grid = TimeGrid(t_start=-0.1, dt=0.01, n_samples=256, pad_fraction=0.25)
         lam = table_k2.eigenvalues
         tiny = int(np.nonzero(lam == 1.0)[0][1])
-        source = PairSeries.zeros(table_k2, grid, 10.0)
         step = grid.times >= -1e-9
-        source.e[step, 3], source.h[step, 7] = 0.3, -0.2j
+        source = single_mode.source_series(table_k2, grid, {3: (np.where(step, 0.3, 0.0), 0.0),
+                                                            7: (0.0, np.where(step, -0.2j, 0.0))})
         s = DBFScenario(epsilon=1.5, mu=0.5, eta=0.15, nu=10.0, K=2, grid=grid,
                         W0=loaded_pair(table_k2, rng, {tiny: 1e-6}), source_J=source)
         history = solve_dbf(s, "fixed_point")
@@ -145,10 +145,9 @@ class TestSourceRuleIndependentOfEta:
     GRID = TimeGrid(t_start=-0.2, dt=0.01, n_samples=256, pad_fraction=0.25)
 
     def source(self, table, i):
-        series = PairSeries.zeros(table, self.GRID, 60.0)
-        series.e[self.GRID.times >= -1e-9, i] = 0.5
-        series.e[self.GRID.index_at(-0.1), i] = 1e-15
-        return series
+        e = np.where(self.GRID.times >= -1e-9, 0.5, 0.0)
+        e[self.GRID.index_at(-0.1)] = 1e-15
+        return single_mode.source_series(table, self.GRID, {i: (e, 0.0)})
 
     @pytest.mark.parametrize("method", ["exact", "fixed_point"])
     @pytest.mark.parametrize("eta", [0.5, 0.95])

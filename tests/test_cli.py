@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dbf
+import oracles
 from dbf import cli
 from dbf.curl_spectral import ModeTable, build_basis
 
@@ -63,6 +64,11 @@ def loaded_memory_doc(nu: float, **material) -> dict:
     return {"domain": {"K": 2}, "material": dict(MEMORY_LAW, **material),
             "time": {"t_start": -0.05, "dt": 0.01, "n": 900, "pad_fraction": 0.25, "nu": nu},
             "data": {"W0": w0}, "method": "auto"}
+
+
+def shipped_doc(name: str) -> dict:
+    with open(os.path.join(ROOT, "scenarios", name), encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def package_env() -> dict:
@@ -399,6 +405,26 @@ class TestRunOutput:
         recomputed = scenario.epsilon * np.abs(e) ** 2 + scenario.mu * np.abs(h) ** 2
         assert np.max(np.abs(recomputed - cols["energy"])) <= 1e-12
 
+    def test_repeated_source_mode_matches_dense_reference(self, tmp_path):
+        # Entries of one mode add up in file order; a mode whose entries cancel loads nothing.
+        doc = base_doc()
+        doc["time"]["n"] = 256
+        doc["data"]["source"] = {"waveform": "step", "amplitude": [0.4, -0.1], "modes": [
+            [[0, 0, 1], "plus", 1.0, 0.0], [[1, 0, 0], "minus", [0.2, -0.1], 0.5],
+            [[0, 0, 1], "plus", -0.25, [0.0, 0.3]], [[0, 1, 0], "grad", 0.7, 0.0],
+            [[1, 0, 0], "minus", -0.2, 0.0], [[0, 1, 0], "grad", -0.7, 0.0], [[0, 0, 0], "const", 0.1, 0.2, 2]]}
+        s = cli.build_scenario(cli.normalize_scenario_doc(doc))
+        wave = np.where(np.arange(s.grid.n_samples) >= s.grid.zero_index, 1.0, 0.0)
+        e, h = oracles.dense_source(s.table, wave, *(doc["data"]["source"][key] for key in ("amplitude", "modes")))
+        loaded = np.nonzero(np.any(e != 0, axis=0) | np.any(h != 0, axis=0))[0]
+        assert len(loaded) == 3 and s.table.position((0, 1, 0), "grad") not in loaded
+        assert s.source_J.modes.tolist() == loaded.tolist()
+        assert s.source_J.samples.tobytes() == np.stack([e[:, loaded], h[:, loaded]], axis=-1).tobytes()
+        assert cli.cmd_run(write_doc(tmp_path, doc), str(tmp_path / "out")) == cli.EXIT_OK
+        with open(tmp_path / "out" / "scenario.json", encoding="utf-8") as fh:
+            tracked = {(tuple(m["k"]), m["helicity"]) for m in json.load(fh)["tracked_modes"]}
+        assert ((0, 1, 0), "grad") not in tracked and ((0, 0, 0), "const") in tracked
+
     def test_tracked_modes_listed(self, tmp_path):
         path = write_doc(tmp_path, base_doc())
         cli.cmd_run(path, str(tmp_path / "out"))
@@ -447,8 +473,7 @@ class TestExitCodes:
     def test_window_without_sample_at_zero_exits_invalid(self, tmp_path, capsys):
         # The samples straddle t = 0 (-0.003 and +0.002), so no row can hold the
         # jump: the scenario is rejected rather than solved with an error at 0+.
-        with open(os.path.join(ROOT, "scenarios", "dbf_basic.json"), encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = shipped_doc("dbf_basic.json")
         doc["time"]["t_start"], doc["time"]["dt"] = -0.013, 0.005
         path = write_doc(tmp_path, doc)
         assert cli.cmd_run(path, str(tmp_path / "out")) == cli.EXIT_INVALID
@@ -457,8 +482,7 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     def test_exact_on_memory_law_names_the_method(self, tmp_path, capsys):
-        with open(os.path.join(ROOT, "scenarios", "generalized_memory.json"), encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = shipped_doc("generalized_memory.json")
         doc["method"] = "exact"
         assert cli.cmd_run(write_doc(tmp_path, doc), str(tmp_path / "out")) == cli.EXIT_INVALID
         err = capsys.readouterr().err
@@ -566,8 +590,7 @@ class TestVerify:
     def test_delayed_step_source_passes(self, tmp_path, capsys):
         # The exact solution of a delayed step was right; the residual used to
         # run Simpson across the source's jump at t = delay (8.7e-5).
-        with open(os.path.join(ROOT, "scenarios", "dbf_basic.json"), encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = shipped_doc("dbf_basic.json")
         doc["data"]["source"].update(waveform="delayed_step", delay=0.5)
         assert cli.cmd_verify(write_doc(tmp_path, doc)) == cli.EXIT_OK
         line = next(row for row in capsys.readouterr().out.splitlines() if row.startswith("weak_residual"))
@@ -580,6 +603,28 @@ class TestVerify:
         # the exact propagator meets resid_tol.
         assert cli.cmd_verify(write_doc(tmp_path, loaded_memory_doc(nu, **material))) == cli.EXIT_OK
         assert "all checks passed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("method", ["auto", "integrator"])
+    @pytest.mark.parametrize("material", [{}, {"k_cross": [0.3, 0.1, 0.2]}], ids=["memory", "k_cross"])
+    def test_delayed_step_into_memory_law_passes(self, tmp_path, capsys, method, material):
+        # The propagator holds a step from its onset sample on, as the residual
+        # integrates it; ramping into the onset over one cell read 1.29e-5 on both laws.
+        doc = shipped_doc("generalized_memory.json")
+        doc["method"] = method
+        doc["material"].update(material)
+        doc["data"]["source"] = {"waveform": "delayed_step", "amplitude": 0.4, "delay": 0.5,
+                                 "modes": [[[1, 0, 0], "plus", 1.0, 0.0]]}
+        assert cli.cmd_verify(write_doc(tmp_path, doc)) == cli.EXIT_OK
+        line = next(row for row in capsys.readouterr().out.splitlines() if row.startswith("weak_residual"))
+        assert float(line.split()[1]) <= 1e-12
+
+    def test_fixed_point_causality_tolerance_is_not_widened(self, tmp_path, capsys):
+        # Picard writes exact zeros before t = 0, so fixed_point is held to caus_tol as given.
+        doc = shipped_doc("generalized_memory.json")
+        doc["method"], doc["tolerances"] = "fixed_point", {"caus_tol": 1e-10, "fp_tol": 1e-8}
+        cli.cmd_verify(write_doc(tmp_path, doc))
+        line = next(row for row in capsys.readouterr().out.splitlines() if row.startswith("causality"))
+        assert line.split()[1:] == ["0.0000e+00", "1.0000e-10", "PASS"]
 
     def test_unsolvable_scenario_fails(self, tmp_path, capsys):
         doc = base_doc()

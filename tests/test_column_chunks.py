@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import oracles
+import single_mode
 from dbf import dbf_model
 from dbf.curl_spectral import FieldPair, SpectralField, build_basis
 from dbf.dbf_model import (
@@ -44,21 +45,23 @@ def loaded_pair(table, rng) -> FieldPair:
     return FieldPair(SpectralField(table, e), SpectralField(table, h))
 
 
-def source_on(table, grid, nu, modes, rng, t0=0.4) -> PairSeries:
+def source_on(table, grid, modes, rng, t0=0.4) -> PairSeries:
     """A Gaussian on every given mode but the last, which carries a step; zero before t = 0."""
-    src = PairSeries.zeros(table, grid, nu)
-    t = grid.times[grid.zero_index:]
+    z, columns = grid.zero_index, {}
+    t = grid.times[z:]
     for i in modes:
         wave = np.exp(-((t - t0) ** 2) / 0.02) if i != modes[-1] else np.ones_like(t)
-        src.e[grid.zero_index:, i] = (rng.standard_normal() + 1j * rng.standard_normal()) * wave
-        src.h[grid.zero_index:, i] = (rng.standard_normal() + 1j * rng.standard_normal()) * wave
-    return src
+        e, h = np.zeros((2, grid.n_samples), dtype=np.complex128)
+        e[z:] = (rng.standard_normal() + 1j * rng.standard_normal()) * wave
+        h[z:] = (rng.standard_normal() + 1j * rng.standard_normal()) * wave
+        columns[i] = (e, h)
+    return single_mode.source_series(table, grid, columns)
 
 
 def solved(law: str, grid_name: str, sourced: bool):
     table, grid, rng = build_basis(2), GRIDS[grid_name], np.random.default_rng(20261018)
     W0 = loaded_pair(table, rng)
-    source = source_on(table, grid, 3.0, SOURCED, rng) if sourced else None
+    source = source_on(table, grid, SOURCED, rng) if sourced else None
     if law == "dbf":
         s = DBFScenario(epsilon=1.5, mu=0.5, eta=0.15, nu=3.0, K=2, grid=grid, W0=W0, source_J=source)
         return s, solve_dbf(s, "exact")
@@ -70,7 +73,11 @@ def solved(law: str, grid_name: str, sourced: bool):
 def columns_of(history, s, cols):
     """The given columns of a solved history and its scenario, as the attributes the residual reads."""
     pair = lambda a, b: SimpleNamespace(e_part=SimpleNamespace(coeffs=a[cols]), h_part=SimpleNamespace(coeffs=b[cols]))
-    src = None if s.source_J is None else SimpleNamespace(e=s.source_J.e[:, cols], h=s.source_J.h[:, cols])
+    src = None
+    if s.source_J is not None:
+        loaded = np.nonzero(np.isin(cols, s.source_J.modes))[0]  # positions within cols
+        columns = np.searchsorted(s.source_J.modes, cols[loaded])
+        src = SimpleNamespace(modes=loaded, samples=s.source_J.samples[:, columns])
     sub = SimpleNamespace(grid=history.grid, table=SimpleNamespace(eigenvalues=history.table.eigenvalues[cols]),
                           **{name: getattr(history, name)[:, cols] for name in ("E", "H", "D", "B")})
     return sub, SimpleNamespace(nu=s.nu, source_J=src, W0=pair(s.W0.e_part.coeffs, s.W0.h_part.coeffs))
@@ -113,7 +120,7 @@ class TestClosedFormIsBitIdentical:
     def test_columns_match_one_call_over_all_columns(self):
         table, grid = build_basis(3), TimeGrid(t_start=-0.25, dt=0.0025, n_samples=800, pad_fraction=0.5)
         rng = np.random.default_rng(11)
-        source = source_on(table, grid, 1.0, [3, 50, 151, 368], rng, t0=1.0)
+        source = source_on(table, grid, [3, 50, 151, 368], rng, t0=1.0)
         s = DBFScenario(epsilon=1.5, mu=0.5, eta=0.15, nu=1.0, K=3, grid=grid, W0=loaded_pair(table, rng),
                         source_J=source)
         assert len(column_chunks(grid.n_samples, table.n_modes)) > 4
@@ -121,7 +128,7 @@ class TestClosedFormIsBitIdentical:
         reduced = assemble_reduced_ivp(s)
         assert not reduced.kernel.any() and not reduced.near.any()
         w0 = np.stack([s.W0.e_part.coeffs, s.W0.h_part.coeffs], axis=1) / reduced.factors[:, None]
-        idx, samples = dbf_model._source_columns(s, np.arange(table.n_modes))
+        idx, samples = s.source_J.modes, s.source_J.samples
         E, H = rotation_closed_form(s.epsilon, s.mu, reduced.coupling, w0, grid,
                                     (idx, samples / reduced.factors[idx, None]))
         for name, expected in zip("EHDB", (E, H) + recover_DB(E, H, s)):
@@ -133,7 +140,7 @@ def verify_sized():
     """The dbf verify benchmark size: 771 modes, 800 samples, a Gaussian on 37 modes."""
     table, grid = build_basis(4), TimeGrid(t_start=-0.25, dt=0.0025, n_samples=800, pad_fraction=0.5)
     rng = np.random.default_rng(4)
-    source = source_on(table, grid, 1.0, list(rng.choice(table.n_modes, 37, replace=False)) + [0], rng, t0=1.0)
+    source = source_on(table, grid, list(rng.choice(table.n_modes, 37, replace=False)) + [0], rng, t0=1.0)
     s = DBFScenario(epsilon=1.0, mu=1.0, eta=0.15, nu=1.0, K=4, grid=grid, W0=loaded_pair(table, rng),
                     source_J=source)
     return s, solve_dbf(s, "exact")

@@ -38,14 +38,11 @@ def field_pair(table, entries) -> FieldPair:
     return FieldPair(SpectralField(table, e), SpectralField(table, h))
 
 
-def step_series(table, grid, nu, entries) -> PairSeries:
+def step_series(table, grid, entries) -> PairSeries:
     """Step source loading the given modes for t >= 0."""
-    series = PairSeries.zeros(table, grid, nu)
     mask = grid.times >= -1e-9
-    for i, (ev, hv) in entries.items():
-        series.e[mask, i] = ev
-        series.h[mask, i] = hv
-    return series
+    return single_mode.source_series(table, grid, {i: (np.where(mask, ev, 0.0), np.where(mask, hv, 0.0))
+                                                   for i, (ev, hv) in entries.items()})
 
 
 def scenario(table, *, eta=0.5, nu=3.0, epsilon=1.0, mu=1.0, grid=GRID,
@@ -124,7 +121,7 @@ class TestCheckDataRange:
 
     def test_source_loading_is_checked(self, table_k1):
         i = table_k1.position((1, 0, 0), "plus")
-        source = step_series(table_k1, GRID, 3.0, {i: (0.0, 0.5)})
+        source = step_series(table_k1, GRID, {i: (0.0, 0.5)})
         verdict = check_data_range(-1.0, source, field_pair(table_k1, {}), table_k1)
         assert not verdict.passed
 
@@ -231,7 +228,7 @@ class TestSolveDBF:
 
     def test_source_driven_run_is_causal(self, table_k1):
         i = table_k1.position((1, 0, 0), "plus")
-        source = step_series(table_k1, GRID, 3.0, {i: (0.4, 0.0)})
+        source = step_series(table_k1, GRID, {i: (0.4, 0.0)})
         s = scenario(table_k1, eta=0.5, source=source)
         history = solve_dbf(s, "exact")
         assert history.diagnostics["causality_sup"] <= 1e-10
@@ -288,8 +285,7 @@ def mixed_data_scenario(table, *, eta, nu, loads):
     t = grid.times
     waves = {"step": (t >= -1e-9).astype(float), "delayed": (t >= 0.3 - 1e-9).astype(float),
              "gaussian": np.where(t >= -1e-9, np.exp(-((t - 0.4) ** 2) / (2 * 0.1 ** 2)), 0.0)}
-    series = PairSeries.zeros(table, grid, nu)
-    jumps = {}
+    columns, jumps = {}, {}
     for n, ((k, hel, comp), kind) in enumerate(loads.items()):
         i = table.position(k, hel, comp)
         if "jump" in kind:
@@ -297,10 +293,9 @@ def mixed_data_scenario(table, *, eta, nu, loads):
             jumps[i] = (-0.7 + 0.2j * n, 0.4 - 0.1j * (n % 2))
         for wave in kind.split("+"):
             if wave in waves:
-                series.e[:, i] = (0.3 + 0.1j * n) * waves[wave]
-                series.h[:, i] = -0.2 * waves[wave]
+                columns[i] = ((0.3 + 0.1j * n) * waves[wave], -0.2 * waves[wave])
     return DBFScenario(epsilon=1.5, mu=0.5, eta=eta, nu=nu, K=table.K, grid=grid,
-                       W0=field_pair(table, jumps), source_J=series)
+                       W0=field_pair(table, jumps), source_J=single_mode.source_series(table, grid, columns))
 
 
 def assert_same_bits(a, b):
@@ -449,6 +444,47 @@ class TestVerifiers:
         assert abs(pairing.real) <= 1e-12 * abs(np.vdot(history.E[:, i], history.E[:, i]))
 
 
+class TestPairSeries:
+    MODES = np.array([3, 5])
+
+    def causal(self, width):
+        samples = np.zeros((GRID.n_samples, width, 2), dtype=np.complex128)
+        samples[GRID.zero_index:] = 0.5 - 0.25j
+        return samples
+
+    @pytest.mark.parametrize("modes", [[5, 3], [3, 3], [-1, 3], [3, 21], [[3, 5]], [3.0, 5.0]],
+                             ids=["unsorted", "duplicate", "negative", "past_the_table", "nested", "float"])
+    def test_rejects_bad_modes(self, table_k1, modes):
+        assert table_k1.n_modes == 21
+        with pytest.raises(ValueError, match="modes"):
+            PairSeries(table_k1, GRID, np.array(modes), self.causal(2))
+
+    @pytest.mark.parametrize("shape", [(GRID.n_samples, 1, 2), (GRID.n_samples - 1, 2, 2), (GRID.n_samples, 2, 3),
+                                       (GRID.n_samples, 2)])
+    def test_rejects_wrong_sample_shape(self, table_k1, shape):
+        with pytest.raises(ValueError, match="shape"):
+            PairSeries(table_k1, GRID, self.MODES, np.zeros(shape))
+
+    def test_rejects_noncausal_source(self, table_k1):
+        samples = self.causal(2)
+        samples[GRID.zero_index - 1, 1, 1] = 1e-13
+        with pytest.raises(ValueError, match="vanish on t < 0"):
+            PairSeries(table_k1, GRID, self.MODES, samples)
+
+    def test_zeroes_rows_before_zero_and_drops_empty_columns(self, table_k1):
+        z = GRID.zero_index
+        samples = np.zeros((GRID.n_samples, 3, 2), dtype=np.complex128)
+        samples[z:, 1, 0] = 0.5
+        samples[z - 1, 1, 1] = samples[0, 2, 0] = 1e-15  # within SOURCE_CAUSALITY_TOL
+        source = PairSeries(table_k1, GRID, [2, 4, 9], samples)
+        expected = samples[:, 1:2].copy()
+        expected[:z] = 0.0
+        assert source.modes.tolist() == [4]
+        assert source.samples.tobytes() == expected.tobytes()
+        assert samples[z - 1, 1, 1] == 1e-15, "the caller's array is left as it was"
+        assert source.max_abs() == 0.5
+
+
 class TestScenarioValidation:
     def test_zero_eta_rejected(self, table_k1):
         with pytest.raises(ValueError):
@@ -459,10 +495,8 @@ class TestScenarioValidation:
             scenario(table_k1, epsilon=-1.0)
 
     def test_noncausal_source_rejected(self, table_k1):
-        series = PairSeries.zeros(table_k1, GRID, 3.0)
-        series.e[:, 0] = 1.0
         with pytest.raises(ValueError):
-            scenario(table_k1, source=series)
+            scenario(table_k1, source=single_mode.source_series(table_k1, GRID, {0: (1.0, 0.0)}))
 
     def test_truncation_mismatch_rejected(self, table_k1):
         W0 = field_pair(table_k1, {})

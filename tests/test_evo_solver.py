@@ -342,6 +342,13 @@ class TestPropagator:
             assert np.max(np.abs(a[z:] - b[zf::8])) <= 1e-11 * np.max(np.abs(b))
         assert coarse.diagnostics["weak_residual"] <= 1e-11
 
+    def test_delayed_step_source_matches_closed_form(self):
+        # A step is held from its first nonzero sample on, as the closed form takes it;
+        # ramping into an onset after t = 0 over one cell was 3.2e-3 off.
+        w0, amp, c = np.array([1.0, 0.5]), np.array([0.2, -0.3]), 2.0 / 3.0
+        p = make_ivp(np.diag([1.5, 0.5]), c * J2, np.zeros((2, 2)), step_source(EXACT_GRID, amp, 0.5), w0)
+        assert np.max(np.abs(solve_integrator(p, NU).samples - solve_modal_exact(p, NU).samples)) <= 1e-12
+
     def test_skew_a_folds_into_order_zero(self):
         # The rotation c J given as the skew A is the same operator as M1 = c J.
         w0, amp, c = np.array([1.0, 0.5]), np.array([0.2, -0.3]), 2.0 / 3.0

@@ -13,7 +13,6 @@ from dbf.dbf_model import (
     GeneralizedScenario,
     HypothesisViolated,
     NeumannDiverges,
-    PairSeries,
     block_scalar_matrix,
     cross_coupling_matrix,
     material_energy_series,
@@ -216,17 +215,17 @@ class TestMemoryTerm:
         kappa0, Mstar0 = 2.0 * I2, np.array([[1.0, 0.2j], [-0.2j, 0.6]])
         kappa1 = [np.array([[0.3, 0.1], [-0.05, 0.2]]), np.array([[0.0, 0.04], [0.02, -0.03]])]
         Mstar1 = [np.array([[0.1, 0.02], [0.0, 0.05]])]
-        source = PairSeries.zeros(table_k1, grid, 3.0)
-        source.e[grid.zero_index:, i] = np.sin(3.0 * grid.times[grid.zero_index:])
-        source.h[grid.zero_index:, i] = 0.5j
+        z = grid.zero_index
+        e, h = np.zeros((2, grid.n_samples), dtype=np.complex128)
+        e[z:], h[z:] = np.sin(3.0 * grid.times[z:]), 0.5j
+        source = single_mode.source_series(table_k1, grid, {i: (e, h)})
         w0 = np.array([1.0, -0.3j])
         g = GeneralizedScenario(kappa0=kappa0, Mstar0=Mstar0, nu=3.0, K=1, grid=grid,
                                 W0=field_pair(table_k1, {i: tuple(w0)}), source_J=source,
                                 kappa1=MaterialSymbol(dim=2, poly_coeffs=kappa1),
                                 Mstar1=MaterialSymbol(dim=2, poly_coeffs=Mstar1))
         history = solve_generalized(g, "auto")
-        z = grid.zero_index
-        j = np.stack([source.e[z:, i], source.h[z:, i]], axis=1)
+        j = np.stack([e[z:], h[z:]], axis=1)
         u = oracles.unreduced_trapezoid_solve(kappa0, kappa1, Mstar0, Mstar1, lam, w0, j, grid.dt)
         marched = single_mode.march_ivp(single_mode.generalized_block(g, i))[z:]
         assert np.max(np.abs(marched - u)) <= 1e-12 * np.max(np.abs(u))
