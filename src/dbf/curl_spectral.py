@@ -127,9 +127,9 @@ class ModeTable:
             raise KeyError(f"mode {key} not in table (K={self.K})")
         return self._index[key]
 
-    def kernel_mask(self, eta: float, kernel_tol: float = KERNEL_TOL) -> np.ndarray:
-        """Boolean mask of modes in the kernel of (1 + eta curl)."""
-        return np.abs(1.0 + eta * self.eigenvalues) <= kernel_tol
+    def kernel_mask(self, eta: float) -> np.ndarray:
+        """Boolean mask of modes in the kernel of (1 + eta curl): |1 + eta lambda| <= KERNEL_TOL."""
+        return np.abs(1.0 + eta * self.eigenvalues) <= KERNEL_TOL
 
     def to_json(self) -> str:
         doc = {
@@ -281,30 +281,30 @@ def curl_apply(f: SpectralField) -> SpectralField:
     return f.with_coeffs(f.table.eigenvalues * f.coeffs)
 
 
-def projector_P(eta: float, f: SpectralField, *, kernel_tol: float = KERNEL_TOL) -> SpectralField:
+def projector_P(eta: float, f: SpectralField) -> SpectralField:
     """Orthogonal projector onto the closed range of (1 + eta curl).
 
-    Zeroes the coefficients of modes with |1 + eta lambda| <= kernel_tol and
+    Zeroes the coefficients of modes with |1 + eta lambda| <= KERNEL_TOL and
     leaves all others unchanged.  eta is taken exactly as given; near-resonant
     values are flagged by the tolerance, never snapped.
     """
     if eta == 0:
         raise ValueError("eta must be nonzero")
     out = f.coeffs.copy()
-    out[f.table.kernel_mask(eta, kernel_tol)] = 0.0
+    out[f.table.kernel_mask(eta)] = 0.0
     return f.with_coeffs(out)
 
 
-def _assert_in_range(eta: float, coeffs: np.ndarray, table: ModeTable, kernel_tol: float) -> np.ndarray:
-    mask = table.kernel_mask(eta, kernel_tol)
-    over = mask & (np.abs(coeffs) > kernel_tol * max(float(np.linalg.norm(coeffs)), 1.0))
+def _assert_in_range(eta: float, coeffs: np.ndarray, table: ModeTable) -> np.ndarray:
+    mask = table.kernel_mask(eta)
+    over = mask & (np.abs(coeffs) > KERNEL_TOL * max(float(np.linalg.norm(coeffs)), 1.0))
     if np.any(over):
         offenders = [table.modes[i].key() for i in np.nonzero(over)[0]]
         raise NotInRange(f"kernel-mode coefficients exceed tolerance for eta={eta}: {offenders}")
     return mask
 
 
-def reduced_resolvent(eta: float, f: SpectralField, *, kernel_tol: float = KERNEL_TOL) -> SpectralField:
+def reduced_resolvent(eta: float, f: SpectralField) -> SpectralField:
     """Inverse of (1 + eta curl) on the range of the projector.
 
     Divides each coefficient by (1 + eta lambda); kernel modes must carry no
@@ -312,14 +312,14 @@ def reduced_resolvent(eta: float, f: SpectralField, *, kernel_tol: float = KERNE
     """
     if eta == 0:
         raise ValueError("eta must be nonzero")
-    mask = _assert_in_range(eta, f.coeffs, f.table, kernel_tol)
+    mask = _assert_in_range(eta, f.coeffs, f.table)
     out = np.zeros_like(f.coeffs)
     keep = ~mask
     out[keep] = f.coeffs[keep] / (1.0 + eta * f.table.eigenvalues[keep])
     return f.with_coeffs(out)
 
 
-def bounded_generator_C(eta: float, u: FieldPair, *, kernel_tol: float = KERNEL_TOL) -> FieldPair:
+def bounded_generator_C(eta: float, u: FieldPair) -> FieldPair:
     """The bounded generator of the reduced evolution.
 
     Per mode with eigenvalue lambda, (e, h) -> c (-h, e) with
@@ -328,15 +328,15 @@ def bounded_generator_C(eta: float, u: FieldPair, *, kernel_tol: float = KERNEL_
     """
     if eta == 0:
         raise ValueError("eta must be nonzero")
-    _assert_in_range(eta, u.e_part.coeffs, u.table, kernel_tol)
-    _assert_in_range(eta, u.h_part.coeffs, u.table, kernel_tol)
-    c = generator_coefficients(eta, u.table, kernel_tol=kernel_tol)
+    _assert_in_range(eta, u.e_part.coeffs, u.table)
+    _assert_in_range(eta, u.h_part.coeffs, u.table)
+    c = generator_coefficients(eta, u.table)
     return u.with_coeffs(-c * u.h_part.coeffs, c * u.e_part.coeffs)
 
 
-def generator_coefficients(eta: float, table: ModeTable, *, kernel_tol: float = KERNEL_TOL) -> np.ndarray:
+def generator_coefficients(eta: float, table: ModeTable) -> np.ndarray:
     """Per-mode scalars c = lambda/(1 + eta lambda); zero on kernel modes."""
-    mask = table.kernel_mask(eta, kernel_tol)
+    mask = table.kernel_mask(eta)
     c = np.zeros(table.n_modes)
     keep = ~mask
     c[keep] = table.eigenvalues[keep] / (1.0 + eta * table.eigenvalues[keep])

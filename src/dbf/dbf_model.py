@@ -56,7 +56,6 @@ from .evo_solver import (
     _apply_symbol_time,
     _check_hermitian_posdef,
     _cumsimp,
-    _right_limit,
     _rotation_constant,
     _rows_at,
     rotation_closed_form,
@@ -325,27 +324,25 @@ class Verdict:
     passed: bool
     offending: list
     max_violation: float
-    range_tol: float
 
 
-def check_data_range(eta: float, source: PairSeries | None, W0: FieldPair, table: ModeTable,
-                     range_tol: float = RANGE_TOL) -> Verdict:
+def check_data_range(eta: float, source: PairSeries | None, W0: FieldPair, table: ModeTable) -> Verdict:
     """Verify the data never loads kernel modes of (1 + eta curl).
 
     Solvability requires source and initial datum to lie in the closed range,
     which over the truncated table means zero coefficients on every mode with
-    1 + eta lambda = 0.  The tolerance is relative to the largest data
-    coefficient (floor 1).
+    1 + eta lambda = 0.  The tolerance RANGE_TOL is relative to the largest
+    data coefficient (floor 1).
     """
     load = np.maximum(np.abs(W0.e_part.coeffs), np.abs(W0.h_part.coeffs))
     scale = max(1.0, float(np.max(load, initial=0.0)))
     if source is not None:
         scale = max(scale, source.max_abs())
         load[source.modes] = np.maximum(load[source.modes], np.max(np.abs(source.samples), axis=(0, 2), initial=0.0))
-    bad = np.nonzero(table.kernel_mask(eta) & (load > range_tol * scale))[0]
+    bad = np.nonzero(table.kernel_mask(eta) & (load > RANGE_TOL * scale))[0]
     offending = [(str(table.modes[i].key()), float(load[i])) for i in bad]
     worst = float(np.max(load[bad], initial=0.0))
-    return Verdict(passed=not offending, offending=offending, max_violation=worst, range_tol=range_tol)
+    return Verdict(passed=not offending, offending=offending, max_violation=worst)
 
 
 @dataclass
@@ -485,17 +482,17 @@ def _solved_history(s, method: str, E, H, D, B, iterations: int, contraction: fl
     """
     table, grid = s.table, s.grid
     history = FieldHistory(table, grid, s.nu, E, H, D, B)
-    # Initial value: the flux-pair right limit against W0 in the proxy norm with per-mode weight
-    # (1 + lambda^2)^(-1/2).  Causality: the largest value before t = 0.  It and the finiteness
-    # guard run over column chunks, so no (n, m) temporary is made.
-    w = 1.0 / (1.0 + table.eigenvalues**2)
-    iv = float(np.sqrt(np.sum(w * (np.abs(_right_limit(history.D, grid) - s.W0.e_part.coeffs) ** 2
-                                   + np.abs(_right_limit(history.B, grid) - s.W0.h_part.coeffs) ** 2))))
+    # Initial value: the flux-pair right limit, the t = 0 row, against W0 in the proxy norm with
+    # per-mode weight (1 + lambda^2)^(-1/2).  Causality: the largest value before t = 0.  It and
+    # the finiteness guard run over column chunks, so no (n, m) temporary is made.
+    w, zi = 1.0 / (1.0 + table.eigenvalues**2), grid.zero_index
+    iv = float(np.sqrt(np.sum(w * (np.abs(history.D[zi] - s.W0.e_part.coeffs) ** 2
+                                   + np.abs(history.B[zi] - s.W0.h_part.coeffs) ** 2))))
     chunks = column_chunks(grid.n_samples, table.n_modes)
     sup, finite = np.zeros((4, len(chunks))), np.ones((4, len(chunks)), dtype=bool)
     for j, cols in enumerate(chunks):
         for i, arr in enumerate((history.E, history.H, history.D, history.B)):
-            sup[i, j] = np.max(np.abs(arr[:grid.zero_index, cols]), initial=0.0)
+            sup[i, j] = np.max(np.abs(arr[:zi, cols]), initial=0.0)
             finite[i, j] = np.all(np.isfinite(arr[:, cols]))
     caus = max(float(np.max(field_sup, initial=0.0)) for field_sup in sup)  # np.max keeps a NaN chunk sup
     history.diagnostics = {
@@ -692,19 +689,18 @@ def _block_diag_coeffs(lists: list) -> list:
     return out
 
 
-def _block_law(g: GeneralizedScenario, lams, X: np.ndarray | None = None) -> tuple[list, list]:
-    """Coefficient lists (M1, product symbol) of one block of modes with eigenvalues lams.
+def _block_law(g: GeneralizedScenario, lams, n0: list, X: np.ndarray | None = None) -> tuple[MaterialSymbol, list]:
+    """The symbol M1 and the product symbol's coefficient list of one block of modes with eigenvalues lams.
 
     The block has Mstar_b(z) = blockdiag(Mstar(z)) + z X (X the cross term
     over the block, None for none) and kappa(z) + Lambda block-diagonal per
-    mode.  Multiplied by N0 = (kappa0 + Lambda)^-1 its law has
-    M1 = Mstar1_b + N0 Lambda J + N0 kappa1 Mstar_b, Mstar1_b the order-one
-    part of Mstar_b; the product symbol (kappa + Lambda) Mstar_b lifts the
-    solution to the flux pair.
+    mode.  Multiplied by N0 = (kappa0 + Lambda)^-1, given per mode as n0,
+    its law has M1 = Mstar1_b + N0 Lambda J + N0 kappa1 Mstar_b, Mstar1_b
+    the order-one part of Mstar_b; the product symbol (kappa + Lambda)
+    Mstar_b lifts the solution to the flux pair.
     """
     k1, s1 = ([np.asarray(C, dtype=np.complex128) for C in (sym.poly_coeffs if sym else [])]
               for sym in (g.kappa1, g.Mstar1))
-    n0 = [np.linalg.inv(g.kappa0 + lv * I2) for lv in lams]
     kappa = [[g.kappa0 + lv * I2] + k1 for lv in lams]
     mstar1 = _block_diag_coeffs([s1] * len(lams))
     cross = [] if X is None else [X]
@@ -716,29 +712,23 @@ def _block_law(g: GeneralizedScenario, lams, X: np.ndarray | None = None) -> tup
     product = _block_diag_coeffs([_convolve_coeff_lists(k, [g.Mstar0] + s1) for k in kappa])
     if X is not None:
         product = _merged_coeff_list(product, _convolve_coeff_lists(_block_diag_coeffs(kappa), [0 * X, X]))
-    return _merged_coeff_list(*m1), product
+    return MaterialSymbol(dim=2 * len(lams), poly_coeffs=_merged_coeff_list(*m1)), product
 
 
-def _hypothesis_scan(kappa0: np.ndarray, lam_values: np.ndarray) -> float:
-    """Smallest relative singular-value margin of kappa0 + lambda over modes.
+def _hypothesis_scan(shifted: np.ndarray, lams: list) -> float:
+    """Smallest relative singular-value margin of shifted[i] = kappa0 + lams[i], lams sorted and distinct.
 
     Raises HypothesisViolated when any eigenvalue makes the shifted block
     numerically singular.
     """
-    margin = np.inf
-    bad: list[tuple[float, float]] = []
-    for lv in sorted(set(lam_values.tolist())):  # not np.unique: its first call imports numpy.ma
-        smin = float(np.linalg.svd(kappa0 + lv * I2, compute_uv=False)[-1])
-        rel = smin / max(1.0, abs(lv))
-        margin = min(margin, rel)
-        if rel <= HYPOTHESIS_TOL:
-            bad.append((float(lv), rel))
-    if bad:
+    rel = np.linalg.svd(shifted, compute_uv=False)[:, -1] / np.maximum(1.0, np.abs(lams))
+    bad = np.nonzero(rel <= HYPOTHESIS_TOL)[0]
+    if bad.size:
         raise HypothesisViolated(
-            f"kappa0 + lambda is numerically singular for eigenvalue(s) {[b[0] for b in bad]}; "
-            f"relative margin(s) {[f'{b[1]:.2g}' for b in bad]} <= {HYPOTHESIS_TOL}"
+            f"kappa0 + lambda is numerically singular for eigenvalue(s) {[lams[i] for i in bad]}; "
+            f"relative margin(s) {[f'{rel[i]:.2g}' for i in bad]} <= {HYPOTHESIS_TOL}"
         )
-    return float(margin)
+    return float(np.min(rel))
 
 
 def solve_generalized(g: GeneralizedScenario, method: str = "auto", *, fp_tol: float = DEFAULT_FP_TOL,
@@ -767,55 +757,52 @@ def solve_generalized(g: GeneralizedScenario, method: str = "auto", *, fp_tol: f
         raise ValueError(f"method must be one of {GENERALIZED_METHODS}, got {method!r}")
     table, grid = g.table, g.grid
     lam = table.eigenvalues
-    margin = _hypothesis_scan(g.kappa0, lam)
-    z = 1.0 / (1j * grid.frequencies + g.nu)  # the nu-ball, as the grid realizes it
     n, m, zi = grid.n_samples, table.n_modes, grid.zero_index
-    jump = np.stack([g.W0.e_part.coeffs, g.W0.h_part.coeffs], axis=1).astype(np.complex128)
-    sourced, j = _source_columns(g, np.ones(m, dtype=bool))
-    reduced = np.zeros(j.shape, dtype=np.complex128)  # N0 j on the sourced columns
-    w0 = np.zeros((m, 2), dtype=np.complex128)
-    lams, q_sup = sorted(set(lam.tolist())), 0.0
-    for lv in lams:
-        N0 = np.linalg.inv(g.kappa0 + lv * I2)
-        if g.kappa1 is not None:
-            q0 = float(np.max(np.linalg.svd(N0 @ (z[:, None, None] * g.kappa1.evaluate(z)), compute_uv=False)))
+    lams = sorted(set(lam.tolist()))  # not np.unique: its first call imports numpy.ma
+    shifted = g.kappa0 + np.array(lams)[:, None, None] * I2
+    margin = _hypothesis_scan(shifted, lams)
+    n0, of_mode = np.linalg.inv(shifted), np.searchsorted(lams, lam)
+    q_sup = 0.0
+    if g.kappa1 is not None:
+        z = 1.0 / (1j * grid.frequencies + g.nu)  # the nu-ball, as the grid realizes it
+        z_kappa1 = z[:, None, None] * g.kappa1.evaluate(z)
+        for lv, N0 in zip(lams, n0):
+            q0 = float(np.max(np.linalg.svd(N0 @ z_kappa1, compute_uv=False)))
             if q0 >= 1.0:
                 raise NeumannDiverges(f"memory first correction sup |N0 z kappa1(z)| = {q0:.4g} >= 1 "
                                       f"at nu={g.nu} for eigenvalue lambda={lv}; increase nu")
             q_sup = max(q_sup, q0)
-        # One matrix-vector product per mode for the jump: stacking them changes the last bits.
-        modes = np.nonzero(lam == lv)[0]
-        w0[modes] = [N0 @ v for v in jump[modes]]
-        loaded = lam[sourced] == lv
-        reduced[zi:, loaded] += _rows_at(j[zi:, loaded], N0.T)
 
     if g.k_cross is None:
         modes_of = np.arange(m)[:, None]
-        groups = [(np.nonzero(lam == lv)[0], *_block_law(g, [lv])) for lv in lams]
+        groups = [(np.nonzero(lam == lv)[0], *_block_law(g, [lv], [N0])) for lv, N0 in zip(lams, n0)]
     else:
         # f -> k_cross x f enters Mstar at order one in each wavevector block.
         modes_of = np.array(_wavevector_blocks(table))
-        crosses = [np.kron(_cross_block(g.k_cross, table.amplitudes[idx]), I2) for idx in modes_of]
-        groups = [(np.array([b]), *_block_law(g, lam[idx], X)) for b, (idx, X) in enumerate(zip(modes_of, crosses))]
-    n_blocks, dim = len(modes_of), 2 * modes_of.shape[1]
-    symbols = [(blocks, MaterialSymbol(dim=dim, poly_coeffs=m1) if m1 else MaterialSymbol.zero(dim), product)
-               for blocks, m1, product in groups]
-    if dim > 2:
-        # A block is sourced when one of its modes is; its other modes' source channels stay zero.
-        block_of, slot = np.zeros((2, m), dtype=np.intp)
-        block_of[modes_of], slot[modes_of] = np.arange(n_blocks)[:, None], np.arange(modes_of.shape[1])
-        blocks = np.array(sorted(set(block_of[sourced].tolist())), dtype=np.intp)
-        per_block = np.zeros((n, len(blocks), modes_of.shape[1], 2), dtype=np.complex128)
-        per_block[:, np.searchsorted(blocks, block_of[sourced]), slot[sourced]] = reduced
-        w0, sourced, reduced = w0[modes_of].reshape(n_blocks, dim), blocks, per_block.reshape(n, len(blocks), dim)
-    M0 = _block_diag_coeffs([[g.Mstar0]] * modes_of.shape[1])[0]
-    u, db, iterations, contraction = _solve_blocks(method, grid, g.nu, M0, symbols, w0, (sourced, reduced),
-                                                   fp_tol, max_iter)
-    if dim == 2:
-        (E, H), (D, B) = u, db
-    else:
-        E, H, D, B = np.zeros((4, n, m), dtype=np.complex128)
-        for out, fields in ((E, u[0::2]), (H, u[1::2]), (D, db[0::2]), (B, db[1::2])):
-            out[:, modes_of.T] = fields.transpose(1, 0, 2)
+        groups = [(np.array([b]), *_block_law(g, lam[idx], n0[of_mode[idx]],
+                                              np.kron(_cross_block(g.k_cross, table.amplitudes[idx]), I2)))
+                  for b, idx in enumerate(modes_of)]
+    n_blocks, width = modes_of.shape
+    block_of, slot = np.zeros((2, m), dtype=np.intp)
+    block_of[modes_of], slot[modes_of] = np.arange(n_blocks)[:, None], np.arange(width)
+    # One matrix-vector product per mode for the jump: stacking them changes the last bits.
+    jump = np.stack([g.W0.e_part.coeffs, g.W0.h_part.coeffs], axis=1).astype(np.complex128)
+    w0 = np.array([n0[k] @ v for k, v in zip(of_mode, jump)])
+    # A block is sourced when one of its modes is; its other modes' source channels stay zero.
+    sourced, j = _source_columns(g, np.ones(m, dtype=bool))
+    blocks = np.array(sorted(set(block_of[sourced].tolist())), dtype=np.intp)
+    reduced = np.zeros((n, len(blocks), width, 2), dtype=np.complex128)  # N0 j on the sourced blocks
+    at_block, at_slot = np.searchsorted(blocks, block_of[sourced]), slot[sourced]
+    for k, N0 in enumerate(n0):
+        loaded = of_mode[sourced] == k
+        reduced[zi:, at_block[loaded], at_slot[loaded]] += _rows_at(j[zi:, loaded], N0.T)
+    M0 = _block_diag_coeffs([[g.Mstar0]] * width)[0]
+    u, db, iterations, contraction = _solve_blocks(
+        method, grid, g.nu, M0, groups, w0[modes_of].reshape(n_blocks, 2 * width),
+        (blocks, reduced.reshape(n, len(blocks), 2 * width)), fp_tol, max_iter)
+    E, H, D, B = np.zeros((4, n, m), dtype=np.complex128)
+    for out, fields in ((E, u[0::2]), (H, u[1::2]), (D, db[0::2]), (B, db[1::2])):
+        out[:, modes_of.T] = fields.transpose(1, 0, 2)
+    del u, db, fields  # only the table-ordered copies live on
     return _solved_history(g, method, E, H, D, B, iterations, contraction, hypothesis_margin=margin,
                            q0_sup=float(q_sup))

@@ -25,8 +25,9 @@ solve_integrator and solve_modal_exact are the one-block forms).
 
 The solve window is the rows from TimeGrid.zero_index, the first sample at
 t >= 0: every time-domain helper computes those rows only and leaves the
-rows before it exactly zero, whatever its input holds there.  All methods
-store the right limit U(0+) at the t = 0 sample.
+rows before it exactly zero, whatever its input holds there.  The t = 0
+row is U(0+): every method stores the right limit there, and the
+initial-value checks read that row as it is.
 """
 
 from __future__ import annotations
@@ -163,21 +164,6 @@ def _solution(obj) -> WeightedSignal:
     if isinstance(obj, WeightedSignal):
         return obj
     raise TypeError(f"expected SolveReport or WeightedSignal, got {type(obj)!r}")
-
-
-def _right_limit(arr: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Value at t = 0+ by linear extrapolation through the first two t >= 0 rows.
-
-    On zero-aligned grids this is the stored t = 0 row; a grid with a single
-    sample at t >= 0 returns that sample.
-    """
-    i0 = grid.zero_index
-    if i0 == grid.n_samples:
-        raise ValueError("grid has no samples at t >= 0")
-    if i0 == grid.n_samples - 1:
-        return arr[i0]
-    t0, t1 = grid.times[i0:i0 + 2]
-    return arr[i0] + (arr[i0 + 1] - arr[i0]) * ((0.0 - t0) / (t1 - t0))
 
 
 def _rows_at(x: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -532,17 +518,13 @@ def solve_integrator(p: AbstractIVP, nu: float) -> WeightedSignal:
 
 
 def verify_initial_value(report, M0: np.ndarray, W0: np.ndarray) -> float:
-    """Distance of the right limit U(0+) from M0^-1 W0.
-
-    U(0+) is the linear extrapolation of _right_limit; on zero-aligned grids
-    this reproduces the stored right limit exactly.
-    """
+    """Distance of the right limit U(0+), the stored t = 0 row, from M0^-1 W0."""
     u = _solution(report)
-    if u.grid.n_samples - u.grid.zero_index < 2:
-        raise ValueError("need at least two samples at t >= 0")
+    if u.grid.zero_index == u.grid.n_samples:
+        raise ValueError("grid has no samples at t >= 0")
     _, inv, _ = _check_hermitian_posdef(M0)
     target = inv @ np.asarray(W0, dtype=np.complex128)
-    return float(np.linalg.norm(_right_limit(u.samples, u.grid) - target))
+    return float(np.linalg.norm(u.samples[u.grid.zero_index] - target))
 
 
 def verify_regularity_ode(report, M0: np.ndarray, W0: np.ndarray, A: np.ndarray | None = None) -> float:

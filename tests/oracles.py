@@ -214,13 +214,14 @@ def unreduced_trapezoid_solve(kappa0: np.ndarray, kappa1: list, Mstar0: np.ndarr
 
 def joint_kcross_rk4(kappa0: np.ndarray, Mstar0: np.ndarray, lam: np.ndarray,
                      X: np.ndarray, w0_big: np.ndarray, dt: float,
-                     n_steps: int) -> np.ndarray:
+                     n_steps: int, j_big: np.ndarray | None = None) -> np.ndarray:
     """Dense time stepping of the cross-coupled constant-coefficient system.
 
     With constant kappa and Mstar(z) = Mstar0 + z k-cross the flux is
     V = (kappa0 + Lam) Mstar0 U + (kappa0 + Lam) X int U, giving the ODE
-    A U' + ((kappa0 + Lam) X_big + Lam_J) U = 0 on the stacked state
-    (mode-major, channel pairs), U(0+) = A^-1 w0.
+    A U' + C U = j, C = (kappa0 + Lam) X_big + Lam_J, on the stacked state
+    (mode-major, channel pairs), U(0+) = A^-1 w0.  j_big is the constant
+    source for t > 0 in the same layout, zero when None.
     """
     m = lam.size
     dim = 2 * m
@@ -240,9 +241,10 @@ def joint_kcross_rk4(kappa0: np.ndarray, Mstar0: np.ndarray, lam: np.ndarray,
     C = Kb @ Xb + Jb
     u0 = np.linalg.solve(A, np.asarray(w0_big, dtype=np.complex128))
     Ainv_C = np.linalg.solve(A, C)
+    Ainv_j = np.zeros(dim) if j_big is None else np.linalg.solve(A, np.asarray(j_big, dtype=np.complex128))
 
     def rhs(t, u):
-        return -Ainv_C @ u
+        return Ainv_j - Ainv_C @ u
 
     return rk4_solve(rhs, u0, 0.0, dt, n_steps)
 

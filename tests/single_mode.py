@@ -64,12 +64,12 @@ def generalized_block(g, i: int) -> AbstractIVP:
     """
     grid, lam = g.grid, float(g.table.eigenvalues[i])
     N0 = np.linalg.inv(g.kappa0 + lam * np.eye(2))
-    m1, _ = _block_law(g, [lam])
+    M1, _ = _block_law(g, [lam], [N0])
     w0 = np.array([g.W0.e_part.coeffs[i], g.W0.h_part.coeffs[i]], dtype=np.complex128)
     samples, z = np.zeros((grid.n_samples, 2), dtype=np.complex128), grid.zero_index
     samples[z:] += source_column(g, i)[z:] @ N0.T
-    return AbstractIVP(dim=2, M0=g.Mstar0, M1=MaterialSymbol(dim=2, poly_coeffs=m1) if m1 else MaterialSymbol.zero(2),
-                       A=np.zeros((2, 2)), source=WeightedSignal(grid, g.nu, samples), W0=N0 @ w0)
+    return AbstractIVP(dim=2, M0=g.Mstar0, M1=M1, A=np.zeros((2, 2)), source=WeightedSignal(grid, g.nu, samples),
+                       W0=N0 @ w0)
 
 
 def solve_march_blocks(M0: np.ndarray, M1: MaterialSymbol, source: np.ndarray, w0: np.ndarray,

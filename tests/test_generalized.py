@@ -320,6 +320,36 @@ class TestCrossCoupling:
             want = ref[early][:, col::2]
             assert np.max(np.abs(got - want)) < 1e-5
 
+    @pytest.mark.parametrize("method", ["auto", "fixed_point"])
+    def test_sourced_blocks_match_dense_reference(self, table_k1, method):
+        # A step source on two modes of one wavevector and on one const mode: each
+        # block is sourced in some of its slots only, the others stay zero there.
+        nu, kappa0 = 4.0, 2.0 * I2
+        plus, grad = table_k1.position((1, 0, 0), "plus"), table_k1.position((1, 0, 0), "grad")
+        const = table_k1.position((0, 0, 0), "const", 1)
+        step = np.zeros(CROSS_GRID.n_samples)
+        step[CROSS_GRID.zero_index:] = 1.0
+        loads = {plus: (1.0, 0.0), grad: (0.0, 0.5), const: (0.3, -0.2j)}
+        g = GeneralizedScenario(kappa0=kappa0, Mstar0=I2, nu=nu, K=1, grid=CROSS_GRID,
+                                W0=field_pair(table_k1, {plus: (1.0, 0.0)}), k_cross=self.KC,
+                                source_J=single_mode.source_series(
+                                    table_k1, CROSS_GRID, {i: (e * step, h * step) for i, (e, h) in loads.items()}))
+        history = solve_generalized(g, method)
+        assert history.diagnostics["causality_sup"] == 0.0
+
+        m = table_k1.n_modes
+        w0_big, j_big = np.zeros((2, 2 * m), dtype=np.complex128)
+        w0_big[2 * plus] = 1.0
+        for i, (e, h) in loads.items():
+            j_big[2 * i:2 * i + 2] = e, h
+        pos = CROSS_GRID.times >= -1e-12
+        stride = 5
+        ref = oracles.joint_kcross_rk4(kappa0, I2, table_k1.eigenvalues, cross_coupling_matrix(self.KC, table_k1),
+                                       w0_big, CROSS_GRID.dt / stride, stride * (int(pos.sum()) - 1), j_big)[::stride]
+        early = CROSS_GRID.times[pos] <= 2.5
+        for col, arr in ((0, history.E), (1, history.H)):
+            assert np.max(np.abs(arr[pos][early] - ref[early][:, col::2])) < 1e-5
+
     def test_wavevector_blocks_match_dense_reference_k2(self, table_k2):
         # Data on the const modes and on two wavevectors; every other block
         # carries none and must stay exactly zero.
@@ -356,12 +386,18 @@ class TestCrossCoupling:
 
 
 class TestHypothesisGuards:
-    def test_singular_shift_raises(self, table_k1):
+    def test_singular_shift_raises(self, table_k1, table_k2):
         # kappa0 = I puts -1 in the spectrum proxy at the lambda = -1 modes.
         i = table_k1.position((1, 0, 0), "plus")
         g = GeneralizedScenario(kappa0=I2, Mstar0=I2, nu=3.0, K=1,
                                 grid=GRID, W0=field_pair(table_k1, {i: (1.0, 0.0)}))
         with pytest.raises(HypothesisViolated, match="singular"):
+            solve_generalized(g, "auto")
+        # Two singular eigenvalues, -sqrt(2) and -1, are listed in sorted order.
+        i = table_k2.position((1, 1, 0), "plus")
+        g = GeneralizedScenario(kappa0=np.diag([1.0, np.sqrt(2.0)]), Mstar0=I2, nu=3.0, K=2,
+                                grid=GRID, W0=field_pair(table_k2, {i: (1.0, 0.0)}))
+        with pytest.raises(HypothesisViolated, match=r"eigenvalue\(s\) \[-1\.41421356\d*, -1\.0\];"):
             solve_generalized(g, "auto")
 
     def test_margin_reported(self, table_k1):
