@@ -394,8 +394,9 @@ def _mode_label(mode: Mode) -> str:
 def _tracked_indices(history: FieldHistory, scenario) -> list:
     """Table positions with any nonzero data or field, in table order."""
     active = np.zeros(history.table.n_modes, dtype=bool)
-    for arr in (history.E, history.H, history.D, history.B):
-        active |= np.any(arr != 0, axis=0)
+    for cols in column_chunks(*history.E.shape):
+        for arr in (history.E, history.H, history.D, history.B):
+            active[cols] |= np.any(arr[:, cols] != 0, axis=0)
     active |= scenario.W0.e_part.coeffs != 0
     active |= scenario.W0.h_part.coeffs != 0
     if scenario.source_J is not None:

@@ -133,6 +133,8 @@ class PairSeries:
 def _check_scenario_data(table: ModeTable, K: int, grid: TimeGrid, nu: float, source_J: PairSeries | None) -> None:
     if not nu > 0:
         raise ValueError(f"nu must be > 0, got {nu}")
+    if grid.zero_index == grid.n_samples:
+        raise ValueError("time grid has no sample at t >= 0, where the initial datum is taken")
     if table.K != K:
         raise ValueError(f"W0 table truncation {table.K} != K={K}")
     if source_J is not None:
@@ -239,12 +241,28 @@ class GeneralizedScenario:
         return self.W0.table
 
 
+class ScaledSeries(np.lib.mixins.NDArrayOperatorsMixin):
+    """Read-only (n, m) series factor * base, factor per column: [rows, cols] forms only factor[cols] *
+    base[rows, cols], the products a whole-array scaling makes; np.asarray and operators form all."""
+
+    def __init__(self, factor: np.ndarray, base: np.ndarray):
+        self.factor, self.base, self.shape = factor, base, base.shape
+
+    def __getitem__(self, key):
+        rows, cols = key if isinstance(key, tuple) else (key, slice(None))
+        return self.factor[cols] * self.base[rows, cols]
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self[:, :], dtype=dtype)
+
+
 @dataclass
 class FieldHistory:
     """Solved run: E, H, D, B coefficient series plus solver diagnostics.
 
     Arrays are (n_samples, n_modes); the t = 0 row stores right limits and
-    rows before 0 are exactly zero for causal data.
+    rows before 0 are exactly zero for causal data.  D and B may be
+    ScaledSeries of E and H (the classical law), read like the arrays.
     """
 
     table: ModeTable
@@ -259,7 +277,8 @@ class FieldHistory:
     def __post_init__(self) -> None:
         shape = (self.grid.n_samples, self.table.n_modes)
         for name in ("E", "H", "D", "B"):
-            arr = np.asarray(getattr(self, name), dtype=np.complex128)
+            arr = getattr(self, name)
+            arr = arr if isinstance(arr, ScaledSeries) else np.asarray(arr, dtype=np.complex128)
             if arr.shape != shape:
                 raise ValueError(f"{name} shape {arr.shape} != {shape}")
             setattr(self, name, arr)
@@ -492,8 +511,9 @@ def _solved_history(s, method: str, E, H, D, B, iterations: int, contraction: fl
     sup, finite = np.zeros((4, len(chunks))), np.ones((4, len(chunks)), dtype=bool)
     for j, cols in enumerate(chunks):
         for i, arr in enumerate((history.E, history.H, history.D, history.B)):
-            sup[i, j] = np.max(np.abs(arr[:zi, cols]), initial=0.0)
-            finite[i, j] = np.all(np.isfinite(arr[:, cols]))
+            chunk = arr[:, cols]
+            sup[i, j] = np.max(np.abs(chunk[:zi]), initial=0.0)
+            finite[i, j] = np.all(np.isfinite(chunk))
     caus = max(float(np.max(field_sup, initial=0.0)) for field_sup in sup)  # np.max keeps a NaN chunk sup
     history.diagnostics = {
         "method": method,
@@ -517,7 +537,7 @@ def _solved_history(s, method: str, E, H, D, B, iterations: int, contraction: fl
 
 def solve_dbf(s: DBFScenario, method: str = "exact", *, fp_tol: float = DEFAULT_FP_TOL,
               max_iter: int = DEFAULT_MAX_ITER) -> FieldHistory:
-    """Solve a classical scenario mode by mode and lift to (E, H, D, B).
+    """Solve a classical scenario mode by mode; D and B scale E and H where they are read.
 
     Modes with one eigenvalue share one 2x2 operator, so each such group is
     solved in one call: one stacked closed-form pass solves every mode with
@@ -542,7 +562,7 @@ def solve_dbf(s: DBFScenario, method: str = "exact", *, fp_tol: float = DEFAULT_
     M0 = np.diag([s.epsilon, s.mu]).astype(np.complex128)
     (E, H), _, iterations, contraction = _solve_blocks(method, s.grid, s.nu, M0, groups, w0, (idx, samples),
                                                        fp_tol, max_iter, closed=reduced.near)
-    D, B = recover_DB(E, H, s)
+    D, B = (ScaledSeries(factors * c, base) for c, base in ((s.epsilon, E), (s.mu, H)))  # as recover_DB scales
     return _solved_history(s, method, E, H, D, B, iterations, contraction,
                            np.nonzero(reduced.kernel)[0], np.nonzero(reduced.near)[0])
 
@@ -592,8 +612,10 @@ def verify_dbf_equation(history: FieldHistory, s) -> float:
         integrand_h = lam[None, cols] * history.E[z:, cols]
         integrand_e[:, at_cols[~late]] -= loaded[:, ~late, 0]
         integrand_h[:, at_cols[~late]] -= loaded[:, ~late, 1]
-        r_e = history.D[z:, cols] + _cumsimp(integrand_e, grid.dt)
-        r_h = history.B[z:, cols] + _cumsimp(integrand_h, grid.dt)
+        # D and B are added into the fresh integrals in place, so a derived chunk is no third temporary.
+        r_e, r_h = _cumsimp(integrand_e, grid.dt), _cumsimp(integrand_h, grid.dt)
+        r_e += history.D[z:, cols]
+        r_h += history.B[z:, cols]
         ramp = grid.times[z:, None] - grid.times[z + first[late]]
         ramp[before[:, late]] = 0.0
         r_e[:, at_cols[late]] -= at[late, 0] * ramp

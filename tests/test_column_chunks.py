@@ -132,7 +132,7 @@ class TestClosedFormIsBitIdentical:
         E, H = rotation_closed_form(s.epsilon, s.mu, reduced.coupling, w0, grid,
                                     (idx, samples / reduced.factors[idx, None]))
         for name, expected in zip("EHDB", (E, H) + recover_DB(E, H, s)):
-            assert getattr(history, name).tobytes() == expected.tobytes(), name
+            assert np.asarray(getattr(history, name)).tobytes() == expected.tobytes(), name
 
 
 @pytest.fixture(scope="module")
@@ -176,3 +176,18 @@ class TestBoundedMemory:
         monkeypatch.setattr(dbf_model, "_solve_blocks", measured)
         assert solve_dbf(s, "exact").E.tobytes() == history.E.tobytes()
         assert len(peaks) == 1 and peaks[0] <= 16 * MB, f"{peaks[0] / MB:.1f} MB"
+
+    def test_solve_dbf_peak(self, verify_sized):
+        # The history holds E and H, 19.7 MB; D and B are scaled where they are read.
+        s, history = verify_sized
+        out, peak = traced_peak(solve_dbf, s, "exact")
+        assert out.E.tobytes() == history.E.tobytes()
+        assert peak <= 32 * MB, f"{peak / MB:.1f} MB"
+
+    def test_flux_reads_match_recover_db(self, verify_sized):
+        s, history = verify_sized
+        D, B = recover_DB(history.E, history.H, s)
+        chunk = column_chunks(*history.E.shape)[1]
+        for key in ((slice(None), chunk), 400, (slice(None), [770, 3, 0, 3]), (slice(100, 200), 5)):
+            assert history.D[key].tobytes() == D[key].tobytes(), key
+            assert history.B[key].tobytes() == B[key].tobytes(), key

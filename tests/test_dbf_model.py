@@ -9,6 +9,7 @@ from dbf.curl_spectral import SpectralField, FieldPair, projector_P, reduced_res
 from dbf.dbf_model import (
     DBFScenario,
     FieldHistory,
+    GeneralizedScenario,
     PairSeries,
     RangeViolation,
     assemble_reduced_ivp,
@@ -497,6 +498,16 @@ class TestScenarioValidation:
     def test_noncausal_source_rejected(self, table_k1):
         with pytest.raises(ValueError):
             scenario(table_k1, source=single_mode.source_series(table_k1, GRID, {0: (1.0, 0.0)}))
+
+    @pytest.mark.parametrize("kind", ["dbf", "generalized"])
+    def test_window_without_a_sample_at_t_ge_0_rejected(self, table_k1, kind):
+        grid = TimeGrid(t_start=-1.0, dt=0.01, n_samples=50)
+        W0 = field_pair(table_k1, {table_k1.position((1, 0, 0), "plus"): (1.0, 0.0)})
+        with pytest.raises(ValueError, match=r"no sample at t >= 0"):
+            if kind == "dbf":
+                scenario(table_k1, grid=grid, W0=W0)
+            else:
+                GeneralizedScenario(kappa0=2.0 * np.eye(2), Mstar0=np.eye(2), nu=3.0, K=1, grid=grid, W0=W0)
 
     def test_truncation_mismatch_rejected(self, table_k1):
         W0 = field_pair(table_k1, {})
