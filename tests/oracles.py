@@ -195,21 +195,48 @@ def unreduced_trapezoid_solve(kappa0: np.ndarray, kappa1: list, Mstar0: np.ndarr
     stacked u (n, 2) solves (kappa(T) + lam) Mstar(T) u + lam J T u
     = W0 + T j in one np.linalg.solve.  source is j on the same samples.
     """
-    n = len(source)
+    return unreduced_trapezoid_block_solve(kappa0, kappa1, Mstar0, Mstar1, [lam], None, w0, source, dt)
+
+
+def unreduced_trapezoid_block_solve(kappa0: np.ndarray, kappa1: list, Mstar0: np.ndarray, Mstar1: list,
+                                    lams, X: np.ndarray | None, w0: np.ndarray, source: np.ndarray,
+                                    dt: float) -> np.ndarray:
+    """Dense solve of the integrated law of one block of modes, with no reduction.
+
+    The block holds the modes with eigenvalues lams, each an (e, h) pair,
+    mode-major.  kappa_b and Mstar_b repeat the 2x2 coefficients on the
+    diagonal, Lambda and Lambda J carry lams, and X (2 len(lams) square, or
+    None) is added to Mstar_b at order one.  With T the running trapezoid
+    matrix of unreduced_trapezoid_solve, the stacked u (n, 2 len(lams))
+    solves (kappa_b(T) + Lambda) Mstar_b(T) u + Lambda J T u = W0 + T j in
+    one np.linalg.solve.  w0 and the source samples use the block layout.
+    """
+    n, w = len(source), len(lams)
+    d = 2 * w
     T = dt * (np.tril(np.ones((n, n))) - 0.5 * np.eye(n))
     T[:, 0] -= 0.5 * dt
     T[0, 0] = 0.0
+
+    def diag(blocks):
+        out = np.zeros((d, d), dtype=np.complex128)
+        for b, C in enumerate(blocks):
+            out[2 * b:2 * b + 2, 2 * b:2 * b + 2] = C
+        return out
 
     def symbol(c0, coeffs):
         op, power = np.kron(np.eye(n), c0), np.eye(n)
         for C in coeffs:
             power = power @ T
-            op = op + np.kron(power, np.asarray(C))
+            op = op + np.kron(power, C)
         return op
 
-    A = symbol(kappa0 + lam * np.eye(2), kappa1) @ symbol(Mstar0, Mstar1) + lam * np.kron(T, J2)
+    kappa = symbol(diag([kappa0 + lam * np.eye(2) for lam in lams]), [diag([C] * w) for C in kappa1])
+    mstar1 = [diag([C] * w) for C in Mstar1]
+    if X is not None:
+        mstar1 = [mstar1[0] + X if mstar1 else X] + mstar1[1:]
+    A = kappa @ symbol(diag([Mstar0] * w), mstar1) + np.kron(T, diag([lam * J2 for lam in lams]))
     rhs = np.tile(np.asarray(w0, dtype=np.complex128), n) + (T @ np.asarray(source, dtype=np.complex128)).ravel()
-    return np.linalg.solve(A, rhs).reshape(n, 2)
+    return np.linalg.solve(A, rhs).reshape(n, d)
 
 
 def joint_kcross_rk4(kappa0: np.ndarray, Mstar0: np.ndarray, lam: np.ndarray,
