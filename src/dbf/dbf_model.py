@@ -16,20 +16,21 @@ diagonalized, mode lambda obeys
     d/dt (kappa(Dinv) + lambda) Mstar(Dinv) u + lambda J u = j + (Dirac) W0,
 
 Dinv the causal antiderivative, kappa(z) = kappa0 + z kappa1(z) and
-Mstar(z) = Mstar0 + z Mstar1(z).  Multiplying by the constant
-N0 = (kappa0 + lambda)^-1 alone produces a standard block
+Mstar(z) = Mstar0 + z Mstar1(z).  The flux pair is P(Dinv) u, with the
+product symbol P(z) = (kappa(z) + lambda) Mstar(z), which reproduces W0
+exactly at t = 0+.  Multiplying by the constant N0 = (kappa0 + lambda)^-1
+alone produces a standard block
 
     d/dt Mstar0 u + M1(Dinv) u = N0 j + (Dirac) N0 W0,
-    M1(z) = Mstar1(z) + lambda N0 J + N0 kappa1(z) Mstar(z),
+    M1(z) = N0 (P(z) - P(0)) / z + lambda N0 J,
 
-a polynomial law with the selfadjoint positive Mstar0 in front.  Both
-sides were multiplied by one invertible matrix, and the discrete running
-integral commutes with it, so the discrete solution is that of the law
-itself.  The first correction N0 z kappa1(z) must stay below 1 on the
-realized frequency grid, the weight condition of the memory term; it is
-checked and NeumannDiverges raised otherwise.  The flux pair is recovered
-by the product symbol (kappa(z) + lambda) Mstar(z), which reproduces W0
-exactly at t = 0+.
+a polynomial law with the selfadjoint positive Mstar0 = N0 P(0) in front,
+so the law is stated once, by P.  Both sides were multiplied by one
+invertible matrix, and the discrete running integral commutes with it, so
+the discrete solution is that of the law itself.  The first correction
+N0 z kappa1(z) must stay below 1 on the realized frequency grid, the
+weight condition of the memory term; it is checked and NeumannDiverges
+raised otherwise.
 """
 
 from __future__ import annotations
@@ -686,55 +687,41 @@ def cross_coupling_matrix(k_cross: np.ndarray, table: ModeTable) -> np.ndarray:
     return X
 
 
-def _merged_coeff_list(*lists: list) -> list:
-    """Elementwise sum of coefficient lists of possibly different lengths."""
-    top = max(len(lst) for lst in lists)
-    return [sum(np.asarray(lst[d], dtype=np.complex128) for lst in lists if d < len(lst)) for d in range(top)]
-
-
-def _convolve_coeff_lists(a: list, b: list) -> list:
-    """Coefficient list of the product symbol a(z) b(z), order preserved."""
-    dim = a[0].shape[0]
-    out = [np.zeros((dim, dim), dtype=np.complex128) for _ in range(len(a) + len(b) - 1)]
-    for i, A in enumerate(a):
-        for j, Bc in enumerate(b):
-            out[i + j] = out[i + j] + A @ Bc
+def _block_diag(blocks) -> np.ndarray:
+    """Block-diagonal (..., 2w, 2w) array of the w blocks (w, ..., 2, 2), exact zeros elsewhere."""
+    blocks = np.asarray(blocks, dtype=np.complex128)
+    out = np.zeros(blocks.shape[1:-2] + (2 * len(blocks),) * 2, dtype=np.complex128)
+    for b, C in enumerate(blocks):
+        out[..., 2 * b:2 * b + 2, 2 * b:2 * b + 2] = C
     return out
 
 
-def _block_diag_coeffs(lists: list) -> list:
-    """Coefficient list of the block-diagonal symbol with these per-mode 2x2 lists, exact zeros elsewhere."""
-    out = [np.zeros((2 * len(lists), 2 * len(lists)), dtype=np.complex128) for _ in range(max(map(len, lists)))]
-    for b, lst in enumerate(lists):
-        for d, C in enumerate(lst):
-            out[d][2 * b:2 * b + 2, 2 * b:2 * b + 2] = C
-    return out
+def _block_law(g: GeneralizedScenario, lams, n0, X: np.ndarray | None = None) -> tuple[MaterialSymbol, np.ndarray]:
+    """The symbol M1 and the product symbol P (order, 2w, 2w) of one block of w modes with eigenvalues lams.
 
-
-def _block_law(g: GeneralizedScenario, lams, n0: list, X: np.ndarray | None = None) -> tuple[MaterialSymbol, list]:
-    """The symbol M1 and the product symbol's coefficient list of one block of modes with eigenvalues lams.
-
-    The block has Mstar_b(z) = blockdiag(Mstar(z)) + z X (X the cross term
-    over the block, None for none) and kappa(z) + Lambda block-diagonal per
-    mode.  Multiplied by N0 = (kappa0 + Lambda)^-1, given per mode as n0,
-    its law has M1 = Mstar1_b + N0 Lambda J + N0 kappa1 Mstar_b, Mstar1_b
-    the order-one part of Mstar_b; the product symbol (kappa + Lambda)
-    Mstar_b lifts the solution to the flux pair.
+    The block has kappa_b(z) + Lambda and Mstar_b(z) = blockdiag(Mstar(z))
+    + z X (X the cross term over the block, None for none), so its law is
+    d/dt P(Dinv) u + Lambda J u = j with P = (kappa_b + Lambda) Mstar_b,
+    the product symbol that lifts the solution to the flux pair.  Multiplied
+    by N0 = (kappa0 + Lambda)^-1, given per mode as n0, it has
+    M1(z) = N0 (P(z) - P(0)) / z + N0 Lambda J, since N0 P(0) = Mstar0.
+    Trailing zero orders are dropped, so a memoryless block with
+    lambda = 0 has the zero symbol.
     """
-    k1, s1 = ([np.asarray(C, dtype=np.complex128) for C in (sym.poly_coeffs if sym else [])]
-              for sym in (g.kappa1, g.Mstar1))
-    kappa = [[g.kappa0 + lv * I2] + k1 for lv in lams]
-    mstar1 = _block_diag_coeffs([s1] * len(lams))
-    cross = [] if X is None else [X]
-    m1 = [mstar1, _block_diag_coeffs([[lv * (N @ J2)] if lv else [] for lv, N in zip(lams, n0)]), cross]
-    if any(map(np.any, k1)):
-        mstar = [_block_diag_coeffs([[g.Mstar0]] * len(lams))[0]] + _merged_coeff_list(mstar1, cross)
-        N0 = _block_diag_coeffs([[N] for N in n0])[0]
-        m1.append([N0 @ C for C in _convolve_coeff_lists(_block_diag_coeffs([k1] * len(lams)), mstar)])
-    product = _block_diag_coeffs([_convolve_coeff_lists(k, [g.Mstar0] + s1) for k in kappa])
+    k1, s1 = (np.reshape(sym.poly_coeffs if sym else [], (-1, 2, 2)) for sym in (g.kappa1, g.Mstar1))
+    if X is not None and not len(s1):
+        s1 = np.zeros((1, 2, 2))
+    kappa = _block_diag([np.concatenate([[g.kappa0 + lv * I2], k1]) for lv in lams])
+    mstar = _block_diag([np.concatenate([[g.Mstar0], s1])] * len(lams))
     if X is not None:
-        product = _merged_coeff_list(product, _convolve_coeff_lists(_block_diag_coeffs(kappa), [0 * X, X]))
-    return MaterialSymbol(dim=2 * len(lams), poly_coeffs=_merged_coeff_list(*m1)), product
+        mstar[1] += X
+    P = np.zeros((len(kappa) + len(mstar) - 1,) + mstar.shape[1:], dtype=np.complex128)
+    for i, C in enumerate(kappa):
+        P[i:i + len(mstar)] += C @ mstar
+    M1 = _block_diag(n0) @ P[1:] if len(P) > 1 else np.zeros_like(P)
+    M1[0] += _block_diag([lv * (N @ J2) for lv, N in zip(lams, n0)])
+    order = max(np.flatnonzero(np.any(M1, axis=(1, 2))), default=-1) + 1
+    return MaterialSymbol(dim=2 * len(lams), poly_coeffs=M1[:order]), P
 
 
 def _hypothesis_scan(shifted: np.ndarray, lams: list) -> float:
@@ -784,16 +771,14 @@ def solve_generalized(g: GeneralizedScenario, method: str = "auto", *, fp_tol: f
     shifted = g.kappa0 + np.array(lams)[:, None, None] * I2
     margin = _hypothesis_scan(shifted, lams)
     n0, of_mode = np.linalg.inv(shifted), np.searchsorted(lams, lam)
-    q_sup = 0.0
+    q0 = np.zeros(1)
     if g.kappa1 is not None:
         z = 1.0 / (1j * grid.frequencies + g.nu)  # the nu-ball, as the grid realizes it
-        z_kappa1 = z[:, None, None] * g.kappa1.evaluate(z)
-        for lv, N0 in zip(lams, n0):
-            q0 = float(np.max(np.linalg.svd(N0 @ z_kappa1, compute_uv=False)))
-            if q0 >= 1.0:
-                raise NeumannDiverges(f"memory first correction sup |N0 z kappa1(z)| = {q0:.4g} >= 1 "
-                                      f"at nu={g.nu} for eigenvalue lambda={lv}; increase nu")
-            q_sup = max(q_sup, q0)
+        q0 = np.linalg.svd(n0[:, None] @ (z[:, None, None] * g.kappa1.evaluate(z)), compute_uv=False).max(axis=(1, 2))
+        bad = np.flatnonzero(q0 >= 1.0)
+        if bad.size:
+            raise NeumannDiverges(f"memory first correction sup |N0 z kappa1(z)| = {q0[bad[0]]:.4g} >= 1 "
+                                  f"at nu={g.nu} for eigenvalue lambda={lams[bad[0]]}; increase nu")
 
     if g.k_cross is None:
         modes_of = np.arange(m)[:, None]
@@ -818,7 +803,7 @@ def solve_generalized(g: GeneralizedScenario, method: str = "auto", *, fp_tol: f
     for k, N0 in enumerate(n0):
         loaded = of_mode[sourced] == k
         reduced[zi:, at_block[loaded], at_slot[loaded]] += _rows_at(j[zi:, loaded], N0.T)
-    M0 = _block_diag_coeffs([[g.Mstar0]] * width)[0]
+    M0 = _block_diag([g.Mstar0] * width)
     u, db, iterations, contraction = _solve_blocks(
         method, grid, g.nu, M0, groups, w0[modes_of].reshape(n_blocks, 2 * width),
         (blocks, reduced.reshape(n, len(blocks), 2 * width)), fp_tol, max_iter)
@@ -827,4 +812,4 @@ def solve_generalized(g: GeneralizedScenario, method: str = "auto", *, fp_tol: f
         out[:, modes_of.T] = fields.transpose(1, 0, 2)
     del u, db, fields  # only the table-ordered copies live on
     return _solved_history(g, method, E, H, D, B, iterations, contraction, hypothesis_margin=margin,
-                           q0_sup=float(q_sup))
+                           q0_sup=float(q0.max()))
