@@ -64,7 +64,7 @@ from .evo_solver import (
     solve_propagator_blocks,
     step_columns,
 )
-from .weighted_time import MaterialSymbol, NuTooSmall, TimeGrid
+from .weighted_time import ZERO_TIME_TOL, MaterialSymbol, NuTooSmall, TimeGrid
 
 RANGE_TOL = 1e-12
 NEAR_KERNEL_BAND = 1e-3
@@ -136,6 +136,8 @@ def _check_scenario_data(table: ModeTable, K: int, grid: TimeGrid, nu: float, so
         raise ValueError(f"nu must be > 0, got {nu}")
     if grid.zero_index == grid.n_samples:
         raise ValueError("time grid has no sample at t >= 0, where the initial datum is taken")
+    if abs(grid.times[grid.zero_index]) > ZERO_TIME_TOL:  # every solver takes that row as t = 0
+        raise ValueError("time window must contain t = 0 as a sample: t_start must be a multiple of dt")
     if table.K != K:
         raise ValueError(f"W0 table truncation {table.K} != K={K}")
     if source_J is not None:
@@ -429,7 +431,7 @@ def _solve_blocks(method: str, grid: TimeGrid, nu: float, M0: np.ndarray, groups
                   source: tuple, fp_tol: float, max_iter: int, closed: np.ndarray | None = None):
     """Solve the blocks with data: jumps w0 (n_blocks, d), sources (idx, samples (n, len(idx), d)).
 
-    Each group (blocks, M1, lift) shares M0, M1 and A = 0; lift lists the
+    Each group (blocks, M1, lift) shares M0, M1 and A = 0; lift holds the
     flux symbol's coefficients, or is None.  One rotation_closed_form call
     per column chunk solves the blocks flagged closed and, under "auto" and
     "exact", every rotation block; "exact" raises WrongCase on any other.

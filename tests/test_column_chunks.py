@@ -33,9 +33,11 @@ from dbf.weighted_time import MaterialSymbol, TimeGrid
 
 MB = 1e6
 SOURCED = [5, 17, 40, 77]
+# Both grids hold t = 0 as a sample: at row 20 for "aligned" and at the odd row 21 for "unaligned",
+# so the rows before t = 0, which the residual skips, are even and odd in number.
 GRIDS = {
     "aligned": TimeGrid(t_start=-0.1, dt=0.005, n_samples=1300, pad_fraction=0.25),
-    "unaligned": TimeGrid(t_start=-0.1013, dt=0.005, n_samples=1300, pad_fraction=0.25),
+    "unaligned": TimeGrid(t_start=-0.105, dt=0.005, n_samples=1300, pad_fraction=0.25),
 }
 
 

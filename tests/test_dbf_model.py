@@ -509,6 +509,18 @@ class TestScenarioValidation:
             else:
                 GeneralizedScenario(kappa0=2.0 * np.eye(2), Mstar0=np.eye(2), nu=3.0, K=1, grid=grid, W0=W0)
 
+    @pytest.mark.parametrize("kind", ["dbf", "generalized"])
+    def test_first_sample_at_t_ge_0_must_be_t_0(self, table_k1, kind):
+        # The solvers take the first t >= 0 row as t = 0: here it is t = 0.005, and exact and
+        # integrator solved the classical law 2.2e-3 apart (weak residual 9.6e-4), with no error.
+        grid = TimeGrid(t_start=-0.095, dt=0.01, n_samples=256)
+        W0 = field_pair(table_k1, {table_k1.position((1, 0, 0), "plus"): (1.0, 0.0)})
+        with pytest.raises(ValueError, match=r"must contain t = 0 as a sample"):
+            if kind == "dbf":
+                scenario(table_k1, grid=grid, W0=W0)
+            else:
+                GeneralizedScenario(kappa0=2.0 * np.eye(2), Mstar0=np.eye(2), nu=3.0, K=1, grid=grid, W0=W0)
+
     def test_truncation_mismatch_rejected(self, table_k1):
         W0 = field_pair(table_k1, {})
         with pytest.raises(ValueError):
