@@ -305,6 +305,8 @@ def _waveform(doc: dict, grid: TimeGrid) -> np.ndarray:
     elif kind == "delayed_step":
         if extras != {"delay"}:
             raise ScenarioError("delayed_step waveform needs exactly the 'delay' parameter")
+        if abs(doc["delay"] - grid.dt * round(doc["delay"] / grid.dt)) > ZERO_TIME_TOL:
+            raise ScenarioError(f"delayed_step delay {doc['delay']} must be a multiple of dt = {grid.dt}")
         w = (t >= doc["delay"] - ZERO_TIME_TOL).astype(float)
     else:
         if extras != {"t0", "sigma"}:

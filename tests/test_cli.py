@@ -596,6 +596,16 @@ class TestVerify:
         line = next(row for row in capsys.readouterr().out.splitlines() if row.startswith("weak_residual"))
         assert float(line.split()[1]) <= 1e-7
 
+    def test_delay_off_the_grid_exits_invalid(self, tmp_path, capsys):
+        # The step used to move silently to the next sample (0.51), and verify exited 0.
+        doc = shipped_doc("dbf_basic.json")
+        doc["data"]["source"].update(waveform="delayed_step", delay=0.5055)
+        path = write_doc(tmp_path, doc)
+        assert cli.cmd_run(path, str(tmp_path / "out")) == cli.EXIT_INVALID
+        assert cli.cmd_verify(path) == cli.EXIT_INVALID
+        assert capsys.readouterr().err.count("must be a multiple of dt") == 2
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("nu, material", [(3.0, {}), (8.0, {"k_cross": [0.3, 0.1, 0.2]})],
                              ids=["memory_nu3", "k_cross_nu8"])
     def test_memory_law_at_coarse_dt_passes(self, tmp_path, capsys, nu, material):
