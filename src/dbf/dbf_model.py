@@ -776,7 +776,7 @@ def solve_generalized(g: GeneralizedScenario, method: str = "auto", *, fp_tol: f
     q0 = np.zeros(1)
     if g.kappa1 is not None:
         z = 1.0 / (1j * grid.frequencies + g.nu)  # the nu-ball, as the grid realizes it
-        q0 = np.linalg.svd(n0[:, None] @ (z[:, None, None] * g.kappa1.evaluate(z)), compute_uv=False).max(axis=(1, 2))
+        q0 = np.linalg.svd(n0[:, None] @ (z[:, None, None] * g.kappa1.evaluate(z)), compute_uv=False).max((1, 2))
         bad = np.flatnonzero(q0 >= 1.0)
         if bad.size:
             raise NeumannDiverges(f"memory first correction sup |N0 z kappa1(z)| = {q0[bad[0]]:.4g} >= 1 "
