@@ -323,9 +323,7 @@ def build_scenario(doc: dict):
     time = doc["time"]
     grid = TimeGrid(t_start=time["t_start"], dt=time["dt"], n_samples=int(time["n"]),
                     pad_fraction=time["pad_fraction"])
-    # Every solver starts at the row grid.zero_index as if it were t = 0, so that row must be t = 0.
-    if grid.zero_index == grid.n_samples or abs(grid.times[grid.zero_index]) > ZERO_TIME_TOL:
-        raise ScenarioError("time window must contain t = 0 as a sample: t_start must be a multiple of dt")
+    grid.require_zero(ScenarioError)
     nu = time["nu"]
     m = table.n_modes
     e0 = np.zeros(m, dtype=np.complex128)

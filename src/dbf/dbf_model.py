@@ -64,7 +64,7 @@ from .evo_solver import (
     solve_propagator_blocks,
     step_columns,
 )
-from .weighted_time import ZERO_TIME_TOL, MaterialSymbol, NuTooSmall, TimeGrid
+from .weighted_time import MaterialSymbol, NuTooSmall, TimeGrid
 
 RANGE_TOL = 1e-12
 NEAR_KERNEL_BAND = 1e-3
@@ -136,8 +136,7 @@ def _check_scenario_data(table: ModeTable, K: int, grid: TimeGrid, nu: float, so
         raise ValueError(f"nu must be > 0, got {nu}")
     if grid.zero_index == grid.n_samples:
         raise ValueError("time grid has no sample at t >= 0, where the initial datum is taken")
-    if abs(grid.times[grid.zero_index]) > ZERO_TIME_TOL:  # every solver takes that row as t = 0
-        raise ValueError("time window must contain t = 0 as a sample: t_start must be a multiple of dt")
+    grid.require_zero()
     if table.K != K:
         raise ValueError(f"W0 table truncation {table.K} != K={K}")
     if source_J is not None:
@@ -707,8 +706,9 @@ def _block_law(g: GeneralizedScenario, lams, n0, X: np.ndarray | None = None) ->
     the product symbol that lifts the solution to the flux pair.  Multiplied
     by N0 = (kappa0 + Lambda)^-1, given per mode as n0, it has
     M1(z) = N0 (P(z) - P(0)) / z + N0 Lambda J, since N0 P(0) = Mstar0.
-    Trailing zero orders are dropped, so a memoryless block with
-    lambda = 0 has the zero symbol.
+    Trailing zero orders are dropped from both, so a memoryless block with
+    lambda = 0 has the zero symbol and P never outgrows M1 by more than
+    one order, as the propagator's flux lift needs.
     """
     k1, s1 = (np.reshape(sym.poly_coeffs if sym else [], (-1, 2, 2)) for sym in (g.kappa1, g.Mstar1))
     if X is not None and not len(s1):
@@ -717,13 +717,14 @@ def _block_law(g: GeneralizedScenario, lams, n0, X: np.ndarray | None = None) ->
     mstar = _block_diag([np.concatenate([[g.Mstar0], s1])] * len(lams))
     if X is not None:
         mstar[1] += X
-    P = np.zeros((len(kappa) + len(mstar) - 1,) + mstar.shape[1:], dtype=np.complex128)
+    P = np.zeros((max(len(kappa) + len(mstar) - 1, 2),) + mstar.shape[1:], dtype=np.complex128)
     for i, C in enumerate(kappa):
         P[i:i + len(mstar)] += C @ mstar
-    M1 = _block_diag(n0) @ P[1:] if len(P) > 1 else np.zeros_like(P)
+    M1 = _block_diag(n0) @ P[1:]
     M1[0] += _block_diag([lv * (N @ J2) for lv, N in zip(lams, n0)])
-    order = max(np.flatnonzero(np.any(M1, axis=(1, 2))), default=-1) + 1
-    return MaterialSymbol(dim=2 * len(lams), poly_coeffs=M1[:order]), P
+    # N0 is invertible, so past order 0 an order of M1 vanishes exactly when the next one of P does.
+    order = max(np.flatnonzero(np.any(M1, axis=(1, 2)) | np.any(P[1:], axis=(1, 2))), default=-1) + 1
+    return MaterialSymbol(dim=2 * len(lams), poly_coeffs=M1[:order]), P[:order + 1]
 
 
 def _hypothesis_scan(shifted: np.ndarray, lams: list) -> float:

@@ -236,6 +236,30 @@ class TestMemoryTerm:
         solved = np.stack([history.E[z:, i], history.H[z:, i]], axis=1)
         assert np.max(np.abs(solved - u)) <= 2e-7 * np.max(np.abs(u))  # measured 1.14e-7
 
+    @pytest.mark.parametrize("kappa1,Mstar1", [
+        ([np.diag([0.4, 0.0])], [np.diag([0.0, 0.1])]),  # kappa1 Mstar1 = 0: P has a zero top order
+        ([np.diag([0.4, 0.0]), np.zeros((2, 2))], []),  # a kappa1 list ending in a zero coefficient
+    ])
+    @pytest.mark.parametrize("method", ["auto", "integrator"])
+    def test_zero_top_order_of_product_symbol(self, table_k1, kappa1, Mstar1, method):
+        # The propagator sizes its state from M1 and reads the flux off it with P, so both
+        # must drop the same trailing zero orders.
+        grid = TimeGrid(t_start=-0.1, dt=0.002, n_samples=400, pad_fraction=0.25)
+        i = table_k1.position((0, 1, 0), "plus")
+        z, w0 = grid.zero_index, np.array([1.0, -0.3j])
+        g = GeneralizedScenario(kappa0=2.0 * I2, Mstar0=I2, nu=3.0, K=1, grid=grid,
+                                W0=field_pair(table_k1, {i: tuple(w0)}),
+                                kappa1=MaterialSymbol(dim=2, poly_coeffs=kappa1),
+                                Mstar1=MaterialSymbol(dim=2, poly_coeffs=Mstar1) if Mstar1 else None)
+        history = solve_generalized(g, method)
+        u = oracles.unreduced_trapezoid_solve(2.0 * I2, kappa1, I2, Mstar1, float(table_k1.eigenvalues[i]), w0,
+                                              np.zeros((grid.n_samples - z, 2)), grid.dt)
+        solved = np.stack([history.E[z:, i], history.H[z:, i]], axis=1)
+        # The propagator steps the law exactly, the oracle by the trapezoid rule: O(dt^2) apart.
+        assert np.max(np.abs(solved - u)) <= 3e-8 * np.max(np.abs(u))  # measured 9.1e-9 and 7.4e-9
+        # The flux pair at t = 0+ is W0.
+        assert np.allclose([history.D[z, i], history.B[z, i]], w0, rtol=0, atol=1e-14)
+
     def test_explicit_fixed_point_agrees_with_auto(self, table_k1):
         i = table_k1.position((1, 0, 0), "minus")
         g = GeneralizedScenario(kappa0=2.0 * I2, Mstar0=I2, nu=3.0, K=1,
