@@ -706,9 +706,8 @@ def _block_law(g: GeneralizedScenario, lams, n0, X: np.ndarray | None = None) ->
     the product symbol that lifts the solution to the flux pair.  Multiplied
     by N0 = (kappa0 + Lambda)^-1, given per mode as n0, it has
     M1(z) = N0 (P(z) - P(0)) / z + N0 Lambda J, since N0 P(0) = Mstar0.
-    Trailing zero orders are dropped from both, so a memoryless block with
-    lambda = 0 has the zero symbol and P never outgrows M1 by more than
-    one order, as the propagator's flux lift needs.
+    Trailing zero orders leave both together (N0 is invertible), so a
+    memoryless block with lambda = 0 has the zero symbol.
     """
     k1, s1 = (np.reshape(sym.poly_coeffs if sym else [], (-1, 2, 2)) for sym in (g.kappa1, g.Mstar1))
     if X is not None and not len(s1):
@@ -722,7 +721,6 @@ def _block_law(g: GeneralizedScenario, lams, n0, X: np.ndarray | None = None) ->
         P[i:i + len(mstar)] += C @ mstar
     M1 = _block_diag(n0) @ P[1:]
     M1[0] += _block_diag([lv * (N @ J2) for lv, N in zip(lams, n0)])
-    # N0 is invertible, so past order 0 an order of M1 vanishes exactly when the next one of P does.
     order = max(np.flatnonzero(np.any(M1, axis=(1, 2)) | np.any(P[1:], axis=(1, 2))), default=-1) + 1
     return MaterialSymbol(dim=2 * len(lams), poly_coeffs=M1[:order]), P[:order + 1]
 

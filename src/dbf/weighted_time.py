@@ -104,10 +104,7 @@ class TimeGrid:
         return int(np.count_nonzero(self.times < -ZERO_TIME_TOL))
 
     def require_zero(self, error: type[Exception] = ValueError) -> None:
-        """Raise error unless the first sample at t >= 0 is t = 0 (within ZERO_TIME_TOL).
-
-        Every solver takes the row zero_index as t = 0 and starts there.
-        """
+        """Raise error unless the first sample at t >= 0, where every solver starts, is t = 0."""
         if self.zero_index == self.n_samples or abs(self.times[self.zero_index]) > ZERO_TIME_TOL:
             raise error("time window must contain t = 0 as a sample: t_start must be a multiple of dt")
 
