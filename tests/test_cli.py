@@ -525,6 +525,17 @@ class TestExitCodes:
             rows = list(csv.DictReader(fh))
         assert rows[0]["exit_code"] == str(expected)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("name", ["dbf_basic.json", "generalized_memory.json"])
+    def test_overflowing_datum_exits_four(self, tmp_path, capsys, name):
+        # A finite datum near the largest double: the solve overflows, and no CSV is written.
+        doc = shipped_doc(name)
+        doc["data"]["W0"][0][2] = 1e308
+        assert cli.cmd_run(write_doc(tmp_path, doc), str(tmp_path / "out")) == cli.EXIT_NO_CONVERGENCE
+        assert "solution is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_subnormal_spectral_floor_is_invalid(self, tmp_path, capsys):
         # Passes the schema and epsilon > 0, but 1/sqrt(epsilon) overflows: the
         # scenario is rejected before any solve instead of failing after it.

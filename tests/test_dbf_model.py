@@ -10,6 +10,7 @@ from dbf.dbf_model import (
     DBFScenario,
     FieldHistory,
     GeneralizedScenario,
+    NonFiniteSolution,
     PairSeries,
     RangeViolation,
     assemble_reduced_ivp,
@@ -18,12 +19,14 @@ from dbf.dbf_model import (
     material_energy_series,
     naive_symbol_value,
     recover_DB,
+    _solved_history,
     solve_dbf,
+    solve_generalized,
     uniqueness_energy_probe,
     verify_dbf_equation,
 )
 from dbf.evo_solver import AbstractIVP, solve_modal_exact
-from dbf.weighted_time import TimeGrid, WeightedSignal, weighted_norm
+from dbf.weighted_time import MaterialSymbol, TimeGrid, WeightedSignal, weighted_norm
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 GRID = TimeGrid(t_start=-1.0, dt=0.01, n_samples=1024, pad_fraction=0.25)
@@ -443,6 +446,46 @@ class TestVerifiers:
         pairing = np.vdot(-c * history.H[:, i], history.E[:, i]) + np.vdot(
             c * history.E[:, i], history.H[:, i])
         assert abs(pairing.real) <= 1e-12 * abs(np.vdot(history.E[:, i], history.E[:, i]))
+
+
+SHORT_GRID = TimeGrid(t_start=-0.1, dt=0.01, n_samples=64, pad_fraction=0.25)
+
+
+class TestNonFiniteGuard:
+    """One NaN or infinity anywhere in a solved history raises NonFiniteSolution."""
+
+    @pytest.fixture(scope="class", params=["dbf", "generalized"])
+    def solved(self, request, table_k1):
+        plus, const = table_k1.position((1, 0, 0), "plus"), table_k1.position((0, 0, 0), "const", 0)
+        W0 = field_pair(table_k1, {plus: (1.0, 0.5j), const: (0.3, -0.2)})
+        source = step_series(table_k1, SHORT_GRID, {plus: (0.4, 0.0)})
+        if request.param == "dbf":
+            s = scenario(table_k1, grid=SHORT_GRID, W0=W0, source=source)
+            history = solve_dbf(s, "exact")
+        else:
+            s = GeneralizedScenario(kappa0=2.0 * np.eye(2), Mstar0=np.diag([1.0, 0.5]), nu=3.0, K=1,
+                                    grid=SHORT_GRID, W0=W0, source_J=source,
+                                    kappa1=MaterialSymbol(dim=2, poly_coeffs=[0.4 * np.eye(2)]))
+            history = solve_generalized(s, "auto")
+        fields = [np.array(np.asarray(a)) for a in (history.E, history.H, history.D, history.B)]
+        assert all(np.all(np.isfinite(a)) for a in fields)
+        return s, fields
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.inf)], ids=["nan", "inf", "complex_inf"])
+    @pytest.mark.parametrize("row", ["before_zero", "zero", "last"])
+    def test_injected_value_raises(self, solved, table_k1, value, row):
+        s, fields = solved
+        lam = table_k1.eigenvalues
+        at = {"before_zero": SHORT_GRID.zero_index - 1, "zero": SHORT_GRID.zero_index, "last": -1}[row]
+        # A lambda = 0 mode, where the residual reads E and H only through 0 * E, and the largest lambda.
+        for mode in (int(np.nonzero(lam == 0.0)[0][0]), int(np.argmax(lam))):
+            for k in range(4):
+                poisoned = [a.copy() for a in fields]
+                poisoned[k][at, mode] = value
+                with pytest.raises(NonFiniteSolution):
+                    _solved_history(s, "exact", *poisoned, 0, 0.0)
 
 
 class TestPairSeries:
