@@ -44,7 +44,7 @@ from .dbf_model import (
     uniqueness_energy_probe,
 )
 from .evo_solver import DEFAULT_FP_TOL, DEFAULT_MAX_ITER, NoConvergence, NotContractive
-from .weighted_time import ZERO_TIME_TOL, MaterialSymbol, NuTooSmall, TimeGrid
+from .weighted_time import ZERO_TIME_TOL, MaterialSymbol, TimeGrid
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -209,7 +209,7 @@ class ScenarioError(ValueError):
 EXIT_TABLE = (
     (RangeViolation, EXIT_RANGE, "range condition failed"),
     (HypothesisViolated, EXIT_HYPOTHESIS, "hypothesis failed"),
-    ((NotContractive, NuTooSmall), EXIT_NO_CONVERGENCE, "solver cannot converge"),
+    (NotContractive, EXIT_NO_CONVERGENCE, "solver cannot converge"),
     ((NeumannDiverges, NoConvergence), EXIT_NO_CONVERGENCE, "solver did not converge"),
     (NonFiniteSolution, EXIT_NO_CONVERGENCE, "solution is not finite"),
     (FileNotFoundError, EXIT_INVALID, "cannot read scenario"),

@@ -64,7 +64,7 @@ from .evo_solver import (
     solve_propagator_blocks,
     step_columns,
 )
-from .weighted_time import MaterialSymbol, NuTooSmall, TimeGrid
+from .weighted_time import MaterialSymbol, TimeGrid
 
 RANGE_TOL = 1e-12
 NEAR_KERNEL_BAND = 1e-3
@@ -476,7 +476,7 @@ def _solve_blocks(method: str, grid: TimeGrid, nu: float, M0: np.ndarray, groups
                 sol, iters, cest, _ = solve_fixed_point_blocks(M0, M1, A, f, w0[cols], grid, nu, max_iter, fp_tol)
                 iterations, contraction = max(iterations, int(iters.max())), max(contraction, cest)
             u[:, :, cols] = sol.transpose(2, 0, 1)
-        except (WrongCase, NuTooSmall, NotContractive, NoConvergence) as exc:
+        except (WrongCase, NotContractive, NoConvergence) as exc:
             if failure is None or cols[getattr(exc, "block", 0)] < failure[0]:
                 failure = (cols[getattr(exc, "block", 0)], exc)
     if failure is not None:
@@ -499,24 +499,20 @@ def _solved_history(s, method: str, E, H, D, B, iterations: int, contraction: fl
 
     kernel and near_kernel are table positions reported by mode key; extra
     holds the model's own diagnostic keys.  NonFiniteSolution is raised when
-    a field series or a numeric diagnostic is NaN or infinite.
+    a numeric diagnostic is NaN or infinite: causality_sup reads every field
+    value before t = 0 and the weak residual every one from t = 0 on, so a
+    non-finite field value shows in one of them.
     """
     table, grid = s.table, s.grid
     history = FieldHistory(table, grid, s.nu, E, H, D, B)
     # Initial value: the flux-pair right limit, the t = 0 row, against W0 in the proxy norm with
-    # per-mode weight (1 + lambda^2)^(-1/2).  Causality: the largest value before t = 0.  It and
-    # the finiteness guard run over column chunks, so no (n, m) temporary is made.
+    # per-mode weight (1 + lambda^2)^(-1/2).  Causality: the largest value before t = 0, over
+    # column chunks of those rows, so no (n, m) temporary is made; np.max keeps a NaN.
     w, zi = 1.0 / (1.0 + table.eigenvalues**2), grid.zero_index
     iv = float(np.sqrt(np.sum(w * (np.abs(history.D[zi] - s.W0.e_part.coeffs) ** 2
                                    + np.abs(history.B[zi] - s.W0.h_part.coeffs) ** 2))))
-    chunks = column_chunks(grid.n_samples, table.n_modes)
-    sup, finite = np.zeros((4, len(chunks))), np.ones((4, len(chunks)), dtype=bool)
-    for j, cols in enumerate(chunks):
-        for i, arr in enumerate((history.E, history.H, history.D, history.B)):
-            chunk = arr[:, cols]
-            sup[i, j] = np.max(np.abs(chunk[:zi]), initial=0.0)
-            finite[i, j] = np.all(np.isfinite(chunk))
-    caus = max(float(np.max(field_sup, initial=0.0)) for field_sup in sup)  # np.max keeps a NaN chunk sup
+    caus = float(np.max([np.max(np.abs(arr[:zi, cols]), initial=0.0) for cols in column_chunks(zi, table.n_modes)
+                         for arr in (history.E, history.H, history.D, history.B)]))
     history.diagnostics = {
         "method": method,
         "n_modes": int(table.n_modes),
@@ -530,8 +526,7 @@ def _solved_history(s, method: str, E, H, D, B, iterations: int, contraction: fl
         "nu": float(s.nu),
         **extra,
     }
-    bad = [name for name, ok in zip(("E", "H", "D", "B"), finite.all(axis=1)) if not ok]
-    bad += [key for key, v in history.diagnostics.items() if isinstance(v, (int, float)) and not np.isfinite(v)]
+    bad = [key for key, v in history.diagnostics.items() if isinstance(v, (int, float)) and not np.isfinite(v)]
     if bad:
         raise NonFiniteSolution(f"non-finite values in {', '.join(bad)}")
     return history

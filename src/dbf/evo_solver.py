@@ -5,7 +5,7 @@ The governing equation is
     (d/dt) M0 U + M1(I) U + A U = J + (Dirac at 0) W0,
 
 where I denotes causal time integration, M0 is selfadjoint positive
-definite, M1 is a representable material symbol, and A is skew.  Writing
+definite, M1 = sum_i C_i I^i is a polynomial in I, and A is skew.  Writing
 V = sqrt(M0) U turns the equation into (d/dt + A') V = F - M1' V with the
 skew A' = sqrt(M0)^-1 A sqrt(M0)^-1, M1' the conjugated symbol, and
 F = sqrt(M0)^-1 (J + (Dirac at 0) W0).  The resolvent (d/dt + A')^-1 is the
@@ -25,9 +25,10 @@ solve_integrator and solve_modal_exact are the one-block forms).
 
 The solve window is the rows from TimeGrid.zero_index, the first sample at
 t >= 0: every time-domain helper computes those rows only and leaves the
-rows before it exactly zero, whatever its input holds there.  The t = 0
-row is U(0+): every method stores the right limit there, and the
-initial-value checks read that row as it is.
+rows before it exactly zero, whatever its input holds there.  So M1 is a
+polynomial: _poly_coeffs raises WrongCase for a delay, which acts only
+through weighted_time.apply_symbol.  The t = 0 row is U(0+): every method
+stores the right limit there, and the initial-value checks read it as is.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import numpy as np
 from .weighted_time import (
     ZERO_TIME_TOL,
     MaterialSymbol,
-    NuTooSmall,
     TimeGrid,
     WeightedSignal,
     running_simpson,
@@ -120,7 +120,8 @@ class AbstractIVP:
 
     source must vanish on t < 0 (the Dirac datum carries the jump); this is
     validated at construction together with selfadjointness of M0, its
-    strictly positive spectral floor, and skewness of A.
+    strictly positive spectral floor, and skewness of A.  M1 is a polynomial:
+    the solvers and weak_residual raise WrongCase on a delay term.
     """
 
     dim: int
@@ -214,33 +215,25 @@ def semigroup_apply(M0: np.ndarray, A: np.ndarray, w0: np.ndarray, grid: TimeGri
     return WeightedSignal(grid, nu, jump @ inv_sqrt.T)
 
 
-def _apply_symbol_time(sym: MaterialSymbol, samples: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Time-domain action of a symbol: iterated causal integrals plus shifts.
+def _poly_coeffs(M1: MaterialSymbol) -> list:
+    """M1's coefficients C_0, ..., C_p; WrongCase for a delay term, which would read rows before t = 0."""
+    if M1.delays:
+        raise WrongCase("the time-domain solvers need a polynomial symbol M1")
+    return M1.poly_coeffs
 
-    The polynomial part reads and writes only the rows from the t = 0 row
-    on, so it is exactly causal and the rows before stay zero.  Delay
-    offsets must be grid-aligned.  samples is (n, d) or B stacked blocks
-    (n, B, d).
-    """
+
+def _apply_symbol_time(sym: MaterialSymbol, samples: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Time-domain action of a polynomial symbol, iterated causal integrals (a delay acts only through
+    weighted_time.apply_symbol).  Reads and writes only the rows from the t = 0 row on, so the rows
+    before stay zero; samples is (n, d) or B stacked blocks (n, B, d)."""
     out = np.zeros(samples.shape, dtype=np.complex128)
     z = grid.zero_index
     power = samples[z:]
-    for j, C in enumerate(sym.poly_coeffs):
+    for j, C in enumerate(_poly_coeffs(sym)):
         if j > 0:
             # The running integral restarts at the t = 0 row, which stores the right limit.
             power = running_trapezoid(power, grid.dt)
-        out[z:] += _rows_at(power, np.asarray(C, dtype=np.complex128).T)
-    for h, C in sym.delays:
-        steps = -h / grid.dt
-        m = int(round(steps))
-        if abs(steps - m) > 1e-9:
-            raise ValueError(f"delay h={h} is not grid-aligned at dt={grid.dt}")
-        shifted = np.zeros_like(samples)
-        if m == 0:
-            shifted = samples
-        else:
-            shifted[m:] = samples[:-m]
-        out = out + _rows_at(shifted, np.asarray(C, dtype=np.complex128).T)
+        out[z:] += _rows_at(power, C.T)
     return out
 
 
@@ -274,9 +267,7 @@ def solve_fixed_point_blocks(M0: np.ndarray, M1: MaterialSymbol, A: np.ndarray, 
     are those of the block solved alone.  Returns (solution (n, B, d),
     iterations per block, estimate, update ratios per block).
     """
-    min_nu = M1.min_nu()
-    if nu <= min_nu:
-        raise NuTooSmall(f"nu={nu} <= 1/(2 radius)={min_nu} for M1")
+    coeffs = _poly_coeffs(M1)
     inv_sqrt, _, c0 = _check_hermitian_posdef(M0)
     A = _check_skew(A, M1.dim)
     estimate = M1.sup_norm(nu, grid.frequencies) / (nu * c0)
@@ -284,8 +275,7 @@ def solve_fixed_point_blocks(M0: np.ndarray, M1: MaterialSymbol, A: np.ndarray, 
         raise NotContractive(f"contraction estimate {estimate:.3g} >= 1 at nu={nu}; increase nu")
     A_prime = inv_sqrt @ A @ inv_sqrt
     v0 = causal_resolvent(A_prime, _rows_at(source, inv_sqrt.T), grid) + _jump_response(A_prime, inv_sqrt, w0, grid)
-    m1_conj = MaterialSymbol(M1.dim, [inv_sqrt @ C @ inv_sqrt for C in M1.poly_coeffs],
-                             [(h, inv_sqrt @ C @ inv_sqrt) for h, C in M1.delays], M1.radius)
+    m1_conj = MaterialSymbol(M1.dim, [inv_sqrt @ C @ inv_sqrt for C in coeffs])
 
     v = v0.copy()
     iterations = np.zeros(v.shape[1], dtype=int)
@@ -335,13 +325,11 @@ def _rotation_constant(M0: np.ndarray, M1: MaterialSymbol, A: np.ndarray) -> tup
     if np.max(np.abs(M0 - np.diag(np.diag(M0)))) > 0 or np.max(np.abs(np.diag(M0).imag)) > 0:
         raise WrongCase("modal closed form needs M0 = diag(eps, mu) real")
     eps, mu = float(M0[0, 0].real), float(M0[1, 1].real)
-    if M1.delays or len(M1.poly_coeffs) > 1:
+    coeffs = _poly_coeffs(M1) or [np.zeros((2, 2))]
+    if len(coeffs) > 1:
         raise WrongCase("modal closed form needs a constant coupling symbol")
-    if not M1.poly_coeffs:
-        return eps, mu, 0.0
-    C = np.asarray(M1.poly_coeffs[0], dtype=np.complex128)
-    c = C[1, 0]
-    if np.max(np.abs(C - c * J2)) > 0:
+    c = coeffs[0][1, 0]
+    if np.max(np.abs(coeffs[0] - c * J2)) > 0:
         raise WrongCase("coupling matrix is not a multiple of [[0,-1],[1,0]]")
     if abs(c.imag) > 0:
         raise WrongCase("coupling constant must be real")
@@ -475,13 +463,12 @@ def solve_propagator_blocks(M0: np.ndarray, M1: MaterialSymbol, source: np.ndarr
     source is (n, B, d) and w0 (B, d); returns (u, flux), each (n, B, d) and exactly
     zero before t = 0, flux None without lift.
     """
-    if M1.delays:
-        raise WrongCase("the exact propagator needs a polynomial symbol M1")
+    coeffs = _poly_coeffs(M1)
     _, inv, _ = _check_hermitian_posdef(M0)
     d, z, n_blocks, h = M1.dim, grid.zero_index, len(w0), grid.dt
-    width = d * (len(M1.poly_coeffs) + 1)  # u, T u, ..., T^{p+1} u
+    width = d * (len(coeffs) + 1)  # u, T u, ..., T^{p+1} u
     aug = np.zeros((width + 2 * d,) * 2, dtype=np.complex128)
-    aug[:d, :width - d] = -h * (inv @ np.hstack([np.zeros((d, 0)), *M1.poly_coeffs]))
+    aug[:d, :width - d] = -h * (inv @ np.hstack([np.zeros((d, 0)), *coeffs]))
     aug[d:width, :width - d] = h * np.eye(width - d)
     aug[:d, width:width + d] = h * inv
     aug[width:width + d, width + d:] = np.eye(d)
@@ -511,8 +498,8 @@ def solve_propagator_blocks(M0: np.ndarray, M1: MaterialSymbol, source: np.ndarr
 
 def solve_integrator(p: AbstractIVP, nu: float) -> WeightedSignal:
     """Exact propagator of one block (solve_propagator_blocks, B = 1), the skew A added to M1's order-zero term."""
-    coeffs = p.M1.poly_coeffs or [np.zeros((p.dim, p.dim), dtype=np.complex128)]
-    M1 = MaterialSymbol(p.dim, [coeffs[0] + p.A] + coeffs[1:], p.M1.delays, p.M1.radius)
+    coeffs = _poly_coeffs(p.M1) or [np.zeros((p.dim, p.dim), dtype=np.complex128)]
+    M1 = MaterialSymbol(p.dim, [coeffs[0] + p.A] + coeffs[1:])
     samples, _ = solve_propagator_blocks(p.M0, M1, p.source.samples[:, None], p.W0[None], p.source.grid)
     return WeightedSignal(p.source.grid, nu, samples[:, 0])
 

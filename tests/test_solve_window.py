@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from dbf.evo_solver import _apply_symbol_time, causal_resolvent
-from dbf.weighted_time import MaterialSymbol, TimeGrid
+from dbf.evo_solver import AbstractIVP, WrongCase, _apply_symbol_time, causal_resolvent, solve_fixed_point, weak_residual
+from dbf.weighted_time import MaterialSymbol, TimeGrid, WeightedSignal
 
 
 @pytest.mark.parametrize("t_start, dt, n, expected", [
@@ -56,3 +56,17 @@ def test_polynomial_symbol_never_reads_rows_before_zero(rng):
     sym = MaterialSymbol(dim=2, poly_coeffs=coeffs)
     clean, poisoned = _clean_and_poisoned(rng, grid, (grid.n_samples, 3, 2))
     _assert_window_only(_apply_symbol_time(sym, clean, grid), _apply_symbol_time(sym, poisoned, grid), grid)
+
+
+def test_delay_symbol_is_rejected_in_the_time_domain():
+    # A delay would read rows before t = 0; it acts only through weighted_time.apply_symbol.
+    grid = TimeGrid(t_start=-1.0, dt=0.01, n_samples=1024, pad_fraction=0.25)
+    sym = MaterialSymbol.delay(-0.1, 0.5 * np.array([[0.0, -1.0], [1.0, 0.0]]), dim=2)
+    zero = WeightedSignal(grid, 2.0, np.zeros((grid.n_samples, 2), dtype=np.complex128))
+    p = AbstractIVP(dim=2, M0=np.eye(2), M1=sym, A=np.zeros((2, 2)), source=zero, W0=np.array([1.0, 0.0]))
+    with pytest.raises(WrongCase, match="polynomial"):
+        solve_fixed_point(p, 2.0)
+    with pytest.raises(WrongCase, match="polynomial"):
+        weak_residual(p, zero)
+    with pytest.raises(WrongCase, match="polynomial"):
+        _apply_symbol_time(sym, zero.samples, grid)
