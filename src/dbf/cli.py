@@ -7,10 +7,10 @@ format: a JSON Schema (draft 2020-12) that a small built-in checker
 interprets, so no schema library is loaded.  A run writes one CSV time
 series with 17 significant digit floats and one JSON diagnostics document
 with sorted keys, so identical scenarios produce byte identical outputs.  Every subcommand maps failures to exit
-codes through EXIT_TABLE: 1 invalid scenario or arguments, 2 data outside
-the solvable range, 3 spectral hypothesis failure, 4 solver
-non-convergence or a non-finite solution; verify also exits 1 when a check
-fails.
+codes through EXIT_TABLE: 1 invalid scenario or arguments, or a file that
+cannot be read or written, 2 data outside the solvable range, 3 spectral
+hypothesis failure, 4 solver non-convergence or a non-finite solution;
+verify also exits 1 when a check fails.
 """
 
 from __future__ import annotations
@@ -204,6 +204,13 @@ class ScenarioError(ValueError):
     """Scenario file rejected before solving."""
 
 
+# Material model -> (required keys, optional keys, methods); the schema admits the union of the keys.
+MATERIAL_MODELS = {
+    "dbf": (("epsilon", "mu", "eta"), (), DBF_METHODS),
+    "generalized": (("kappa0", "Mstar0"), ("kappa1", "Mstar1", "k_cross"), GENERALIZED_METHODS),
+}
+
+
 # Exception -> (exit code, message) for every subcommand; the first matching
 # row wins, so the ValueError subclasses come before the catch-all.
 EXIT_TABLE = (
@@ -213,6 +220,7 @@ EXIT_TABLE = (
     ((NeumannDiverges, NoConvergence), EXIT_NO_CONVERGENCE, "solver did not converge"),
     (NonFiniteSolution, EXIT_NO_CONVERGENCE, "solution is not finite"),
     (FileNotFoundError, EXIT_INVALID, "cannot read scenario"),
+    (OSError, EXIT_INVALID, "cannot read or write file"),
     (ValueError, EXIT_INVALID, "invalid scenario"),
 )
 # The exception types EXIT_TABLE covers; anything else is a bug and propagates.
@@ -348,25 +356,21 @@ def build_scenario(doc: dict):
             samples[:, k, 1] += amp * _complex_value(entry[3]) * w
         source = PairSeries(table, grid, modes, samples)
 
-    mat = doc["material"]
-    method = doc["method"]
-    if mat["model"] == "dbf":
-        extra = sorted(set(mat) & {"kappa0", "kappa1", "Mstar0", "Mstar1", "k_cross"})
-        if extra:
-            raise ScenarioError(f"dbf material does not take {extra}")
+    mat, method = doc["material"], doc["method"]
+    model, (needed, optional, methods) = mat["model"], MATERIAL_MODELS[mat["model"]]
+    extra = sorted(set(mat) - {"model"} - set(needed) - set(optional))
+    if extra:
+        raise ScenarioError(f"{model} material does not take {extra}")
+    missing = [key for key in needed if key not in mat]
+    if missing:
+        raise ScenarioError(f"{model} material needs {missing}")
+    if method not in methods:
+        raise ScenarioError(f"method {method!r} is not valid for the {model} model")
+    if model == "dbf":
         if mat["eta"] == 0:
             raise ScenarioError("eta must be nonzero")
-        if method not in DBF_METHODS:
-            raise ScenarioError(f"method {method!r} is not valid for the dbf model")
         return DBFScenario(epsilon=mat["epsilon"], mu=mat["mu"], eta=mat["eta"], nu=nu,
                            K=K, grid=grid, W0=W0, source_J=source)
-    extra = sorted(set(mat) & {"epsilon", "mu", "eta"})
-    if extra:
-        raise ScenarioError(f"generalized material does not take {extra}")
-    if "kappa0" not in mat or "Mstar0" not in mat:
-        raise ScenarioError("generalized material needs kappa0 and Mstar0")
-    if method not in GENERALIZED_METHODS:
-        raise ScenarioError(f"method {method!r} is not valid for the generalized model")
     kappa1 = MaterialSymbol(dim=2, poly_coeffs=[_matrix2(c) for c in mat["kappa1"]]) if mat.get("kappa1") else None
     mstar1 = MaterialSymbol(dim=2, poly_coeffs=[_matrix2(c) for c in mat["Mstar1"]]) if mat.get("Mstar1") else None
     k_cross = np.array(mat["k_cross"], dtype=float) if mat.get("k_cross") else None
@@ -599,7 +603,6 @@ def cmd_sweep(scenario_path: str, param: str, values: list, out_dir: str) -> int
     data_idx = sorted({int(i) for i in np.nonzero(
         (base_scenario.W0.e_part.coeffs != 0) | (base_scenario.W0.h_part.coeffs != 0))[0]})
     labels = [_mode_label(table.modes[i]) for i in data_idx]
-    os.makedirs(out_dir, exist_ok=True)
     rows = []
     successes = 0
     first_failure = EXIT_OK
@@ -637,10 +640,14 @@ def cmd_sweep(scenario_path: str, param: str, values: list, out_dir: str) -> int
     summary = os.path.join(out_dir, f"sweep_{param}.csv")
     columns = ["param", "value", "exit_code", "weak_residual", "initial_value_error", "iterations"]
     columns += [f"omega_{label}" for label in labels]
-    with open(summary, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row[c]) if c == "value" else str(row[c]) for c in columns) + "\n")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(summary, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(columns) + "\n")
+            for row in rows:
+                fh.write(",".join(_fmt(row[c]) if c == "value" else str(row[c]) for c in columns) + "\n")
+    except FAILURES as exc:
+        return _fail(exc)
     print(f"wrote {summary} ({successes}/{len(values)} values solved)")
     return EXIT_OK if successes else first_failure
 
@@ -649,17 +656,23 @@ def cmd_basis(K: int, out_path: str) -> int:
     """Emit the mode table for truncation K as JSON; an invalid K exits with its EXIT_TABLE code."""
     try:
         table = build_basis(K)
+        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(table.to_json())
+            fh.write("\n")
     except FAILURES as exc:
         return _fail(exc)
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(table.to_json())
-        fh.write("\n")
     print(f"wrote {out_path} ({table.n_modes} modes)")
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits EXIT_INVALID, not argparse's 2 (the range code)
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def main(argv: list | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dbf",
         description="Spectral simulator for chiral electromagnetic media on the periodic torus.",
     )

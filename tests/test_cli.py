@@ -214,6 +214,15 @@ class TestSchema:
             cli.build_scenario(cli.load_scenario_doc(write_doc(tmp_path, doc)))
 
 
+    @pytest.mark.parametrize("key", ["epsilon", "mu", "eta"])
+    def test_dbf_material_needs_every_constant(self, tmp_path, key, capsys):
+        doc = shipped_doc("dbf_basic.json")
+        del doc["material"][key]
+        assert cli.cmd_run(write_doc(tmp_path, doc), str(tmp_path / "out")) == cli.EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("invalid scenario: dbf material needs ") and repr(key) in err
+        assert not (tmp_path / "out").exists()
+
 def schema_keywords(schema: dict) -> set:
     """Every keyword used in schema and its subschemas."""
     found = set(schema)
@@ -550,6 +559,37 @@ class TestExitCodes:
         assert "subnormal" in capsys.readouterr().err
 
 
+class TestFileErrors:
+    """A file that cannot be read or written exits 1 through EXIT_TABLE, not with a traceback."""
+
+    def test_directory_as_scenario(self, tmp_path, capsys):
+        assert cli.cmd_run(str(tmp_path), str(tmp_path / "out")) == cli.EXIT_INVALID
+        assert cli.cmd_verify(str(tmp_path)) == cli.EXIT_INVALID
+        assert cli.cmd_sweep(str(tmp_path), "nu", [3.0], str(tmp_path / "sweep")) == cli.EXIT_INVALID
+        assert capsys.readouterr().err.count("cannot read or write file: ") == 3
+        assert not (tmp_path / "out").exists() and not (tmp_path / "sweep").exists()
+
+    def test_run_into_existing_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("kept", encoding="utf-8")
+        assert cli.cmd_run(write_doc(tmp_path, base_doc()), str(taken)) == cli.EXIT_INVALID
+        assert capsys.readouterr().err.startswith("cannot read or write file: ")
+        assert taken.read_text(encoding="utf-8") == "kept"
+
+    def test_sweep_into_existing_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("kept", encoding="utf-8")
+        assert cli.cmd_sweep(write_doc(tmp_path, base_doc()), "nu", [3.0], str(taken)) == cli.EXIT_INVALID
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("value 3.0: cannot read or write file: ")
+        assert err[-1].startswith("cannot read or write file: ")
+        assert taken.read_text(encoding="utf-8") == "kept"
+
+    def test_basis_into_directory(self, tmp_path, capsys):
+        assert cli.cmd_basis(1, str(tmp_path)) == cli.EXIT_INVALID
+        assert capsys.readouterr().err.startswith("cannot read or write file: ")
+
+
 class TestVerify:
     def test_reference_scenario_passes(self, tmp_path, capsys):
         assert cli.cmd_verify(write_doc(tmp_path, base_doc())) == cli.EXIT_OK
@@ -772,6 +812,23 @@ class TestMain:
                          "-o", str(tmp_path / "s")])
         assert code == cli.EXIT_OK
 
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", os.path.join(ROOT, "scenarios", "dbf_basic.json"), "--param", "foo", "--values", "1"],
+        ["basis", "--K", "x"],
+        [],
+    ], ids=["bad_choice", "bad_int", "no_command"])
+    def test_argument_errors_exit_invalid(self, argv, capsys):
+        with pytest.raises(SystemExit) as raised:
+            cli.main(argv)
+        assert raised.value.code == cli.EXIT_INVALID
+        assert "dbf" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            cli.main(["--help"])
+        assert raised.value.code == 0
+        assert "usage: dbf" in capsys.readouterr().out
 
 # Runs in a fresh interpreter: prints the scipy and jsonschema modules loaded
 # after importing the CLI, then the exit code and those modules after each
