@@ -27,6 +27,7 @@ import numpy as np
 
 from .curl_spectral import FieldPair, Mode, ModeTable, SpectralField, build_basis
 from .dbf_model import (
+    COLUMN_CHUNK_BYTES,
     DBF_METHODS,
     GENERALIZED_METHODS,
     DBFScenario,
@@ -414,6 +415,10 @@ def _fmt(x: float) -> str:
 
 def write_run_output(history: FieldHistory, scenario, doc: dict, out_dir: str, stem: str) -> tuple[str, str]:
     """Write the CSV series and JSON diagnostics; returns their paths."""
+    # Imported on the first write, after the solve, which its tables then leave alone; verify and
+    # basis never load it.
+    from .csv_cells import CELL_BYTES, CellText
+
     os.makedirs(out_dir, exist_ok=True)
     tracked = _tracked_indices(history, scenario)
     labels = [_mode_label(history.table.modes[i]) for i in tracked]
@@ -424,20 +429,24 @@ def write_run_output(history: FieldHistory, scenario, doc: dict, out_dir: str, s
         for fld in ("e", "h", "d", "b"):
             columns += [f"{label}_{fld}_re", f"{label}_{fld}_im"]
     columns.append("energy")
-    times = history.grid.times
-    body = np.empty((len(times), len(columns)))
-    body[:, 0], body[:, -1] = times, energy
-    # A view into body: (re, im) of e, h, d, b for each tracked mode.
-    cells = body[:, 1:-1].reshape(len(times), len(tracked), 4, 2)
-    for k, arr in enumerate((history.E, history.H, history.D, history.B)):
-        sub = arr[:, tracked]
-        cells[:, :, k, 0], cells[:, :, k, 1] = sub.real, sub.imag
-    line = ",".join(["%.17g"] * len(columns)) + "\n"
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        # One row at a time: a whole-body string would cost tens of MB.
-        for row in body:
-            fh.write(line % tuple(row.tolist()))
+    # Row blocks of about COLUMN_CHUNK_BYTES of formatting scratch, filled from E, H, D and B in turn.
+    n_rows, n_cols = history.grid.n_samples, len(columns)
+    block_rows = max(1, min(n_rows, COLUMN_CHUNK_BYTES // (CELL_BYTES * n_cols)))
+    text = CellText(block_rows, n_cols)
+    block = np.empty((block_rows, n_cols))
+    tracked_cols = np.array(tracked, dtype=np.intp)
+    with open(csv_path, "wb") as fh:
+        fh.write((",".join(columns) + "\n").encode())
+        for start in range(0, n_rows, block_rows):
+            rows = slice(start, min(start + block_rows, n_rows))
+            part = block[:rows.stop - start]
+            part[:, 0], part[:, -1] = history.grid.times[rows], energy[rows]
+            # A view into part: (re, im) of e, h, d, b for each tracked mode.
+            cells = part[:, 1:-1].reshape(len(part), len(tracked), 4, 2)
+            for k, arr in enumerate((history.E, history.H, history.D, history.B)):
+                sub = arr[rows, tracked_cols]
+                cells[:, :, k, 0], cells[:, :, k, 1] = sub.real, sub.imag
+            fh.write(text(part))
     json_path = os.path.join(out_dir, f"{stem}.json")
     payload = {
         "model": doc["material"]["model"],
@@ -462,8 +471,7 @@ def write_run_output(history: FieldHistory, scenario, doc: dict, out_dir: str, s
         "diagnostics": history.diagnostics,
     }
     with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return csv_path, json_path
 
 
@@ -656,6 +664,7 @@ def cmd_basis(K: int, out_path: str) -> int:
     """Emit the mode table for truncation K as JSON; an invalid K exits with its EXIT_TABLE code."""
     try:
         table = build_basis(K)
+        os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(table.to_json())
             fh.write("\n")

@@ -373,10 +373,15 @@ class TestRunOutput:
         np.testing.assert_array_equal(cols["k1_0_0_plus_e_re"], history.E[:, i].real)
         np.testing.assert_array_equal(cols["k1_0_0_plus_d_im"], history.D[:, i].imag)
 
-    @pytest.mark.parametrize("name", ["dbf_basic", "generalized_memory"])
-    def test_csv_cells_are_17_digit_values(self, tmp_path, name):
-        # The body must equal the per-cell format(x, ".17g") rendering, byte for byte.
+    @pytest.mark.parametrize("name, tiny", [pytest.param("dbf_basic", False, id="dbf_basic"),
+                                            pytest.param("generalized_memory", False, id="generalized_memory"),
+                                            pytest.param("dbf_basic", True, id="dbf_basic_tiny_w0")])
+    def test_csv_cells_are_17_digit_values(self, tmp_path, name, tiny):
+        # The body must equal the per-cell format(x, ".17g") rendering, byte for byte.  With a W0
+        # entry of 1e-9 the CSV holds cells below 1e-6 that the writer leaves to Python's format.
         doc = cli.load_scenario_doc(f"scenarios/{name}.json")
+        if tiny:
+            doc["data"]["W0"][1][2] = 1e-9
         scenario = cli.build_scenario(doc)
         history = cli._solve(scenario, doc)
         csv_path, _ = cli.write_run_output(history, scenario, doc, str(tmp_path), name)
@@ -394,6 +399,8 @@ class TestRunOutput:
         with open(csv_path, encoding="utf-8", newline="") as fh:
             fh.readline()
             assert fh.read() == "".join(lines)
+        if tiny:
+            assert any(0 < abs(float(cell)) < 1e-6 for line in lines for cell in line.split(","))
 
     def test_diagnostics_recomputable_from_csv(self, tmp_path):
         path = write_doc(tmp_path, base_doc())
@@ -773,6 +780,13 @@ class TestBasis:
         assert parsed.n_modes == reference.n_modes == 99
         assert [m.key() for m in parsed.modes] == [m.key() for m in reference.modes]
         np.testing.assert_array_equal(parsed.eigenvalues, reference.eigenvalues)
+
+    def test_output_directory_is_created(self, tmp_path, capsys):
+        # As run and sweep do: a missing directory is created, not reported as an unreadable scenario.
+        out = tmp_path / "missing" / "b.json"
+        assert cli.main(["basis", "--K", "1", "-o", str(out)]) == cli.EXIT_OK
+        assert ModeTable.from_json(out.read_text()).n_modes == 21
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("K, message", [(0, "K must be >= 1"), (40, "exceeding the budget of 4096")])
     def test_invalid_truncation_exits_through_exit_table(self, tmp_path, K, message, capsys):
