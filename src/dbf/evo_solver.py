@@ -59,15 +59,17 @@ J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 def _cumsimp(values: np.ndarray, dx: float) -> np.ndarray:
     """Composite Simpson antiderivative along axis 0 (trapezoid below 3 samples).
 
-    Complex input is integrated as separate real and imaginary parts: a
-    single complex pass can give zero entries the opposite sign, which
-    changes the written CSV bytes.
+    Complex input is integrated as separate real and imaginary parts, in
+    one real pass over its interleaved (re, im) view: complex arithmetic
+    can give zero entries the opposite sign, which changes the written CSV
+    bytes.  Every output entry carries running_simpson's + 0.0, so this
+    equals integrating the two parts apart bit for bit.
     """
     values = np.asarray(values)
     if values.shape[0] < 3:
         return running_trapezoid(values, dx)
     if np.iscomplexobj(values):
-        return running_simpson(values.real, dx) + 1j * running_simpson(values.imag, dx)
+        return running_simpson(values[..., None].view(values.real.dtype), dx).view(values.dtype)[..., 0]
     return running_simpson(values, dx)
 
 
@@ -337,25 +339,36 @@ def _rotation_constant(M0: np.ndarray, M1: MaterialSymbol, A: np.ndarray) -> tup
 
 
 def _cos_sinc(omega: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos(omega tau), sin(omega tau)/omega per column (1, tau at omega = 0); tau (n, 1) or (n, B)."""
+    """cos(omega tau), sin(omega tau)/omega per column (1, tau at omega = 0); tau (n, 1) or (n, B).
+
+    libm's cos and sin dominate the closed form, so with tau (n, 1) each
+    distinct omega (the modes of one eigenvalue share it) is evaluated once
+    and its columns gather the values; a NaN omega, which does not sort,
+    keeps one evaluation per column.
+    """
+    shared = tau.shape[1] == 1 and not np.isnan(omega).any()
+    if shared:
+        distinct = sorted(set(omega.tolist()))  # not np.unique: its first call imports numpy.ma
+        at, omega = np.searchsorted(distinct, omega), np.array(distinct, dtype=float)
     zero = omega == 0
     arg = tau * omega
     cos_t, sinc_t = np.cos(arg), np.sin(arg, out=arg)
     sinc_t /= np.where(zero, 1.0, omega)
     cos_t[:, zero] = 1.0
     sinc_t[:, zero] = np.broadcast_to(tau, arg.shape)[:, zero]
-    return cos_t, sinc_t
+    return (cos_t[:, at], sinc_t[:, at]) if shared else (cos_t, sinc_t)
 
 
 def _rotate(eps: float, mu: float, c: np.ndarray, omega: np.ndarray, s: np.ndarray,
-            ve: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Columns of exp(-s B) v = cos v - sinc B v, with B v = (-c vh / eps, c ve / mu)."""
+            ve: np.ndarray, vh: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Columns of exp(-s B) v = cos v - sinc B v, with B v = (-c vh / eps, c ve / mu), written to out (2, rows, cols)."""
     cos_t, sinc_t = _cos_sinc(omega, s)
-    e = cos_t * ve
-    e += -sinc_t * (-c * vh / eps)
-    h = cos_t * vh
-    h += -sinc_t * (c * ve / mu)
-    return e, h
+    sinc_t = np.negative(sinc_t, out=sinc_t)
+    term = np.empty(out.shape[1:], dtype=out.dtype)
+    for part, v, bv in zip(out, (ve, vh), (-c * vh / eps, c * ve / mu)):
+        np.multiply(cos_t, v, out=part)
+        part += np.multiply(sinc_t, bv, out=term)
+    return out
 
 
 def step_columns(samples: np.ndarray) -> tuple:
@@ -369,7 +382,7 @@ def step_columns(samples: np.ndarray) -> tuple:
 
 
 def rotation_closed_form(eps: float, mu: float, c: np.ndarray, w0: np.ndarray, grid: TimeGrid,
-                         source: tuple) -> tuple[np.ndarray, np.ndarray]:
+                         source: tuple, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Closed form of B stacked 2x2 rotation blocks sharing M0 = diag(eps, mu).
 
     Column b solves (d/dt) M0 u + c_b J u = J_b + (Dirac at 0) w0_b; c is
@@ -380,14 +393,18 @@ def rotation_closed_form(eps: float, mu: float, c: np.ndarray, w0: np.ndarray, g
     delayed-step sources (detected per column) integrate exactly; other
     sources fall back to a Duhamel convolution with Simpson quadrature of
     exp(s B) M0^-1 J(s).
-    Returns the (e, h) components, each (n_samples, B), zero before t = 0.
+    Returns the (e, h) components, each (n_samples, B), zero before t = 0:
+    views of out, complex (2, n_samples, B) scratch whose rows before t = 0
+    hold zeros, or of a fresh array when out is None.
     """
+    if out is None:
+        out = np.zeros((2, grid.n_samples, len(c)), dtype=np.complex128)
     c = np.asarray(c, dtype=float)
     omega = c / np.sqrt(eps * mu)
     z = grid.zero_index
     tau = grid.times[z:]
     tau = np.where(np.abs(tau) < ZERO_TIME_TOL, 0.0, tau)[:, None]
-    ue, uh = _rotate(eps, mu, c, omega, tau, w0[:, 0] / eps, w0[:, 1] / mu)
+    ue, uh = _rotate(eps, mu, c, omega, tau, w0[:, 0] / eps, w0[:, 1] / mu, out[:, z:])
     idx, (se, sh) = source[0], np.moveaxis(source[1][z:], -1, 0)
     first, at, before, step = step_columns(source[1][z:])
     ae, ah = at.T
@@ -398,7 +415,7 @@ def rotation_closed_form(eps: float, mu: float, c: np.ndarray, w0: np.ndarray, g
     shifted, fe, fh, ck, wk = tau - tau[first[k], 0], ae[k] / eps, ah[k] / mu, c[idx[k]], omega[idx[k]]
     w2 = np.array([float(w) ** 2 if w else 1.0 for w in wk])
     ve, vh = ck * fh / eps / w2, -ck * fe / mu / w2
-    re, rh = _rotate(eps, mu, ck, wk, shifted, ve, vh)
+    re, rh = _rotate(eps, mu, ck, wk, shifted, ve, vh, np.empty((2,) + shifted.shape, dtype=np.complex128))
     qe, qh = ve - re, vh - rh
     flat = wk == 0
     qe[:, flat], qh[:, flat] = shifted[:, flat] * fe[flat], shifted[:, flat] * fh[flat]
@@ -418,8 +435,7 @@ def rotation_closed_form(eps: float, mu: float, c: np.ndarray, w0: np.ndarray, g
     ue += 0.0
     uh += 0.0
     ue[:, idx], uh[:, idx] = pe, ph
-    pad = np.zeros((z, len(c)))
-    return np.concatenate([pad, ue]), np.concatenate([pad, uh])
+    return out[0], out[1]
 
 
 def solve_modal_exact(p: AbstractIVP, nu: float) -> WeightedSignal:
