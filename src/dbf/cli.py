@@ -382,14 +382,10 @@ def build_scenario(doc: dict):
                                k_cross=k_cross, source_J=source)
 
 
-def _solver_options(doc: dict) -> dict:
-    tols = doc["tolerances"]
-    return {"method": doc["method"], "fp_tol": tols["fp_tol"], "max_iter": int(tols["max_iter"])}
-
-
-def _solve(scenario, doc: dict) -> FieldHistory:
-    solve = solve_dbf if isinstance(scenario, DBFScenario) else solve_generalized
-    return solve(scenario, **_solver_options(doc))
+def _solve(scenario, doc: dict, solvers: tuple = ()):
+    tols = doc["tolerances"]  # solvers: (classical, generalized), solve_dbf and solve_generalized when empty
+    solve = (solvers or (solve_dbf, solve_generalized))[not isinstance(scenario, DBFScenario)]
+    return solve(scenario, method=doc["method"], fp_tol=tols["fp_tol"], max_iter=int(tols["max_iter"]))
 
 
 def _mode_label(mode: Mode) -> str:
@@ -524,22 +520,19 @@ def cmd_verify(scenario_path: str) -> int:
         return _fail(exc)
     zero_data = (scenario.W0.norm() == 0.0) and (
         scenario.source_J is None or scenario.source_J.max_abs() == 0.0)
-    is_dbf = isinstance(scenario, DBFScenario)
     try:
         history = _solve(scenario, doc)
-        if not zero_data:
-            # The doubled-data solve feeds only the linearity check, which reads its E and H: history is finite,
-            # so a non-finite maximum there is a non-finite doubled solve.
-            E2, H2 = (dbf_fields if is_dbf else generalized_fields)(_scale_scenario(scenario, 2.0),
-                                                                    **_solver_options(doc))[:2]
+        if not zero_data:  # the doubled-data solve feeds only the linearity check
+            E2, H2 = _solve(_scale_scenario(scenario, 2.0), doc, (dbf_fields, generalized_fields))[:2]
             maxima = _column_max([(history.E, None), (history.H, None), (E2, history.E), (H2, history.H)])
-            if not np.all(np.isfinite(maxima)):
+            if not np.all(np.isfinite(maxima)):  # the solve above is finite, so the doubled-data one is not
                 raise NonFiniteSolution("non-finite values in the doubled-data solve")
     except FAILURES as exc:
         return _fail(exc, "FAIL: solve: ")
 
     tols = doc["tolerances"]
     d = history.diagnostics
+    is_dbf = isinstance(scenario, DBFScenario)
     checks: list[tuple[str, float, float]] = []
     checks.append(("initial_value", d["initial_value_error"], tols["iv_tol"]))
     checks.append(("causality", d["causality_sup"], tols["caus_tol"]))
@@ -583,19 +576,16 @@ def cmd_verify(scenario_path: str) -> int:
 
 
 def _column_max(pairs: list) -> np.ndarray:
-    """Largest |a|, or |a - 2 b| where b is not None, for each (a, b) of equally shaped (n, m) series.
-
-    One pass over column chunks, into scratch allocated once: a fresh ~1 MB
-    temporary per chunk faults its pages in again.  np.max keeps a NaN.
-    """
+    """Largest |a|, or |a - 2 b| where b is not None, for each (a, b) of equally shaped (n, m) series, in one pass
+    over column chunks into scratch made once: a fresh ~1 MB array per chunk faults its pages in again."""
     chunks = column_chunks(*pairs[0][0].shape)
-    shape = (len(pairs[0][0]), max(cols.stop - cols.start for cols in chunks))
-    mag, diff, best = np.empty(shape), np.empty(shape, dtype=np.complex128), np.zeros(len(pairs))
+    mag = np.empty((len(pairs[0][0]), max(cols.stop - cols.start for cols in chunks)))
+    diff, best = np.empty(mag.shape, dtype=np.complex128), np.zeros(len(pairs))
     for cols in chunks:
         m, d = mag[:, :cols.stop - cols.start], diff[:, :cols.stop - cols.start]
         for i, (a, b) in enumerate(pairs):
             x = a[:, cols] if b is None else np.subtract(a[:, cols], np.multiply(b[:, cols], 2.0, out=d), out=d)
-            best[i] = np.maximum(best[i], np.max(np.abs(x, out=m)))
+            best[i] = np.maximum(best[i], np.max(np.abs(x, out=m)))  # np.maximum keeps a NaN
     return best
 
 

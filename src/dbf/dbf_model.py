@@ -483,14 +483,13 @@ def _solve_blocks(method: str, grid: TimeGrid, nu: float, M0: np.ndarray, groups
         raise failure[1]
     closed_cols = np.nonzero(closed)[0]
     chunks = column_chunks(n, closed_cols.size)  # every closed-form operation is per column
-    # One output scratch for all chunks: a fresh ~1 MB array per chunk faults its pages in again.
+    # One output for every chunk: a fresh ~1 MB array per chunk faults its pages in again.
     scratch = np.zeros((2, n, max((cols.stop - cols.start for cols in chunks), default=0)), dtype=np.complex128)
     for chunk in chunks:
         cols = closed_cols[chunk]
         k = row[cols]
-        u[0][:, cols], u[1][:, cols] = rotation_closed_form(M0[0, 0].real, M0[1, 1].real, c[cols], w0[cols], grid,
-                                                            (np.nonzero(k >= 0)[0], source[1][:, k[k >= 0]]),
-                                                            scratch[:, :, :len(cols)])
+        u[:, :, cols] = rotation_closed_form(M0[0, 0].real, M0[1, 1].real, c[cols], w0[cols], grid,
+                                             (np.nonzero(k >= 0)[0], source[1][:, k[k >= 0]]), scratch[..., :len(cols)])
     for blocks, lift in trapezoid_lifts:
         sol = u[:, :, blocks].transpose(1, 2, 0)
         db[:, :, blocks] = np.moveaxis(_apply_symbol_time(MaterialSymbol(d, lift), sol, grid), -1, 0)
@@ -501,15 +500,11 @@ def _solved_history(s, method: str, E, H, D, B, iterations: int, contraction: fl
                     kernel: list = (), near_kernel: list = (), **extra) -> FieldHistory:
     """Wrap solved series in a FieldHistory with the diagnostics both models share.
 
-    The arguments after method are what dbf_fields or generalized_fields
-    returns: kernel and near_kernel are table positions reported by mode
-    key; extra holds the model's own diagnostic keys.  Only solve_dbf and
-    solve_generalized apply it, so a solve that nothing but the linearity
-    check reads (cli's doubled-data solve) skips its passes over the
-    fields.  NonFiniteSolution is raised when a numeric diagnostic is NaN
-    or infinite: causality_sup reads every field value before t = 0 and
-    the weak residual every one from t = 0 on, so a non-finite field value
-    shows in one of them.
+    solve_dbf and solve_generalized apply it to what their fields step returns, a solve read only by the
+    linearity check does not.  kernel and near_kernel are table positions reported by mode key; extra holds
+    the model's own diagnostic keys.  NonFiniteSolution is raised when a numeric diagnostic is NaN or
+    infinite: causality_sup reads every field value before t = 0 and the weak residual every one from
+    t = 0 on, so a non-finite field value shows in one of them.
     """
     table, grid = s.table, s.grid
     history = FieldHistory(table, grid, s.nu, E, H, D, B)
@@ -542,8 +537,7 @@ def _solved_history(s, method: str, E, H, D, B, iterations: int, contraction: fl
 
 def solve_dbf(s: DBFScenario, method: str = "exact", *, fp_tol: float = DEFAULT_FP_TOL,
               max_iter: int = DEFAULT_MAX_ITER) -> FieldHistory:
-    """Solve a classical scenario (dbf_fields) with its diagnostics: the flux-pair initial-value proxy
-    error, the causality sup, the weak residual and Picard iterations (see _solved_history)."""
+    """dbf_fields with the diagnostics of _solved_history (initial-value proxy error, causality, weak residual)."""
     return _solved_history(s, method, *dbf_fields(s, method, fp_tol=fp_tol, max_iter=max_iter))
 
 
@@ -556,9 +550,8 @@ def dbf_fields(s: DBFScenario, method: str = "exact", *, fp_tol: float = DEFAULT
     data under "exact", and the near-kernel modes under any method, while
     fixed_point and integrator make one call per remaining group.  Modes
     without data and kernel coefficients stay exactly zero, realizing the
-    projection onto the solvable range.  Returns (E, H, D, B, Picard
-    iterations, contraction estimate, kernel positions, near-kernel
-    positions), no diagnostic read from the fields.
+    projection onto the solvable range.  Returns (E, H, D, B, Picard iterations, contraction estimate, kernel
+    positions, near-kernel positions), no diagnostic read from the fields.
     """
     if method not in DBF_METHODS:
         raise ValueError(f"method must be one of {DBF_METHODS}, got {method!r}")
@@ -752,7 +745,7 @@ def _hypothesis_scan(shifted: np.ndarray, lams: list) -> float:
 
 def solve_generalized(g: GeneralizedScenario, method: str = "auto", *, fp_tol: float = DEFAULT_FP_TOL,
                       max_iter: int = DEFAULT_MAX_ITER) -> FieldHistory:
-    """Solve an operator-law scenario (generalized_fields) with the diagnostics of _solved_history."""
+    """generalized_fields with the diagnostics of _solved_history."""
     *fields, margin, q0_sup = generalized_fields(g, method, fp_tol=fp_tol, max_iter=max_iter)
     return _solved_history(g, method, *fields, hypothesis_margin=margin, q0_sup=q0_sup)
 
@@ -777,9 +770,8 @@ def generalized_fields(g: GeneralizedScenario, method: str = "auto", *, fp_tol: 
     sup |N0 z kappa1(z)| on the nu-ball reaches 1.  The flux pair is the
     product symbol (kappa(z) + lambda) Mstar(z) applied to the solution:
     the propagator reads it off its state, the other methods apply it with
-    the trapezoid running integral; both reproduce W0 at t = 0+.  Returns
-    (E, H, D, B, Picard iterations, contraction estimate, hypothesis
-    margin, q0 sup), no diagnostic read from the fields.
+    the trapezoid running integral; both reproduce W0 at t = 0+.  Returns (E, H, D, B, Picard iterations,
+    contraction estimate, hypothesis margin, q0 sup), no diagnostic read from the fields.
     """
     if method not in GENERALIZED_METHODS:
         raise ValueError(f"method must be one of {GENERALIZED_METHODS}, got {method!r}")

@@ -60,10 +60,8 @@ def _cumsimp(values: np.ndarray, dx: float) -> np.ndarray:
     """Composite Simpson antiderivative along axis 0 (trapezoid below 3 samples).
 
     Complex input is integrated as separate real and imaginary parts, in
-    one real pass over its interleaved (re, im) view: complex arithmetic
-    can give zero entries the opposite sign, which changes the written CSV
-    bytes.  Every output entry carries running_simpson's + 0.0, so this
-    equals integrating the two parts apart bit for bit.
+    one pass over its interleaved (re, im) float view: a complex pass can
+    give zero entries the opposite sign, which changes the CSV bytes.
     """
     values = np.asarray(values)
     if values.shape[0] < 3:
@@ -340,30 +338,24 @@ def _rotation_constant(M0: np.ndarray, M1: MaterialSymbol, A: np.ndarray) -> tup
 
 def _cos_sinc(omega: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """cos(omega tau), sin(omega tau)/omega per column (1, tau at omega = 0); tau (n, 1) or (n, B).
-
-    libm's cos and sin dominate the closed form, so with tau (n, 1) each
-    distinct omega (the modes of one eigenvalue share it) is evaluated once
-    and its columns gather the values; a NaN omega, which does not sort,
-    keeps one evaluation per column.
-    """
-    shared = tau.shape[1] == 1 and not np.isnan(omega).any()
-    if shared:
-        distinct = sorted(set(omega.tolist()))  # not np.unique: its first call imports numpy.ma
-        at, omega = np.searchsorted(distinct, omega), np.array(distinct, dtype=float)
+    With tau (n, 1), the columns sharing an omega share its libm evaluations, the bulk of the closed form."""
+    distinct = sorted(set(omega.tolist())) if tau.shape[1] == 1 else omega  # not np.unique: it imports numpy.ma
+    if len(distinct) < len(omega) and not np.isnan(omega).any():  # a NaN does not sort
+        return tuple(part[:, np.searchsorted(distinct, omega)] for part in _cos_sinc(np.array(distinct), tau))
     zero = omega == 0
     arg = tau * omega
     cos_t, sinc_t = np.cos(arg), np.sin(arg, out=arg)
     sinc_t /= np.where(zero, 1.0, omega)
     cos_t[:, zero] = 1.0
     sinc_t[:, zero] = np.broadcast_to(tau, arg.shape)[:, zero]
-    return (cos_t[:, at], sinc_t[:, at]) if shared else (cos_t, sinc_t)
+    return cos_t, sinc_t
 
 
 def _rotate(eps: float, mu: float, c: np.ndarray, omega: np.ndarray, s: np.ndarray,
             ve: np.ndarray, vh: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Columns of exp(-s B) v = cos v - sinc B v, with B v = (-c vh / eps, c ve / mu), written to out (2, rows, cols)."""
+    """Columns of exp(-s B) v = cos v - sinc B v, B v = (-c vh / eps, c ve / mu), into out (2, rows, cols)."""
     cos_t, sinc_t = _cos_sinc(omega, s)
-    sinc_t = np.negative(sinc_t, out=sinc_t)
+    np.negative(sinc_t, out=sinc_t)
     term = np.empty(out.shape[1:], dtype=out.dtype)
     for part, v, bv in zip(out, (ve, vh), (-c * vh / eps, c * ve / mu)):
         np.multiply(cos_t, v, out=part)
@@ -393,12 +385,10 @@ def rotation_closed_form(eps: float, mu: float, c: np.ndarray, w0: np.ndarray, g
     delayed-step sources (detected per column) integrate exactly; other
     sources fall back to a Duhamel convolution with Simpson quadrature of
     exp(s B) M0^-1 J(s).
-    Returns the (e, h) components, each (n_samples, B), zero before t = 0:
-    views of out, complex (2, n_samples, B) scratch whose rows before t = 0
-    hold zeros, or of a fresh array when out is None.
+    Returns out, (2, n_samples, B) complex with zero rows before t = 0,
+    holding the (e, h) components.
     """
-    if out is None:
-        out = np.zeros((2, grid.n_samples, len(c)), dtype=np.complex128)
+    out = np.zeros((2, grid.n_samples, len(c)), dtype=np.complex128) if out is None else out
     c = np.asarray(c, dtype=float)
     omega = c / np.sqrt(eps * mu)
     z = grid.zero_index
@@ -408,7 +398,7 @@ def rotation_closed_form(eps: float, mu: float, c: np.ndarray, w0: np.ndarray, g
     idx, (se, sh) = source[0], np.moveaxis(source[1][z:], -1, 0)
     first, at, before, step = step_columns(source[1][z:])
     ae, ah = at.T
-    pe, ph = np.zeros((2,) + se.shape, dtype=np.complex128)
+    pe, ph = particular = np.zeros((2,) + se.shape, dtype=np.complex128)
     # A step a != 0 adds v - exp(-s B) v, v = B^-1 M0^-1 a = -B M0^-1 a / omega^2 with
     # omega^2 by libm pow (as a scalar power), or s M0^-1 a where omega = 0.
     k = np.nonzero(step & ((ae != 0) | (ah != 0)))[0]
@@ -429,13 +419,11 @@ def rotation_closed_form(eps: float, mu: float, c: np.ndarray, w0: np.ndarray, g
     Gh = _cumsimp(cos_d * fh + sinc_d * (cd * fe / mu), grid.dt)
     pe[:, d] = cos_d * Ge - sinc_d * (-cd * Gh / eps)
     ph[:, d] = cos_d * Gh - sinc_d * (cd * Ge / mu)
-    pe += ue[:, idx]
-    ph += uh[:, idx]
+    particular += out[:, z:, idx]
     # Adding the zero particular part turns -0.0 into +0.0, as for sourced columns.
-    ue += 0.0
-    uh += 0.0
-    ue[:, idx], uh[:, idx] = pe, ph
-    return out[0], out[1]
+    out[:, z:] += 0.0
+    out[:, z:, idx] = particular
+    return out
 
 
 def solve_modal_exact(p: AbstractIVP, nu: float) -> WeightedSignal:

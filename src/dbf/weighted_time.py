@@ -302,13 +302,11 @@ def running_simpson(y: np.ndarray, dx: float) -> np.ndarray:
 
     Each interval's integral comes from the quadratic through three
     neighbouring samples: the one ahead for even intervals and the one
-    behind for odd ones (and for the last).  Interval pair (2j, 2j + 1)
-    shares the samples 2j, 2j + 1, 2j + 2, so each formula is evaluated
-    only on the intervals that keep it, straight into the output, which
-    is then summed in place.  Same operations in the same order as scipy's
-    cumulative_simpson(y, dx=dx, axis=0, initial=0), which falls back to
-    the trapezoid below three samples and adds its initial 0 to every
-    running sum (turning -0.0 into +0.0).
+    behind for odd ones (and for the last), each evaluated only where kept,
+    into the output that is then summed in place.  Same operations in the
+    same order as scipy's cumulative_simpson(y, dx=dx, axis=0, initial=0),
+    which falls back to the trapezoid below three samples and adds its
+    initial 0 to every running sum (turning -0.0 into +0.0).
     """
     y = np.asarray(y)
     n = y.shape[0]
@@ -317,10 +315,9 @@ def running_simpson(y: np.ndarray, dx: float) -> np.ndarray:
         out[1:] += 0.0
         return out
     f1, f2, f3 = y[:-2:2], y[1:-1:2], y[2::2]
-    ahead = dx / 3 * (5 * f1 / 4 + 2 * f2 - f3 / 4)
-    out = np.zeros(y.shape, dtype=ahead.dtype)
+    out = np.zeros(y.shape, dtype=np.result_type(y, dx))
     cells = out[1:]
-    cells[:-1:2] = ahead
+    cells[:-1:2] = dx / 3 * (5 * f1 / 4 + 2 * f2 - f3 / 4)
     cells[1::2] = dx / 3 * (5 * f3 / 4 + 2 * f2 - f1 / 4)
     cells[-1:] = dx / 3 * (5 * y[-1:] / 4 + 2 * y[-2:-1] - y[-3:-2] / 4)
     np.cumsum(cells, axis=0, out=cells)
