@@ -500,11 +500,11 @@ def _solved_history(s, method: str, E, H, D, B, iterations: int, contraction: fl
                     kernel: list = (), near_kernel: list = (), **extra) -> FieldHistory:
     """Wrap solved series in a FieldHistory with the diagnostics both models share.
 
-    solve_dbf and solve_generalized apply it to what their fields step returns, a solve read only by the
-    linearity check does not.  kernel and near_kernel are table positions reported by mode key; extra holds
-    the model's own diagnostic keys.  NonFiniteSolution is raised when a numeric diagnostic is NaN or
-    infinite: causality_sup reads every field value before t = 0 and the weak residual every one from
-    t = 0 on, so a non-finite field value shows in one of them.
+    solve_dbf and solve_generalized apply it to what dbf_fields and generalized_fields return; verify's
+    doubled-data solve, read only by the linearity check, skips it.  kernel and near_kernel are table
+    positions reported by mode key; extra holds the model's own diagnostic keys.  NonFiniteSolution is
+    raised when a numeric diagnostic is NaN or infinite: causality_sup reads every field value before
+    t = 0 and the weak residual every one from t = 0 on, so a non-finite field value shows in one of them.
     """
     table, grid = s.table, s.grid
     history = FieldHistory(table, grid, s.nu, E, H, D, B)

@@ -374,7 +374,7 @@ def step_columns(samples: np.ndarray) -> tuple:
 
 
 def rotation_closed_form(eps: float, mu: float, c: np.ndarray, w0: np.ndarray, grid: TimeGrid,
-                         source: tuple, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                         source: tuple, out: np.ndarray | None = None) -> np.ndarray:
     """Closed form of B stacked 2x2 rotation blocks sharing M0 = diag(eps, mu).
 
     Column b solves (d/dt) M0 u + c_b J u = J_b + (Dirac at 0) w0_b; c is

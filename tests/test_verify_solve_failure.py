@@ -1,9 +1,15 @@
-"""`dbf verify` maps every failed solve, the doubled-data one included, through EXIT_TABLE."""
+"""`dbf verify` maps every failed solve, the doubled-data one included, through EXIT_TABLE.
+
+The doubled-data solve feeds only the linearity check: the weak residual is computed once.
+"""
 
 import json
 import os
 
-from dbf import cli
+import numpy as np
+import pytest
+
+from dbf import cli, dbf_model
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -24,3 +30,54 @@ def test_failed_linearity_solve_exits_four(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "FAIL: solve: solver did not converge" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("name", ["dbf_basic", "generalized_memory"])
+def test_verify_computes_one_weak_residual(monkeypatch, capsys, name):
+    # The doubled-data solve feeds only the linearity check, so the weak residual of the fields is
+    # computed once, for the solve whose diagnostics verify reports.
+    calls = []
+    original = dbf_model.verify_dbf_equation
+
+    def counted(history, s):
+        calls.append(s)
+        return original(history, s)
+
+    monkeypatch.setattr(dbf_model, "verify_dbf_equation", counted)
+    assert cli.cmd_verify(os.path.join(ROOT, "scenarios", f"{name}.json")) == cli.EXIT_OK
+    assert len(calls) == 1
+    assert "all checks passed" in capsys.readouterr().out
+
+
+def _patched_doubled_solve(monkeypatch, name: str, edit) -> None:
+    """Apply edit to the E series of the second field solve, the doubled-data one."""
+    attr = "dbf_fields" if name == "dbf_basic" else "generalized_fields"
+    original = getattr(cli, attr)
+
+    def doubled(*args, **kwargs):
+        E, *rest = original(*args, **kwargs)
+        return (edit(np.array(E)), *rest)
+
+    monkeypatch.setattr(cli, attr, doubled)
+
+
+@pytest.mark.parametrize("name", ["dbf_basic", "generalized_memory"])
+def test_non_finite_doubled_solve_exits_four(monkeypatch, capsys, name):
+    def poison(E):
+        E[-1, int(np.argmax(np.abs(E[-1])))] = np.nan
+        return E
+
+    _patched_doubled_solve(monkeypatch, name, poison)
+    assert cli.cmd_verify(os.path.join(ROOT, "scenarios", f"{name}.json")) == cli.EXIT_NO_CONVERGENCE
+    captured = capsys.readouterr()
+    assert "FAIL: solve: solution is not finite" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("name", ["dbf_basic", "generalized_memory"])
+def test_nonlinear_doubled_solve_fails_linearity(monkeypatch, capsys, name):
+    _patched_doubled_solve(monkeypatch, name, lambda E: 1.001 * E)
+    assert cli.cmd_verify(os.path.join(ROOT, "scenarios", f"{name}.json")) == cli.EXIT_INVALID
+    out = capsys.readouterr().out
+    assert "FAIL: linearity" in out
+    assert out.count("FAIL") == 2  # the linearity row and the closing line: no other check fails

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from dbf.evo_solver import _cumsimp
 from dbf.weighted_time import (
     MaterialSymbol,
     NuTooSmall,
@@ -148,7 +149,9 @@ class TestInverseDerivative:
         assert np.max(np.abs(out.samples[before])) == 0.0
 
 
-KERNEL_LENGTHS = [1, 2, 3, 4, 5, 512, 800]
+# 699 and 701 are the rows from t = 0 of the benchmark's 800-sample verify grid and their odd and even
+# neighbours: the Simpson cells pair up, so an odd and an even row count end differently.
+KERNEL_LENGTHS = [1, 2, 3, 4, 5, 6, 7, 512, 699, 701, 800]
 KERNEL_TRAILING = [(), (3,), (3, 2)]
 
 
@@ -208,6 +211,20 @@ class TestRunningKernels:
         for y in kernel_inputs(n, trailing, False):
             for dx in (0.01, 1.0 / 128.0):
                 assert_same_bits(running_simpson(y, dx), cumulative_simpson(y, dx=dx, axis=0, initial=0.0))
+
+    @pytest.mark.parametrize("n", [n for n in KERNEL_LENGTHS if n >= 3])
+    @pytest.mark.parametrize("trailing", KERNEL_TRAILING)
+    def test_complex_simpson_matches_scipy_per_part(self, n, trailing):
+        # _cumsimp integrates complex input in one pass over its (re, im) float view; scipy
+        # integrates the real and imaginary parts apart.  Signed zeros included, they agree.
+        from scipy.integrate import cumulative_simpson
+
+        for y in kernel_inputs(n, trailing, True):
+            for dx in (0.01, 1.0 / 128.0):
+                reference = np.empty(y.shape, dtype=np.complex128)
+                reference.real = cumulative_simpson(y.real, dx=dx, axis=0, initial=0.0)
+                reference.imag = cumulative_simpson(y.imag, dx=dx, axis=0, initial=0.0)
+                assert_same_bits(_cumsimp(y, dx), reference)
 
 
 class TestApplySymbol:
