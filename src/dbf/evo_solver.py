@@ -59,9 +59,9 @@ J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 def _cumsimp(values: np.ndarray, dx: float) -> np.ndarray:
     """Composite Simpson antiderivative along axis 0 (trapezoid below 3 samples).
 
-    Complex input is integrated as separate real and imaginary parts, in
-    one pass over its interleaved (re, im) float view: a complex pass can
-    give zero entries the opposite sign, which changes the CSV bytes.
+    Complex input is integrated as separate real and imaginary parts, as
+    scipy does, in one pass over the interleaved (re, im) float view: in
+    complex arithmetic an infinite part would make the other NaN.
     """
     values = np.asarray(values)
     if values.shape[0] < 3:

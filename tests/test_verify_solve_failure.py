@@ -50,7 +50,7 @@ def test_verify_computes_one_weak_residual(monkeypatch, capsys, name):
 
 
 def _patched_doubled_solve(monkeypatch, name: str, edit) -> None:
-    """Apply edit to the E series of the second field solve, the doubled-data one."""
+    """Apply edit to the E series of the doubled-data solve, the one cmd_verify runs through cli's name."""
     attr = "dbf_fields" if name == "dbf_basic" else "generalized_fields"
     original = getattr(cli, attr)
 
