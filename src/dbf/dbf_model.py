@@ -56,7 +56,6 @@ from .evo_solver import (
     WrongCase,
     _apply_symbol_time,
     _check_hermitian_posdef,
-    _cumsimp,
     _rotation_constant,
     _rows_at,
     rotation_closed_form,
@@ -64,7 +63,7 @@ from .evo_solver import (
     solve_propagator_blocks,
     step_columns,
 )
-from .weighted_time import MaterialSymbol, TimeGrid
+from .weighted_time import MaterialSymbol, TimeGrid, running_simpson
 
 RANGE_TOL = 1e-12
 NEAR_KERNEL_BAND = 1e-3
@@ -617,7 +616,7 @@ def verify_dbf_equation(history: FieldHistory, s) -> float:
         integrand_e[:, at_cols[~late]] -= loaded[:, ~late, 0]
         integrand_h[:, at_cols[~late]] -= loaded[:, ~late, 1]
         # D and B are added into the fresh integrals in place, so a derived chunk is no third temporary.
-        r_e, r_h = _cumsimp(integrand_e, grid.dt), _cumsimp(integrand_h, grid.dt)
+        r_e, r_h = running_simpson(integrand_e, grid.dt), running_simpson(integrand_h, grid.dt)
         r_e += history.D[z:, cols]
         r_h += history.B[z:, cols]
         ramp = grid.times[z:, None] - grid.times[z + first[late]]

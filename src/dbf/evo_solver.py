@@ -56,21 +56,6 @@ DEFAULT_MAX_ITER = 64
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
-def _cumsimp(values: np.ndarray, dx: float) -> np.ndarray:
-    """Composite Simpson antiderivative along axis 0 (trapezoid below 3 samples).
-
-    Complex input is integrated as separate real and imaginary parts, as
-    scipy does, in one pass over the interleaved (re, im) float view: in
-    complex arithmetic an infinite part would make the other NaN.
-    """
-    values = np.asarray(values)
-    if values.shape[0] < 3:
-        return running_trapezoid(values, dx)
-    if np.iscomplexobj(values):
-        return running_simpson(values[..., None].view(values.real.dtype), dx).view(values.dtype)[..., 0]
-    return running_simpson(values, dx)
-
-
 class NotContractive(ValueError):
     """Contraction estimate >= 1: the weight nu is too small for M1."""
 
@@ -250,7 +235,7 @@ def weak_residual(p: AbstractIVP, u: WeightedSignal) -> tuple[WeightedSignal, fl
     sol = u.samples[z:]
     integrand = _apply_symbol_time(p.M1, u.samples, grid)[z:] + sol @ p.A.T - p.source.samples[z:]
     r = np.zeros_like(u.samples)
-    r[z:] = sol @ p.M0.T + _cumsimp(integrand, grid.dt) - p.W0[None, :]
+    r[z:] = sol @ p.M0.T + running_simpson(integrand, grid.dt) - p.W0[None, :]
     r_sig = WeightedSignal(grid, u.nu, r)
     return r_sig, weighted_norm(r_sig, 0)
 
@@ -415,8 +400,8 @@ def rotation_closed_form(eps: float, mu: float, c: np.ndarray, w0: np.ndarray, g
     d = np.nonzero(~step)[0]
     cd, (cos_d, sinc_d) = c[idx[d]], _cos_sinc(omega[idx[d]], tau)
     fe, fh = se[:, d] * (1.0 / eps), sh[:, d] * (1.0 / mu)
-    Ge = _cumsimp(cos_d * fe + sinc_d * (-cd * fh / eps), grid.dt)
-    Gh = _cumsimp(cos_d * fh + sinc_d * (cd * fe / mu), grid.dt)
+    Ge = running_simpson(cos_d * fe + sinc_d * (-cd * fh / eps), grid.dt)
+    Gh = running_simpson(cos_d * fh + sinc_d * (cd * fe / mu), grid.dt)
     pe[:, d] = cos_d * Ge - sinc_d * (-cd * Gh / eps)
     ph[:, d] = cos_d * Gh - sinc_d * (cd * Ge / mu)
     particular += out[:, z:, idx]

@@ -223,10 +223,29 @@ class TestSchema:
         assert err.startswith("invalid scenario: dbf material needs ") and repr(key) in err
         assert not (tmp_path / "out").exists()
 
+    def test_method_outside_the_model_rejected(self, tmp_path, capsys):
+        doc = base_doc()
+        doc["method"] = "auto"
+        path = write_doc(tmp_path, doc)
+        assert cli.cmd_run(path, str(tmp_path / "out")) == cli.EXIT_INVALID
+        assert cli.cmd_verify(path) == cli.EXIT_INVALID
+        assert capsys.readouterr().err.count("invalid scenario: method 'auto' is not valid for the dbf model") == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_eta_rejected(self, tmp_path, capsys):
+        doc = shipped_doc("dbf_basic.json")
+        doc["material"]["eta"] = 0
+        path = write_doc(tmp_path, doc)
+        assert cli.cmd_run(path, str(tmp_path / "out")) == cli.EXIT_INVALID
+        assert cli.cmd_verify(path) == cli.EXIT_INVALID
+        assert capsys.readouterr().err.count("invalid scenario: eta must be nonzero") == 2
+        assert not (tmp_path / "out").exists()
+
+
 def schema_keywords(schema: dict) -> set:
     """Every keyword used in schema and its subschemas."""
     found = set(schema)
-    subschemas = list(schema.get("properties", {}).values()) + schema.get("prefixItems", []) + schema.get("oneOf", [])
+    subschemas = list(schema.get("properties", {}).values()) + schema.get("prefixItems", [])
     if isinstance(schema.get("items"), dict):
         subschemas.append(schema["items"])
     for sub in subschemas:
@@ -325,7 +344,7 @@ class TestSchemaChecker:
 
     def test_schema_uses_only_checked_keywords(self):
         checked = {"type", "enum", "properties", "required", "additionalProperties", "items", "prefixItems",
-                   "minItems", "maxItems", "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum", "oneOf"}
+                   "minItems", "maxItems", "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum"}
         assert schema_keywords(cli.SCENARIO_SCHEMA) - {"$schema"} <= checked
 
     def test_reports_least_path(self, tmp_path):
@@ -619,13 +638,36 @@ class TestVerify:
         assert cli.cmd_verify(write_doc(tmp_path, doc)) == cli.EXIT_INVALID
         assert "contain t = 0" in capsys.readouterr().err
 
-    def test_zero_data_scenario_uses_uniqueness_probe(self, tmp_path, capsys):
-        doc = base_doc()
+    @pytest.mark.parametrize("make_doc", [base_doc, memory_auto_doc, cross_auto_doc], ids=lambda f: f.__name__)
+    def test_zero_data_scenario_uses_uniqueness_probe(self, tmp_path, capsys, make_doc):
+        # Zero data must give the zero field; uniqueness_energy reads its largest |E|, |H|, |D|, |B|
+        # for either material model, and every solve path gives exact zeros.
+        doc = make_doc()
         doc["data"]["W0"] = []
         assert cli.cmd_verify(write_doc(tmp_path, doc)) == cli.EXIT_OK
         out = capsys.readouterr().out
-        assert "uniqueness_energy" in out
+        line = next(row for row in out.splitlines() if row.startswith("uniqueness_energy"))
+        assert line.split()[1:] == ["0.0000e+00", "1.0000e-12", "PASS"]
         assert "linearity" not in out
+
+    def test_stray_field_fails_uniqueness(self, tmp_path, capsys, monkeypatch):
+        # A field of 1e-7 at t = 0 under zero data weighs about 3e-16 in the weighted material
+        # energy, well inside energy_tol; its size does not.
+        solve = cli._solve
+
+        def stray(scenario, doc, solvers=()):
+            history = solve(scenario, doc, solvers)
+            history.E[history.grid.zero_index, 0] = 1e-7
+            return history
+
+        monkeypatch.setattr(cli, "_solve", stray)
+        doc = base_doc()
+        doc["data"]["W0"] = []
+        assert cli.cmd_verify(write_doc(tmp_path, doc)) == cli.EXIT_INVALID
+        out = capsys.readouterr().out
+        assert "FAIL: uniqueness_energy" in out
+        line = next(row for row in out.splitlines() if row.startswith("uniqueness_energy"))
+        assert line.split()[1:] == ["1.0000e-07", "1.0000e-12", "FAIL"]
 
     @pytest.mark.parametrize("make_doc", [memory_auto_doc, cross_auto_doc])
     def test_auto_memory_law_passes_linearity(self, tmp_path, capsys, make_doc):
@@ -769,6 +811,25 @@ class TestSweep:
     def test_invalid_parameter_rejected(self, tmp_path, capsys):
         path = write_doc(tmp_path, base_doc())
         assert cli.cmd_sweep(path, "epsilon", [1.0], str(tmp_path)) == cli.EXIT_INVALID
+
+    def test_dt_sweep_solves_each_step(self, tmp_path):
+        path = write_doc(tmp_path, base_doc())
+        out_dir = tmp_path / "sweep"
+        assert cli.cmd_sweep(path, "dt", [0.01, 0.005], str(out_dir)) == cli.EXIT_OK
+        with open(out_dir / "sweep_dt.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(float(r["value"]), r["exit_code"]) for r in rows] == [(0.01, "0"), (0.005, "0")]
+        for pos, dt in enumerate([0.01, 0.005]):
+            with open(out_dir / f"dt_{pos:03d}" / f"dt_{pos:03d}.json", encoding="utf-8") as fh:
+                assert json.load(fh)["grid"]["dt"] == dt
+        # The rotation rate of the one loaded mode does not depend on the step.
+        assert float(rows[0]["omega_k1_0_0_plus"]) == pytest.approx(float(rows[1]["omega_k1_0_0_plus"]), rel=0.01)
+
+    def test_eta_sweep_of_generalized_law_rejected(self, tmp_path, capsys):
+        path = write_doc(tmp_path, memory_auto_doc())
+        assert cli.cmd_sweep(path, "eta", [0.5], str(tmp_path / "sweep")) == cli.EXIT_INVALID
+        assert "eta sweeps require the dbf material model" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
 
 
 class TestBasis:

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from dbf.evo_solver import _cumsimp
 from dbf.weighted_time import (
     MaterialSymbol,
     NuTooSmall,
@@ -212,23 +211,25 @@ class TestRunningKernels:
             for dx in (0.01, 1.0 / 128.0):
                 assert_same_bits(running_simpson(y, dx), cumulative_simpson(y, dx=dx, axis=0, initial=0.0))
 
-    @pytest.mark.parametrize("n", [n for n in KERNEL_LENGTHS if n >= 3])
+    @pytest.mark.parametrize("n", KERNEL_LENGTHS)
     @pytest.mark.parametrize("trailing", KERNEL_TRAILING)
     def test_complex_simpson_matches_scipy_per_part(self, n, trailing):
-        # _cumsimp integrates complex input in one pass over its (re, im) float view; scipy
+        # running_simpson integrates complex input in one pass over its (re, im) float view; scipy
         # integrates the real and imaginary parts apart.  Signed zeros included, they agree, and an
-        # infinite real part leaves the imaginary part alone, as complex arithmetic would not.
+        # infinite real part leaves the imaginary part alone, as complex arithmetic would not.  All
+        # -0.0 input gives +0.0 per part, also below three samples, where the trapezoid stands in.
         from scipy.integrate import cumulative_simpson
 
         infinite = kernel_inputs(n, trailing, True)[0].copy()
         infinite[n // 2] = complex(np.inf, 1.0)
-        for y in kernel_inputs(n, trailing, True) + [infinite]:
+        negative_zeros = np.full(infinite.shape, complex(-0.0, -0.0))
+        for y in kernel_inputs(n, trailing, True) + [infinite, negative_zeros]:
             for dx in (0.01, 1.0 / 128.0):
                 reference = np.empty(y.shape, dtype=np.complex128)
                 with np.errstate(invalid="ignore"):
                     reference.real = cumulative_simpson(y.real, dx=dx, axis=0, initial=0.0)
                     reference.imag = cumulative_simpson(y.imag, dx=dx, axis=0, initial=0.0)
-                    assert_same_bits(_cumsimp(y, dx), reference)
+                    assert_same_bits(running_simpson(y, dx), reference)
 
 
 class TestApplySymbol:
