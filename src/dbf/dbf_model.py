@@ -425,19 +425,28 @@ def _source_columns(s, keep: np.ndarray) -> tuple:
     return s.source_J.modes[kept], s.source_J.samples[:, kept]
 
 
-def _solve_blocks(method: str, grid: TimeGrid, nu: float, M0: np.ndarray, groups: list, w0: np.ndarray,
-                  source: tuple, fp_tol: float, max_iter: int, closed: np.ndarray | None = None):
-    """Solve the blocks with data: jumps w0 (n_blocks, d), sources (idx, samples (n, len(idx), d)).
+def _as_slice(cols: np.ndarray):
+    """Increasing positions cols as a slice when they are consecutive, so indexing with them views, not copies."""
+    return slice(cols[0], cols[-1] + 1) if cols.size and cols[-1] - cols[0] == cols.size - 1 else cols
+
+
+def _block_pieces(method: str, grid: TimeGrid, nu: float, M0: np.ndarray, groups: list, w0: np.ndarray,
+                  source: tuple, closed: np.ndarray | None, fp_tol: float, max_iter: int, tally: dict):
+    """Solve the blocks with data, jumps w0 (n_blocks, d) and sources (idx, samples (n, len(idx), d)), piece by piece.
 
     Each group (blocks, M1, lift) shares M0, M1 and A = 0; lift holds the
     flux symbol's coefficients, or is None.  One rotation_closed_form call
     per column chunk solves the blocks flagged closed and, under "auto" and
     "exact", every rotation block; "exact" raises WrongCase on any other.
     Each other group makes one call: the exact propagator, which also lifts
-    the flux, under "auto" and "integrator", and Picard under "fixed_point";
-    the trapezoid integral lifts the flux of the groups not propagated.  The
-    first failing block's error is raised.  Returns (fields (d, n, n_blocks),
-    flux or None, Picard iterations, contraction estimate).
+    the flux, under "auto" and "integrator", and Picard under "fixed_point".
+    Yields (blocks, fields (d, n, len(blocks)), flux or None) for each call
+    as it returns, the groups in block order and then the closed-form
+    chunks, whose fields are scratch that the next chunk overwrites.  Once
+    every group is tried, the first failing block's error is raised.  tally
+    receives the Picard "iterations" and "contraction" estimate and the
+    "lifts" (blocks, lift) of the groups whose flux, if wanted, is the
+    trapezoid integral of their fields.
     """
     (n_blocks, d), n = w0.shape, grid.n_samples
     A, row, c = np.zeros((d, d)), np.full(n_blocks, -1), np.zeros(n_blocks)
@@ -445,9 +454,8 @@ def _solve_blocks(method: str, grid: TimeGrid, nu: float, M0: np.ndarray, groups
     data = np.any(w0 != 0, axis=1)
     data[source[0]] |= np.any(source[1] != 0, axis=(0, 2))
     closed = data & (False if closed is None else closed)
-    u = np.zeros((d, n, n_blocks), dtype=np.complex128)
-    db = None if all(lift is None for _, _, lift in groups) else np.zeros_like(u)
-    trapezoid_lifts, iterations, contraction, failure = [], 0, 0.0, None
+    tally.update(iterations=0, contraction=0.0, lifts=[])
+    failure = None
     for blocks, M1, lift in sorted(groups, key=lambda group: group[0][0]):  # block order: a failure ends early
         propagated = method == "integrator"
         try:
@@ -456,7 +464,7 @@ def _solve_blocks(method: str, grid: TimeGrid, nu: float, M0: np.ndarray, groups
         except WrongCase:
             propagated |= method == "auto"
         if lift is not None and not propagated:
-            trapezoid_lifts.append((blocks, lift))
+            tally["lifts"].append((blocks, lift))
         cols = blocks[data[blocks] & ~closed[blocks]]
         if not cols.size or (failure is not None and cols[0] > failure[0]):
             continue
@@ -467,17 +475,18 @@ def _solve_blocks(method: str, grid: TimeGrid, nu: float, M0: np.ndarray, groups
             if method == "exact":
                 raise WrongCase("method 'exact' needs rotation blocks, and this law has a block that is not a "
                                 "rotation; use method 'auto' or 'integrator'")
+            flux = None
             if propagated:
                 sol, flux = solve_propagator_blocks(M0, M1, f, w0[cols], grid, lift)
-                if flux is not None:
-                    db[:, :, cols] = flux.transpose(2, 0, 1)
             else:
                 sol, iters, cest, _ = solve_fixed_point_blocks(M0, M1, A, f, w0[cols], grid, nu, max_iter, fp_tol)
-                iterations, contraction = max(iterations, int(iters.max())), max(contraction, cest)
-            u[:, :, cols] = sol.transpose(2, 0, 1)
+                tally["iterations"] = max(tally["iterations"], int(iters.max()))
+                tally["contraction"] = max(tally["contraction"], cest)
         except (WrongCase, NotContractive, NoConvergence) as exc:
             if failure is None or cols[getattr(exc, "block", 0)] < failure[0]:
                 failure = (cols[getattr(exc, "block", 0)], exc)
+            continue
+        yield cols, sol.transpose(2, 0, 1), None if flux is None else flux.transpose(2, 0, 1)
     if failure is not None:
         raise failure[1]
     closed_cols = np.nonzero(closed)[0]
@@ -487,12 +496,29 @@ def _solve_blocks(method: str, grid: TimeGrid, nu: float, M0: np.ndarray, groups
     for chunk in chunks:
         cols = closed_cols[chunk]
         k = row[cols]
-        u[:, :, cols] = rotation_closed_form(M0[0, 0].real, M0[1, 1].real, c[cols], w0[cols], grid,
-                                             (np.nonzero(k >= 0)[0], source[1][:, k[k >= 0]]), scratch[..., :len(cols)])
-    for blocks, lift in trapezoid_lifts:
+        fields = rotation_closed_form(M0[0, 0].real, M0[1, 1].real, c[cols], w0[cols], grid,
+                                      (np.nonzero(k >= 0)[0], source[1][:, k[k >= 0]]), scratch[..., :len(cols)])
+        yield cols, fields, None
+
+
+def _solve_blocks(method: str, grid: TimeGrid, nu: float, M0: np.ndarray, groups: list, w0: np.ndarray,
+                  source: tuple, closed: np.ndarray | None, fp_tol: float, max_iter: int):
+    """_block_pieces written into one (d, n, n_blocks) field array, through a slice where a piece's blocks are
+    consecutive, and the flux into a second one when a group has a lift, completed by the trapezoid integral.
+    Returns (fields, flux or None, Picard iterations, contraction estimate)."""
+    tally, d = {}, w0.shape[1]
+    u = np.zeros((d, grid.n_samples, len(w0)), dtype=np.complex128)
+    db = None if all(lift is None for _, _, lift in groups) else np.zeros_like(u)
+    for blocks, fields, flux in _block_pieces(method, grid, nu, M0, groups, w0, source, closed, fp_tol, max_iter,
+                                              tally):
+        at = _as_slice(blocks)
+        u[:, :, at] = fields
+        if flux is not None:
+            db[:, :, at] = flux
+    for blocks, lift in tally["lifts"]:
         sol = u[:, :, blocks].transpose(1, 2, 0)
         db[:, :, blocks] = np.moveaxis(_apply_symbol_time(MaterialSymbol(d, lift), sol, grid), -1, 0)
-    return u, db, iterations, contraction
+    return u, db, tally["iterations"], tally["contraction"]
 
 
 def _solved_history(s, method: str, E, H, D, B, iterations: int, contraction: float,
@@ -552,6 +578,15 @@ def dbf_fields(s: DBFScenario, method: str = "exact", *, fp_tol: float = DEFAULT
     projection onto the solvable range.  Returns (E, H, D, B, Picard iterations, contraction estimate, kernel
     positions, near-kernel positions), no diagnostic read from the fields.
     """
+    problem, _, reduced = _dbf_blocks(s, method)
+    (E, H), _, iterations, contraction = _solve_blocks(*problem, fp_tol, max_iter)
+    D, B = (ScaledSeries(reduced.factors * c, base) for c, base in ((s.epsilon, E), (s.mu, H)))  # as recover_DB scales
+    return E, H, D, B, iterations, contraction, np.nonzero(reduced.kernel)[0], np.nonzero(reduced.near)[0]
+
+
+def _dbf_blocks(s: DBFScenario, method: str) -> tuple:
+    """The arguments of _block_pieces up to the stop rule for a classical scenario, one block per table position,
+    the table positions (m, 1) of each block's mode, and the ReducedSystem."""
     if method not in DBF_METHODS:
         raise ValueError(f"method must be one of {DBF_METHODS}, got {method!r}")
     reduced = assemble_reduced_ivp(s)
@@ -564,10 +599,20 @@ def dbf_fields(s: DBFScenario, method: str = "exact", *, fp_tol: float = DEFAULT
                MaterialSymbol(dim=2, poly_coeffs=[c * J2]) if c != 0.0 else MaterialSymbol.zero(2), None)
               for c in set(reduced.coupling[keep].tolist())]  # not np.unique: its first call imports numpy.ma
     M0 = np.diag([s.epsilon, s.mu]).astype(np.complex128)
-    (E, H), _, iterations, contraction = _solve_blocks(method, s.grid, s.nu, M0, groups, w0, (idx, samples),
-                                                       fp_tol, max_iter, closed=reduced.near)
-    D, B = (ScaledSeries(factors * c, base) for c, base in ((s.epsilon, E), (s.mu, H)))  # as recover_DB scales
-    return E, H, D, B, iterations, contraction, np.nonzero(reduced.kernel)[0], np.nonzero(reduced.near)[0]
+    problem = (method, s.grid, s.nu, M0, groups, w0, (idx, samples), reduced.near)
+    return problem, np.arange(s.table.n_modes)[:, None], reduced
+
+
+def field_pieces(s, method: str, *, fp_tol: float = DEFAULT_FP_TOL, max_iter: int = DEFAULT_MAX_ITER):
+    """Solve a scenario of either model and yield its E and H piece by piece, with the bits of dbf_fields or
+    generalized_fields: (table positions, E (n, k), H (n, k)) for each piece of _block_pieces and each mode of
+    its blocks, the k positions a slice where they are consecutive.  A piece's arrays may be overwritten once the
+    next is asked for, and the positions no piece names hold zero fields.  Neither the whole field pair nor the
+    flux pair is ever formed."""
+    problem, modes_of = (_dbf_blocks if isinstance(s, DBFScenario) else _generalized_blocks)(s, method)[:2]
+    for blocks, fields, _ in _block_pieces(*problem, fp_tol, max_iter, {}):
+        for j in range(modes_of.shape[1]):
+            yield _as_slice(modes_of[blocks, j]), fields[2 * j], fields[2 * j + 1]
 
 
 def recover_DB(E, H, s: DBFScenario):
@@ -772,6 +817,18 @@ def generalized_fields(g: GeneralizedScenario, method: str = "auto", *, fp_tol: 
     the trapezoid running integral; both reproduce W0 at t = 0+.  Returns (E, H, D, B, Picard iterations,
     contraction estimate, hypothesis margin, q0 sup), no diagnostic read from the fields.
     """
+    problem, modes_of, margin, q0_sup = _generalized_blocks(g, method)
+    u, db, iterations, contraction = _solve_blocks(*problem, fp_tol, max_iter)
+    E, H, D, B = np.zeros((4, g.grid.n_samples, g.table.n_modes), dtype=np.complex128)
+    for out, fields in ((E, u[0::2]), (H, u[1::2]), (D, db[0::2]), (B, db[1::2])):
+        out[:, modes_of.T] = fields.transpose(1, 0, 2)
+    del u, db, fields  # only the table-ordered copies live on
+    return E, H, D, B, iterations, contraction, margin, q0_sup
+
+
+def _generalized_blocks(g: GeneralizedScenario, method: str) -> tuple:
+    """The arguments of _block_pieces up to the stop rule for an operator-law scenario, the table positions
+    modes_of (n_blocks, width) of each block's modes, the hypothesis margin and the q0 sup."""
     if method not in GENERALIZED_METHODS:
         raise ValueError(f"method must be one of {GENERALIZED_METHODS}, got {method!r}")
     table, grid = g.table, g.grid
@@ -814,11 +871,6 @@ def generalized_fields(g: GeneralizedScenario, method: str = "auto", *, fp_tol: 
         loaded = of_mode[sourced] == k
         reduced[zi:, at_block[loaded], at_slot[loaded]] += _rows_at(j[zi:, loaded], N0.T)
     M0 = _block_diag([g.Mstar0] * width)
-    u, db, iterations, contraction = _solve_blocks(
-        method, grid, g.nu, M0, groups, w0[modes_of].reshape(n_blocks, 2 * width),
-        (blocks, reduced.reshape(n, len(blocks), 2 * width)), fp_tol, max_iter)
-    E, H, D, B = np.zeros((4, n, m), dtype=np.complex128)
-    for out, fields in ((E, u[0::2]), (H, u[1::2]), (D, db[0::2]), (B, db[1::2])):
-        out[:, modes_of.T] = fields.transpose(1, 0, 2)
-    del u, db, fields  # only the table-ordered copies live on
-    return E, H, D, B, iterations, contraction, margin, float(q0.max())
+    problem = (method, grid, g.nu, M0, groups, w0[modes_of].reshape(n_blocks, 2 * width),
+               (blocks, reduced.reshape(n, len(blocks), 2 * width)), None)
+    return problem, modes_of, margin, float(q0.max())

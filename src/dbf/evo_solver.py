@@ -158,12 +158,17 @@ def _rows_at(x: np.ndarray, M: np.ndarray) -> np.ndarray:
     return (x.reshape(-1, x.shape[-1]) @ M).reshape(x.shape[:-1] + M.shape[1:])
 
 
-def causal_resolvent(A_prime: np.ndarray, samples: np.ndarray, grid: TimeGrid) -> np.ndarray:
+def causal_resolvent(A_prime: np.ndarray, samples: np.ndarray, grid: TimeGrid,
+                     onsets: np.ndarray = ()) -> np.ndarray:
     """Apply (d/dt + A')^-1 as the causal convolution with exp(-t A').
 
     Diagonalizes the skew A' and integrates each channel by the cumulative
     trapezoid from the t = 0 row; the rows before it are exactly zero and
     their input is never read.  samples is (n, d) or B stacked blocks (n, B, d).
+    onsets (B,) holds, for a block that is a step switching on after t = 0,
+    its first nonzero row counted from the t = 0 row, and 0 for any other
+    block.  A step is held over each cell, J_{k-1} at its right end, so the
+    cell that ends at the onset adds nothing instead of a ramp into it.
     """
     theta, W = np.linalg.eigh(1j * np.asarray(A_prime, dtype=np.complex128))  # A' = W diag(-i theta) W*
     z = grid.zero_index
@@ -171,7 +176,10 @@ def causal_resolvent(A_prime: np.ndarray, samples: np.ndarray, grid: TimeGrid) -
     g = _rows_at(samples[z:].reshape(len(phase), -1, len(theta)), np.conj(W))
     # The t = 0 row stores the right limit U(0+), so the cell ending at 0 must
     # not see it: the running integral restarts at that row.
-    integ = running_trapezoid(phase * g, grid.dt)
+    y = phase * g
+    integ = running_trapezoid(y, grid.dt)
+    for b in np.flatnonzero(onsets):  # drop the onset cell's dt y_f / 2
+        integ[onsets[b]:, b] -= grid.dt * y[onsets[b], b] / 2.0
     out = np.zeros_like(samples, dtype=np.complex128)
     out[z:] = _rows_at(np.conj(phase) * integ, W.T).reshape(out[z:].shape)
     return out
@@ -259,7 +267,9 @@ def solve_fixed_point_blocks(M0: np.ndarray, M1: MaterialSymbol, A: np.ndarray, 
     if estimate >= 1.0:
         raise NotContractive(f"contraction estimate {estimate:.3g} >= 1 at nu={nu}; increase nu")
     A_prime = inv_sqrt @ A @ inv_sqrt
-    v0 = causal_resolvent(A_prime, _rows_at(source, inv_sqrt.T), grid) + _jump_response(A_prime, inv_sqrt, w0, grid)
+    first, _, _, step = step_columns(source[grid.zero_index:])  # the source's steps are held, as in the other solvers
+    v0 = (causal_resolvent(A_prime, _rows_at(source, inv_sqrt.T), grid, np.where(step, first, 0))
+          + _jump_response(A_prime, inv_sqrt, w0, grid))
     m1_conj = MaterialSymbol(M1.dim, [inv_sqrt @ C @ inv_sqrt for C in coeffs])
 
     v = v0.copy()

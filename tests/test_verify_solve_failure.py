@@ -49,16 +49,15 @@ def test_verify_computes_one_weak_residual(monkeypatch, capsys, name):
     assert "all checks passed" in capsys.readouterr().out
 
 
-def _patched_doubled_solve(monkeypatch, name: str, edit) -> None:
-    """Apply edit to the E series of the doubled-data solve, the one cmd_verify runs through cli's name."""
-    attr = "dbf_fields" if name == "dbf_basic" else "generalized_fields"
-    original = getattr(cli, attr)
+def _patched_doubled_solve(monkeypatch, edit) -> None:
+    """Apply edit to the E of every piece of the doubled-data solve, the stream cmd_verify reads through cli's name."""
+    original = cli.field_pieces
 
     def doubled(*args, **kwargs):
-        E, *rest = original(*args, **kwargs)
-        return (edit(np.array(E)), *rest)
+        for modes, E, H in original(*args, **kwargs):
+            yield modes, edit(np.array(E)), H
 
-    monkeypatch.setattr(cli, attr, doubled)
+    monkeypatch.setattr(cli, "field_pieces", doubled)
 
 
 @pytest.mark.parametrize("name", ["dbf_basic", "generalized_memory"])
@@ -67,7 +66,7 @@ def test_non_finite_doubled_solve_exits_four(monkeypatch, capsys, name):
         E[-1, int(np.argmax(np.abs(E[-1])))] = np.nan
         return E
 
-    _patched_doubled_solve(monkeypatch, name, poison)
+    _patched_doubled_solve(monkeypatch, poison)
     assert cli.cmd_verify(os.path.join(ROOT, "scenarios", f"{name}.json")) == cli.EXIT_NO_CONVERGENCE
     captured = capsys.readouterr()
     assert "FAIL: solve: solution is not finite" in captured.err
@@ -76,7 +75,7 @@ def test_non_finite_doubled_solve_exits_four(monkeypatch, capsys, name):
 
 @pytest.mark.parametrize("name", ["dbf_basic", "generalized_memory"])
 def test_nonlinear_doubled_solve_fails_linearity(monkeypatch, capsys, name):
-    _patched_doubled_solve(monkeypatch, name, lambda E: 1.001 * E)
+    _patched_doubled_solve(monkeypatch, lambda E: 1.001 * E)
     assert cli.cmd_verify(os.path.join(ROOT, "scenarios", f"{name}.json")) == cli.EXIT_INVALID
     out = capsys.readouterr().out
     assert "FAIL: linearity" in out
