@@ -34,13 +34,16 @@ from .dbf_model import (
     FieldHistory,
     GeneralizedScenario,
     HypothesisViolated,
+    IncompleteSolve,
     NeumannDiverges,
     NonFiniteSolution,
     PairSeries,
     RangeViolation,
     column_chunks,
     field_pieces,
+    fold_pieces,
     material_energy_series,
+    solution_diagnostics,
     solve_dbf,
     solve_generalized,
 )
@@ -159,8 +162,58 @@ _TYPES = {"object": (dict,), "array": (list,), "number": (int, float), "integer"
 _BOUNDS = {"minimum": operator.ge, "maximum": operator.le, "exclusiveMinimum": operator.gt, "exclusiveMaximum": operator.lt}
 
 
-def _has_type(node, kind: str) -> bool:
-    return type(node) in _TYPES[kind] and (kind != "integer" or type(node) is int or node.is_integer())
+def _rules(schema: dict) -> tuple:
+    """The keywords of one schema node that _walk reads, gathered once, with its children's rules.
+
+    (schema, types, whole, enum, required, properties, closed, least, most,
+    bounds, prefix, items): the node itself, for its messages, the Python
+    types it may have (None for any), whether a float must be integral (an
+    "integer" that is not also a "number"), the enum or None, the required
+    keys, the rules of each property, whether other keys are refused, the
+    allowed item count, the numeric bounds, and the rules of the prefix
+    items and of the other items (None to check none).
+    """
+    kinds = [schema["type"]] if type(schema.get("type")) is str else schema.get("type", [])
+    types = {t for kind in kinds for t in _TYPES[kind]}
+    items = schema.get("items")
+    return (schema, frozenset(types) if kinds else None, "integer" in kinds and "number" not in kinds,
+            schema.get("enum"), schema.get("required", ()),
+            {key: _rules(sub) for key, sub in schema.get("properties", {}).items()},
+            schema.get("additionalProperties") is False, schema.get("minItems", 0),
+            min(schema.get("maxItems", math.inf), len(schema.get("prefixItems", ())) if items is False else math.inf),
+            [(key, holds, schema[key]) for key, holds in _BOUNDS.items() if key in schema],
+            [_rules(sub) for sub in schema.get("prefixItems", ())], _rules(items) if type(items) is dict else None)
+
+
+def _walk(node, rules: tuple) -> tuple | None:
+    """(path reversed, message) of the first violation under rules, or None; see _violation."""
+    schema, types, whole, enum, required, props, closed, least, most, bounds, prefix, items = rules
+    kind = type(node)
+    if types is not None and not (kind in types and not (whole and kind is float and not node.is_integer())):
+        return [], f"{node!r} is not of type {schema['type']!r}"
+    if enum is not None and node not in enum:
+        return [], f"{node!r} is not one of {enum!r}"
+    if kind is dict:
+        if missing := [key for key in required if key not in node]:
+            return [], f"{missing[0]!r} is a required property"
+        if closed and node.keys() - props.keys():
+            return [], f"unexpected properties {sorted(node.keys() - props.keys())}"
+        children = ((key, node[key], props.get(key)) for key in sorted(node))
+    elif kind is list:
+        if not least <= len(node) <= most:
+            return [], f"{node!r} has {len(node)} items, outside the allowed count"
+        children = ((i, item, prefix[i] if i < len(prefix) else items) for i, item in enumerate(node))
+    else:
+        if kind is int or kind is float:
+            for key, holds, bound in bounds:
+                if not holds(node, bound):
+                    return [], f"{node!r} breaks {key} {bound!r}"
+        return None
+    for key, child, sub in children:
+        if sub is not None and (found := _walk(child, sub)) is not None:
+            found[0].append(key)
+            return found
+    return None
 
 
 def _violation(node, schema: dict, path: tuple = ()) -> tuple | None:
@@ -168,34 +221,15 @@ def _violation(node, schema: dict, path: tuple = ()) -> tuple | None:
 
     A node's own rules come before its children, object keys in sorted order
     and array items in index order: this is the violation with the least path.
+    The schema's rules are gathered once (_rules), so the long W0 and
+    source-mode lists read no schema keyword per entry, and a path is built
+    only for the violation found.
     """
-    kind, is_dict, is_list = schema.get("type"), type(node) is dict, type(node) is list
-    if kind and not (_has_type(node, kind) if type(kind) is str else any(_has_type(node, k) for k in kind)):
-        return path, f"{node!r} is not of type {kind!r}"
-    if "enum" in schema and node not in schema["enum"]:
-        return path, f"{node!r} is not one of {schema['enum']!r}"
-    props = schema.get("properties", {})
-    if is_dict and (missing := [key for key in schema.get("required", ()) if key not in node]):
-        return path, f"{missing[0]!r} is a required property"
-    if is_dict and schema.get("additionalProperties") is False and node.keys() - props.keys():
-        return path, f"unexpected properties {sorted(node.keys() - props.keys())}"
-    most = len(schema.get("prefixItems", ())) if schema.get("items") is False else math.inf
-    if is_list and not schema.get("minItems", 0) <= len(node) <= min(schema.get("maxItems", math.inf), most):
-        return path, f"{node!r} has {len(node)} items, outside the allowed count"
-    for key, holds in _BOUNDS.items():
-        if key in schema and type(node) in _TYPES["number"] and not holds(node, schema[key]):
-            return path, f"{node!r} breaks {key} {schema[key]!r}"
-    if is_dict:
-        children = ((key, node[key], props.get(key)) for key in sorted(node))
-    elif is_list:
-        prefix = schema.get("prefixItems", ())
-        children = ((i, item, prefix[i] if i < len(prefix) else schema.get("items")) for i, item in enumerate(node))
-    else:
-        return None
-    for key, child, sub in children:
-        if type(sub) is dict and (found := _violation(child, sub, path + (key,))) is not None:
-            return found
-    return None
+    found = _walk(node, _SCENARIO_RULES if schema is SCENARIO_SCHEMA else _rules(schema))
+    return None if found is None else (path + tuple(reversed(found[0])), found[1])
+
+
+_SCENARIO_RULES = _rules(SCENARIO_SCHEMA)
 
 
 class ScenarioError(ValueError):
@@ -217,6 +251,7 @@ EXIT_TABLE = (
     (NotContractive, EXIT_NO_CONVERGENCE, "solver cannot converge"),
     ((NeumannDiverges, NoConvergence), EXIT_NO_CONVERGENCE, "solver did not converge"),
     (NonFiniteSolution, EXIT_NO_CONVERGENCE, "solution is not finite"),
+    (IncompleteSolve, EXIT_NO_CONVERGENCE, "solve is incomplete"),
     (FileNotFoundError, EXIT_INVALID, "cannot read scenario"),
     (OSError, EXIT_INVALID, "cannot read or write file"),
     (ValueError, EXIT_INVALID, "invalid scenario"),
@@ -504,8 +539,9 @@ def cmd_verify(scenario_path: str) -> int:
 
     A scenario that cannot be loaded, or whose solve or doubled-data
     linearity solve fails, exits with its EXIT_TABLE code; a failed check
-    exits 1.  The doubled-data solve is folded into the linearity gap piece
-    by piece, as field_pieces yields it, and never stored.
+    exits 1.  Both solves are folded into the checks piece by piece, in
+    lockstep, as field_pieces yields them (see fold_pieces): no field is
+    stored, and the solve's own error is raised before the doubled-data one.
     """
     try:
         doc = load_scenario_doc(scenario_path)
@@ -514,19 +550,24 @@ def cmd_verify(scenario_path: str) -> int:
         return _fail(exc)
     zero_data = (scenario.W0.norm() == 0.0) and (
         scenario.source_J is None or scenario.source_J.max_abs() == 0.0)
+    tols, method = doc["tolerances"], doc["method"]
+    is_dbf = isinstance(scenario, DBFScenario)
+    energy = is_dbf and scenario.source_J is None and method == "exact" and not zero_data
+    solve = {"fp_tol": tols["fp_tol"], "max_iter": int(tols["max_iter"])}
     try:
-        history = _solve(scenario, doc)
-        if not zero_data:  # the doubled-data solve feeds only the linearity check
-            gap = _doubling_gap(history, _solve(_scale_scenario(scenario, 2.0), doc, field_pieces))
-            maxima = np.append(_column_max([history.E, history.H]), gap)
-            if not np.all(np.isfinite(maxima)):  # the solve above is finite, so the doubled-data one is not
-                raise NonFiniteSolution("non-finite values in the doubled-data solve")
+        tally = {}
+        pieces = field_pieces(scenario, method, tally=tally, **solve)
+        # The doubled-data solve feeds only the linearity check.
+        doubled = None if zero_data else field_pieces(_scale_scenario(scenario, 2.0), method, **solve)
+        fold = fold_pieces(scenario, pieces, doubled, energy=energy)
+        d = solution_diagnostics(scenario, method, fold, **tally)
+        if fold.doubled_failure is not None:
+            raise fold.doubled_failure
+        if not zero_data and not np.all(np.isfinite([*fold.maxima[:2], fold.gap])):
+            raise NonFiniteSolution("non-finite values in the doubled-data solve")  # the solve above is finite
     except FAILURES as exc:
         return _fail(exc, "FAIL: solve: ")
 
-    tols = doc["tolerances"]
-    d = history.diagnostics
-    is_dbf = isinstance(scenario, DBFScenario)
     checks: list[tuple[str, float, float]] = []
     checks.append(("initial_value", d["initial_value_error"], tols["iv_tol"]))
     checks.append(("causality", d["causality_sup"], tols["caus_tol"]))
@@ -540,16 +581,15 @@ def cmd_verify(scenario_path: str) -> int:
             proj_err = 0.0
         checks.append(("projector_algebra", proj_err, 1e-9 / abs(scenario.eta)))
     if zero_data:  # zero data must give the zero field: its largest |E|, |H|, |D|, |B|
-        field_sup = float(np.max(_column_max([history.E, history.H, history.D, history.B])))
-        checks.append(("uniqueness_energy", field_sup, tols["energy_tol"]))
+        checks.append(("uniqueness_energy", float(np.max(fold.maxima)), tols["energy_tol"]))
     else:
-        scale = max(float(np.max(maxima[:2])), 1e-300)
-        lin = float(maxima[2]) / scale
-        lin_tol = tols["linearity_tol"] if doc["method"] != "fixed_point" else max(
+        scale = max(float(np.max(fold.maxima[:2])), 1e-300)
+        lin = fold.gap / scale
+        lin_tol = tols["linearity_tol"] if method != "fixed_point" else max(
             tols["linearity_tol"], 100.0 * tols["fp_tol"] / scale)
         checks.append(("linearity", lin, lin_tol))
-    if is_dbf and scenario.source_J is None and doc["method"] == "exact" and not zero_data:
-        en = material_energy_series(history, scenario)[history.grid.zero_index:]
+    if energy:
+        en = scenario.epsilon * fold.energy[0] + scenario.mu * fold.energy[1]
         drift = float(np.max(np.abs(en - en[0]))) / max(float(en[0]), 1e-300)
         checks.append(("energy_conservation", drift, max(tols["energy_tol"], 1e-12)))
 
@@ -564,29 +604,6 @@ def cmd_verify(scenario_path: str) -> int:
         return EXIT_INVALID
     print("all checks passed")
     return EXIT_OK
-
-
-def _column_max(series: list) -> np.ndarray:
-    """Largest |a| for each of equally shaped (n, m) series, in one pass over column chunks into scratch made
-    once: a fresh ~1 MB array per chunk faults its pages in again."""
-    chunks = column_chunks(*series[0].shape)
-    mag, best = np.empty((len(series[0]), max(cols.stop - cols.start for cols in chunks))), np.zeros(len(series))
-    for cols in chunks:
-        m = mag[:, :cols.stop - cols.start]
-        for i, a in enumerate(series):
-            best[i] = np.maximum(best[i], np.max(np.abs(a[:, cols], out=m)))  # np.maximum keeps a NaN
-    return best
-
-
-def _doubling_gap(history: FieldHistory, pieces) -> float:
-    """Largest |a - 2 b| over the pieces (modes, E, H) of the doubled-data solve, b the solved history's E or H at
-    those modes, folded in as each piece arrives; np.maximum keeps a NaN."""
-    gap = 0.0
-    for modes, *doubled in pieces:
-        for a, b in zip(doubled, (history.E, history.H)):
-            twice = np.multiply(b[:, modes], 2.0)
-            gap = np.maximum(gap, np.max(np.abs(np.subtract(a, twice, out=twice))))
-    return float(gap)
 
 
 def _scale_scenario(scenario, factor: float):

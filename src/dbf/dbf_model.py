@@ -35,6 +35,7 @@ raised otherwise.
 
 from __future__ import annotations
 
+import collections
 import warnings
 from dataclasses import dataclass, field
 
@@ -257,6 +258,11 @@ class ScaledSeries(np.lib.mixins.NDArrayOperatorsMixin):
         return np.asarray(self[:, :], dtype=dtype)
 
 
+def _columns(a, cols):
+    """a[:, cols]; for a ScaledSeries, the ScaledSeries of those columns, still formed only where it is read."""
+    return ScaledSeries(a.factor[cols], a.base[:, cols]) if isinstance(a, ScaledSeries) else a[:, cols]
+
+
 @dataclass
 class FieldHistory:
     """Solved run: E, H, D, B coefficient series plus solver diagnostics.
@@ -435,18 +441,19 @@ def _block_pieces(method: str, grid: TimeGrid, nu: float, M0: np.ndarray, groups
     """Solve the blocks with data, jumps w0 (n_blocks, d) and sources (idx, samples (n, len(idx), d)), piece by piece.
 
     Each group (blocks, M1, lift) shares M0, M1 and A = 0; lift holds the
-    flux symbol's coefficients, or is None.  One rotation_closed_form call
-    per column chunk solves the blocks flagged closed and, under "auto" and
-    "exact", every rotation block; "exact" raises WrongCase on any other.
-    Each other group makes one call: the exact propagator, which also lifts
-    the flux, under "auto" and "integrator", and Picard under "fixed_point".
-    Yields (blocks, fields (d, n, len(blocks)), flux or None) for each call
-    as it returns, the groups in block order and then the closed-form
-    chunks, whose fields are scratch that the next chunk overwrites.  Once
+    flux symbol's coefficients, either in every group or in none.  One
+    rotation_closed_form call per column chunk solves the blocks flagged
+    closed and, under "auto" and "exact", every rotation block; "exact"
+    raises WrongCase on any other.  Each other group makes one call: the
+    exact propagator, which also lifts the flux, under "auto" and
+    "integrator", and Picard under "fixed_point".  Yields (blocks, fields
+    (d, n, len(blocks)), flux of the same shape or None without lifts) for
+    each call as it returns, the groups in block order and then the
+    closed-form chunks, whose arrays are scratch that the next chunk
+    overwrites; the flux the propagator does not read off its state is the
+    lift applied with the trapezoid running integral, per group.  Once
     every group is tried, the first failing block's error is raised.  tally
-    receives the Picard "iterations" and "contraction" estimate and the
-    "lifts" (blocks, lift) of the groups whose flux, if wanted, is the
-    trapezoid integral of their fields.
+    receives the Picard "iterations" and "contraction" estimate.
     """
     (n_blocks, d), n = w0.shape, grid.n_samples
     A, row, c = np.zeros((d, d)), np.full(n_blocks, -1), np.zeros(n_blocks)
@@ -454,7 +461,8 @@ def _block_pieces(method: str, grid: TimeGrid, nu: float, M0: np.ndarray, groups
     data = np.any(w0 != 0, axis=1)
     data[source[0]] |= np.any(source[1] != 0, axis=(0, 2))
     closed = data & (False if closed is None else closed)
-    tally.update(iterations=0, contraction=0.0, lifts=[])
+    lifts, lift_of = [], np.full(n_blocks, -1)  # each block's flux symbol in lifts
+    tally.update(iterations=0, contraction=0.0)
     failure = None
     for blocks, M1, lift in sorted(groups, key=lambda group: group[0][0]):  # block order: a failure ends early
         propagated = method == "integrator"
@@ -463,8 +471,9 @@ def _block_pieces(method: str, grid: TimeGrid, nu: float, M0: np.ndarray, groups
             closed[blocks] |= data[blocks] & (method in ("auto", "exact"))
         except WrongCase:
             propagated |= method == "auto"
-        if lift is not None and not propagated:
-            tally["lifts"].append((blocks, lift))
+        if lift is not None and not propagated:  # the flux is lifted here, not read off the propagator's state
+            lift_of[blocks] = len(lifts)
+            lifts.append(MaterialSymbol(d, lift))
         cols = blocks[data[blocks] & ~closed[blocks]]
         if not cols.size or (failure is not None and cols[0] > failure[0]):
             continue
@@ -482,6 +491,8 @@ def _block_pieces(method: str, grid: TimeGrid, nu: float, M0: np.ndarray, groups
                 sol, iters, cest, _ = solve_fixed_point_blocks(M0, M1, A, f, w0[cols], grid, nu, max_iter, fp_tol)
                 tally["iterations"] = max(tally["iterations"], int(iters.max()))
                 tally["contraction"] = max(tally["contraction"], cest)
+                if lift is not None:
+                    flux = _apply_symbol_time(lifts[-1], sol, grid)
         except (WrongCase, NotContractive, NoConvergence) as exc:
             if failure is None or cols[getattr(exc, "block", 0)] < failure[0]:
                 failure = (cols[getattr(exc, "block", 0)], exc)
@@ -492,20 +503,28 @@ def _block_pieces(method: str, grid: TimeGrid, nu: float, M0: np.ndarray, groups
     closed_cols = np.nonzero(closed)[0]
     chunks = column_chunks(n, closed_cols.size)  # every closed-form operation is per column
     # One output for every chunk: a fresh ~1 MB array per chunk faults its pages in again.
-    scratch = np.zeros((2, n, max((cols.stop - cols.start for cols in chunks), default=0)), dtype=np.complex128)
+    scratch = np.zeros((2 if lifts else 1, 2, n, max((cols.stop - cols.start for cols in chunks), default=0)),
+                       dtype=np.complex128)
     for chunk in chunks:
         cols = closed_cols[chunk]
         k = row[cols]
         fields = rotation_closed_form(M0[0, 0].real, M0[1, 1].real, c[cols], w0[cols], grid,
-                                      (np.nonzero(k >= 0)[0], source[1][:, k[k >= 0]]), scratch[..., :len(cols)])
-        yield cols, fields, None
+                                      (np.nonzero(k >= 0)[0], source[1][:, k[k >= 0]]), scratch[0, ..., :len(cols)])
+        flux = None
+        if lifts:
+            flux = scratch[1, ..., :len(cols)]
+            for g in set(lift_of[cols].tolist()):
+                at = np.nonzero(lift_of[cols] == g)[0]
+                lifted = _apply_symbol_time(lifts[g], fields[..., at].transpose(1, 2, 0), grid)
+                flux[..., at] = np.moveaxis(lifted, -1, 0)
+        yield cols, fields, flux
 
 
 def _solve_blocks(method: str, grid: TimeGrid, nu: float, M0: np.ndarray, groups: list, w0: np.ndarray,
                   source: tuple, closed: np.ndarray | None, fp_tol: float, max_iter: int):
     """_block_pieces written into one (d, n, n_blocks) field array, through a slice where a piece's blocks are
-    consecutive, and the flux into a second one when a group has a lift, completed by the trapezoid integral.
-    Returns (fields, flux or None, Picard iterations, contraction estimate)."""
+    consecutive, and the flux into a second one when the groups have lifts.  Returns (fields, flux or None,
+    Picard iterations, contraction estimate)."""
     tally, d = {}, w0.shape[1]
     u = np.zeros((d, grid.n_samples, len(w0)), dtype=np.complex128)
     db = None if all(lift is None for _, _, lift in groups) else np.zeros_like(u)
@@ -515,49 +534,50 @@ def _solve_blocks(method: str, grid: TimeGrid, nu: float, M0: np.ndarray, groups
         u[:, :, at] = fields
         if flux is not None:
             db[:, :, at] = flux
-    for blocks, lift in tally["lifts"]:
-        sol = u[:, :, blocks].transpose(1, 2, 0)
-        db[:, :, blocks] = np.moveaxis(_apply_symbol_time(MaterialSymbol(d, lift), sol, grid), -1, 0)
     return u, db, tally["iterations"], tally["contraction"]
 
 
 def _solved_history(s, method: str, E, H, D, B, iterations: int, contraction: float,
                     kernel: list = (), near_kernel: list = (), **extra) -> FieldHistory:
-    """Wrap solved series in a FieldHistory with the diagnostics both models share.
+    """Wrap solved series in a FieldHistory with the diagnostics of solution_diagnostics.
 
-    solve_dbf and solve_generalized apply it to what dbf_fields and generalized_fields return; verify's
-    doubled-data solve, read only by the linearity check, skips it.  kernel and near_kernel are table
-    positions reported by mode key; extra holds the model's own diagnostic keys.  NonFiniteSolution is
-    raised when a numeric diagnostic is NaN or infinite: causality_sup reads every field value before
-    t = 0 and the weak residual every one from t = 0 on, so a non-finite field value shows in one of them.
+    solve_dbf and solve_generalized apply it to what dbf_fields and generalized_fields return: column chunks of the
+    stored series are folded by fold_pieces, as verify folds the pieces of its solve.  kernel and near_kernel are
+    table positions; extra holds the model's own diagnostic keys.
     """
-    table, grid = s.table, s.grid
-    history = FieldHistory(table, grid, s.nu, E, H, D, B)
-    # Initial value: the flux-pair right limit, the t = 0 row, against W0 in the proxy norm with
-    # per-mode weight (1 + lambda^2)^(-1/2).  Causality: the largest value before t = 0, over
-    # column chunks of those rows, so no (n, m) temporary is made; np.max keeps a NaN.
-    w, zi = 1.0 / (1.0 + table.eigenvalues**2), grid.zero_index
-    iv = float(np.sqrt(np.sum(w * (np.abs(history.D[zi] - s.W0.e_part.coeffs) ** 2
-                                   + np.abs(history.B[zi] - s.W0.h_part.coeffs) ** 2))))
-    caus = float(np.max([np.max(np.abs(arr[:zi, cols]), initial=0.0) for cols in column_chunks(zi, table.n_modes)
-                         for arr in (history.E, history.H, history.D, history.B)]))
-    history.diagnostics = {
+    history = FieldHistory(s.table, s.grid, s.nu, E, H, D, B)
+    history.diagnostics = solution_diagnostics(s, method, fold_pieces(s, _history_pieces(history)), iterations,
+                                               contraction, kernel, near_kernel, **extra)
+    return history
+
+
+def solution_diagnostics(s, method: str, fold: PieceFold, iterations: int, contraction: float,
+                         kernel: list = (), near_kernel: list = (), **extra) -> dict:
+    """The diagnostics both models report, the field checks read from a closed PieceFold of the solve.
+
+    kernel and near_kernel are table positions reported by mode key; extra holds the model's own keys.
+    NonFiniteSolution is raised when a numeric diagnostic is NaN or infinite: causality_sup reads every field
+    value before t = 0 and the weak residual every one from t = 0 on, so a non-finite field value shows in one of
+    them.
+    """
+    table = s.table
+    diagnostics = {
         "method": method,
         "n_modes": int(table.n_modes),
         "kernel_modes": [str(table.modes[i].key()) for i in kernel],
         "near_kernel_modes": [str(table.modes[i].key()) for i in near_kernel],
         "iterations": int(iterations),
         "contraction_estimate": float(contraction),
-        "initial_value_error": iv,
-        "causality_sup": caus,
-        "weak_residual": verify_dbf_equation(history, s),
+        "initial_value_error": fold.initial_value_error,
+        "causality_sup": fold.causality_sup,
+        "weak_residual": fold.weak_residual,
         "nu": float(s.nu),
         **extra,
     }
-    bad = [key for key, v in history.diagnostics.items() if isinstance(v, (int, float)) and not np.isfinite(v)]
+    bad = [key for key, v in diagnostics.items() if isinstance(v, (int, float)) and not np.isfinite(v)]
     if bad:
         raise NonFiniteSolution(f"non-finite values in {', '.join(bad)}")
-    return history
+    return diagnostics
 
 
 def solve_dbf(s: DBFScenario, method: str = "exact", *, fp_tol: float = DEFAULT_FP_TOL,
@@ -603,16 +623,185 @@ def _dbf_blocks(s: DBFScenario, method: str) -> tuple:
     return problem, np.arange(s.table.n_modes)[:, None], reduced
 
 
-def field_pieces(s, method: str, *, fp_tol: float = DEFAULT_FP_TOL, max_iter: int = DEFAULT_MAX_ITER):
-    """Solve a scenario of either model and yield its E and H piece by piece, with the bits of dbf_fields or
-    generalized_fields: (table positions, E (n, k), H (n, k)) for each piece of _block_pieces and each mode of
-    its blocks, the k positions a slice where they are consecutive.  A piece's arrays may be overwritten once the
-    next is asked for, and the positions no piece names hold zero fields.  Neither the whole field pair nor the
-    flux pair is ever formed."""
-    problem, modes_of = (_dbf_blocks if isinstance(s, DBFScenario) else _generalized_blocks)(s, method)[:2]
-    for blocks, fields, _ in _block_pieces(*problem, fp_tol, max_iter, {}):
+def field_pieces(s, method: str, *, fp_tol: float = DEFAULT_FP_TOL, max_iter: int = DEFAULT_MAX_ITER,
+                 tally: dict | None = None):
+    """Solve a scenario of either model and yield it piece by piece, with the bits of dbf_fields or
+    generalized_fields: (table positions, E, H, D, B), each (n, k), for each piece of _block_pieces and each mode
+    of its blocks, the k positions a slice where they are consecutive.  The classical D and B are ScaledSeries of
+    the piece's E and H, as in dbf_fields, formed only where they are read.  A piece's arrays may be overwritten
+    once the next is asked for, and the positions no piece names hold zero fields, so no whole field or flux pair is
+    ever formed.  tally, when given, receives the keyword arguments of solution_diagnostics that the setup and the
+    solve provide."""
+    tally = {} if tally is None else tally
+    if isinstance(s, DBFScenario):
+        problem, modes_of, reduced = _dbf_blocks(s, method)
+        scale = reduced.factors * s.epsilon, reduced.factors * s.mu
+        tally.update(kernel=np.nonzero(reduced.kernel)[0], near_kernel=np.nonzero(reduced.near)[0])
+    else:
+        problem, modes_of, margin, q0_sup = _generalized_blocks(s, method)
+        tally.update(hypothesis_margin=margin, q0_sup=q0_sup)
+    for blocks, fields, flux in _block_pieces(*problem, fp_tol, max_iter, tally):
         for j in range(modes_of.shape[1]):
-            yield _as_slice(modes_of[blocks, j]), fields[2 * j], fields[2 * j + 1]
+            cols, E, H = _as_slice(modes_of[blocks, j]), fields[2 * j], fields[2 * j + 1]
+            D, B = (ScaledSeries(c[cols], a) for c, a in zip(scale, (E, H))) if flux is None else flux[2 * j:2 * j + 2]
+            yield cols, E, H, D, B
+
+
+class IncompleteSolve(RuntimeError):
+    """The doubled-data solve yields no fields at the table positions of a piece of the solve."""
+
+
+class PieceFold:
+    """The field checks of one solve, folded over its pieces as they come, so no (n, m) field is held.
+
+    A piece is (table positions, E, H, D, B), each (n, k), and optionally the
+    E and H of the doubled-data solve at the same positions.  Per mode the
+    fold keeps the initial-value term and the weak residual; over all modes,
+    the largest value before t = 0 (causality_sup), the largest |E|, |H|,
+    |D|, |B| (maxima), the doubling gap max(|E2 - 2 E|, |H2 - 2 H|) and,
+    with energy, the row sums of |E|^2 and |H|^2 from t = 0 on.  close()
+    folds the positions no piece named as zero fields and then sums each
+    per-mode array once, over all modes, as one whole-array pass does.
+
+    Initial value: the flux-pair right limit, the t = 0 row, against W0 in
+    the proxy norm with per-mode weight (1 + lambda^2)^(-1/2).  Weak
+    residual: integrating the equation once in time removes the Dirac datum,
+    so for t >= 0 the residual pair is (D, B)(t) + int_0^t [lambda J (E, H)
+    - J_src] - W0, evaluated per mode with the composite Simpson rule, except
+    that a step source with its onset after t = 0 is integrated exactly.
+    Per-mode weighted L2 norms in time are scaled by (1 + lambda^2)^(-1/2),
+    the proxy for the dual norm where the equation holds, and summed.  Only
+    data and eigenvalues enter, so both models share it.
+
+    Every operation is per column, on column chunks that reuse one set of
+    scratch arrays, and a lone column's sum over rows is taken beside a zero
+    column: numpy sums a lone column pairwise but wider arrays row by row
+    (see column_chunks), so per-mode values match one whole-array pass bit
+    for bit, whatever the pieces.
+    """
+
+    def __init__(self, s, grid: TimeGrid, lam: np.ndarray, energy: bool = False):
+        n, z = grid.n_samples, grid.zero_index
+        self.grid, self.lam, self.e0, self.h0 = grid, lam, s.W0.e_part.coeffs, s.W0.h_part.coeffs
+        self.times = grid.times[z:]
+        self.weight, self.wt = 1.0 / (1.0 + lam**2), np.exp(-2.0 * s.nu * self.times)[:, None]
+        self.named = np.zeros(lam.size, dtype=bool)
+        self.iv, self.resid = np.zeros((2, lam.size))
+        self.maxima, self.causality_sup, self.gap, self.doubled_failure = np.zeros(4), 0.0, 0.0, None
+        self.energy = np.zeros((2, n - z)) if energy else None
+        # column[i]: table position i's column of the source, or -1; steps are found once, per column.
+        self.column = np.full(lam.size, -1)
+        if s.source_J is None:
+            self.source = np.zeros((n - z, 0, 2), dtype=np.complex128)
+        else:
+            self.column[s.source_J.modes], self.source = np.arange(len(s.source_J.modes)), s.source_J.samples[z:]
+        self.first, self.at, self.before, step = step_columns(self.source)
+        self.late = step & (self.first > 0)
+        width = min(max(2, COLUMN_CHUNK_BYTES // (16 * n)) + 1, lam.size)  # column_chunks' widest chunk
+        self._c, self._f = np.empty((2, n, width), dtype=np.complex128), np.empty((2, n, width))
+
+    def add(self, cols, E, H, D, B, doubled: tuple = ()) -> None:
+        """Fold one piece; doubled holds the doubled-data E and H at the same positions, or nothing."""
+        at = np.arange(self.lam.size)[cols]
+        self.named[at] = True
+        for chunk in column_chunks(len(E), at.size):
+            self._fold(at[chunk], *(_columns(a, chunk) for a in (E, H, D, B, *doubled)))
+
+    def _fold(self, p, E, H, D, B, *doubled) -> None:
+        k, z, dt = p.size, self.grid.zero_index, self.grid.dt
+        mag = self._f[0, :, :k]
+        for i, a in enumerate((E, H, D, B)):
+            np.abs(a, out=mag)  # np.max and np.maximum keep a NaN
+            self.causality_sup = np.maximum(self.causality_sup, np.max(mag[:z], initial=0.0))
+            self.maxima[i] = np.maximum(self.maxima[i], np.max(mag))
+            if self.energy is not None and i < 2:
+                self.energy[i] += np.sum(np.square(mag[z:], out=mag[z:]), axis=1)
+        twice = self._c[0, :, :k]
+        for a, b in zip(doubled, (E, H)):
+            np.subtract(a, np.multiply(b, 2.0, out=twice), out=twice)
+            self.gap = np.maximum(self.gap, np.max(np.abs(twice, out=mag)))
+        self.iv[p] = self.weight[p] * (np.abs(D[z] - self.e0[p]) ** 2 + np.abs(B[z] - self.h0[p]) ** 2)
+
+        # Each residual component (r_e, then r_h) is formed and squared before the next, in one scratch array.
+        integrand, r = self._c[:, z:, :k]
+        column = self.column[p]
+        loaded = np.nonzero(column >= 0)[0]
+        column = column[loaded]
+        late = self.late[column]
+        ramp = self.times[:, None] - self.times[self.first[column[late]]]  # a (t - t_onset) from the onset on
+        ramp[self.before[:, column[late]]] = 0.0
+        # A whole-array pass sums rows one by one unless the table is one column wide.
+        total = self._f[:, z:, :max(k, min(2, self.lam.size))]
+        total[0, :, k:] = 0.0
+        for scale, a, flux, w0, channel in ((-self.lam[p], H, D, self.e0, 0), (self.lam[p], E, B, self.h0, 1)):
+            np.multiply(scale, a[z:], out=integrand)
+            integrand[:, loaded[~late]] -= self.source[:, column[~late], channel]
+            running_simpson(integrand, dt, r)
+            r += flux[z:]
+            r[:, loaded[late]] -= self.at[column[late], channel] * ramp
+            r -= w0[None, p]
+            np.square(np.abs(r, out=total[channel, :, :k]), out=total[channel, :, :k])
+        total[0, :, :k] += total[1, :, :k]
+        np.multiply(self.wt, total[0, :, :k], out=total[0, :, :k])
+        self.resid[p] = np.sqrt(dt * np.sum(total[0], axis=0)[:k])
+
+    def close(self) -> "PieceFold":
+        """Fold the positions no piece named as zero fields, then take the sums over modes."""
+        rest = np.nonzero(~self.named)[0]
+        chunks = column_chunks(self.grid.n_samples, rest.size)
+        if chunks:
+            zero = np.zeros((self.grid.n_samples, max(c.stop - c.start for c in chunks)), dtype=np.complex128)
+            for chunk in chunks:
+                self._fold(rest[chunk], *[zero[:, :chunk.stop - chunk.start]] * 4)
+        self.initial_value_error = float(np.sqrt(np.sum(self.iv)))
+        self.weak_residual = float(np.sum(self.resid / np.sqrt(1.0 + self.lam**2)))
+        self.causality_sup, self.gap = float(self.causality_sup), float(self.gap)
+        return self
+
+
+def fold_pieces(s, pieces, doubled=None, *, energy: bool = False, grid: TimeGrid | None = None,
+                lam: np.ndarray | None = None) -> PieceFold:
+    """Fold the pieces of a solve of scenario s, and those of its doubled-data solve in lockstep, into a closed
+    PieceFold; grid and lam default to the scenario's grid and eigenvalues.
+
+    A pair is matched by its table positions, never by its place in the
+    streams.  A solve yields no piece for a group that fails, so where the
+    positions differ, or one stream ends first, the doubled-data solve is
+    run out to raise its own error, and IncompleteSolve is taken if it
+    raises none.  That error, or any other of the doubled-data solve, is
+    kept as doubled_failure while the solve itself is folded to its end, so
+    the solve's own error comes first.
+    """
+    fold = PieceFold(s, s.grid if grid is None else grid, s.table.eigenvalues if lam is None else lam, energy)
+    for cols, *fields in pieces:
+        fold.add(cols, *fields, _twin(fold, cols, doubled))
+    _twin(fold, None, doubled)  # the doubled-data stream ends with the solve's
+    return fold.close()
+
+
+def _twin(fold: PieceFold, cols, doubled) -> tuple:
+    """The E and H of the doubled-data piece at the table positions cols, or () when there is no doubled-data
+    stream or it has failed: the failure, at its first piece that differs, is kept in fold.  cols None asks for
+    the end of the stream."""
+    if doubled is None or fold.doubled_failure is not None:
+        return ()
+    positions = np.arange(fold.lam.size)
+    try:
+        twin = next(doubled, None)
+        if (twin is None) != (cols is None) or cols is not None and not np.array_equal(positions[cols],
+                                                                                       positions[twin[0]]):
+            collections.deque(doubled, maxlen=0)
+            raise IncompleteSolve("the doubled-data solve yields pieces at other table positions than the solve")
+        return () if twin is None else twin[1:3]
+    except Exception as exc:  # raised once the solve has been folded
+        fold.doubled_failure = exc
+        return ()
+
+
+def _history_pieces(history: FieldHistory):
+    """Column chunks (positions, E, H, D, B) of a solved history's stored series."""
+    for cols in column_chunks(*history.E.shape):
+        yield cols, *(_columns(a, cols) for a in (history.E, history.H, history.D, history.B))
 
 
 def recover_DB(E, H, s: DBFScenario):
@@ -632,46 +821,14 @@ def recover_DB(E, H, s: DBFScenario):
 
 
 def verify_dbf_equation(history: FieldHistory, s) -> float:
-    """Weak residual of the coupled evolution over the solved window.
+    """Weak residual of the coupled evolution over the solved window (see PieceFold).
 
-    Integrating the equation once in time removes the Dirac datum: for
-    t >= 0 the residual pair is (D, B)(t) + int_0^t [lambda J (E, H) - J_src]
-    - W0, evaluated per mode with the composite Simpson rule, except that a
-    step source with its onset after t = 0 is integrated exactly.  Per-mode
-    weighted L2 norms in time are scaled by (1 + lambda^2)^(-1/2), the proxy
-    for the dual norm where the equation holds, and summed.  Works for both
-    scenario kinds since only data and eigenvalues enter.  Column chunks
-    bound the memory; the per-mode norms are summed once, over all modes.
+    Column chunks of the history are folded as verify folds the pieces of
+    its solve, so both compute one residual.  Works for both scenario kinds
+    since only data and eigenvalues enter, and reads only the attributes
+    the fold needs, so column subsets can be passed as plain namespaces.
     """
-    grid = history.grid
-    z = grid.zero_index
-    lam = history.table.eigenvalues
-    wt = np.exp(-2.0 * s.nu * grid.times[z:])
-    modes, samples = (s.source_J.modes, s.source_J.samples[z:]) if s.source_J is not None else (
-        np.zeros(0, dtype=np.intp), np.zeros((len(wt), 0, 2)))
-    per_mode = np.empty(lam.size)
-    for cols in column_chunks(grid.n_samples - z, lam.size):
-        lo, hi = np.searchsorted(modes, (cols.start, cols.stop))
-        loaded, at_cols = samples[:, lo:hi], modes[lo:hi] - cols.start
-        # A step with its onset after t = 0 (zero at t = 0, then constant) integrates exactly, as a (t - t_onset).
-        first, at, before, step = step_columns(loaded)
-        late = step & (first > 0)
-        integrand_e = -lam[None, cols] * history.H[z:, cols]
-        integrand_h = lam[None, cols] * history.E[z:, cols]
-        integrand_e[:, at_cols[~late]] -= loaded[:, ~late, 0]
-        integrand_h[:, at_cols[~late]] -= loaded[:, ~late, 1]
-        # D and B are added into the fresh integrals in place, so a derived chunk is no third temporary.
-        r_e, r_h = running_simpson(integrand_e, grid.dt), running_simpson(integrand_h, grid.dt)
-        r_e += history.D[z:, cols]
-        r_h += history.B[z:, cols]
-        ramp = grid.times[z:, None] - grid.times[z + first[late]]
-        ramp[before[:, late]] = 0.0
-        r_e[:, at_cols[late]] -= at[late, 0] * ramp
-        r_h[:, at_cols[late]] -= at[late, 1] * ramp
-        r_e -= s.W0.e_part.coeffs[None, cols]
-        r_h -= s.W0.h_part.coeffs[None, cols]
-        per_mode[cols] = np.sqrt(grid.dt * np.sum(wt[:, None] * (np.abs(r_e) ** 2 + np.abs(r_h) ** 2), axis=0))
-    return float(np.sum(per_mode / np.sqrt(1.0 + lam**2)))
+    return fold_pieces(s, _history_pieces(history), grid=history.grid, lam=history.table.eigenvalues).weak_residual
 
 
 def uniqueness_energy_probe(history: FieldHistory, s: DBFScenario) -> float:

@@ -289,7 +289,7 @@ def running_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def running_simpson(y: np.ndarray, dx: float) -> np.ndarray:
+def running_simpson(y: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndarray:
     """Cumulative composite Simpson integral of y along axis 0, starting at 0.
 
     Each interval's integral comes from the quadratic through three
@@ -301,18 +301,22 @@ def running_simpson(y: np.ndarray, dx: float) -> np.ndarray:
     initial 0 to every running sum (turning -0.0 into +0.0).  Complex input
     is integrated as separate real and imaginary parts, as scipy does, in one
     pass over the interleaved (re, im) float view: in complex arithmetic an
-    infinite part would make the other NaN.
+    infinite part would make the other NaN.  out, an array of y's shape that
+    does not overlap y, receives the result when given.
     """
     y = np.asarray(y)
+    if out is None:
+        out = np.empty(y.shape, dtype=np.result_type(y, dx))
     if np.iscomplexobj(y):
-        return running_simpson(y[..., None].view(y.real.dtype), dx).view(y.dtype)[..., 0]
+        running_simpson(y[..., None].view(y.real.dtype), dx, out[..., None].view(out.real.dtype))
+        return out
     n = y.shape[0]
     if n < 3:
-        out = running_trapezoid(y, dx)
+        out[...] = running_trapezoid(y, dx)
         out[1:] += 0.0
         return out
     f1, f2, f3 = y[:-2:2], y[1:-1:2], y[2::2]
-    out = np.zeros(y.shape, dtype=np.result_type(y, dx))
+    out[0] = 0.0
     cells = out[1:]
     cells[:-1:2] = dx / 3 * (5 * f1 / 4 + 2 * f2 - f3 / 4)
     cells[1::2] = dx / 3 * (5 * f3 / 4 + 2 * f2 - f1 / 4)

@@ -347,6 +347,43 @@ class TestSchemaChecker:
                    "minItems", "maxItems", "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum"}
         assert schema_keywords(cli.SCENARIO_SCHEMA) - {"$schema"} <= checked
 
+    # One violation per keyword inside a mode entry: the edit of the entry, the path below it and the message.
+    ENTRY_VIOLATIONS = {
+        "type": (lambda e: "plus", "", "'plus' is not of type 'array'"),
+        "minItems": (lambda e: e[:3], "", "{entry!r} has 3 items, outside the allowed count"),
+        "maxItems": (lambda e: e + [0, 0, 0], "", "{entry!r} has 8 items, outside the allowed count"),
+        "k/type": (lambda e: [7] + e[1:], "0", "7 is not of type 'array'"),
+        "k/items/type": (lambda e: [[1, 0.5, 0]] + e[1:], "0/1", "0.5 is not of type 'integer'"),
+        "k/minItems": (lambda e: [[1, 0]] + e[1:], "0", "[1, 0] has 2 items, outside the allowed count"),
+        "k/maxItems": (lambda e: [[1, 0, 0, 0]] + e[1:], "0", "[1, 0, 0, 0] has 4 items, outside the allowed count"),
+        "helicity/enum": (lambda e: [e[0], "bogus"] + e[2:], "1",
+                          "'bogus' is not one of ['plus', 'minus', 'grad', 'const']"),
+        "e/type": (lambda e: e[:2] + ["1.0"] + e[3:], "2", "'1.0' is not of type ['number', 'array']"),
+        "e/items/type": (lambda e: e[:2] + [[1.0, True]] + e[3:], "2/1", "True is not of type 'number'"),
+        "e/minItems": (lambda e: e[:2] + [[1.0]] + e[3:], "2", "[1.0] has 1 items, outside the allowed count"),
+        "h/maxItems": (lambda e: e[:3] + [[1.0, 0.0, 2.0]] + e[4:], "3",
+                       "[1.0, 0.0, 2.0] has 3 items, outside the allowed count"),
+        "component/type": (lambda e: e[:4] + [0.5], "4", "0.5 is not of type 'integer'"),
+        "component/minimum": (lambda e: e[:4] + [-1], "4", "-1 breaks minimum 0"),
+        "component/maximum": (lambda e: e[:4] + [3], "4", "3 breaks maximum 2"),
+    }
+
+    @pytest.mark.parametrize("where", ["data/W0", "data/source/modes"])
+    @pytest.mark.parametrize("keyword", sorted(ENTRY_VIOLATIONS))
+    def test_first_violation_inside_a_mode_entry(self, tmp_path, where, keyword):
+        edit, below, message = self.ENTRY_VIOLATIONS[keyword]
+        entries = [[[1, 0, 0], "plus", 1.0, 0.0], [[0, 0, 0], "const", 0.5, [0.0, 1.0], 2]]
+        entries[1] = entry = edit(entries[1])
+        doc = base_doc()
+        if where == "data/W0":
+            doc["data"]["W0"] = entries
+        else:
+            doc["data"]["source"] = {"waveform": "step", "amplitude": 1.0, "modes": entries}
+        with pytest.raises(cli.ScenarioError) as raised:
+            cli.load_scenario_doc(write_doc(tmp_path, doc))
+        path = "/".join(part for part in (where, "1", below) if part)
+        assert str(raised.value).endswith(f"schema violation at {path}: {message.format(entry=entry)}")
+
     def test_reports_least_path(self, tmp_path):
         doc = base_doc()
         doc["time"]["n"] = True
@@ -653,14 +690,15 @@ class TestVerify:
     def test_stray_field_fails_uniqueness(self, tmp_path, capsys, monkeypatch):
         # A field of 1e-7 at t = 0 under zero data weighs about 3e-16 in the weighted material
         # energy, well inside energy_tol; its size does not.
-        solve = cli._solve
+        original = cli.field_pieces
 
-        def stray(scenario, doc, solvers=()):
-            history = solve(scenario, doc, solvers)
-            history.E[history.grid.zero_index, 0] = 1e-7
-            return history
+        def stray(scenario, method, **kwargs):
+            yield from original(scenario, method, **kwargs)  # nothing under zero data
+            E = np.zeros((scenario.grid.n_samples, 1), dtype=np.complex128)
+            E[scenario.grid.zero_index, 0] = 1e-7
+            yield slice(0, 1), E, *np.zeros((3,) + E.shape, dtype=np.complex128)
 
-        monkeypatch.setattr(cli, "_solve", stray)
+        monkeypatch.setattr(cli, "field_pieces", stray)
         doc = base_doc()
         doc["data"]["W0"] = []
         assert cli.cmd_verify(write_doc(tmp_path, doc)) == cli.EXIT_INVALID

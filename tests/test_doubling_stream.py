@@ -1,10 +1,12 @@
-"""`dbf verify` folds the doubled-data solve into the linearity gap piece by piece.
+"""`dbf verify` folds both of its solves into the checks piece by piece and stores no field.
 
 Every piece that field_pieces yields must carry the bits of a full
 dbf_fields or generalized_fields solve, the positions it never names must
-be zero there, and the gap and the whole verify table must equal those
-read from the full solve.  The doubled-data pair is never held: verify
-peaks below one and a half field pairs.
+be zero there, and the fold of the two solves in lockstep, the verify
+table and the run diagnostics must equal those read from the full
+solution.  The pieces of the doubled-data solve are paired with the
+solve's by their table positions: a missing piece exits 4.  verify peaks
+below three quarters of one field pair.
 """
 
 import copy
@@ -15,9 +17,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dbf import cli
+import oracles
+from dbf import cli, dbf_model
 from dbf.curl_spectral import build_basis
-from dbf.dbf_model import DBFScenario, dbf_fields, field_pieces, generalized_fields
+from dbf.dbf_model import DBFScenario, dbf_fields, field_pieces, fold_pieces, generalized_fields
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 K_CROSS = [0.3, 0.1, 0.2]
@@ -25,6 +28,10 @@ TWO_MODE_STEP = {"waveform": "step", "amplitude": 1.0,
                  "modes": [[[1, 0, 0], "plus", 1.0, 0.0], [[1, 0, 0], "grad", 0.0, 0.5]]}
 CONST_STEP = {"waveform": "step", "amplitude": 1.0,
               "modes": [[[1, 0, 0], "plus", 1.0, 0.0], [[0, 0, 0], "const", 0.0, 0.5, 1]]}
+# With eta = 1 the minus modes with |k| = 1 have 1 + eta lambda = 0.  One of them carries a W0 below the
+# range tolerance: it is never solved, yet counts in the initial-value and residual checks.
+KERNEL_W0 = [[[1, 0, 0], "plus", 1.0, [0.0, 0.5]], [[1, 0, 0], "minus", 3e-13, -2e-13],
+             [[1, 1, 0], "grad", 0.3, 0.1], [[0, 0, 0], "const", 0.2, 0.1, 0]]
 
 
 def shipped(name: str, method: str, **material) -> dict:
@@ -39,45 +46,96 @@ def shipped(name: str, method: str, **material) -> dict:
     return doc
 
 
-def with_source(doc: dict, source: dict) -> dict:
+def with_data(doc: dict, **data) -> dict:
     doc = copy.deepcopy(doc)
-    doc["data"]["source"] = source
+    doc["data"].update(data)
     return doc
 
 
 CASES = {
     "dbf_basic-exact": shipped("dbf_basic", "exact"),
     "dbf_basic-integrator": shipped("dbf_basic", "integrator"),
+    "dbf_basic-kernel": with_data(shipped("dbf_basic", "exact", eta=1.0), W0=KERNEL_W0),
     "memory-auto": shipped("generalized_memory", "auto"),
     "memory-integrator": shipped("generalized_memory", "integrator"),
-    "memory-k_cross": with_source(shipped("generalized_memory", "auto", k_cross=K_CROSS), TWO_MODE_STEP),
-    "memory-Mstar1-k_cross": with_source(
-        shipped("generalized_memory", "auto", Mstar1=[[[0.1, 0], [0, [0.1, 0.2]]]], k_cross=K_CROSS), CONST_STEP),
+    "memory-k_cross": with_data(shipped("generalized_memory", "auto", k_cross=K_CROSS), source=TWO_MODE_STEP),
+    "memory-Mstar1-k_cross": with_data(
+        shipped("generalized_memory", "auto", Mstar1=[[[0.1, 0], [0, [0.1, 0.2]]]], k_cross=K_CROSS),
+        source=CONST_STEP),
     "memory-rotation-exact": shipped("generalized_memory", "exact", kappa1=None),
     "eta_sweep-fixed_point": shipped("eta_sweep", "fixed_point"),
 }
 
 
-def full_doubled(scenario, doc: dict) -> tuple:
-    """E and H of the doubled-data scenario from one whole-field solve."""
+def scenario_of(case: str):
+    doc = cli.normalize_scenario_doc(CASES[case])
+    return doc, cli.build_scenario(doc)
+
+
+def full_solve(scenario, doc: dict, factor: float = 1.0) -> tuple:
+    """E, H, D, B and the rest of one whole-field solve of the scenario with its data scaled by factor."""
     fields = dbf_fields if isinstance(scenario, DBFScenario) else generalized_fields
-    return cli._solve(cli._scale_scenario(scenario, 2.0), doc, fields)[:2]
+    return cli._solve(cli._scale_scenario(scenario, factor), doc, fields)
+
+
+def test_kernel_case_has_a_loaded_kernel_mode():
+    doc, scenario = scenario_of("dbf_basic-kernel")
+    kernel = scenario.table.kernel_mask(scenario.eta)
+    assert np.any(kernel & (scenario.W0.e_part.coeffs != 0))
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_pieces_carry_the_full_solve(case):
-    doc = cli.normalize_scenario_doc(CASES[case])
-    scenario = cli.build_scenario(doc)
-    E2, H2 = full_doubled(scenario, doc)
-    named = np.zeros(scenario.table.n_modes, dtype=bool)
-    for modes, E, H in cli._solve(cli._scale_scenario(scenario, 2.0), doc, field_pieces):
-        assert E.tobytes() == E2[:, modes].tobytes() and H.tobytes() == H2[:, modes].tobytes()
-        named[modes] = True
-    assert not np.any(E2[:, ~named]) and not np.any(H2[:, ~named])
+    doc, scenario = scenario_of(case)
+    for factor in (1.0, 2.0):
+        full = [np.asarray(a) for a in full_solve(scenario, doc, factor)[:4]]
+        named = np.zeros(scenario.table.n_modes, dtype=bool)
+        for modes, *fields in cli._solve(cli._scale_scenario(scenario, factor), doc, field_pieces):
+            for piece, whole in zip(fields, full):
+                assert np.asarray(piece).tobytes() == whole[:, modes].tobytes()
+            named[modes] = True
+        assert not any(np.any(whole[:, ~named]) for whole in full)
 
     history = cli._solve(scenario, doc)
-    gap = cli._doubling_gap(history, cli._solve(cli._scale_scenario(scenario, 2.0), doc, field_pieces))
-    assert gap == max(np.max(np.abs(E2 - 2.0 * history.E)), np.max(np.abs(H2 - 2.0 * history.H)))
+    E2, H2 = full_solve(scenario, doc, 2.0)[:2]
+    fold = fold_pieces(scenario, cli._solve(scenario, doc, field_pieces),
+                       cli._solve(cli._scale_scenario(scenario, 2.0), doc, field_pieces))
+    assert fold.doubled_failure is None
+    assert fold.gap == max(np.max(np.abs(E2 - 2.0 * history.E)), np.max(np.abs(H2 - 2.0 * history.H)))
+    fields = [np.asarray(a) for a in (history.E, history.H, history.D, history.B)]
+    assert fold.maxima.tolist() == [np.max(np.abs(a)) for a in fields]
+    for key in ("initial_value_error", "causality_sup", "weak_residual"):
+        assert getattr(fold, key) == history.diagnostics[key], key
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_run_diagnostics_match_the_full_history(case, tmp_path):
+    # The parent's whole-array formulas on the full solution, written here without the fold.
+    doc, scenario = scenario_of(case)
+    E, H, D, B = (np.asarray(a) for a in full_solve(scenario, doc)[:4])
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(CASES[case]), encoding="utf-8")
+    assert cli.cmd_run(str(path), str(tmp_path / "out")) == cli.EXIT_OK
+    with open(tmp_path / "out" / f"{case}.json", encoding="utf-8") as fh:
+        d = json.load(fh)["diagnostics"]
+    zi, lam = scenario.grid.zero_index, scenario.table.eigenvalues
+    w = 1.0 / (1.0 + lam**2)
+    iv = float(np.sqrt(np.sum(w * (np.abs(D[zi] - scenario.W0.e_part.coeffs) ** 2
+                                   + np.abs(B[zi] - scenario.W0.h_part.coeffs) ** 2))))
+    history = cli.FieldHistory(scenario.table, scenario.grid, scenario.nu, E, H, D, B)
+    assert d["initial_value_error"] == iv
+    assert d["causality_sup"] == max(float(np.max(np.abs(a[:zi]), initial=0.0)) for a in (E, H, D, B))
+    assert d["weak_residual"] == oracles.dbf_weak_residual(history, scenario)
+
+
+def one_piece(scenario, method, *, tally=None, **tols):
+    """The whole solution as one piece, with the diagnostics a full solve reports."""
+    doc = {"method": method, "tolerances": tols}
+    E, H, D, B, iterations, contraction, *rest = full_solve(scenario, doc)
+    keys = ("kernel", "near_kernel") if isinstance(scenario, DBFScenario) else ("hypothesis_margin", "q0_sup")
+    if tally is not None:
+        tally.update(iterations=iterations, contraction=contraction, **dict(zip(keys, rest)))
+    yield slice(None), E, H, D, B
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -85,18 +143,47 @@ def test_verify_table_matches_the_full_solve(case, tmp_path, monkeypatch, capsys
     path = tmp_path / f"{case}.json"
     path.write_text(json.dumps(CASES[case]), encoding="utf-8")
     streamed = cli.cmd_verify(str(path)), capsys.readouterr().out
-
-    def one_piece(scenario, method, **tols):
-        doc = {"method": method, "tolerances": tols}
-        fields = dbf_fields if isinstance(scenario, DBFScenario) else generalized_fields
-        yield slice(None), *cli._solve(scenario, doc, fields)[:2]
-
     monkeypatch.setattr(cli, "field_pieces", one_piece)
     assert (cli.cmd_verify(str(path)), capsys.readouterr().out) == streamed
     assert "linearity" in streamed[1]
 
 
-def test_verify_peak_below_one_and_a_half_field_pairs(tmp_path):
+@pytest.mark.parametrize("drop", [0, -1], ids=["first", "last"])
+def test_dropped_doubled_piece_exits_four(tmp_path, monkeypatch, capsys, drop):
+    # Two pieces per solve (one group per eigenvalue with data).  A doubled-data solve without one of them exits 4,
+    # and no piece of the solve is ever folded beside a doubled piece of other positions.
+    path = tmp_path / "integrator.json"
+    path.write_text(json.dumps(CASES["dbf_basic-integrator"]), encoding="utf-8")
+    original, calls, positions = cli.field_pieces, [], {}
+
+    def dropped(scenario, method, **kwargs):
+        calls.append([])
+        if len(calls) == 1:
+            return original(scenario, method, **kwargs)
+        pieces = calls[-1]  # kept alive, so that the ids in positions stay theirs
+        pieces += [(modes, np.array(E), np.array(H), None, None) for modes, E, H, *_ in original(scenario, method,
+                                                                                                **kwargs)]
+        assert len(pieces) == 2
+        for modes, E, *_ in pieces:
+            positions[id(E)] = np.arange(scenario.table.n_modes)[modes].tolist()
+        return iter(pieces[:drop % 2] + pieces[drop % 2 + 1:])
+
+    add = dbf_model.PieceFold.add
+
+    def checked(self, cols, E, H, D, B, doubled=()):
+        if doubled:
+            assert positions[id(doubled[0])] == np.arange(self.lam.size)[cols].tolist(), "paired by place"
+        return add(self, cols, E, H, D, B, doubled)
+
+    monkeypatch.setattr(cli, "field_pieces", dropped)
+    monkeypatch.setattr(dbf_model.PieceFold, "add", checked)
+    assert cli.cmd_verify(str(path)) == cli.EXIT_NO_CONVERGENCE
+    captured = capsys.readouterr()
+    assert "FAIL: solve: solve is incomplete" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_peak_below_three_quarters_of_a_field_pair(tmp_path):
     # K = 4, 771 modes, 800 samples, every mode loaded: one E, H pair is 19.7 MB.
     table, rng = build_basis(4), np.random.default_rng(4)
     entry = lambda mode: [list(mode.k), mode.helicity, *rng.uniform(-0.5, 0.5, (2, 2)).tolist()] + (
@@ -113,4 +200,4 @@ def test_verify_peak_below_one_and_a_half_field_pairs(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * pair, f"{peak / pair:.2f} field pairs"
+    assert peak < 0.75 * pair, f"{peak / pair:.2f} field pairs"

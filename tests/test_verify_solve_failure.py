@@ -1,6 +1,6 @@
 """`dbf verify` maps every failed solve, the doubled-data one included, through EXIT_TABLE.
 
-The doubled-data solve feeds only the linearity check: the weak residual is computed once.
+The doubled-data solve feeds only the linearity check: the weak residual of every mode is folded once.
 """
 
 import json
@@ -34,30 +34,36 @@ def test_failed_linearity_solve_exits_four(tmp_path, capsys):
 
 @pytest.mark.parametrize("name", ["dbf_basic", "generalized_memory"])
 def test_verify_computes_one_weak_residual(monkeypatch, capsys, name):
-    # The doubled-data solve feeds only the linearity check, so the weak residual of the fields is
-    # computed once, for the solve whose diagnostics verify reports.
-    calls = []
-    original = dbf_model.verify_dbf_equation
+    # Both solves are folded in one pass, and the doubled-data one feeds only the linearity gap: the weak residual
+    # of every mode is computed once, for the solve whose diagnostics verify reports.
+    path = os.path.join(ROOT, "scenarios", f"{name}.json")
+    folded, original = [], dbf_model.PieceFold._fold
 
-    def counted(history, s):
-        calls.append(s)
-        return original(history, s)
+    def counted(self, positions, *fields):
+        folded.extend(positions.tolist())
+        return original(self, positions, *fields)
 
-    monkeypatch.setattr(dbf_model, "verify_dbf_equation", counted)
-    assert cli.cmd_verify(os.path.join(ROOT, "scenarios", f"{name}.json")) == cli.EXIT_OK
-    assert len(calls) == 1
+    def not_called(*args):
+        raise AssertionError("verify reads the residual from the fold")
+
+    monkeypatch.setattr(dbf_model.PieceFold, "_fold", counted)
+    monkeypatch.setattr(dbf_model, "verify_dbf_equation", not_called)
+    assert cli.cmd_verify(path) == cli.EXIT_OK
+    assert sorted(folded) == list(range(cli.build_scenario(cli.load_scenario_doc(path)).table.n_modes))
     assert "all checks passed" in capsys.readouterr().out
 
 
 def _patched_doubled_solve(monkeypatch, edit) -> None:
-    """Apply edit to the E of every piece of the doubled-data solve, the stream cmd_verify reads through cli's name."""
-    original = cli.field_pieces
+    """Apply edit to the E of every piece of the doubled-data solve: the second stream that cmd_verify asks
+    cli.field_pieces for."""
+    original, calls = cli.field_pieces, []
 
-    def doubled(*args, **kwargs):
-        for modes, E, H in original(*args, **kwargs):
-            yield modes, edit(np.array(E)), H
+    def pieces(*args, **kwargs):
+        calls.append(None)
+        stream = original(*args, **kwargs)
+        return stream if len(calls) == 1 else ((modes, edit(np.array(E)), *rest) for modes, E, *rest in stream)
 
-    monkeypatch.setattr(cli, "field_pieces", doubled)
+    monkeypatch.setattr(cli, "field_pieces", pieces)
 
 
 @pytest.mark.parametrize("name", ["dbf_basic", "generalized_memory"])
