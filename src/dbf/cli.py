@@ -410,9 +410,9 @@ def build_scenario(doc: dict):
                                k_cross=k_cross, source_J=source)
 
 
-def _solve(scenario, doc: dict, solve=None):
-    tols = doc["tolerances"]  # solve: solve_dbf or solve_generalized, by the scenario's model, when None
-    solve = solve or (solve_dbf if isinstance(scenario, DBFScenario) else solve_generalized)
+def _solve(scenario, doc: dict):
+    tols = doc["tolerances"]
+    solve = solve_dbf if isinstance(scenario, DBFScenario) else solve_generalized
     return solve(scenario, method=doc["method"], fp_tol=tols["fp_tol"], max_iter=int(tols["max_iter"]))
 
 

@@ -520,37 +520,6 @@ def _block_pieces(method: str, grid: TimeGrid, nu: float, M0: np.ndarray, groups
         yield cols, fields, flux
 
 
-def _solve_blocks(method: str, grid: TimeGrid, nu: float, M0: np.ndarray, groups: list, w0: np.ndarray,
-                  source: tuple, closed: np.ndarray | None, fp_tol: float, max_iter: int):
-    """_block_pieces written into one (d, n, n_blocks) field array, through a slice where a piece's blocks are
-    consecutive, and the flux into a second one when the groups have lifts.  Returns (fields, flux or None,
-    Picard iterations, contraction estimate)."""
-    tally, d = {}, w0.shape[1]
-    u = np.zeros((d, grid.n_samples, len(w0)), dtype=np.complex128)
-    db = None if all(lift is None for _, _, lift in groups) else np.zeros_like(u)
-    for blocks, fields, flux in _block_pieces(method, grid, nu, M0, groups, w0, source, closed, fp_tol, max_iter,
-                                              tally):
-        at = _as_slice(blocks)
-        u[:, :, at] = fields
-        if flux is not None:
-            db[:, :, at] = flux
-    return u, db, tally["iterations"], tally["contraction"]
-
-
-def _solved_history(s, method: str, E, H, D, B, iterations: int, contraction: float,
-                    kernel: list = (), near_kernel: list = (), **extra) -> FieldHistory:
-    """Wrap solved series in a FieldHistory with the diagnostics of solution_diagnostics.
-
-    solve_dbf and solve_generalized apply it to what dbf_fields and generalized_fields return: column chunks of the
-    stored series are folded by fold_pieces, as verify folds the pieces of its solve.  kernel and near_kernel are
-    table positions; extra holds the model's own diagnostic keys.
-    """
-    history = FieldHistory(s.table, s.grid, s.nu, E, H, D, B)
-    history.diagnostics = solution_diagnostics(s, method, fold_pieces(s, _history_pieces(history)), iterations,
-                                               contraction, kernel, near_kernel, **extra)
-    return history
-
-
 def solution_diagnostics(s, method: str, fold: PieceFold, iterations: int, contraction: float,
                          kernel: list = (), near_kernel: list = (), **extra) -> dict:
     """The diagnostics both models report, the field checks read from a closed PieceFold of the solve.
@@ -582,26 +551,16 @@ def solution_diagnostics(s, method: str, fold: PieceFold, iterations: int, contr
 
 def solve_dbf(s: DBFScenario, method: str = "exact", *, fp_tol: float = DEFAULT_FP_TOL,
               max_iter: int = DEFAULT_MAX_ITER) -> FieldHistory:
-    """dbf_fields with the diagnostics of _solved_history (initial-value proxy error, causality, weak residual)."""
-    return _solved_history(s, method, *dbf_fields(s, method, fp_tol=fp_tol, max_iter=max_iter))
-
-
-def dbf_fields(s: DBFScenario, method: str = "exact", *, fp_tol: float = DEFAULT_FP_TOL,
-               max_iter: int = DEFAULT_MAX_ITER) -> tuple:
-    """Solve a classical scenario mode by mode; D and B scale E and H where they are read.
+    """Solve a classical scenario mode by mode and store it (see _stored_solve); D and B scale E and H where read.
 
     Modes with one eigenvalue share one 2x2 operator, so each such group is
     solved in one call: one stacked closed-form pass solves every mode with
     data under "exact", and the near-kernel modes under any method, while
     fixed_point and integrator make one call per remaining group.  Modes
     without data and kernel coefficients stay exactly zero, realizing the
-    projection onto the solvable range.  Returns (E, H, D, B, Picard iterations, contraction estimate, kernel
-    positions, near-kernel positions), no diagnostic read from the fields.
+    projection onto the solvable range.
     """
-    problem, _, reduced = _dbf_blocks(s, method)
-    (E, H), _, iterations, contraction = _solve_blocks(*problem, fp_tol, max_iter)
-    D, B = (ScaledSeries(reduced.factors * c, base) for c, base in ((s.epsilon, E), (s.mu, H)))  # as recover_DB scales
-    return E, H, D, B, iterations, contraction, np.nonzero(reduced.kernel)[0], np.nonzero(reduced.near)[0]
+    return _stored_solve(s, method, fp_tol, max_iter)
 
 
 def _dbf_blocks(s: DBFScenario, method: str) -> tuple:
@@ -625,17 +584,16 @@ def _dbf_blocks(s: DBFScenario, method: str) -> tuple:
 
 def field_pieces(s, method: str, *, fp_tol: float = DEFAULT_FP_TOL, max_iter: int = DEFAULT_MAX_ITER,
                  tally: dict | None = None):
-    """Solve a scenario of either model and yield it piece by piece, with the bits of dbf_fields or
-    generalized_fields: (table positions, E, H, D, B), each (n, k), for each piece of _block_pieces and each mode
-    of its blocks, the k positions a slice where they are consecutive.  The classical D and B are ScaledSeries of
-    the piece's E and H, as in dbf_fields, formed only where they are read.  A piece's arrays may be overwritten
-    once the next is asked for, and the positions no piece names hold zero fields, so no whole field or flux pair is
-    ever formed.  tally, when given, receives the keyword arguments of solution_diagnostics that the setup and the
-    solve provide."""
+    """Solve a scenario of either model and yield it piece by piece: (table positions, E, H, D, B), each (n, k),
+    for each piece of _block_pieces and each mode of its blocks, the k positions a slice where they are
+    consecutive.  This is the one mapping from blocks to table positions: run stores the pieces (_stored_solve) and
+    verify folds them.  The classical D and B are ScaledSeries of the piece's E and H by flux_factors, formed only
+    where they are read.  A piece's arrays may be overwritten once the next is asked for, and the positions no piece
+    names hold zero fields, so no whole field or flux pair is ever formed.  tally, when given, receives the keyword
+    arguments of solution_diagnostics that the setup and the solve provide."""
     tally = {} if tally is None else tally
     if isinstance(s, DBFScenario):
         problem, modes_of, reduced = _dbf_blocks(s, method)
-        scale = reduced.factors * s.epsilon, reduced.factors * s.mu
         tally.update(kernel=np.nonzero(reduced.kernel)[0], near_kernel=np.nonzero(reduced.near)[0])
     else:
         problem, modes_of, margin, q0_sup = _generalized_blocks(s, method)
@@ -643,8 +601,8 @@ def field_pieces(s, method: str, *, fp_tol: float = DEFAULT_FP_TOL, max_iter: in
     for blocks, fields, flux in _block_pieces(*problem, fp_tol, max_iter, tally):
         for j in range(modes_of.shape[1]):
             cols, E, H = _as_slice(modes_of[blocks, j]), fields[2 * j], fields[2 * j + 1]
-            D, B = (ScaledSeries(c[cols], a) for c, a in zip(scale, (E, H))) if flux is None else flux[2 * j:2 * j + 2]
-            yield cols, E, H, D, B
+            yield cols, E, H, *(flux[2 * j:2 * j + 2] if flux is not None else
+                                (ScaledSeries(c, a) for c, a in zip(flux_factors(s, cols), (E, H))))
 
 
 class IncompleteSolve(RuntimeError):
@@ -798,21 +756,46 @@ def _twin(fold: PieceFold, cols, doubled) -> tuple:
         return ()
 
 
+def _stored_solve(s, method: str, fp_tol: float, max_iter: int) -> FieldHistory:
+    """The pieces of field_pieces written into table-ordered E and H, and D and B under the generalized law (the
+    classical ones are ScaledSeries of E and H), with the diagnostics of solution_diagnostics read from column
+    chunks of the stored series folded by fold_pieces, as verify folds the pieces of its solve.
+
+    The fold runs once all is stored: folding in lockstep holds the fold's scratch beside the growing fields.
+    """
+    tally = {}
+    stored = np.zeros((2 if isinstance(s, DBFScenario) else 4, s.grid.n_samples, s.table.n_modes), dtype=np.complex128)
+    for cols, *piece in field_pieces(s, method, fp_tol=fp_tol, max_iter=max_iter, tally=tally):
+        for out, a in zip(stored, piece):
+            out[:, cols] = a
+        piece = a = None  # a piece may view the closed-form scratch: it is released before the next one and the fold
+    E, H, *flux = stored
+    D, B = flux or (ScaledSeries(factor, base) for factor, base in zip(flux_factors(s), (E, H)))
+    history = FieldHistory(s.table, s.grid, s.nu, E, H, D, B)
+    history.diagnostics = solution_diagnostics(s, method, fold_pieces(s, _history_pieces(history)), **tally)
+    return history
+
+
 def _history_pieces(history: FieldHistory):
     """Column chunks (positions, E, H, D, B) of a solved history's stored series."""
     for cols in column_chunks(*history.E.shape):
         yield cols, *(_columns(a, cols) for a in (history.E, history.H, history.D, history.B))
 
 
+def flux_factors(s: DBFScenario, cols=slice(None)) -> tuple:
+    """The classical law's flux factors (1 + eta lambda) eps and (1 + eta lambda) mu at the table positions cols:
+    (D, B) scale (E, H) by them, mode by mode."""
+    factor = 1.0 + s.eta * s.table.eigenvalues[cols]
+    return factor * s.epsilon, factor * s.mu
+
+
 def recover_DB(E, H, s: DBFScenario):
-    """Flux pair from the field pair: coefficients scaled by (1 + eta lambda) eps / mu.
+    """Flux pair from the field pair: coefficients scaled by flux_factors.
 
     Accepts SpectralField inputs or coefficient arrays with modes on the
     last axis, and returns the same kind.
     """
-    lam = s.table.eigenvalues
-    fe = (1.0 + s.eta * lam) * s.epsilon
-    fh = (1.0 + s.eta * lam) * s.mu
+    fe, fh = flux_factors(s)
     if isinstance(E, SpectralField):
         return E.with_coeffs(fe * E.coeffs), H.with_coeffs(fh * H.coeffs)
     E = np.asarray(E, dtype=np.complex128)
@@ -946,14 +929,7 @@ def _hypothesis_scan(shifted: np.ndarray, lams: list) -> float:
 
 def solve_generalized(g: GeneralizedScenario, method: str = "auto", *, fp_tol: float = DEFAULT_FP_TOL,
                       max_iter: int = DEFAULT_MAX_ITER) -> FieldHistory:
-    """generalized_fields with the diagnostics of _solved_history."""
-    *fields, margin, q0_sup = generalized_fields(g, method, fp_tol=fp_tol, max_iter=max_iter)
-    return _solved_history(g, method, *fields, hypothesis_margin=margin, q0_sup=q0_sup)
-
-
-def generalized_fields(g: GeneralizedScenario, method: str = "auto", *, fp_tol: float = DEFAULT_FP_TOL,
-                       max_iter: int = DEFAULT_MAX_ITER) -> tuple:
-    """Solve an operator-law scenario and recover the flux pair.
+    """Solve an operator-law scenario, recover the flux pair and store both (see _stored_solve).
 
     The reduction is per eigenvalue: N0 = (kappa0 + lambda)^-1 turns the
     law into one 2x2 operator shared by every mode with that lambda (see
@@ -971,16 +947,9 @@ def generalized_fields(g: GeneralizedScenario, method: str = "auto", *, fp_tol: 
     sup |N0 z kappa1(z)| on the nu-ball reaches 1.  The flux pair is the
     product symbol (kappa(z) + lambda) Mstar(z) applied to the solution:
     the propagator reads it off its state, the other methods apply it with
-    the trapezoid running integral; both reproduce W0 at t = 0+.  Returns (E, H, D, B, Picard iterations,
-    contraction estimate, hypothesis margin, q0 sup), no diagnostic read from the fields.
+    the trapezoid running integral; both reproduce W0 at t = 0+.
     """
-    problem, modes_of, margin, q0_sup = _generalized_blocks(g, method)
-    u, db, iterations, contraction = _solve_blocks(*problem, fp_tol, max_iter)
-    E, H, D, B = np.zeros((4, g.grid.n_samples, g.table.n_modes), dtype=np.complex128)
-    for out, fields in ((E, u[0::2]), (H, u[1::2]), (D, db[0::2]), (B, db[1::2])):
-        out[:, modes_of.T] = fields.transpose(1, 0, 2)
-    del u, db, fields  # only the table-ordered copies live on
-    return E, H, D, B, iterations, contraction, margin, q0_sup
+    return _stored_solve(g, method, fp_tol, max_iter)
 
 
 def _generalized_blocks(g: GeneralizedScenario, method: str) -> tuple:

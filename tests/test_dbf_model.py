@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 import single_mode
+from dbf import dbf_model
 from dbf.curl_spectral import SpectralField, FieldPair, projector_P, reduced_resolvent
 from dbf.dbf_model import (
     DBFScenario,
@@ -19,7 +20,6 @@ from dbf.dbf_model import (
     material_energy_series,
     naive_symbol_value,
     recover_DB,
-    _solved_history,
     solve_dbf,
     solve_generalized,
     uniqueness_energy_probe,
@@ -460,32 +460,41 @@ class TestNonFiniteGuard:
         W0 = field_pair(table_k1, {plus: (1.0, 0.5j), const: (0.3, -0.2)})
         source = step_series(table_k1, SHORT_GRID, {plus: (0.4, 0.0)})
         if request.param == "dbf":
-            s = scenario(table_k1, grid=SHORT_GRID, W0=W0, source=source)
-            history = solve_dbf(s, "exact")
+            s, solve = scenario(table_k1, grid=SHORT_GRID, W0=W0, source=source), solve_dbf
         else:
             s = GeneralizedScenario(kappa0=2.0 * np.eye(2), Mstar0=np.diag([1.0, 0.5]), nu=3.0, K=1,
                                     grid=SHORT_GRID, W0=W0, source_J=source,
                                     kappa1=MaterialSymbol(dim=2, poly_coeffs=[0.4 * np.eye(2)]))
-            history = solve_generalized(s, "auto")
+            solve = solve_generalized
+        history = solve(s)
         fields = [np.array(np.asarray(a)) for a in (history.E, history.H, history.D, history.B)]
         assert all(np.all(np.isfinite(a)) for a in fields)
-        return s, fields
+        return s, solve, fields
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.inf)], ids=["nan", "inf", "complex_inf"])
     @pytest.mark.parametrize("row", ["before_zero", "zero", "last"])
-    def test_injected_value_raises(self, solved, table_k1, value, row):
-        s, fields = solved
+    def test_injected_value_raises(self, solved, table_k1, value, row, monkeypatch):
+        s, solve, fields = solved
         lam = table_k1.eigenvalues
         at = {"before_zero": SHORT_GRID.zero_index - 1, "zero": SHORT_GRID.zero_index, "last": -1}[row]
+        poisoned = []
+
+        def pieces(scenario, method, *, tally, **tols):  # the solve as one piece, with one value poisoned
+            tally.update(iterations=0, contraction=0.0)
+            yield slice(None), *poisoned
+
+        monkeypatch.setattr(dbf_model, "field_pieces", pieces)
+        # The classical law stores E and H, and its D and B scale them; the generalized law stores all four.
+        stored = 2 if isinstance(s, DBFScenario) else 4
         # A lambda = 0 mode, where the residual reads E and H only through 0 * E, and the largest lambda.
         for mode in (int(np.nonzero(lam == 0.0)[0][0]), int(np.argmax(lam))):
-            for k in range(4):
-                poisoned = [a.copy() for a in fields]
+            for k in range(stored):
+                poisoned[:] = [a.copy() for a in fields]
                 poisoned[k][at, mode] = value
                 with pytest.raises(NonFiniteSolution):
-                    _solved_history(s, "exact", *poisoned, 0, 0.0)
+                    solve(s)
 
 
 class TestPairSeries:

@@ -1,14 +1,14 @@
 """`dbf verify` folds both of its solves into the checks piece by piece and stores no field.
 
-Every piece that field_pieces yields must carry the bits of a full
-dbf_fields or generalized_fields solve, the positions it never names must
-be zero there, and the fold of the two solves in lockstep, the verify
-table and the run diagnostics must equal those read from the full
-solution.  The pieces of the doubled-data solve are paired with the
+Every piece that field_pieces yields must carry the bits of the history
+that run stores, the positions it never names must be zero there, and the
+fold of the two solves in lockstep, the verify table and the run
+diagnostics must equal those read from the stored solution.  The pieces of the doubled-data solve are paired with the
 solve's by their table positions: a missing piece exits 4.  verify peaks
 below three quarters of one field pair.
 """
 
+import collections
 import copy
 import json
 import os
@@ -20,7 +20,7 @@ import pytest
 import oracles
 from dbf import cli, dbf_model
 from dbf.curl_spectral import build_basis
-from dbf.dbf_model import DBFScenario, dbf_fields, field_pieces, fold_pieces, generalized_fields
+from dbf.dbf_model import field_pieces, fold_pieces
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 K_CROSS = [0.3, 0.1, 0.2]
@@ -73,9 +73,21 @@ def scenario_of(case: str):
 
 
 def full_solve(scenario, doc: dict, factor: float = 1.0) -> tuple:
-    """E, H, D, B and the rest of one whole-field solve of the scenario with its data scaled by factor."""
-    fields = dbf_fields if isinstance(scenario, DBFScenario) else generalized_fields
-    return cli._solve(cli._scale_scenario(scenario, factor), doc, fields)
+    """E, H, D, B of the history run stores for the scenario with its data scaled by factor.
+
+    run stores the pieces of field_pieces, so a comparison of these fields
+    with the pieces checks the one block-to-table mapping against itself;
+    the oracles of test_generalized and test_dbf_model check its values.
+    """
+    history = cli._solve(cli._scale_scenario(scenario, factor), doc)
+    return history.E, history.H, history.D, history.B
+
+
+def pieces(scenario, doc: dict, factor: float = 1.0, **kwargs):
+    """The pieces of the solve of the scenario with its data scaled by factor, as verify asks for them."""
+    tols = doc["tolerances"]
+    return field_pieces(cli._scale_scenario(scenario, factor), doc["method"], fp_tol=tols["fp_tol"],
+                        max_iter=int(tols["max_iter"]), **kwargs)
 
 
 def test_kernel_case_has_a_loaded_kernel_mode():
@@ -88,9 +100,9 @@ def test_kernel_case_has_a_loaded_kernel_mode():
 def test_pieces_carry_the_full_solve(case):
     doc, scenario = scenario_of(case)
     for factor in (1.0, 2.0):
-        full = [np.asarray(a) for a in full_solve(scenario, doc, factor)[:4]]
+        full = [np.asarray(a) for a in full_solve(scenario, doc, factor)]
         named = np.zeros(scenario.table.n_modes, dtype=bool)
-        for modes, *fields in cli._solve(cli._scale_scenario(scenario, factor), doc, field_pieces):
+        for modes, *fields in pieces(scenario, doc, factor):
             for piece, whole in zip(fields, full):
                 assert np.asarray(piece).tobytes() == whole[:, modes].tobytes()
             named[modes] = True
@@ -98,8 +110,7 @@ def test_pieces_carry_the_full_solve(case):
 
     history = cli._solve(scenario, doc)
     E2, H2 = full_solve(scenario, doc, 2.0)[:2]
-    fold = fold_pieces(scenario, cli._solve(scenario, doc, field_pieces),
-                       cli._solve(cli._scale_scenario(scenario, 2.0), doc, field_pieces))
+    fold = fold_pieces(scenario, pieces(scenario, doc), pieces(scenario, doc, 2.0))
     assert fold.doubled_failure is None
     assert fold.gap == max(np.max(np.abs(E2 - 2.0 * history.E)), np.max(np.abs(H2 - 2.0 * history.H)))
     fields = [np.asarray(a) for a in (history.E, history.H, history.D, history.B)]
@@ -112,7 +123,7 @@ def test_pieces_carry_the_full_solve(case):
 def test_run_diagnostics_match_the_full_history(case, tmp_path):
     # The parent's whole-array formulas on the full solution, written here without the fold.
     doc, scenario = scenario_of(case)
-    E, H, D, B = (np.asarray(a) for a in full_solve(scenario, doc)[:4])
+    E, H, D, B = (np.asarray(a) for a in full_solve(scenario, doc))
     path = tmp_path / f"{case}.json"
     path.write_text(json.dumps(CASES[case]), encoding="utf-8")
     assert cli.cmd_run(str(path), str(tmp_path / "out")) == cli.EXIT_OK
@@ -129,12 +140,10 @@ def test_run_diagnostics_match_the_full_history(case, tmp_path):
 
 
 def one_piece(scenario, method, *, tally=None, **tols):
-    """The whole solution as one piece, with the diagnostics a full solve reports."""
+    """The whole stored solution as one piece, with the diagnostics the stream of the solve reports."""
     doc = {"method": method, "tolerances": tols}
-    E, H, D, B, iterations, contraction, *rest = full_solve(scenario, doc)
-    keys = ("kernel", "near_kernel") if isinstance(scenario, DBFScenario) else ("hypothesis_margin", "q0_sup")
-    if tally is not None:
-        tally.update(iterations=iterations, contraction=contraction, **dict(zip(keys, rest)))
+    E, H, D, B = full_solve(scenario, doc)
+    collections.deque(pieces(scenario, doc, tally={} if tally is None else tally), maxlen=0)
     yield slice(None), E, H, D, B
 
 
