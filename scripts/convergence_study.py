@@ -19,13 +19,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from dbf.evo_solver import (
-    AbstractIVP,
-    solve_fixed_point,
-    solve_integrator,
-    solve_modal_exact,
-    verify_regularity_ode,
-)
+from dbf.paper import AbstractIVP, solve_fixed_point, solve_integrator, solve_modal_exact, verify_regularity_ode
 from dbf.weighted_time import MaterialSymbol, TimeGrid, WeightedSignal, weighted_norm
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])

@@ -21,8 +21,8 @@ from dbf.dbf_model import (
     material_energy_series,
     solve_dbf,
     solve_generalized,
-    verify_dbf_equation,
 )
+from dbf.paper import verify_dbf_equation
 
 
 def main() -> int:

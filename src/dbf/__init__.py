@@ -1,33 +1,22 @@
 """Spectral simulator for chiral electromagnetic media on the periodic torus.
 
-The package splits into five layers: weighted_time (exponentially weighted
-signals, transforms, material symbols), curl_spectral (curl eigenbasis and
-spectral calculus on the 3-torus), evo_solver (abstract causal evolution
-solvers), dbf_model (the chiral constitutive law, classical and generalized),
-and cli (scenario files, batch runs, verification, sweeps), which writes its
-CSV series through csv_cells.
+The runtime, what the `dbf` commands execute, is five modules, each
+importing only those before it: weighted_time (exponentially weighted
+signals, the weighted norm, material symbols), curl_spectral (the curl
+eigenbasis on the 3-torus), evo_solver (the stacked block solvers),
+dbf_model (the chiral constitutive law, classical and generalized, solved
+piece by piece and folded into its checks) and cli (scenario files, batch
+runs, verification, sweeps), which writes its CSV series through csv_cells.
+The names below are that runtime's.  The paper's identities that the
+tests check (the projector, reduced resolvent and bounded generator C, the
+one-block solvers, the naive (D, B) diagnosis, the nu-independence of the
+calculus) are in dbf.paper, which imports the runtime; neither this
+package nor any runtime module imports it.
 """
 
-from .curl_spectral import (
-    FieldPair,
-    Mode,
-    ModeTable,
-    NyquistViolation,
-    SpectralField,
-    bounded_generator_C,
-    build_basis,
-    curl_apply,
-    generator_coefficients,
-    gram_matrix,
-    grid_inner_product,
-    projector_P,
-    reduced_resolvent,
-    sample_basis_fields,
-    synthesize_on_grid,
-)
+from .curl_spectral import FieldPair, Mode, ModeTable, SpectralField, build_basis, generator_coefficients
 from .dbf_model import (
     DBFScenario,
-    DiagnosticReport,
     FieldHistory,
     GeneralizedScenario,
     HypothesisViolated,
@@ -39,111 +28,19 @@ from .dbf_model import (
     assemble_reduced_ivp,
     block_scalar_matrix,
     check_data_range,
-    cross_coupling_matrix,
-    diagnose_naive_formulation,
     material_energy_series,
-    naive_symbol_value,
-    recover_DB,
     solve_dbf,
     solve_generalized,
-    uniqueness_energy_probe,
-    verify_dbf_equation,
 )
-from .evo_solver import (
-    AbstractIVP,
-    NoConvergence,
-    NotContractive,
-    SolveReport,
-    WrongCase,
-    causal_resolvent,
-    semigroup_apply,
-    solve_fixed_point,
-    solve_integrator,
-    solve_modal_exact,
-    verify_causality,
-    verify_initial_value,
-    verify_regularity_ode,
-    weak_residual,
-)
+from .evo_solver import NoConvergence, NotContractive, WrongCase, causal_resolvent
 from .weighted_time import (
     MaterialSymbol,
-    NuTooSmall,
     Spectrum,
     TimeGrid,
     UnsupportedOrder,
     WeightedSignal,
-    apply_inverse_derivative,
-    apply_symbol,
-    check_nu_independence,
     laplace_forward,
-    laplace_inverse,
     weighted_norm,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AbstractIVP",
-    "DBFScenario",
-    "DiagnosticReport",
-    "FieldHistory",
-    "FieldPair",
-    "GeneralizedScenario",
-    "HypothesisViolated",
-    "MaterialSymbol",
-    "Mode",
-    "ModeTable",
-    "NeumannDiverges",
-    "NoConvergence",
-    "NonFiniteSolution",
-    "NotContractive",
-    "NuTooSmall",
-    "NyquistViolation",
-    "PairSeries",
-    "RangeViolation",
-    "SolveReport",
-    "SpectralField",
-    "Spectrum",
-    "TimeGrid",
-    "UnsupportedOrder",
-    "Verdict",
-    "WeightedSignal",
-    "WrongCase",
-    "apply_inverse_derivative",
-    "apply_symbol",
-    "assemble_reduced_ivp",
-    "block_scalar_matrix",
-    "bounded_generator_C",
-    "build_basis",
-    "causal_resolvent",
-    "check_data_range",
-    "check_nu_independence",
-    "cross_coupling_matrix",
-    "curl_apply",
-    "diagnose_naive_formulation",
-    "generator_coefficients",
-    "gram_matrix",
-    "grid_inner_product",
-    "laplace_forward",
-    "laplace_inverse",
-    "material_energy_series",
-    "naive_symbol_value",
-    "projector_P",
-    "recover_DB",
-    "reduced_resolvent",
-    "sample_basis_fields",
-    "semigroup_apply",
-    "solve_dbf",
-    "solve_fixed_point",
-    "solve_generalized",
-    "solve_integrator",
-    "solve_modal_exact",
-    "synthesize_on_grid",
-    "uniqueness_energy_probe",
-    "verify_causality",
-    "verify_dbf_equation",
-    "verify_initial_value",
-    "verify_regularity_ode",
-    "weak_residual",
-    "weighted_norm",
-]

@@ -12,6 +12,8 @@ projector P_eta onto the closed range of (1 + eta curl) simply zeroes the
 modes with 1 + eta lambda = 0, the reduced resolvent divides by
 (1 + eta lambda), and the bounded generator acts per mode by
 c_lambda = lambda / (1 + eta lambda) composed with the symplectic rotation.
+The solvers read c_lambda from generator_coefficients; dbf.paper states
+the operators themselves on a SpectralField.
 """
 
 from __future__ import annotations
@@ -34,14 +36,6 @@ HELICITIES = (HELICITY_PLUS, HELICITY_MINUS, HELICITY_GRAD, HELICITY_CONST)
 
 class TruncationTooLarge(ValueError):
     """Requested basis exceeds the configured mode budget."""
-
-
-class NyquistViolation(ValueError):
-    """Synthesis grid too coarse to resolve the truncated basis."""
-
-
-class NotInRange(ValueError):
-    """Field has significant coefficients on kernel modes of (1 + eta curl)."""
 
 
 @dataclass(frozen=True)
@@ -276,64 +270,6 @@ class FieldPair:
         return float(np.sqrt(self.e_part.norm() ** 2 + self.h_part.norm() ** 2))
 
 
-def curl_apply(f: SpectralField) -> SpectralField:
-    """Diagonal curl action: coefficient at each mode scaled by its eigenvalue."""
-    return f.with_coeffs(f.table.eigenvalues * f.coeffs)
-
-
-def projector_P(eta: float, f: SpectralField) -> SpectralField:
-    """Orthogonal projector onto the closed range of (1 + eta curl).
-
-    Zeroes the coefficients of modes with |1 + eta lambda| <= KERNEL_TOL and
-    leaves all others unchanged.  eta is taken exactly as given; near-resonant
-    values are flagged by the tolerance, never snapped.
-    """
-    if eta == 0:
-        raise ValueError("eta must be nonzero")
-    out = f.coeffs.copy()
-    out[f.table.kernel_mask(eta)] = 0.0
-    return f.with_coeffs(out)
-
-
-def _assert_in_range(eta: float, coeffs: np.ndarray, table: ModeTable) -> np.ndarray:
-    mask = table.kernel_mask(eta)
-    over = mask & (np.abs(coeffs) > KERNEL_TOL * max(float(np.linalg.norm(coeffs)), 1.0))
-    if np.any(over):
-        offenders = [table.modes[i].key() for i in np.nonzero(over)[0]]
-        raise NotInRange(f"kernel-mode coefficients exceed tolerance for eta={eta}: {offenders}")
-    return mask
-
-
-def reduced_resolvent(eta: float, f: SpectralField) -> SpectralField:
-    """Inverse of (1 + eta curl) on the range of the projector.
-
-    Divides each coefficient by (1 + eta lambda); kernel modes must carry no
-    significant coefficient (NotInRange otherwise) and stay zero.
-    """
-    if eta == 0:
-        raise ValueError("eta must be nonzero")
-    mask = _assert_in_range(eta, f.coeffs, f.table)
-    out = np.zeros_like(f.coeffs)
-    keep = ~mask
-    out[keep] = f.coeffs[keep] / (1.0 + eta * f.table.eigenvalues[keep])
-    return f.with_coeffs(out)
-
-
-def bounded_generator_C(eta: float, u: FieldPair) -> FieldPair:
-    """The bounded generator of the reduced evolution.
-
-    Per mode with eigenvalue lambda, (e, h) -> c (-h, e) with
-    c = lambda / (1 + eta lambda), identically eta^{-1} - eta^{-1}/(1 + eta lambda).
-    Inputs must lie in the range subspace of (1 + eta curl).
-    """
-    if eta == 0:
-        raise ValueError("eta must be nonzero")
-    _assert_in_range(eta, u.e_part.coeffs, u.table)
-    _assert_in_range(eta, u.h_part.coeffs, u.table)
-    c = generator_coefficients(eta, u.table)
-    return u.with_coeffs(-c * u.h_part.coeffs, c * u.e_part.coeffs)
-
-
 def generator_coefficients(eta: float, table: ModeTable) -> np.ndarray:
     """Per-mode scalars c = lambda/(1 + eta lambda); zero on kernel modes."""
     mask = table.kernel_mask(eta)
@@ -341,67 +277,3 @@ def generator_coefficients(eta: float, table: ModeTable) -> np.ndarray:
     keep = ~mask
     c[keep] = table.eigenvalues[keep] / (1.0 + eta * table.eigenvalues[keep])
     return c
-
-
-def synthesize_on_grid(f: SpectralField, n_grid: int) -> np.ndarray:
-    """Pointwise field values on the uniform n_grid^3 torus grid.
-
-    Returns shape (n_grid, n_grid, n_grid, 3).  Quadrature inner products
-    (means over the grid) reproduce coefficient inner products exactly for
-    trigonometric polynomials below the Nyquist limit, which requires
-    n_grid >= 2K + 2.
-    """
-    K = f.table.K
-    if n_grid < 2 * K + 2:
-        raise NyquistViolation(f"n_grid={n_grid} < 2K+2={2 * K + 2} for K={K}")
-    x = 2.0 * np.pi * np.arange(n_grid) / n_grid
-    out = np.zeros((n_grid, n_grid, n_grid, 3), dtype=np.complex128)
-    # Group modes by wavevector so each phase grid is built once.
-    by_k: dict[tuple[int, int, int], list[int]] = {}
-    for i, m in enumerate(f.table.modes):
-        if f.coeffs[i] != 0:
-            by_k.setdefault(m.k, []).append(i)
-    for k, idxs in by_k.items():
-        amp = np.zeros(3, dtype=np.complex128)
-        for i in idxs:
-            amp += f.coeffs[i] * f.table.amplitudes[i]
-        if k == (0, 0, 0):
-            out += amp
-            continue
-        phase = np.exp(1j * (k[0] * x[:, None, None] + k[1] * x[None, :, None] + k[2] * x[None, None, :]))
-        out += phase[..., None] * amp
-    return out
-
-
-def grid_inner_product(fvals: np.ndarray, gvals: np.ndarray) -> complex:
-    """Mean-over-grid quadrature of <f, g> in the normalized torus measure."""
-    return complex(np.sum(np.conj(fvals) * gvals) / (fvals.shape[0] * fvals.shape[1] * fvals.shape[2]))
-
-
-def sample_basis_fields(table: ModeTable, n_grid: int) -> np.ndarray:
-    """All basis fields sampled on the n_grid^3 grid, shape (n_modes, n_pts, 3)."""
-    if n_grid < 2 * table.K + 2:
-        raise NyquistViolation(f"n_grid={n_grid} < 2K+2={2 * table.K + 2}")
-    x = 2.0 * np.pi * np.arange(n_grid) / n_grid
-    n_pts = n_grid ** 3
-    fields = np.empty((table.n_modes, n_pts, 3), dtype=np.complex128)
-    phases: dict[tuple[int, int, int], np.ndarray] = {}
-    for i, m in enumerate(table.modes):
-        if m.k == (0, 0, 0):
-            fields[i] = table.amplitudes[i]
-            continue
-        if m.k not in phases:
-            k = m.k
-            ph = np.exp(1j * (k[0] * x[:, None, None] + k[1] * x[None, :, None] + k[2] * x[None, None, :]))
-            phases[m.k] = ph.reshape(-1)
-        fields[i] = phases[m.k][:, None] * table.amplitudes[i]
-    return fields
-
-
-def gram_matrix(table: ModeTable, n_grid: int) -> np.ndarray:
-    """Quadrature Gram matrix of the basis on an n_grid^3 grid."""
-    fields = sample_basis_fields(table, n_grid)
-    # Blocked BLAS accumulation keeps roundoff well below the orthonormality
-    # tolerance even on large grids; a naive sum does not.
-    flat = fields.reshape(table.n_modes, -1)
-    return (np.conj(flat) @ flat.T) / fields.shape[1]

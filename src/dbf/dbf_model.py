@@ -4,7 +4,7 @@ The classical material law couples the fields through (1 + eta curl): the
 flux pair is (D, B) = (1 + eta curl) diag(eps, mu) (E, H).  Written as a
 first order evolution in (D, B) alone the formal symbol starts at order
 one in the antiderivative, with a skew leading coefficient, so no strictly
-positive zeroth coefficient exists (see diagnose_naive_formulation).  The
+positive zeroth coefficient exists (see dbf.paper.diagnose_naive_formulation).  The
 workable route inverts (1 + eta curl) on its range per curl eigenmode,
 which yields one small causal initial value problem per eigenvalue with a
 bounded rotation coupling c_lambda = lambda / (1 + eta lambda), shared by
@@ -41,12 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curl_spectral import (
-    FieldPair,
-    ModeTable,
-    SpectralField,
-    generator_coefficients,
-)
+from .curl_spectral import FieldPair, ModeTable, generator_coefficients
 from .evo_solver import (
     SOURCE_CAUSALITY_TOL,
     DEFAULT_FP_TOL,
@@ -289,58 +284,6 @@ class FieldHistory:
             if arr.shape != shape:
                 raise ValueError(f"{name} shape {arr.shape} != {shape}")
             setattr(self, name, arr)
-
-
-@dataclass
-class DiagnosticReport:
-    """Leading coefficients of the naive one-field formulation and verdict."""
-
-    z0_coefficient: np.ndarray
-    z1_coefficient: np.ndarray
-    z1_real_part: np.ndarray
-    z2_coefficient: np.ndarray
-    degenerate: bool
-    verdict: str
-
-
-def naive_symbol_value(epsilon: float, mu: float, eta: float, z: np.ndarray | complex) -> np.ndarray:
-    """Formal symbol of the naive (D, B)-only formulation at z.
-
-    With w = z / (eta sqrt(eps mu)) and J the quarter-turn matrix the symbol
-    is w J (1 + w J)^-1 = (w J + w^2 I) / (1 + w^2).  Vectorized over z;
-    returns shape z.shape + (2, 2).
-    """
-    a = 1.0 / (eta * np.sqrt(epsilon * mu))
-    w = np.asarray(z, dtype=np.complex128) * a
-    denom = 1.0 + w * w
-    return (w[..., None, None] * J2 + (w * w)[..., None, None] * I2) / denom[..., None, None]
-
-
-def diagnose_naive_formulation(epsilon: float, mu: float, eta: float) -> DiagnosticReport:
-    """Expansion coefficients showing the one-field formulation is degenerate.
-
-    The zeroth coefficient vanishes and the first is skew, so the real part
-    of the leading pencil has no strictly positive lower bound; the equation
-    is not a perturbed time derivative in these variables.  The real part
-    reported is the selfadjoint part, the one that enters positivity.
-    """
-    if not epsilon > 0 or not mu > 0:
-        raise ValueError(f"epsilon, mu must be > 0, got {epsilon}, {mu}")
-    if eta == 0:
-        raise ValueError("eta must be nonzero")
-    a = 1.0 / (eta * np.sqrt(epsilon * mu))
-    z0 = np.zeros((2, 2))
-    z1 = a * J2
-    z1_real = 0.5 * (z1 + z1.conj().T)
-    z2 = a * a * I2.copy()
-    return DiagnosticReport(
-        z0_coefficient=z0,
-        z1_coefficient=z1,
-        z1_real_part=z1_real,
-        z2_coefficient=z2,
-        degenerate=True,
-        verdict="degenerate: fails strict positivity",
-    )
 
 
 @dataclass
@@ -758,8 +701,8 @@ def _twin(fold: PieceFold, cols, doubled) -> tuple:
 
 def _stored_solve(s, method: str, fp_tol: float, max_iter: int) -> FieldHistory:
     """The pieces of field_pieces written into table-ordered E and H, and D and B under the generalized law (the
-    classical ones are ScaledSeries of E and H), with the diagnostics of solution_diagnostics read from column
-    chunks of the stored series folded by fold_pieces, as verify folds the pieces of its solve.
+    classical ones are ScaledSeries of E and H), with the diagnostics of solution_diagnostics read from the stored
+    series folded by fold_pieces as one piece, which the fold cuts into column chunks as it does verify's pieces.
 
     The fold runs once all is stored: folding in lockstep holds the fold's scratch beside the growing fields.
     """
@@ -772,14 +715,8 @@ def _stored_solve(s, method: str, fp_tol: float, max_iter: int) -> FieldHistory:
     E, H, *flux = stored
     D, B = flux or (ScaledSeries(factor, base) for factor, base in zip(flux_factors(s), (E, H)))
     history = FieldHistory(s.table, s.grid, s.nu, E, H, D, B)
-    history.diagnostics = solution_diagnostics(s, method, fold_pieces(s, _history_pieces(history)), **tally)
+    history.diagnostics = solution_diagnostics(s, method, fold_pieces(s, [(slice(None), E, H, D, B)]), **tally)
     return history
-
-
-def _history_pieces(history: FieldHistory):
-    """Column chunks (positions, E, H, D, B) of a solved history's stored series."""
-    for cols in column_chunks(*history.E.shape):
-        yield cols, *(_columns(a, cols) for a in (history.E, history.H, history.D, history.B))
 
 
 def flux_factors(s: DBFScenario, cols=slice(None)) -> tuple:
@@ -787,47 +724,6 @@ def flux_factors(s: DBFScenario, cols=slice(None)) -> tuple:
     (D, B) scale (E, H) by them, mode by mode."""
     factor = 1.0 + s.eta * s.table.eigenvalues[cols]
     return factor * s.epsilon, factor * s.mu
-
-
-def recover_DB(E, H, s: DBFScenario):
-    """Flux pair from the field pair: coefficients scaled by flux_factors.
-
-    Accepts SpectralField inputs or coefficient arrays with modes on the
-    last axis, and returns the same kind.
-    """
-    fe, fh = flux_factors(s)
-    if isinstance(E, SpectralField):
-        return E.with_coeffs(fe * E.coeffs), H.with_coeffs(fh * H.coeffs)
-    E = np.asarray(E, dtype=np.complex128)
-    H = np.asarray(H, dtype=np.complex128)
-    return fe * E, fh * H
-
-
-def verify_dbf_equation(history: FieldHistory, s) -> float:
-    """Weak residual of the coupled evolution over the solved window (see PieceFold).
-
-    Column chunks of the history are folded as verify folds the pieces of
-    its solve, so both compute one residual.  Works for both scenario kinds
-    since only data and eigenvalues enter, and reads only the attributes
-    the fold needs, so column subsets can be passed as plain namespaces.
-    """
-    return fold_pieces(s, _history_pieces(history), grid=history.grid, lam=history.table.eigenvalues).weak_residual
-
-
-def uniqueness_energy_probe(history: FieldHistory, s: DBFScenario) -> float:
-    """Weighted material energy scaled by nu; zero data must yield zero.
-
-    The range part realizes the identity nu <P u | diag(eps, mu) P u> that
-    forces the projected solution of the homogeneous problem to vanish; the
-    kernel part covers the complementary rotation identity.  Any nonzero
-    field makes the probe strictly positive.
-    """
-    wt = np.exp(-2.0 * s.nu * history.grid.times)
-    density = s.epsilon * np.abs(history.E) ** 2 + s.mu * np.abs(history.H) ** 2
-    kernel = history.table.kernel_mask(s.eta)
-    range_part = float(np.sum(wt[:, None] * density[:, ~kernel]) * history.grid.dt)
-    kernel_part = float(np.sum(wt[:, None] * density[:, kernel]) * history.grid.dt)
-    return s.nu * (range_part + kernel_part)
 
 
 def material_energy_series(history: FieldHistory, s) -> np.ndarray:
@@ -857,21 +753,6 @@ def _wavevector_blocks(table: ModeTable) -> list:
 def _cross_block(k_cross: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
     """Entries conj(p_i) . (k_cross x p_j) over the amplitudes of one wavevector."""
     return np.conj(amplitudes) @ np.cross(k_cross, amplitudes).T
-
-
-def cross_coupling_matrix(k_cross: np.ndarray, table: ModeTable) -> np.ndarray:
-    """Dense matrix of f -> k_cross x f over the basis.
-
-    k_cross x (p exp(i k.x)) = (k_cross x p) exp(i k.x) keeps the wavevector,
-    so the matrix is block diagonal per wavevector with the closed-form
-    entries <p_i, k_cross x p_j> of the mode amplitudes; it is
-    skew-Hermitian because the cross product with a real vector is skew.
-    """
-    k_cross = np.asarray(k_cross, dtype=float).reshape(3)
-    X = np.zeros((table.n_modes, table.n_modes), dtype=np.complex128)
-    for idx in _wavevector_blocks(table):
-        X[np.ix_(idx, idx)] = _cross_block(k_cross, table.amplitudes[idx])
-    return X
 
 
 def _block_diag(blocks) -> np.ndarray:

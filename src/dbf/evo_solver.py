@@ -20,21 +20,20 @@ realizing the contraction argument, and an exact propagator: with A = 0
 and M1 = sum_i C_i I^i, y = (U, I U, ..., I^{p+1} U) obeys a linear ODE
 that one matrix exponential steps exactly, with no contraction, weight
 condition or stop tolerance.  Each solves a stack of blocks sharing one
-operator, every block bit for bit as alone (solve_fixed_point,
+operator, every block bit for bit as alone (dbf.paper's solve_fixed_point,
 solve_integrator and solve_modal_exact are the one-block forms).
 
 The solve window is the rows from TimeGrid.zero_index, the first sample at
 t >= 0: every time-domain helper computes those rows only and leaves the
 rows before it exactly zero, whatever its input holds there.  So M1 is a
 polynomial: _poly_coeffs raises WrongCase for a delay, which acts only
-through weighted_time.apply_symbol.  The t = 0 row is U(0+): every method
+through dbf.paper.apply_symbol.  The t = 0 row is U(0+): every method
 stores the right limit there, and the initial-value checks read it as is.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,59 +98,6 @@ def _check_skew(A: np.ndarray, dim: int) -> np.ndarray:
     return A
 
 
-@dataclass
-class AbstractIVP:
-    """One causal initial value problem block.
-
-    source must vanish on t < 0 (the Dirac datum carries the jump); this is
-    validated at construction together with selfadjointness of M0, its
-    strictly positive spectral floor, and skewness of A.  M1 is a polynomial:
-    the solvers and weak_residual raise WrongCase on a delay term.
-    """
-
-    dim: int
-    M0: np.ndarray
-    M1: MaterialSymbol
-    A: np.ndarray
-    source: WeightedSignal
-    W0: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.M0 = np.asarray(self.M0, dtype=np.complex128)
-        _check_hermitian_posdef(self.M0)
-        if self.M0.shape != (self.dim, self.dim):
-            raise ValueError(f"M0 shape {self.M0.shape} != dim {self.dim}")
-        if self.M1.dim != self.dim:
-            raise ValueError(f"M1 dim {self.M1.dim} != {self.dim}")
-        self.A = _check_skew(self.A, self.dim)
-        if self.source.channels != self.dim:
-            raise ValueError(f"source channels {self.source.channels} != dim {self.dim}")
-        self.W0 = np.asarray(self.W0, dtype=np.complex128).reshape(self.dim)
-        if np.any(np.abs(self.source.samples[:self.source.grid.zero_index]) > SOURCE_CAUSALITY_TOL):
-            raise ValueError("source must vanish on t < 0")
-
-
-@dataclass
-class SolveReport:
-    """Solver output with convergence and verification diagnostics."""
-
-    solution: WeightedSignal
-    iterations: int
-    final_residual: float
-    contraction_estimate: float
-    nu_used: float
-    initial_value_error: float
-    update_ratios: list[float] = field(default_factory=list)
-
-
-def _solution(obj) -> WeightedSignal:
-    if isinstance(obj, SolveReport):
-        return obj.solution
-    if isinstance(obj, WeightedSignal):
-        return obj
-    raise TypeError(f"expected SolveReport or WeightedSignal, got {type(obj)!r}")
-
-
 def _rows_at(x: np.ndarray, M: np.ndarray) -> np.ndarray:
     """x @ M over the last axis as one flat 2-D product: stacked (n, B, d)
     blocks then match per-block products bit for bit, unlike a 3-D matmul."""
@@ -196,18 +142,6 @@ def _jump_response(A_prime: np.ndarray, inv_sqrt: np.ndarray, w0: np.ndarray, gr
     return out
 
 
-def semigroup_apply(M0: np.ndarray, A: np.ndarray, w0: np.ndarray, grid: TimeGrid, nu: float) -> WeightedSignal:
-    """Jump response chi_{t>=0} sqrt(M0)^-1 exp(-t A') sqrt(M0)^-1 w0.
-
-    A' = sqrt(M0)^-1 A sqrt(M0)^-1.  The right limit at 0 is M0^-1 w0 and is
-    stored at the t = 0 sample; samples before 0 are exactly zero.
-    """
-    inv_sqrt, _, _ = _check_hermitian_posdef(M0)
-    A = _check_skew(A, len(w0))
-    jump = _jump_response(inv_sqrt @ A @ inv_sqrt, inv_sqrt, np.asarray(w0)[None], grid)[:, 0]
-    return WeightedSignal(grid, nu, jump @ inv_sqrt.T)
-
-
 def _poly_coeffs(M1: MaterialSymbol) -> list:
     """M1's coefficients C_0, ..., C_p; WrongCase for a delay term, which would read rows before t = 0."""
     if M1.delays:
@@ -217,7 +151,7 @@ def _poly_coeffs(M1: MaterialSymbol) -> list:
 
 def _apply_symbol_time(sym: MaterialSymbol, samples: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Time-domain action of a polynomial symbol, iterated causal integrals (a delay acts only through
-    weighted_time.apply_symbol).  Reads and writes only the rows from the t = 0 row on, so the rows
+    dbf.paper.apply_symbol).  Reads and writes only the rows from the t = 0 row on, so the rows
     before stay zero; samples is (n, d) or B stacked blocks (n, B, d)."""
     out = np.zeros(samples.shape, dtype=np.complex128)
     z = grid.zero_index
@@ -228,24 +162,6 @@ def _apply_symbol_time(sym: MaterialSymbol, samples: np.ndarray, grid: TimeGrid)
             power = running_trapezoid(power, grid.dt)
         out[z:] += _rows_at(power, C.T)
     return out
-
-
-def weak_residual(p: AbstractIVP, u: WeightedSignal) -> tuple[WeightedSignal, float]:
-    """Back-substitution residual of the time-integrated equation on t >= 0.
-
-    Integrating the equation once removes the Dirac datum:
-    R(t) = M0 U(t) + int_0^t (M1(I) U + A U - J) ds - W0 for t >= 0, zero
-    before.  The running integral uses the composite Simpson rule; the
-    returned norm is the weighted L2 norm of R.
-    """
-    grid = u.grid
-    z = grid.zero_index
-    sol = u.samples[z:]
-    integrand = _apply_symbol_time(p.M1, u.samples, grid)[z:] + sol @ p.A.T - p.source.samples[z:]
-    r = np.zeros_like(u.samples)
-    r[z:] = sol @ p.M0.T + running_simpson(integrand, grid.dt) - p.W0[None, :]
-    r_sig = WeightedSignal(grid, u.nu, r)
-    return r_sig, weighted_norm(r_sig, 0)
 
 
 def solve_fixed_point_blocks(M0: np.ndarray, M1: MaterialSymbol, A: np.ndarray, source: np.ndarray,
@@ -295,20 +211,6 @@ def solve_fixed_point_blocks(M0: np.ndarray, M1: MaterialSymbol, A: np.ndarray, 
         err.block = int(active[0])
         raise err
     return _rows_at(v, inv_sqrt.T), iterations, estimate, ratios
-
-
-def solve_fixed_point(p: AbstractIVP, nu: float, max_iter: int = DEFAULT_MAX_ITER, tol: float = DEFAULT_FP_TOL) -> SolveReport:
-    """Picard iteration of one block: solve_fixed_point_blocks with B = 1.
-
-    The report adds the weak residual and the initial-value error of the
-    solution.  NotContractive is raised when the contraction estimate
-    reaches 1 and NoConvergence when max_iter is exhausted.
-    """
-    samples, iterations, estimate, ratios = solve_fixed_point_blocks(
-        p.M0, p.M1, p.A, p.source.samples[:, None], p.W0[None], p.source.grid, nu, max_iter, tol)
-    u = WeightedSignal(p.source.grid, nu, samples[:, 0])
-    return SolveReport(u, int(iterations[0]), weak_residual(p, u)[1], estimate, nu,
-                       verify_initial_value(u, p.M0, p.W0), ratios[0])
 
 
 def _rotation_constant(M0: np.ndarray, M1: MaterialSymbol, A: np.ndarray) -> tuple[float, float, float]:
@@ -421,14 +323,6 @@ def rotation_closed_form(eps: float, mu: float, c: np.ndarray, w0: np.ndarray, g
     return out
 
 
-def solve_modal_exact(p: AbstractIVP, nu: float) -> WeightedSignal:
-    """Closed-form solution of one 2x2 rotation block: rotation_closed_form with B = 1."""
-    eps, mu, c = _rotation_constant(p.M0, p.M1, p.A)
-    source = (np.array([0]), p.source.samples[:, None])
-    ue, uh = rotation_closed_form(eps, mu, np.array([c]), p.W0[None, :], p.source.grid, source)
-    return WeightedSignal(p.source.grid, nu, np.hstack([ue, uh]))
-
-
 def _expm(A: np.ndarray) -> np.ndarray:
     """exp(A) by scaling and squaring of the [13/13] Pade approximant (Higham, SIAM J. Matrix Anal. Appl. 26, 2005)."""
     norm, theta13 = np.linalg.norm(A, 1), 5.371920351148152  # the 1-norm up to which no scaling is needed
@@ -493,44 +387,3 @@ def solve_propagator_blocks(M0: np.ndarray, M1: MaterialSymbol, source: np.ndarr
     out = np.zeros((grid.n_samples, n_blocks, step.shape[1]), dtype=np.complex128)
     out[z:] = xs[:, :n_blocks, 2 * d:]
     return out[..., :d], None if lift is None else out[..., width:]
-
-
-def solve_integrator(p: AbstractIVP, nu: float) -> WeightedSignal:
-    """Exact propagator of one block (solve_propagator_blocks, B = 1), the skew A added to M1's order-zero term."""
-    coeffs = _poly_coeffs(p.M1) or [np.zeros((p.dim, p.dim), dtype=np.complex128)]
-    M1 = MaterialSymbol(p.dim, [coeffs[0] + p.A] + coeffs[1:])
-    samples, _ = solve_propagator_blocks(p.M0, M1, p.source.samples[:, None], p.W0[None], p.source.grid)
-    return WeightedSignal(p.source.grid, nu, samples[:, 0])
-
-
-def verify_initial_value(report, M0: np.ndarray, W0: np.ndarray) -> float:
-    """Distance of the right limit U(0+), the stored t = 0 row, from M0^-1 W0."""
-    u = _solution(report)
-    if u.grid.zero_index == u.grid.n_samples:
-        raise ValueError("grid has no samples at t >= 0")
-    _, inv, _ = _check_hermitian_posdef(M0)
-    target = inv @ np.asarray(W0, dtype=np.complex128)
-    return float(np.linalg.norm(u.samples[u.grid.zero_index] - target))
-
-
-def verify_regularity_ode(report, M0: np.ndarray, W0: np.ndarray, A: np.ndarray | None = None) -> float:
-    """Weighted first-order norm of the solution minus its initial jump.
-
-    Valid only for A = 0, where U - chi_{t>=0} M0^-1 W0 has one more order
-    of time regularity than U itself; the returned norm stays bounded under
-    grid refinement while the unsplit first-order norm diverges.
-    """
-    if A is not None and np.max(np.abs(np.asarray(A))) > HERMITICITY_TOL:
-        raise WrongCase("regularity split requires A = 0")
-    u = _solution(report)
-    _, inv, _ = _check_hermitian_posdef(M0)
-    target = inv @ np.asarray(W0, dtype=np.complex128)
-    jump = np.zeros_like(u.samples)
-    jump[u.grid.zero_index:] = target[None, :]
-    return weighted_norm(u.with_samples(u.samples - jump), 1)
-
-
-def verify_causality(report) -> float:
-    """Sup of |U| over t < 0; exact zero for the direct methods."""
-    u = _solution(report)
-    return float(np.max(np.abs(u.samples[:u.grid.zero_index]), initial=0.0))

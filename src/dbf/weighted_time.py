@@ -24,13 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-NU_INDEP_TOL = 1e-6
 ZERO_TIME_TOL = 1e-9
 SUPPORTED_NORM_ORDERS = (-2, -1, 0, 1, 2)
-
-
-class NuTooSmall(ValueError):
-    """The weight nu lies outside the symbol's declared analyticity region."""
 
 
 class UnsupportedOrder(ValueError):
@@ -266,15 +261,6 @@ def laplace_forward(u: WeightedSignal) -> Spectrum:
     return Spectrum(u.grid, u.nu, S)
 
 
-def laplace_inverse(s: Spectrum) -> WeightedSignal:
-    """Inverse (adjoint) of laplace_forward on the same grid and weight."""
-    xi = s.grid.frequencies
-    phase = np.exp(1j * xi * s.grid.t_start)[:, None]
-    w = np.fft.ifft(phase * s.samples, axis=0) * (np.sqrt(2.0 * np.pi) / s.grid.dt)
-    u = np.exp(s.nu * s.grid.times)[:, None] * w
-    return WeightedSignal(s.grid, s.nu, u)
-
-
 def running_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
     """Cumulative trapezoid integral of y along axis 0, starting at 0.
 
@@ -326,26 +312,6 @@ def running_simpson(y: np.ndarray, dx: float, out: np.ndarray | None = None) -> 
     return out
 
 
-def apply_inverse_derivative(u: WeightedSignal) -> WeightedSignal:
-    """Causal running integral of u (the inverse time derivative) by the cumulative trapezoid: exactly causal."""
-    return u.with_samples(running_trapezoid(u.samples, u.grid.dt))
-
-
-def apply_symbol(M: MaterialSymbol, u: WeightedSignal) -> WeightedSignal:
-    """Apply M(inverse time derivative) to u by frequency multiplication."""
-    if u.nu <= M.min_nu():
-        raise NuTooSmall(
-            f"nu={u.nu} must exceed 1/(2 radius)={M.min_nu()} for this symbol"
-        )
-    if u.channels != M.dim:
-        raise ValueError(f"signal channels {u.channels} != symbol dim {M.dim}")
-    s = laplace_forward(u)
-    z = 1.0 / (1j * u.grid.frequencies + u.nu)
-    vals = M.evaluate(z)
-    out = np.einsum("fij,fj->fi", vals, s.samples)
-    return laplace_inverse(Spectrum(u.grid, u.nu, out))
-
-
 def weighted_norm(u: WeightedSignal, k: int = 0) -> float:
     """Discrete H_{nu,k} norm: |(d/dt)^k u| in the weighted space.
 
@@ -363,24 +329,3 @@ def weighted_norm(u: WeightedSignal, k: int = 0) -> float:
     mult = (1j * u.grid.frequencies + u.nu) ** k
     dxi = 2.0 * np.pi / (u.grid.n_samples * u.grid.dt)
     return float(np.sqrt(np.sum(np.abs(mult[:, None] * s.samples) ** 2) * dxi))
-
-
-def check_nu_independence(
-    M: MaterialSymbol,
-    u_smooth: WeightedSignal,
-    nu1: float,
-    nu2: float,
-) -> float:
-    """Sup deviation between apply_symbol at weights nu1 and nu2.
-
-    The operator calculus is independent of the weight as long as both nu
-    exceed 1/(2 radius); on well-resolved, compactly supported inputs the
-    two discrete realizations agree to NU_INDEP_TOL.  The sup is taken over
-    the core (unpadded) window, where the comparison is meaningful.
-    apply_symbol raises NuTooSmall for a weight outside that region.
-    """
-    out1 = apply_symbol(M, WeightedSignal(u_smooth.grid, nu1, u_smooth.samples))
-    out2 = apply_symbol(M, WeightedSignal(u_smooth.grid, nu2, u_smooth.samples))
-    core = slice(0, u_smooth.grid.n_core)
-    dev = np.abs(out1.samples[core] - out2.samples[core])
-    return float(np.max(dev)) if dev.size else 0.0

@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from dbf.dbf_model import PairSeries, _block_law, assemble_reduced_ivp
-from dbf.evo_solver import J2, AbstractIVP, WrongCase, _check_hermitian_posdef, _rows_at
+from dbf.evo_solver import J2, WrongCase, _check_hermitian_posdef, _rows_at
+from dbf.paper import AbstractIVP
 from dbf.weighted_time import MaterialSymbol, TimeGrid, WeightedSignal, running_trapezoid
 
 

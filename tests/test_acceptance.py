@@ -15,26 +15,31 @@ import pytest
 import oracles
 import single_mode
 from dbf import cli
-from dbf.curl_spectral import FieldPair, SpectralField, projector_P
+from dbf.curl_spectral import FieldPair, SpectralField
 from dbf.dbf_model import (
     DBFScenario,
     GeneralizedScenario,
     HypothesisViolated,
     NeumannDiverges,
     PairSeries,
-    diagnose_naive_formulation,
     material_energy_series,
     solve_dbf,
     solve_generalized,
-    verify_dbf_equation,
 )
-from dbf.evo_solver import AbstractIVP, solve_fixed_point, verify_regularity_ode
+from dbf.paper import (
+    AbstractIVP,
+    apply_inverse_derivative,
+    apply_symbol,
+    diagnose_naive_formulation,
+    projector_P,
+    solve_fixed_point,
+    verify_dbf_equation,
+    verify_regularity_ode,
+)
 from dbf.weighted_time import (
     MaterialSymbol,
     TimeGrid,
     WeightedSignal,
-    apply_inverse_derivative,
-    apply_symbol,
     weighted_norm,
 )
 

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 import single_mode
-from dbf import dbf_model, evo_solver
+from dbf import dbf_model, evo_solver, paper
 from dbf.curl_spectral import FieldPair, SpectralField
 from dbf.dbf_model import DBFScenario, GeneralizedScenario, solve_dbf, solve_generalized
-from dbf.evo_solver import (NoConvergence, NotContractive, WrongCase, solve_fixed_point, solve_modal_exact,
-                            solve_propagator_blocks)
+from dbf.evo_solver import NoConvergence, NotContractive, WrongCase, solve_propagator_blocks
+from dbf.paper import solve_fixed_point, solve_modal_exact
 from dbf.weighted_time import MaterialSymbol, TimeGrid
 
 MEMORY = dict(kappa0=np.diag([2.5, 2.5]), kappa1=MaterialSymbol(dim=2, poly_coeffs=[np.diag([0.4, 0.4])]),
@@ -101,8 +101,8 @@ def test_memory_modes_make_one_call_per_group(table_k2, rng, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    solo = counted("solve_fixed_point", evo_solver.solve_fixed_point)
-    monkeypatch.setattr(evo_solver, "solve_fixed_point", solo)
+    solo = counted("solve_fixed_point", paper.solve_fixed_point)
+    monkeypatch.setattr(paper, "solve_fixed_point", solo)
     monkeypatch.setattr(dbf_model, "solve_fixed_point", solo, raising=False)
     monkeypatch.setattr(dbf_model, "solve_fixed_point_blocks", counted("picard", evo_solver.solve_fixed_point_blocks))
     monkeypatch.setattr(dbf_model, "solve_propagator_blocks", counted("propagator", evo_solver.solve_propagator_blocks))

@@ -943,9 +943,10 @@ class TestMain:
         assert raised.value.code == 0
         assert "usage: dbf" in capsys.readouterr().out
 
-# Runs in a fresh interpreter: prints the scipy and jsonschema modules loaded
-# after importing the CLI, then the exit code and those modules after each
-# `dbf` command (a JSON list of argument lists).
+# Runs in a fresh interpreter: prints the scipy, jsonschema and dbf modules
+# loaded after importing the CLI, then the exit code and the scipy and
+# jsonschema modules after each `dbf` command (a JSON list of argument lists),
+# with the dbf modules after each command listed apart.
 STARTUP_PROBE = """
 import json, sys
 from dbf import cli
@@ -953,10 +954,12 @@ from dbf import cli
 def loaded(package):
     return sorted(m for m in sys.modules if m.split(".")[0] == package)
 
-report = {"import": loaded("scipy"), "import_jsonschema": loaded("jsonschema"), "runs": []}
+report = {"import": loaded("scipy"), "import_jsonschema": loaded("jsonschema"), "import_dbf": loaded("dbf"),
+          "runs": [], "runs_dbf": []}
 for argv in json.loads(sys.argv[1]):
     code = cli.main(argv)
     report["runs"].append({"code": code, "scipy": loaded("scipy"), "jsonschema": loaded("jsonschema")})
+    report["runs_dbf"].append(loaded("dbf"))
 print(json.dumps(report))
 """
 
@@ -993,7 +996,8 @@ class TestStartup:
         assert list((tmp_path / "out").glob("*.csv"))
 
     def test_no_command_imports_jsonschema(self, tmp_path):
-        # jsonschema is a test-only oracle: no command may need it at run time.
+        # jsonschema is a test-only oracle: no command may need it at run time.  Nor may any command load
+        # dbf.paper, the paper's identities that only the tests check.
         bad = base_doc()
         bad["domain"]["K"] = "one"
         report = probe_startup([
@@ -1006,3 +1010,5 @@ class TestStartup:
         assert report["import_jsonschema"] == []
         assert [r["code"] for r in report["runs"]] == [cli.EXIT_OK] * 4 + [cli.EXIT_INVALID]
         assert all(r["jsonschema"] == [] for r in report["runs"])
+        assert "dbf.cli" in report["import_dbf"] and "dbf.paper" not in report["import_dbf"]
+        assert all("dbf.dbf_model" in modules and "dbf.paper" not in modules for modules in report["runs_dbf"])

@@ -22,12 +22,11 @@ from dbf.dbf_model import (
     PairSeries,
     assemble_reduced_ivp,
     column_chunks,
-    recover_DB,
     solve_dbf,
     solve_generalized,
-    verify_dbf_equation,
 )
 from dbf.evo_solver import rotation_closed_form
+from dbf.paper import recover_DB, verify_dbf_equation
 from dbf.weighted_time import MaterialSymbol, TimeGrid
 
 MB = 1e6

@@ -12,14 +12,16 @@ from dbf.curl_spectral import (
     FieldPair,
     Mode,
     ModeTable,
-    NotInRange,
-    NyquistViolation,
     SpectralField,
     TruncationTooLarge,
-    bounded_generator_C,
     build_basis,
-    curl_apply,
     generator_coefficients,
+)
+from dbf.paper import (
+    NotInRange,
+    NyquistViolation,
+    bounded_generator_C,
+    curl_apply,
     gram_matrix,
     grid_inner_product,
     projector_P,

@@ -6,7 +6,7 @@ import pytest
 import oracles
 import single_mode
 from dbf import dbf_model
-from dbf.curl_spectral import SpectralField, FieldPair, projector_P, reduced_resolvent
+from dbf.curl_spectral import SpectralField, FieldPair
 from dbf.dbf_model import (
     DBFScenario,
     FieldHistory,
@@ -16,16 +16,21 @@ from dbf.dbf_model import (
     RangeViolation,
     assemble_reduced_ivp,
     check_data_range,
-    diagnose_naive_formulation,
     material_energy_series,
-    naive_symbol_value,
-    recover_DB,
     solve_dbf,
     solve_generalized,
+)
+from dbf.paper import (
+    AbstractIVP,
+    diagnose_naive_formulation,
+    naive_symbol_value,
+    projector_P,
+    recover_DB,
+    reduced_resolvent,
+    solve_modal_exact,
     uniqueness_energy_probe,
     verify_dbf_equation,
 )
-from dbf.evo_solver import AbstractIVP, solve_modal_exact
 from dbf.weighted_time import MaterialSymbol, TimeGrid, WeightedSignal, weighted_norm
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])

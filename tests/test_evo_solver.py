@@ -10,16 +10,18 @@ from dbf import dbf_model, evo_solver
 from dbf.curl_spectral import FieldPair, SpectralField
 from dbf.dbf_model import GeneralizedScenario, solve_generalized
 from dbf.evo_solver import (
-    AbstractIVP,
     NoConvergence,
     NotContractive,
     WrongCase,
+    solve_fixed_point_blocks,
+    solve_propagator_blocks,
+)
+from dbf.paper import (
+    AbstractIVP,
     semigroup_apply,
     solve_fixed_point,
-    solve_fixed_point_blocks,
     solve_integrator,
     solve_modal_exact,
-    solve_propagator_blocks,
     verify_causality,
     verify_initial_value,
     verify_regularity_ode,

@@ -8,18 +8,18 @@ import pytest
 import oracles
 import single_mode
 from dbf import dbf_model
-from dbf.curl_spectral import SpectralField, FieldPair, synthesize_on_grid
+from dbf.curl_spectral import SpectralField, FieldPair
 from dbf.dbf_model import (
     DBFScenario,
     GeneralizedScenario,
     HypothesisViolated,
     NeumannDiverges,
     block_scalar_matrix,
-    cross_coupling_matrix,
     material_energy_series,
     solve_dbf,
     solve_generalized,
 )
+from dbf.paper import cross_coupling_matrix, synthesize_on_grid
 from dbf.weighted_time import MaterialSymbol, TimeGrid, WeightedSignal, weighted_norm
 
 I2 = np.eye(2)

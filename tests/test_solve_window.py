@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from dbf.evo_solver import AbstractIVP, WrongCase, _apply_symbol_time, causal_resolvent, solve_fixed_point, weak_residual
+from dbf.evo_solver import WrongCase, _apply_symbol_time, causal_resolvent
+from dbf.paper import AbstractIVP, solve_fixed_point, weak_residual
 from dbf.weighted_time import MaterialSymbol, TimeGrid, WeightedSignal
 
 

@@ -6,18 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from dbf.paper import NuTooSmall, apply_inverse_derivative, apply_symbol, check_nu_independence, laplace_inverse
 from dbf.weighted_time import (
     MaterialSymbol,
-    NuTooSmall,
     Spectrum,
     TimeGrid,
     UnsupportedOrder,
     WeightedSignal,
-    apply_inverse_derivative,
-    apply_symbol,
-    check_nu_independence,
     laplace_forward,
-    laplace_inverse,
     running_simpson,
     running_trapezoid,
     weighted_norm,
