@@ -16,7 +16,6 @@ verify also exits 1 when a check fails.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import operator
@@ -34,7 +33,6 @@ from .dbf_model import (
     FieldHistory,
     GeneralizedScenario,
     HypothesisViolated,
-    IncompleteSolve,
     NeumannDiverges,
     NonFiniteSolution,
     PairSeries,
@@ -251,7 +249,6 @@ EXIT_TABLE = (
     (NotContractive, EXIT_NO_CONVERGENCE, "solver cannot converge"),
     ((NeumannDiverges, NoConvergence), EXIT_NO_CONVERGENCE, "solver did not converge"),
     (NonFiniteSolution, EXIT_NO_CONVERGENCE, "solution is not finite"),
-    (IncompleteSolve, EXIT_NO_CONVERGENCE, "solve is incomplete"),
     (FileNotFoundError, EXIT_INVALID, "cannot read scenario"),
     (OSError, EXIT_INVALID, "cannot read or write file"),
     (ValueError, EXIT_INVALID, "invalid scenario"),
@@ -539,9 +536,10 @@ def cmd_verify(scenario_path: str) -> int:
 
     A scenario that cannot be loaded, or whose solve or doubled-data
     linearity solve fails, exits with its EXIT_TABLE code; a failed check
-    exits 1.  Both solves are folded into the checks piece by piece, in
-    lockstep, as field_pieces yields them (see fold_pieces): no field is
-    stored, and the solve's own error is raised before the doubled-data one.
+    exits 1.  One call of field_pieces solves the data and, as more columns
+    of the same block calls, the doubled data; each piece is folded into
+    the checks as it comes (see fold_pieces), so no field is stored, and
+    the solve's own error is raised before the doubled data's.
     """
     try:
         doc = load_scenario_doc(scenario_path)
@@ -556,13 +554,10 @@ def cmd_verify(scenario_path: str) -> int:
     solve = {"fp_tol": tols["fp_tol"], "max_iter": int(tols["max_iter"])}
     try:
         tally = {}
-        pieces = field_pieces(scenario, method, tally=tally, **solve)
         # The doubled-data solve feeds only the linearity check.
-        doubled = None if zero_data else field_pieces(_scale_scenario(scenario, 2.0), method, **solve)
-        fold = fold_pieces(scenario, pieces, doubled, energy=energy)
+        pieces = field_pieces(scenario, method, tally=tally, doubled=not zero_data, **solve)
+        fold = fold_pieces(scenario, pieces, energy=energy)
         d = solution_diagnostics(scenario, method, fold, **tally)
-        if fold.doubled_failure is not None:
-            raise fold.doubled_failure
         if not zero_data and not np.all(np.isfinite([*fold.maxima[:2], fold.gap])):
             raise NonFiniteSolution("non-finite values in the doubled-data solve")  # the solve above is finite
     except FAILURES as exc:
@@ -604,15 +599,6 @@ def cmd_verify(scenario_path: str) -> int:
         return EXIT_INVALID
     print("all checks passed")
     return EXIT_OK
-
-
-def _scale_scenario(scenario, factor: float):
-    """Same scenario with data multiplied by factor."""
-    W0 = scenario.W0.with_coeffs(factor * scenario.W0.e_part.coeffs, factor * scenario.W0.h_part.coeffs)
-    src = scenario.source_J
-    if src is not None:
-        src = dataclasses.replace(src, samples=factor * src.samples)
-    return dataclasses.replace(scenario, W0=W0, source_J=src)
 
 
 def cmd_sweep(scenario_path: str, param: str, values: list, out_dir: str) -> int:

@@ -35,7 +35,6 @@ raised otherwise.
 
 from __future__ import annotations
 
-import collections
 import warnings
 from dataclasses import dataclass, field
 
@@ -380,7 +379,8 @@ def _as_slice(cols: np.ndarray):
 
 
 def _block_pieces(method: str, grid: TimeGrid, nu: float, M0: np.ndarray, groups: list, w0: np.ndarray,
-                  source: tuple, closed: np.ndarray | None, fp_tol: float, max_iter: int, tally: dict):
+                  source: tuple, closed: np.ndarray | None, fp_tol: float, max_iter: int, tally: dict,
+                  doubled: bool = False):
     """Solve the blocks with data, jumps w0 (n_blocks, d) and sources (idx, samples (n, len(idx), d)), piece by piece.
 
     Each group (blocks, M1, lift) shares M0, M1 and A = 0; lift holds the
@@ -394,9 +394,12 @@ def _block_pieces(method: str, grid: TimeGrid, nu: float, M0: np.ndarray, groups
     each call as it returns, the groups in block order and then the
     closed-form chunks, whose arrays are scratch that the next chunk
     overwrites; the flux the propagator does not read off its state is the
-    lift applied with the trapezoid running integral, per group.  Once
-    every group is tried, the first failing block's error is raised.  tally
-    receives the Picard "iterations" and "contraction" estimate.
+    lift applied with the trapezoid running integral, per group.  With
+    doubled, each call also takes the doubled data as more columns, after
+    the data's, so fields is (d, n, 2 len(blocks)): a kernel solves each
+    column as if alone.  Once every group is tried, the first failing
+    block's error is raised, the data's before the doubled data's.  tally
+    receives the data's Picard "iterations" and "contraction" estimate.
     """
     (n_blocks, d), n = w0.shape, grid.n_samples
     A, row, c = np.zeros((d, d)), np.full(n_blocks, -1), np.zeros(n_blocks)
@@ -406,7 +409,12 @@ def _block_pieces(method: str, grid: TimeGrid, nu: float, M0: np.ndarray, groups
     closed = data & (False if closed is None else closed)
     lifts, lift_of = [], np.full(n_blocks, -1)  # each block's flux symbol in lifts
     tally.update(iterations=0, contraction=0.0)
-    failure = None
+    n_copies = 2 if doubled else 1
+
+    def copies(a, axis=0):  # a, and beside it the doubled data when asked for
+        return np.concatenate([a, 2.0 * a], axis=axis) if doubled else a
+
+    failure = None  # (copy, block, error) of the first failure
     for blocks, M1, lift in sorted(groups, key=lambda group: group[0][0]):  # block order: a failure ends early
         propagated = method == "integrator"
         try:
@@ -418,41 +426,44 @@ def _block_pieces(method: str, grid: TimeGrid, nu: float, M0: np.ndarray, groups
             lift_of[blocks] = len(lifts)
             lifts.append(MaterialSymbol(d, lift))
         cols = blocks[data[blocks] & ~closed[blocks]]
-        if not cols.size or (failure is not None and cols[0] > failure[0]):
+        if not cols.size or (failure is not None and (0, cols[0]) > failure[:2]):
             continue
         k = row[cols]
         f = np.zeros((n, len(cols), d), dtype=np.complex128)
         f[:, k >= 0] = source[1][:, k[k >= 0]]
+        f, w = copies(f, 1), copies(w0[cols])
         try:
             if method == "exact":
                 raise WrongCase("method 'exact' needs rotation blocks, and this law has a block that is not a "
                                 "rotation; use method 'auto' or 'integrator'")
             flux = None
             if propagated:
-                sol, flux = solve_propagator_blocks(M0, M1, f, w0[cols], grid, lift)
+                sol, flux = solve_propagator_blocks(M0, M1, f, w, grid, lift)
             else:
-                sol, iters, cest, _ = solve_fixed_point_blocks(M0, M1, A, f, w0[cols], grid, nu, max_iter, fp_tol)
-                tally["iterations"] = max(tally["iterations"], int(iters.max()))
+                sol, iters, cest, _ = solve_fixed_point_blocks(M0, M1, A, f, w, grid, nu, max_iter, fp_tol)
+                tally["iterations"] = max(tally["iterations"], int(iters[:len(cols)].max()))
                 tally["contraction"] = max(tally["contraction"], cest)
                 if lift is not None:
-                    flux = _apply_symbol_time(lifts[-1], sol, grid)
+                    flux = _apply_symbol_time(lifts[-1], sol[:, :len(cols)], grid)
         except (WrongCase, NotContractive, NoConvergence) as exc:
-            if failure is None or cols[getattr(exc, "block", 0)] < failure[0]:
-                failure = (cols[getattr(exc, "block", 0)], exc)
+            copy, at = divmod(getattr(exc, "block", 0), len(cols))
+            if failure is None or (copy, cols[at]) < failure[:2]:
+                failure = (copy, cols[at], exc)
             continue
-        yield cols, sol.transpose(2, 0, 1), None if flux is None else flux.transpose(2, 0, 1)
+        yield cols, sol.transpose(2, 0, 1), None if flux is None else flux[:, :len(cols)].transpose(2, 0, 1)
     if failure is not None:
-        raise failure[1]
+        raise failure[2]
     closed_cols = np.nonzero(closed)[0]
     chunks = column_chunks(n, closed_cols.size)  # every closed-form operation is per column
     # One output for every chunk: a fresh ~1 MB array per chunk faults its pages in again.
-    scratch = np.zeros((2 if lifts else 1, 2, n, max((cols.stop - cols.start for cols in chunks), default=0)),
-                       dtype=np.complex128)
+    widest = max((cols.stop - cols.start for cols in chunks), default=0)
+    scratch = np.zeros((2 if lifts else 1, 2, n, n_copies * widest), dtype=np.complex128)
     for chunk in chunks:
         cols = closed_cols[chunk]
         k = row[cols]
-        fields = rotation_closed_form(M0[0, 0].real, M0[1, 1].real, c[cols], w0[cols], grid,
-                                      (np.nonzero(k >= 0)[0], source[1][:, k[k >= 0]]), scratch[0, ..., :len(cols)])
+        fields = rotation_closed_form(M0[0, 0].real, M0[1, 1].real, np.tile(c[cols], n_copies), copies(w0[cols]), grid,
+                                      (np.nonzero(np.tile(k, n_copies) >= 0)[0], copies(source[1][:, k[k >= 0]], 1)),
+                                      scratch[0, ..., :n_copies * len(cols)])
         flux = None
         if lifts:
             flux = scratch[1, ..., :len(cols)]
@@ -526,14 +537,15 @@ def _dbf_blocks(s: DBFScenario, method: str) -> tuple:
 
 
 def field_pieces(s, method: str, *, fp_tol: float = DEFAULT_FP_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                 tally: dict | None = None):
+                 tally: dict | None = None, doubled: bool = False):
     """Solve a scenario of either model and yield it piece by piece: (table positions, E, H, D, B), each (n, k),
     for each piece of _block_pieces and each mode of its blocks, the k positions a slice where they are
-    consecutive.  This is the one mapping from blocks to table positions: run stores the pieces (_stored_solve) and
-    verify folds them.  The classical D and B are ScaledSeries of the piece's E and H by flux_factors, formed only
-    where they are read.  A piece's arrays may be overwritten once the next is asked for, and the positions no piece
-    names hold zero fields, so no whole field or flux pair is ever formed.  tally, when given, receives the keyword
-    arguments of solution_diagnostics that the setup and the solve provide."""
+    consecutive; with doubled, also E2 and H2, the solve of the doubled data, from the same calls.  This is the one
+    mapping from blocks to table positions: run stores the pieces (_stored_solve) and verify folds them.  The
+    classical D and B are ScaledSeries of the piece's E and H by flux_factors, formed only where they are read.  A
+    piece's arrays may be overwritten once the next is asked for, and the positions no piece names hold zero fields,
+    so no whole field or flux pair is ever formed.  tally, when given, receives the keyword arguments of
+    solution_diagnostics that the setup and the solve provide."""
     tally = {} if tally is None else tally
     if isinstance(s, DBFScenario):
         problem, modes_of, reduced = _dbf_blocks(s, method)
@@ -541,22 +553,20 @@ def field_pieces(s, method: str, *, fp_tol: float = DEFAULT_FP_TOL, max_iter: in
     else:
         problem, modes_of, margin, q0_sup = _generalized_blocks(s, method)
         tally.update(hypothesis_margin=margin, q0_sup=q0_sup)
-    for blocks, fields, flux in _block_pieces(*problem, fp_tol, max_iter, tally):
+    for blocks, fields, flux in _block_pieces(*problem, fp_tol, max_iter, tally, doubled):
+        k = len(blocks)
         for j in range(modes_of.shape[1]):
-            cols, E, H = _as_slice(modes_of[blocks, j]), fields[2 * j], fields[2 * j + 1]
-            yield cols, E, H, *(flux[2 * j:2 * j + 2] if flux is not None else
-                                (ScaledSeries(c, a) for c, a in zip(flux_factors(s, cols), (E, H))))
-
-
-class IncompleteSolve(RuntimeError):
-    """The doubled-data solve yields no fields at the table positions of a piece of the solve."""
+            cols, E, H = _as_slice(modes_of[blocks, j]), fields[2 * j, :, :k], fields[2 * j + 1, :, :k]
+            D, B = flux[2 * j:2 * j + 2] if flux is not None else (
+                ScaledSeries(c, a) for c, a in zip(flux_factors(s, cols), (E, H)))
+            yield cols, E, H, D, B, *(fields[2 * j:2 * j + 2, :, k:] if doubled else ())
 
 
 class PieceFold:
     """The field checks of one solve, folded over its pieces as they come, so no (n, m) field is held.
 
     A piece is (table positions, E, H, D, B), each (n, k), and optionally the
-    E and H of the doubled-data solve at the same positions.  Per mode the
+    E2 and H2 of the doubled-data solve at the same positions.  Per mode the
     fold keeps the initial-value term and the weak residual; over all modes,
     the largest value before t = 0 (causality_sup), the largest |E|, |H|,
     |D|, |B| (maxima), the doubling gap max(|E2 - 2 E|, |H2 - 2 H|) and,
@@ -588,7 +598,7 @@ class PieceFold:
         self.weight, self.wt = 1.0 / (1.0 + lam**2), np.exp(-2.0 * s.nu * self.times)[:, None]
         self.named = np.zeros(lam.size, dtype=bool)
         self.iv, self.resid = np.zeros((2, lam.size))
-        self.maxima, self.causality_sup, self.gap, self.doubled_failure = np.zeros(4), 0.0, 0.0, None
+        self.maxima, self.causality_sup, self.gap = np.zeros(4), 0.0, 0.0
         self.energy = np.zeros((2, n - z)) if energy else None
         # column[i]: table position i's column of the source, or -1; steps are found once, per column.
         self.column = np.full(lam.size, -1)
@@ -601,8 +611,8 @@ class PieceFold:
         width = min(max(2, COLUMN_CHUNK_BYTES // (16 * n)) + 1, lam.size)  # column_chunks' widest chunk
         self._c, self._f = np.empty((2, n, width), dtype=np.complex128), np.empty((2, n, width))
 
-    def add(self, cols, E, H, D, B, doubled: tuple = ()) -> None:
-        """Fold one piece; doubled holds the doubled-data E and H at the same positions, or nothing."""
+    def add(self, cols, E, H, D, B, *doubled) -> None:
+        """Fold one piece; doubled holds the doubled-data E2 and H2 at the same positions, or nothing."""
         at = np.arange(self.lam.size)[cols]
         self.named[at] = True
         for chunk in column_chunks(len(E), at.size):
@@ -660,43 +670,13 @@ class PieceFold:
         return self
 
 
-def fold_pieces(s, pieces, doubled=None, *, energy: bool = False, grid: TimeGrid | None = None,
+def fold_pieces(s, pieces, *, energy: bool = False, grid: TimeGrid | None = None,
                 lam: np.ndarray | None = None) -> PieceFold:
-    """Fold the pieces of a solve of scenario s, and those of its doubled-data solve in lockstep, into a closed
-    PieceFold; grid and lam default to the scenario's grid and eigenvalues.
-
-    A pair is matched by its table positions, never by its place in the
-    streams.  A solve yields no piece for a group that fails, so where the
-    positions differ, or one stream ends first, the doubled-data solve is
-    run out to raise its own error, and IncompleteSolve is taken if it
-    raises none.  That error, or any other of the doubled-data solve, is
-    kept as doubled_failure while the solve itself is folded to its end, so
-    the solve's own error comes first.
-    """
+    """Fold the pieces of a solve of s into a closed PieceFold; grid and lam default to s's grid and eigenvalues."""
     fold = PieceFold(s, s.grid if grid is None else grid, s.table.eigenvalues if lam is None else lam, energy)
-    for cols, *fields in pieces:
-        fold.add(cols, *fields, _twin(fold, cols, doubled))
-    _twin(fold, None, doubled)  # the doubled-data stream ends with the solve's
+    for piece in pieces:
+        fold.add(*piece)
     return fold.close()
-
-
-def _twin(fold: PieceFold, cols, doubled) -> tuple:
-    """The E and H of the doubled-data piece at the table positions cols, or () when there is no doubled-data
-    stream or it has failed: the failure, at its first piece that differs, is kept in fold.  cols None asks for
-    the end of the stream."""
-    if doubled is None or fold.doubled_failure is not None:
-        return ()
-    positions = np.arange(fold.lam.size)
-    try:
-        twin = next(doubled, None)
-        if (twin is None) != (cols is None) or cols is not None and not np.array_equal(positions[cols],
-                                                                                       positions[twin[0]]):
-            collections.deque(doubled, maxlen=0)
-            raise IncompleteSolve("the doubled-data solve yields pieces at other table positions than the solve")
-        return () if twin is None else twin[1:3]
-    except Exception as exc:  # raised once the solve has been folded
-        fold.doubled_failure = exc
-        return ()
 
 
 def _stored_solve(s, method: str, fp_tol: float, max_iter: int) -> FieldHistory:

@@ -10,6 +10,10 @@ minus mode of k, give the same E and D and negated H and B.
 Time shift.  A causal, autonomous law commutes with delay: with zero W0, a
 delayed_step at m dt gives the step solution shifted by m rows, with zeros
 before the onset.
+
+Relabeling.  Without k_cross the law acts on each mode through its
+eigenvalue alone, so W0 permuted among the modes of each eigenvalue gives
+E, H, D and B with their columns permuted the same way.
 """
 
 import csv
@@ -17,8 +21,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbf import cli
+from dbf.curl_spectral import build_basis
 
 DT = 1 / 128  # grid times and the delay are exact binary fractions
 FIELDS = ("_e_", "_h_", "_d_", "_b_")
@@ -111,3 +118,60 @@ def test_time_shift(tmp_path, material, method, bound, tolerances):
     assert not np.any(delayed[:onset])
     gap = np.max(np.abs(delayed[onset:] - step[ZERO_ROW:len(step) - ONSET]))
     assert gap <= bound * np.max(np.abs(step)), gap / np.max(np.abs(step))
+
+
+ETA_SWEEP = {"model": "dbf", "epsilon": 1.0, "mu": 1.0, "eta": 0.5}
+MEMORY_K2 = dict(MEMORY, kappa0=[[2.5, 0.0], [0.0, 2.5]])  # kappa0 + lambda stays invertible for |lambda| <= 2
+ROTATION = {key: value for key, value in MEMORY_K2.items() if key != "kappa1"}
+
+
+@st.composite
+def relabelings(draw, sizes: tuple) -> tuple:
+    """A truncation K, a W0 of up to five entries (table position, (e, h) values), and a permutation of the table
+    positions that keeps every eigenvalue."""
+    K = draw(st.sampled_from(sizes))
+    table = build_basis(K)
+    n_modes, lam = table.n_modes, table.eigenvalues
+    positions = draw(st.lists(st.integers(0, n_modes - 1), min_size=1, max_size=5, unique=True))
+    part = st.floats(-1.0, 1.0, allow_subnormal=False)
+    values = draw(st.lists(st.tuples(st.floats(0.25, 1.0), part, part, part), min_size=len(positions),
+                           max_size=len(positions)))
+    permutation = np.arange(n_modes)
+    for value in sorted(set(lam.tolist())):
+        group = np.flatnonzero(lam == value)
+        permutation[group] = draw(st.permutations(group.tolist()))
+    return K, table, list(zip(positions, values)), permutation
+
+
+@pytest.mark.parametrize("material, method, sizes", [
+    pytest.param(CLASSICAL, "exact", (1, 2), id="classical-exact"),
+    pytest.param(CLASSICAL, "integrator", (1, 2), id="classical-integrator"),
+    pytest.param(ETA_SWEEP, "fixed_point", (1,), id="eta_sweep-fixed_point"),  # Picard contracts at K = 1
+    pytest.param(MEMORY_K2, "auto", (1, 2), id="memory-auto"),
+    pytest.param(MEMORY_K2, "integrator", (1, 2), id="memory-integrator"),
+    pytest.param(ROTATION, "exact", (1, 2), id="rotation-exact"),
+])
+@settings(max_examples=8)
+@given(data=st.data())
+def test_relabeling(tmp_path_factory, material, method, sizes, data):
+    K, table, w0, permutation = data.draw(relabelings(sizes))
+
+    def doc(relabel) -> dict:
+        modes = [(table.modes[relabel[i]], value) for i, value in w0]
+        entries = [[list(mode.k), mode.helicity, [e, e_im], [h, h_im]]
+                   + ([mode.component_index] if mode.component_index is not None else [])
+                   for mode, (e, e_im, h, h_im) in modes]
+        return {"domain": {"K": K}, "material": material,
+                "time": {"t_start": -8 * DT, "dt": DT, "n": 120, "pad_fraction": 0.25, "nu": 3.0},
+                "data": {"W0": entries}, "method": method}
+
+    tmp = tmp_path_factory.mktemp("relabeling")
+    plain = run_csv(tmp, "plain", doc(np.arange(table.n_modes)))
+    relabeled = run_csv(tmp, "relabeled", doc(permutation))
+    label = {cli._mode_label(mode): cli._mode_label(table.modes[j]) for mode, j in zip(table.modes, permutation)}
+    renamed = {"_".join([label[name.rsplit("_", 2)[0]], *name.rsplit("_", 2)[1:]]): values
+               for name, values in plain.items()}
+    assert sorted(renamed) == sorted(relabeled)
+    assert any(np.any(values != 0) for values in plain.values())
+    for name, values in renamed.items():
+        assert np.array_equal(values, relabeled[name]), name

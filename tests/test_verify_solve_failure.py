@@ -14,21 +14,40 @@ from dbf import cli, dbf_model, paper
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_failed_linearity_solve_exits_four(tmp_path, capsys):
-    # At max_iter 14 the plain solve converges, but doubling the data doubles the
-    # last Picard update (1.51e-10) past fp_tol, so the linearity re-solve fails.
+def eta_sweep_fixed_point(tmp_path, max_iter: int) -> str:
     with open(os.path.join(ROOT, "scenarios", "eta_sweep.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
     doc["method"] = "fixed_point"
-    doc["tolerances"] = {"max_iter": 14}
+    doc["tolerances"] = {"max_iter": max_iter}
     path = tmp_path / "eta_sweep_fp.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_failed_linearity_solve_exits_four(tmp_path, capsys):
+    # At max_iter 14 the plain solve converges, but doubling the data doubles the
+    # last Picard update (1.51e-10) past fp_tol, so the linearity re-solve fails.
+    path = eta_sweep_fixed_point(tmp_path, 14)
 
     assert cli.cmd_run(str(path), str(tmp_path / "out")) == cli.EXIT_OK
     capsys.readouterr()
     assert cli.cmd_verify(str(path)) == cli.EXIT_NO_CONVERGENCE
     captured = capsys.readouterr()
     assert "FAIL: solve: solver did not converge" in captured.err
+    assert captured.out == ""
+
+
+def test_solve_error_comes_before_the_doubled_data_error(tmp_path, capsys):
+    # At max_iter 3 the data and the doubled data both fail, in one Picard call: verify reports the
+    # data's error, the line run prints for the same file.
+    path = eta_sweep_fixed_point(tmp_path, 3)
+    assert cli.cmd_run(path, str(tmp_path / "out")) == cli.EXIT_NO_CONVERGENCE
+    ran = capsys.readouterr().err
+    assert "last update 0.00167" in ran
+    assert cli.cmd_verify(path) == cli.EXIT_NO_CONVERGENCE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("FAIL: solve: ")
+    assert captured.err[len("FAIL: solve: "):] == ran
     assert captured.out == ""
 
 
@@ -54,14 +73,11 @@ def test_verify_computes_one_weak_residual(monkeypatch, capsys, name):
 
 
 def _patched_doubled_solve(monkeypatch, edit) -> None:
-    """Apply edit to the E of every piece of the doubled-data solve: the second stream that cmd_verify asks
-    cli.field_pieces for."""
-    original, calls = cli.field_pieces, []
+    """Apply edit to the doubled-data E2 and H2 of every piece that cmd_verify asks cli.field_pieces for."""
+    original = cli.field_pieces
 
     def pieces(*args, **kwargs):
-        calls.append(None)
-        stream = original(*args, **kwargs)
-        return stream if len(calls) == 1 else ((modes, edit(np.array(E)), *rest) for modes, E, *rest in stream)
+        return ((*piece[:5], *(edit(np.array(a)) for a in piece[5:])) for piece in original(*args, **kwargs))
 
     monkeypatch.setattr(cli, "field_pieces", pieces)
 
