@@ -16,12 +16,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from dbf.cli import build_scenario, load_scenario_doc, write_run_output
-from dbf.dbf_model import (
-    DBFScenario,
-    material_energy_series,
-    solve_dbf,
-    solve_generalized,
-)
+from dbf.dbf_model import DBFScenario, solve_dbf, solve_generalized
 from dbf.paper import verify_dbf_equation
 
 
@@ -48,7 +43,7 @@ def main() -> int:
     recomputed = verify_dbf_equation(history, scenario)
     print(f"residual recomputed: {recomputed:.3e}")
 
-    energy = material_energy_series(history, scenario)
+    energy = history.energy
     causal = history.grid.times >= 0.0
     print(f"energy at 0+:        {energy[causal][0]:.6f}")
     print(f"energy at end:       {energy[-1]:.6f}")
@@ -58,7 +53,7 @@ def main() -> int:
         print(f"kernel modes excluded: {len(kernel)}")
 
     stem = os.path.splitext(os.path.basename(args.scenario))[0]
-    csv_path, json_path = write_run_output(history, scenario, doc, args.out_dir, stem)
+    csv_path, json_path = write_run_output(history, doc, args.out_dir, stem)
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")
     return 0

@@ -28,7 +28,6 @@ from .dbf_model import (
     assemble_reduced_ivp,
     block_scalar_matrix,
     check_data_range,
-    material_energy_series,
     solve_dbf,
     solve_generalized,
 )

@@ -37,10 +37,8 @@ from .dbf_model import (
     NonFiniteSolution,
     PairSeries,
     RangeViolation,
-    column_chunks,
     field_pieces,
     fold_pieces,
-    material_energy_series,
     solution_diagnostics,
     solve_dbf,
     solve_generalized,
@@ -421,33 +419,19 @@ def _mode_label(mode: Mode) -> str:
     return label
 
 
-def _tracked_indices(history: FieldHistory, scenario) -> list:
-    """Table positions with any nonzero data or field, in table order."""
-    active = np.zeros(history.table.n_modes, dtype=bool)
-    for cols in column_chunks(*history.E.shape):
-        for arr in (history.E, history.H, history.D, history.B):
-            active[cols] |= np.any(arr[:, cols] != 0, axis=0)
-    active |= scenario.W0.e_part.coeffs != 0
-    active |= scenario.W0.h_part.coeffs != 0
-    if scenario.source_J is not None:
-        active[scenario.source_J.modes] = True
-    return [int(i) for i in np.nonzero(active)[0]]
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_run_output(history: FieldHistory, scenario, doc: dict, out_dir: str, stem: str) -> tuple[str, str]:
-    """Write the CSV series and JSON diagnostics; returns their paths."""
+def write_run_output(history: FieldHistory, doc: dict, out_dir: str, stem: str) -> tuple[str, str]:
+    """Write the CSV series and JSON diagnostics of a solve's tracked modes and energy; returns their paths."""
     # Imported on the first write, after the solve, which its tables then leave alone; verify and
     # basis never load it.
     from .csv_cells import CELL_BYTES, CellText
 
     os.makedirs(out_dir, exist_ok=True)
-    tracked = _tracked_indices(history, scenario)
+    tracked, energy = history.tracked, history.energy
     labels = [_mode_label(history.table.modes[i]) for i in tracked]
-    energy = material_energy_series(history, scenario)
     csv_path = os.path.join(out_dir, f"{stem}.csv")
     columns = ["t"]
     for label in labels:
@@ -459,7 +443,6 @@ def write_run_output(history: FieldHistory, scenario, doc: dict, out_dir: str, s
     block_rows = max(1, min(n_rows, COLUMN_CHUNK_BYTES // (CELL_BYTES * n_cols)))
     text = CellText(block_rows, n_cols)
     block = np.empty((block_rows, n_cols))
-    tracked_cols = np.array(tracked, dtype=np.intp)
     with open(csv_path, "wb") as fh:
         fh.write((",".join(columns) + "\n").encode())
         for start in range(0, n_rows, block_rows):
@@ -469,7 +452,7 @@ def write_run_output(history: FieldHistory, scenario, doc: dict, out_dir: str, s
             # A view into part: (re, im) of e, h, d, b for each tracked mode.
             cells = part[:, 1:-1].reshape(len(part), len(tracked), 4, 2)
             for k, arr in enumerate((history.E, history.H, history.D, history.B)):
-                sub = arr[rows, tracked_cols]
+                sub = arr[rows, tracked]
                 cells[:, :, k, 0], cells[:, :, k, 1] = sub.real, sub.imag
             fh.write(text(part))
     json_path = os.path.join(out_dir, f"{stem}.json")
@@ -509,7 +492,7 @@ def cmd_run(scenario_path: str, out_dir: str, echo_config: bool = False) -> int:
             print(json.dumps(doc, sort_keys=True, indent=2))
         history = _solve(scenario, doc)
         stem = os.path.splitext(os.path.basename(scenario_path))[0]
-        csv_path, json_path = write_run_output(history, scenario, doc, out_dir, stem)
+        csv_path, json_path = write_run_output(history, doc, out_dir, stem)
     except FAILURES as exc:
         return _fail(exc)
     print(f"wrote {csv_path} and {json_path}")
@@ -546,11 +529,13 @@ def cmd_verify(scenario_path: str) -> int:
         scenario = build_scenario(doc)
     except FAILURES as exc:
         return _fail(exc)
-    zero_data = (scenario.W0.norm() == 0.0) and (
-        scenario.source_J is None or scenario.source_J.max_abs() == 0.0)
+    # Tested value by value: a sum of squares of W0 underflows to 0 on tiny data and overflows on huge data.
+    W0, source = scenario.W0, scenario.source_J
+    loaded = np.any(W0.e_part.coeffs != 0) or np.any(W0.h_part.coeffs != 0)
+    zero_data = not loaded and (source is None or source.modes.size == 0)
     tols, method = doc["tolerances"], doc["method"]
     is_dbf = isinstance(scenario, DBFScenario)
-    energy = is_dbf and scenario.source_J is None and method == "exact" and not zero_data
+    energy = is_dbf and source is None and method == "exact" and not zero_data
     solve = {"fp_tol": tols["fp_tol"], "max_iter": int(tols["max_iter"])}
     try:
         tally = {}
@@ -584,7 +569,7 @@ def cmd_verify(scenario_path: str) -> int:
             tols["linearity_tol"], 100.0 * tols["fp_tol"] / scale)
         checks.append(("linearity", lin, lin_tol))
     if energy:
-        en = scenario.epsilon * fold.energy[0] + scenario.mu * fold.energy[1]
+        en = fold.energy[scenario.grid.zero_index:]
         drift = float(np.max(np.abs(en - en[0]))) / max(float(en[0]), 1e-300)
         checks.append(("energy_conservation", drift, max(tols["energy_tol"], 1e-12)))
 
@@ -646,7 +631,7 @@ def cmd_sweep(scenario_path: str, param: str, values: list, out_dir: str) -> int
         try:
             scenario = build_scenario(doc)
             history = _solve(scenario, doc)
-            write_run_output(history, scenario, doc, sub, stem)
+            write_run_output(history, doc, sub, stem)
             d = history.diagnostics
             row["weak_residual"] = _fmt(d["weak_residual"])
             row["initial_value_error"] = _fmt(d["initial_value_error"])

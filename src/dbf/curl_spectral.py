@@ -266,9 +266,6 @@ class FieldPair:
     def with_coeffs(self, e: np.ndarray, h: np.ndarray) -> "FieldPair":
         return FieldPair(self.e_part.with_coeffs(e), self.h_part.with_coeffs(h))
 
-    def norm(self) -> float:
-        return float(np.sqrt(self.e_part.norm() ** 2 + self.h_part.norm() ** 2))
-
 
 def generator_coefficients(eta: float, table: ModeTable) -> np.ndarray:
     """Per-mode scalars c = lambda/(1 + eta lambda); zero on kernel modes."""

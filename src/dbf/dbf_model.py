@@ -263,7 +263,8 @@ class FieldHistory:
 
     Arrays are (n_samples, n_modes); the t = 0 row stores right limits and
     rows before 0 are exactly zero for causal data.  D and B may be
-    ScaledSeries of E and H (the classical law), read like the arrays.
+    ScaledSeries of E and H (the classical law), read like the arrays.  A
+    solve sets energy and tracked to those of its PieceFold.
     """
 
     table: ModeTable
@@ -274,6 +275,8 @@ class FieldHistory:
     D: np.ndarray
     B: np.ndarray
     diagnostics: dict = field(default_factory=dict)
+    energy: np.ndarray | None = None
+    tracked: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         shape = (self.grid.n_samples, self.table.n_modes)
@@ -567,12 +570,17 @@ class PieceFold:
 
     A piece is (table positions, E, H, D, B), each (n, k), and optionally the
     E2 and H2 of the doubled-data solve at the same positions.  Per mode the
-    fold keeps the initial-value term and the weak residual; over all modes,
-    the largest value before t = 0 (causality_sup), the largest |E|, |H|,
-    |D|, |B| (maxima), the doubling gap max(|E2 - 2 E|, |H2 - 2 H|) and,
-    with energy, the row sums of |E|^2 and |H|^2 from t = 0 on.  close()
-    folds the positions no piece named as zero fields and then sums each
-    per-mode array once, over all modes, as one whole-array pass does.
+    fold keeps the initial-value term, the weak residual and whether an E,
+    H, D or B value is nonzero (or NaN); over all modes, the largest value
+    before t = 0 (causality_sup), the largest |E|, |H|, |D|, |B| (maxima),
+    the doubling gap max(|E2 - 2 E|, |H2 - 2 H|) and, with energy, the row
+    sums from t = 0 on of |E|^2, |H|^2 and, under the generalized law,
+    conj(E) H, each over a piece's whole width.  close() folds the positions
+    no piece named as zero fields and then sums each per-mode array once,
+    over all modes, as one whole-array pass does.  It forms tracked, the
+    positions with a nonzero field value or with data, and energy, the
+    material energy per sample (eps |E|^2 + mu |H|^2, or the quadratic form
+    of the generalized law's Mstar0), +0.0 before t = 0.
 
     Initial value: the flux-pair right limit, the t = 0 row, against W0 in
     the proxy norm with per-mode weight (1 + lambda^2)^(-1/2).  Weak
@@ -596,10 +604,14 @@ class PieceFold:
         self.grid, self.lam, self.e0, self.h0 = grid, lam, s.W0.e_part.coeffs, s.W0.h_part.coeffs
         self.times = grid.times[z:]
         self.weight, self.wt = 1.0 / (1.0 + lam**2), np.exp(-2.0 * s.nu * self.times)[:, None]
-        self.named = np.zeros(lam.size, dtype=bool)
+        self.named, self.nonzero = np.zeros((2, lam.size), dtype=bool)
         self.iv, self.resid = np.zeros((2, lam.size))
         self.maxima, self.causality_sup, self.gap = np.zeros(4), 0.0, 0.0
-        self.energy = np.zeros((2, n - z)) if energy else None
+        self.energy, self.sums = None, None
+        if energy:  # the weights of the row sums of |E|^2, |H|^2 and, under the generalized law, conj(E) H
+            M = None if isinstance(s, DBFScenario) else s.Mstar0
+            self.law = (s.epsilon, s.mu) if M is None else (M[0, 0].real, M[1, 1].real, M[0, 1])
+            self.sums = [np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.complex128)][:len(self.law)]
         # column[i]: table position i's column of the source, or -1; steps are found once, per column.
         self.column = np.full(lam.size, -1)
         if s.source_J is None:
@@ -615,6 +627,13 @@ class PieceFold:
         """Fold one piece; doubled holds the doubled-data E2 and H2 at the same positions, or nothing."""
         at = np.arange(self.lam.size)[cols]
         self.named[at] = True
+        if self.sums is not None:  # each row summed over the piece's whole width, as over a stored table
+            step = max(1, COLUMN_CHUNK_BYTES // (16 * max(at.size, 1)))
+            for rows in (slice(i, i + step) for i in range(self.grid.zero_index, len(E), step)):
+                self.sums[0][rows] += np.sum(np.abs(E[rows]) ** 2, axis=1)
+                self.sums[1][rows] += np.sum(np.abs(H[rows]) ** 2, axis=1)
+                if len(self.sums) > 2:
+                    self.sums[2][rows] += np.sum(np.conj(E[rows]) * H[rows], axis=1)
         for chunk in column_chunks(len(E), at.size):
             self._fold(at[chunk], *(_columns(a, chunk) for a in (E, H, D, B, *doubled)))
 
@@ -624,9 +643,9 @@ class PieceFold:
         for i, a in enumerate((E, H, D, B)):
             np.abs(a, out=mag)  # np.max and np.maximum keep a NaN
             self.causality_sup = np.maximum(self.causality_sup, np.max(mag[:z], initial=0.0))
-            self.maxima[i] = np.maximum(self.maxima[i], np.max(mag))
-            if self.energy is not None and i < 2:
-                self.energy[i] += np.sum(np.square(mag[z:], out=mag[z:]), axis=1)
+            top = np.max(mag, axis=0)
+            self.nonzero[p] |= top != 0
+            self.maxima[i] = np.maximum(self.maxima[i], np.max(top))
         twice = self._c[0, :, :k]
         for a, b in zip(doubled, (E, H)):
             np.subtract(a, np.multiply(b, 2.0, out=twice), out=twice)
@@ -667,6 +686,12 @@ class PieceFold:
         self.initial_value_error = float(np.sqrt(np.sum(self.iv)))
         self.weak_residual = float(np.sum(self.resid / np.sqrt(1.0 + self.lam**2)))
         self.causality_sup, self.gap = float(self.causality_sup), float(self.gap)
+        self.tracked = np.nonzero(self.nonzero | (self.e0 != 0) | (self.h0 != 0) | (self.column >= 0))[0]
+        if self.sums is not None:
+            (a, b, *c), (ee, hh, *cross) = self.law, self.sums
+            self.energy = a * ee + b * hh  # +0.0 before t = 0, where no row is summed
+            if c:
+                self.energy += 2.0 * np.real(c[0] * cross[0])
         return self
 
 
@@ -681,7 +706,7 @@ def fold_pieces(s, pieces, *, energy: bool = False, grid: TimeGrid | None = None
 
 def _stored_solve(s, method: str, fp_tol: float, max_iter: int) -> FieldHistory:
     """The pieces of field_pieces written into table-ordered E and H, and D and B under the generalized law (the
-    classical ones are ScaledSeries of E and H), with the diagnostics of solution_diagnostics read from the stored
+    classical ones are ScaledSeries of E and H), with the diagnostics, energy and tracked positions of the stored
     series folded by fold_pieces as one piece, which the fold cuts into column chunks as it does verify's pieces.
 
     The fold runs once all is stored: folding in lockstep holds the fold's scratch beside the growing fields.
@@ -694,9 +719,9 @@ def _stored_solve(s, method: str, fp_tol: float, max_iter: int) -> FieldHistory:
         piece = a = None  # a piece may view the closed-form scratch: it is released before the next one and the fold
     E, H, *flux = stored
     D, B = flux or (ScaledSeries(factor, base) for factor, base in zip(flux_factors(s), (E, H)))
-    history = FieldHistory(s.table, s.grid, s.nu, E, H, D, B)
-    history.diagnostics = solution_diagnostics(s, method, fold_pieces(s, [(slice(None), E, H, D, B)]), **tally)
-    return history
+    fold = fold_pieces(s, [(slice(None), E, H, D, B)], energy=True)
+    return FieldHistory(s.table, s.grid, s.nu, E, H, D, B, solution_diagnostics(s, method, fold, **tally),
+                        fold.energy, fold.tracked)
 
 
 def flux_factors(s: DBFScenario, cols=slice(None)) -> tuple:
@@ -704,22 +729,6 @@ def flux_factors(s: DBFScenario, cols=slice(None)) -> tuple:
     (D, B) scale (E, H) by them, mode by mode."""
     factor = 1.0 + s.eta * s.table.eigenvalues[cols]
     return factor * s.epsilon, factor * s.mu
-
-
-def material_energy_series(history: FieldHistory, s) -> np.ndarray:
-    """Instantaneous material energy per sample, summed over modes.
-
-    Classical scenarios use eps |E|^2 + mu |H|^2; generalized scenarios use
-    the quadratic form of Mstar0 (the memoryless part of the law).
-    """
-    if isinstance(s, DBFScenario):
-        return (s.epsilon * np.sum(np.abs(history.E) ** 2, axis=1)
-                + s.mu * np.sum(np.abs(history.H) ** 2, axis=1))
-    M = s.Mstar0
-    ee = np.sum(np.abs(history.E) ** 2, axis=1)
-    hh = np.sum(np.abs(history.H) ** 2, axis=1)
-    cross = np.sum(np.conj(history.E) * history.H, axis=1)
-    return (M[0, 0].real * ee + M[1, 1].real * hh + 2.0 * np.real(M[0, 1] * cross))
 
 
 def _wavevector_blocks(table: ModeTable) -> list:

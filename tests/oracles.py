@@ -319,3 +319,30 @@ def dbf_weak_residual(history, s) -> float:
     wt = np.exp(-2.0 * s.nu * grid.times[z:])
     per_mode = np.sqrt(grid.dt * np.sum(wt[:, None] * (np.abs(r_e) ** 2 + np.abs(r_h) ** 2), axis=0))
     return float(np.sum(per_mode / np.sqrt(1.0 + lam**2)))
+
+
+def material_energy_series(history, s) -> np.ndarray:
+    """Instantaneous material energy per sample, summed over modes, in one pass over the whole table.
+
+    Classical scenarios (those with an epsilon) use eps |E|^2 + mu |H|^2;
+    generalized scenarios use the quadratic form of Mstar0 (the memoryless
+    part of the law).
+    """
+    ee = np.sum(np.abs(history.E) ** 2, axis=1)
+    hh = np.sum(np.abs(history.H) ** 2, axis=1)
+    if hasattr(s, "epsilon"):
+        return s.epsilon * ee + s.mu * hh
+    M = s.Mstar0
+    cross = np.sum(np.conj(history.E) * history.H, axis=1)
+    return M[0, 0].real * ee + M[1, 1].real * hh + 2.0 * np.real(M[0, 1] * cross)
+
+
+def tracked_indices(history, s) -> list:
+    """Table positions with any nonzero (or NaN) E, H, D or B value, or with W0 or source data, in table order."""
+    active = np.zeros(history.table.n_modes, dtype=bool)
+    for arr in (history.E, history.H, history.D, history.B):
+        active |= np.any(np.asarray(arr) != 0, axis=0)
+    active |= (s.W0.e_part.coeffs != 0) | (s.W0.h_part.coeffs != 0)
+    if s.source_J is not None:
+        active[s.source_J.modes] = True
+    return [int(i) for i in np.nonzero(active)[0]]

@@ -22,7 +22,6 @@ from dbf.dbf_model import (
     HypothesisViolated,
     NeumannDiverges,
     PairSeries,
-    material_energy_series,
     solve_dbf,
     solve_generalized,
 )
@@ -239,7 +238,7 @@ def test_criterion_06_modal_frequency_vs_reference(table_k1, table_k2):
                   np.max(np.abs(history.H[pos, i] - ref[:, 1])))
         worst_gap = max(worst_gap, gap)
         assert gap <= 1e-8
-        energy = material_energy_series(history, s)[pos]
+        energy = history.energy[pos]
         drift = np.max(np.abs(energy - energy[0])) / energy[0]
         worst_drift = max(worst_drift, drift)
         assert drift <= 1e-12

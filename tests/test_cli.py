@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -440,14 +441,12 @@ class TestRunOutput:
             doc["data"]["W0"][1][2] = 1e-9
         scenario = cli.build_scenario(doc)
         history = cli._solve(scenario, doc)
-        csv_path, _ = cli.write_run_output(history, scenario, doc, str(tmp_path), name)
-        from dbf.dbf_model import material_energy_series
-        energy = material_energy_series(history, scenario)
-        tracked = cli._tracked_indices(history, scenario)
+        csv_path, _ = cli.write_run_output(history, doc, str(tmp_path), name)
+        energy = oracles.material_energy_series(history, scenario)
         lines = []
         for row, t in enumerate(history.grid.times):
             cells = [t]
-            for i in tracked:
+            for i in oracles.tracked_indices(history, scenario):
                 for arr in (history.E, history.H, history.D, history.B):
                     cells += [arr[row, i].real, arr[row, i].imag]
             cells.append(energy[row])
@@ -470,7 +469,6 @@ class TestRunOutput:
         first_causal = int(np.argmax(t >= 0))
         assert abs(cols["energy"][first_causal] - payload["energy_initial"]) <= 1e-12
         assert abs(cols["energy"][-1] - payload["energy_final"]) <= 1e-12
-        from dbf.dbf_model import material_energy_series
         scenario = cli.build_scenario(cli.load_scenario_doc(path))
         e = cols["k1_0_0_plus_e_re"] + 1j * cols["k1_0_0_plus_e_im"]
         h = cols["k1_0_0_plus_h_re"] + 1j * cols["k1_0_0_plus_h_im"]
@@ -706,6 +704,26 @@ class TestVerify:
         assert "FAIL: uniqueness_energy" in out
         line = next(row for row in out.splitlines() if row.startswith("uniqueness_energy"))
         assert line.split()[1:] == ["1.0000e-07", "1.0000e-12", "FAIL"]
+
+    def test_tiny_data_are_not_zero_data(self, tmp_path, capsys):
+        # |W0|^2 = 1e-340 underflows to 0, which read as zero data: uniqueness_energy printed the datum
+        # itself, 1.0000e-170, and passed, and linearity was skipped.
+        doc = shipped_doc("dbf_basic.json")
+        del doc["data"]["source"]
+        doc["data"]["W0"] = [[[0, 0, 1], "plus", 1e-170, 0.0]]
+        assert cli.cmd_verify(write_doc(tmp_path, doc)) == cli.EXIT_OK
+        rows = [row.split()[0] for row in capsys.readouterr().out.splitlines()]
+        assert "linearity" in rows and "uniqueness_energy" not in rows
+
+    def test_huge_data_raise_no_warning(self, tmp_path, capsys):
+        # |W0|^2 = 1e320 overflowed in the zero-data test, with numpy's "overflow encountered in dot".
+        doc = shipped_doc("dbf_basic.json")
+        doc["data"]["W0"][0][2] = 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.cmd_verify(write_doc(tmp_path, doc)) == cli.EXIT_INVALID
+        out = capsys.readouterr().out
+        assert "FAIL: weak_residual" in out and "linearity" in out
 
     @pytest.mark.parametrize("make_doc", [memory_auto_doc, cross_auto_doc])
     def test_auto_memory_law_passes_linearity(self, tmp_path, capsys, make_doc):

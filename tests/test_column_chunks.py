@@ -6,6 +6,7 @@ value must equal the one of a single pass over all columns, and the pass
 must not build full (n, m) temporaries.
 """
 
+import dataclasses
 import tracemalloc
 from types import SimpleNamespace
 
@@ -14,6 +15,7 @@ import pytest
 
 import oracles
 import single_mode
+from dbf import cli
 from dbf.curl_spectral import FieldPair, SpectralField, build_basis
 from dbf.dbf_model import (
     COLUMN_CHUNK_BYTES,
@@ -116,6 +118,37 @@ class TestResidualIsBitIdentical:
             assert verify_dbf_equation(sub, sub_s) == oracles.dbf_weak_residual(sub, sub_s), m
 
 
+class TestEnergyIsBitIdentical:
+    """The energy the fold sums over a piece's whole width has the bits of one pass over the stored table."""
+
+    def test_classical_every_mode_loaded(self):
+        table, grid = build_basis(4), TimeGrid(t_start=-0.05, dt=0.0025, n_samples=1000, pad_fraction=0.5)
+        s = DBFScenario(epsilon=1.5, mu=0.5, eta=0.15, nu=1.0, K=4, grid=grid,
+                        W0=loaded_pair(table, np.random.default_rng(8)))
+        assert len(column_chunks(grid.n_samples, table.n_modes)) > 10
+        history = solve_dbf(s, "exact")
+        assert history.energy.tobytes() == oracles.material_energy_series(history, s).tobytes()
+
+    def test_memory_law_with_cross_terms(self):
+        # A complex off-diagonal Mstar0 weighs conj(E) H, and k_cross couples the modes of each wavevector.
+        table, grid = build_basis(2), GRIDS["unaligned"]
+        g = GeneralizedScenario(kappa0=np.diag([2.5, 2.5]), Mstar0=np.array([[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 0.5]]),
+                                nu=9.0, K=2, grid=grid, W0=loaded_pair(table, np.random.default_rng(9)),
+                                kappa1=MaterialSymbol(dim=2, poly_coeffs=[np.diag([0.4, 0.4])]),
+                                k_cross=np.array([0.3, 0.1, 0.2]))
+        history = solve_generalized(g, "auto")
+        assert history.energy.tobytes() == oracles.material_energy_series(history, g).tobytes()
+
+    @pytest.mark.parametrize("law", ["dbf", "generalized"])
+    def test_zero_data(self, law):
+        s, _ = solved(law, "aligned", False)
+        zero = s.W0.with_coeffs(np.zeros(s.table.n_modes), np.zeros(s.table.n_modes))
+        s = dataclasses.replace(s, W0=zero)
+        history = (solve_dbf if law == "dbf" else solve_generalized)(s)
+        assert history.energy.tobytes() == oracles.material_energy_series(history, s).tobytes()
+        assert history.energy.tobytes() == bytes(history.energy.nbytes)  # every sample +0.0
+
+
 class TestClosedFormIsBitIdentical:
     def test_columns_match_one_call_over_all_columns(self):
         table, grid = build_basis(3), TimeGrid(t_start=-0.25, dt=0.0025, n_samples=800, pad_fraction=0.5)
@@ -190,6 +223,19 @@ class TestBoundedMemory:
         stored = sum(a.nbytes for a in (history.E, history.H, history.D, history.B))
         assert table.n_modes == 369 and stored == 4 * 800 * 369 * 16
         assert peak <= 1.5 * stored, f"{peak / stored:.2f} times the stored fields"
+
+    def test_writer_peak(self, tmp_path):
+        # run's writer reads the energy and the tracked modes of the solve's fold: beyond its ~1 MB of formatting
+        # scratch it forms no (n, m) temporary, where a whole-table energy pass formed conj(E) H, one field.
+        table, grid = build_basis(3), TimeGrid(t_start=-0.05, dt=0.0005, n_samples=1600, pad_fraction=0.25)
+        g = GeneralizedScenario(kappa0=np.diag([2.5, 2.5]), Mstar0=np.array([[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 0.5]]),
+                                nu=9.0, K=3, grid=grid, W0=loaded_pair(table, np.random.default_rng(3)),
+                                kappa1=MaterialSymbol(dim=2, poly_coeffs=[np.diag([0.4, 0.4])]))
+        history = solve_generalized(g, "auto")
+        assert history.tracked.size == table.n_modes
+        doc = {"material": {"model": "generalized"}, "method": "auto"}
+        _, peak = traced_peak(cli.write_run_output, history, doc, str(tmp_path), "memory")
+        assert peak <= 0.5 * history.E.nbytes, f"{peak / history.E.nbytes:.2f} fields"
 
     def test_flux_reads_match_recover_db(self, verify_sized):
         s, history = verify_sized

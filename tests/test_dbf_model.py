@@ -16,7 +16,6 @@ from dbf.dbf_model import (
     RangeViolation,
     assemble_reduced_ivp,
     check_data_range,
-    material_energy_series,
     solve_dbf,
     solve_generalized,
 )
@@ -440,7 +439,7 @@ class TestVerifiers:
         s = scenario(table_k1, eta=0.5, epsilon=1.5, mu=0.5,
                      W0=field_pair(table_k1, {i: (1.0, -0.5j)}))
         history = solve_dbf(s, "exact")
-        energy = material_energy_series(history, s)[GRID.times >= -1e-9]
+        energy = history.energy[GRID.times >= -1e-9]
         assert np.max(np.abs(energy - energy[0])) <= 1e-12 * energy[0]
 
     def test_rotation_pairing_has_no_real_part(self, table_k1):

@@ -15,7 +15,6 @@ from dbf.dbf_model import (
     HypothesisViolated,
     NeumannDiverges,
     block_scalar_matrix,
-    material_energy_series,
     solve_dbf,
     solve_generalized,
 )
@@ -325,7 +324,7 @@ class TestCrossCoupling:
         history = solve_generalized(g, "auto", fp_tol=1e-12)
         assert history.diagnostics["causality_sup"] <= 1e-12
         assert history.diagnostics["initial_value_error"] <= 10 * CROSS_GRID.dt
-        energy = material_energy_series(history, g)
+        energy = history.energy
         assert np.all(np.isfinite(energy))
 
         X = cross_coupling_matrix(self.KC, table_k1)
