@@ -16,7 +16,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from dbf.cli import build_scenario, load_scenario_doc, write_run_output
-from dbf.dbf_model import DBFScenario, solve_dbf, solve_generalized
+from dbf.dbf_model import solve
 from dbf.paper import verify_dbf_equation
 
 
@@ -28,10 +28,7 @@ def main() -> int:
 
     doc = load_scenario_doc(args.scenario)
     scenario = build_scenario(doc)
-    if isinstance(scenario, DBFScenario):
-        history = solve_dbf(scenario, doc["method"])
-    else:
-        history = solve_generalized(scenario, doc["method"])
+    history = solve(scenario, doc["method"])
 
     d = history.diagnostics
     print(f"scenario: {args.scenario}")

@@ -19,7 +19,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from dbf.cli import _observed_omega
 from dbf.curl_spectral import FieldPair, SpectralField, build_basis
-from dbf.dbf_model import DBFScenario, RangeViolation, solve_dbf
+from dbf.dbf_model import DBFScenario, RangeViolation, solve
 from dbf.weighted_time import TimeGrid
 
 
@@ -48,7 +48,7 @@ def main() -> int:
         try:
             s = DBFScenario(epsilon=args.epsilon, mu=args.mu, eta=eta, nu=args.nu,
                             K=1, grid=grid, W0=W0)
-            history = solve_dbf(s, "exact")
+            history = solve(s, "exact")
         except RangeViolation:
             print(f"{eta:8.3f}  {'(kernel mode)':>16}  {'rejected':>15}  {'':>9}")
             continue

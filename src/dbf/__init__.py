@@ -25,11 +25,9 @@ from .dbf_model import (
     PairSeries,
     RangeViolation,
     Verdict,
-    assemble_reduced_ivp,
     block_scalar_matrix,
     check_data_range,
-    solve_dbf,
-    solve_generalized,
+    solve,
 )
 from .evo_solver import NoConvergence, NotContractive, WrongCase, causal_resolvent
 from .weighted_time import (

@@ -40,8 +40,7 @@ from .dbf_model import (
     field_pieces,
     fold_pieces,
     solution_diagnostics,
-    solve_dbf,
-    solve_generalized,
+    solve,
 )
 from .evo_solver import DEFAULT_FP_TOL, DEFAULT_MAX_ITER, NoConvergence, NotContractive
 from .weighted_time import ZERO_TIME_TOL, MaterialSymbol, TimeGrid
@@ -232,7 +231,7 @@ class ScenarioError(ValueError):
     """Scenario file rejected before solving."""
 
 
-# Material model -> (required keys, optional keys, methods); the schema admits the union of the keys.
+# Material model -> (required keys, optional keys, methods, the default first); the schema admits the union of the keys.
 MATERIAL_MODELS = {
     "dbf": (("epsilon", "mu", "eta"), (), DBF_METHODS),
     "generalized": (("kappa0", "Mstar0"), ("kappa1", "Mstar1", "k_cross"), GENERALIZED_METHODS),
@@ -305,7 +304,7 @@ def normalize_scenario_doc(doc: dict) -> dict:
     """Fill defaults so that normalization is idempotent (echo round trip)."""
     out = json.loads(json.dumps(doc))
     out["time"].setdefault("pad_fraction", 0.5)
-    out.setdefault("method", "exact" if out["material"]["model"] == "dbf" else "auto")
+    out.setdefault("method", MATERIAL_MODELS[out["material"]["model"]][2][0])
     tols = dict(DEFAULT_TOLERANCES)
     tols.update(out.get("tolerances", {}))
     out["tolerances"] = tols
@@ -407,8 +406,7 @@ def build_scenario(doc: dict):
 
 def _solve(scenario, doc: dict):
     tols = doc["tolerances"]
-    solve = solve_dbf if isinstance(scenario, DBFScenario) else solve_generalized
-    return solve(scenario, method=doc["method"], fp_tol=tols["fp_tol"], max_iter=int(tols["max_iter"]))
+    return solve(scenario, doc["method"], fp_tol=tols["fp_tol"], max_iter=int(tols["max_iter"]))
 
 
 def _mode_label(mode: Mode) -> str:
@@ -570,7 +568,8 @@ def cmd_verify(scenario_path: str) -> int:
         checks.append(("linearity", lin, lin_tol))
     if energy:
         en = fold.energy[scenario.grid.zero_index:]
-        drift = float(np.max(np.abs(en - en[0]))) / max(float(en[0]), 1e-300)
+        finite = np.all(np.isfinite(en))  # an overflowed energy drifts without bound; inf - inf would read NaN
+        drift = float(np.max(np.abs(en - en[0]))) / max(float(en[0]), 1e-300) if finite else math.inf
         checks.append(("energy_conservation", drift, max(tols["energy_tol"], 1e-12)))
 
     width = max(len(name) for name, _, _ in checks)

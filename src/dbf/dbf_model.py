@@ -316,49 +316,6 @@ def check_data_range(eta: float, source: PairSeries | None, W0: FieldPair, table
     return Verdict(passed=not offending, offending=offending, max_violation=worst)
 
 
-@dataclass
-class ReducedSystem:
-    """Per-mode reduction of a classical scenario: 1 + eta lambda, c_lambda and masks.
-
-    Kernel positions carry no problem (their solution coefficients are
-    exactly zero); near-kernel positions are retained but flagged stiff.
-    """
-
-    scenario: DBFScenario
-    factors: np.ndarray
-    coupling: np.ndarray
-    kernel: np.ndarray
-    near: np.ndarray
-
-
-def assemble_reduced_ivp(s: DBFScenario) -> ReducedSystem:
-    """Reduce a classical scenario to one 2x2 problem per non-kernel mode.
-
-    Mode lambda gets M0 = diag(eps, mu), rotation coefficient
-    c_lambda = lambda / (1 + eta lambda), and data divided by (1 + eta
-    lambda), the inverse of (1 + eta curl) on its range.  Near-kernel modes
-    (|1 + eta lambda| <= 1e-3) make c_lambda stiff; they are flagged so the
-    solver can force the closed-form method.
-    """
-    table = s.table
-    verdict = check_data_range(s.eta, s.source_J, s.W0, table)
-    if not verdict.passed:
-        raise RangeViolation(
-            f"data loads {len(verdict.offending)} kernel mode(s) of (1 + eta curl): "
-            f"{verdict.offending[:4]}, max |coeff| = {verdict.max_violation:.3g}"
-        )
-    factors = 1.0 + s.eta * table.eigenvalues
-    kernel = table.kernel_mask(s.eta)
-    near = (~kernel) & (np.abs(factors) <= NEAR_KERNEL_BAND)
-    if np.any(near):
-        warnings.warn(
-            f"{np.count_nonzero(near)} mode(s) within {NEAR_KERNEL_BAND} of the kernel of (1 + eta curl); "
-            "rotation coefficients are stiff, forcing the exact modal method",
-            stacklevel=2,
-        )
-    return ReducedSystem(s, factors, generator_coefficients(s.eta, table), kernel, near)
-
-
 def column_chunks(n_rows: int, n_cols: int) -> list:
     """Column slices of about COLUMN_CHUNK_BYTES of complex (n_rows, width) data, none one column
     wide unless n_cols is 1: numpy sums a lone column over axis 0 pairwise but wider arrays row by
@@ -506,37 +463,47 @@ def solution_diagnostics(s, method: str, fold: PieceFold, iterations: int, contr
     return diagnostics
 
 
-def solve_dbf(s: DBFScenario, method: str = "exact", *, fp_tol: float = DEFAULT_FP_TOL,
-              max_iter: int = DEFAULT_MAX_ITER) -> FieldHistory:
-    """Solve a classical scenario mode by mode and store it (see _stored_solve); D and B scale E and H where read.
-
-    Modes with one eigenvalue share one 2x2 operator, so each such group is
-    solved in one call: one stacked closed-form pass solves every mode with
-    data under "exact", and the near-kernel modes under any method, while
-    fixed_point and integrator make one call per remaining group.  Modes
-    without data and kernel coefficients stay exactly zero, realizing the
-    projection onto the solvable range.
-    """
-    return _stored_solve(s, method, fp_tol, max_iter)
-
-
 def _dbf_blocks(s: DBFScenario, method: str) -> tuple:
-    """The arguments of _block_pieces up to the stop rule for a classical scenario, one block per table position,
-    the table positions (m, 1) of each block's mode, and the ReducedSystem."""
+    """Reduce a classical scenario in one pass: the arguments of _block_pieces up to the stop rule, one block per
+    table position, the table positions (m, 1) of each block's mode, and the kernel and near-kernel masks.
+
+    Mode lambda gets M0 = diag(eps, mu), c_lambda = lambda / (1 + eta lambda)
+    and its data divided by 1 + eta lambda, the inverse of (1 + eta curl) on
+    its range; data on a kernel mode raise RangeViolation.  Kernel modes are
+    in no group, so they stay exactly zero: the projection onto the range.
+    Near-kernel modes (|1 + eta lambda| <= NEAR_KERNEL_BAND) make c_lambda
+    stiff: they are flagged, with a warning, and solved in closed form under
+    any method, as every mode with data is under "exact"; fixed_point and
+    integrator make one call per group of modes with one eigenvalue.
+    """
     if method not in DBF_METHODS:
         raise ValueError(f"method must be one of {DBF_METHODS}, got {method!r}")
-    reduced = assemble_reduced_ivp(s)
-    keep, factors = ~reduced.kernel, reduced.factors
-    w0 = np.zeros((s.table.n_modes, 2), dtype=np.complex128)
+    table = s.table
+    verdict = check_data_range(s.eta, s.source_J, s.W0, table)
+    if not verdict.passed:
+        raise RangeViolation(
+            f"data loads {len(verdict.offending)} kernel mode(s) of (1 + eta curl): "
+            f"{verdict.offending[:4]}, max |coeff| = {verdict.max_violation:.3g}"
+        )
+    factors, kernel = 1.0 + s.eta * table.eigenvalues, table.kernel_mask(s.eta)
+    near = ~kernel & (np.abs(factors) <= NEAR_KERNEL_BAND)
+    if np.any(near):
+        warnings.warn(
+            f"{np.count_nonzero(near)} mode(s) within {NEAR_KERNEL_BAND} of the kernel of (1 + eta curl); "
+            "rotation coefficients are stiff, forcing the exact modal method",
+            stacklevel=2,
+        )
+    keep, coupling = ~kernel, generator_coefficients(s.eta, table)
+    w0 = np.zeros((table.n_modes, 2), dtype=np.complex128)
     w0[keep] = np.stack([s.W0.e_part.coeffs[keep], s.W0.h_part.coeffs[keep]], axis=1) / factors[keep, None]
     idx, samples = _source_columns(s, keep)
     samples = samples / factors[idx, None]
-    groups = [(np.nonzero(keep & (reduced.coupling == c))[0],
+    groups = [(np.nonzero(keep & (coupling == c))[0],
                MaterialSymbol(dim=2, poly_coeffs=[c * J2]) if c != 0.0 else MaterialSymbol.zero(2), None)
-              for c in set(reduced.coupling[keep].tolist())]  # not np.unique: its first call imports numpy.ma
+              for c in set(coupling[keep].tolist())]  # not np.unique: its first call imports numpy.ma
     M0 = np.diag([s.epsilon, s.mu]).astype(np.complex128)
-    problem = (method, s.grid, s.nu, M0, groups, w0, (idx, samples), reduced.near)
-    return problem, np.arange(s.table.n_modes)[:, None], reduced
+    problem = (method, s.grid, s.nu, M0, groups, w0, (idx, samples), near)
+    return problem, np.arange(table.n_modes)[:, None], kernel, near
 
 
 def field_pieces(s, method: str, *, fp_tol: float = DEFAULT_FP_TOL, max_iter: int = DEFAULT_MAX_ITER,
@@ -544,15 +511,15 @@ def field_pieces(s, method: str, *, fp_tol: float = DEFAULT_FP_TOL, max_iter: in
     """Solve a scenario of either model and yield it piece by piece: (table positions, E, H, D, B), each (n, k),
     for each piece of _block_pieces and each mode of its blocks, the k positions a slice where they are
     consecutive; with doubled, also E2 and H2, the solve of the doubled data, from the same calls.  This is the one
-    mapping from blocks to table positions: run stores the pieces (_stored_solve) and verify folds them.  The
+    mapping from blocks to table positions: run stores the pieces (solve) and verify folds them.  The
     classical D and B are ScaledSeries of the piece's E and H by flux_factors, formed only where they are read.  A
     piece's arrays may be overwritten once the next is asked for, and the positions no piece names hold zero fields,
     so no whole field or flux pair is ever formed.  tally, when given, receives the keyword arguments of
     solution_diagnostics that the setup and the solve provide."""
     tally = {} if tally is None else tally
     if isinstance(s, DBFScenario):
-        problem, modes_of, reduced = _dbf_blocks(s, method)
-        tally.update(kernel=np.nonzero(reduced.kernel)[0], near_kernel=np.nonzero(reduced.near)[0])
+        problem, modes_of, kernel, near = _dbf_blocks(s, method)
+        tally.update(kernel=np.nonzero(kernel)[0], near_kernel=np.nonzero(near)[0])
     else:
         problem, modes_of, margin, q0_sup = _generalized_blocks(s, method)
         tally.update(hypothesis_margin=margin, q0_sup=q0_sup)
@@ -629,11 +596,13 @@ class PieceFold:
         self.named[at] = True
         if self.sums is not None:  # each row summed over the piece's whole width, as over a stored table
             step = max(1, COLUMN_CHUNK_BYTES // (16 * max(at.size, 1)))
-            for rows in (slice(i, i + step) for i in range(self.grid.zero_index, len(E), step)):
-                self.sums[0][rows] += np.sum(np.abs(E[rows]) ** 2, axis=1)
-                self.sums[1][rows] += np.sum(np.abs(H[rows]) ** 2, axis=1)
-                if len(self.sums) > 2:
-                    self.sums[2][rows] += np.sum(np.conj(E[rows]) * H[rows], axis=1)
+            # Huge fields overflow to an infinite energy, which is the answer: verify reports it as drift inf.
+            with np.errstate(over="ignore"):
+                for rows in (slice(i, i + step) for i in range(self.grid.zero_index, len(E), step)):
+                    self.sums[0][rows] += np.sum(np.abs(E[rows]) ** 2, axis=1)
+                    self.sums[1][rows] += np.sum(np.abs(H[rows]) ** 2, axis=1)
+                    if len(self.sums) > 2:
+                        self.sums[2][rows] += np.sum(np.conj(E[rows]) * H[rows], axis=1)
         for chunk in column_chunks(len(E), at.size):
             self._fold(at[chunk], *(_columns(a, chunk) for a in (E, H, D, B, *doubled)))
 
@@ -704,10 +673,12 @@ def fold_pieces(s, pieces, *, energy: bool = False, grid: TimeGrid | None = None
     return fold.close()
 
 
-def _stored_solve(s, method: str, fp_tol: float, max_iter: int) -> FieldHistory:
-    """The pieces of field_pieces written into table-ordered E and H, and D and B under the generalized law (the
-    classical ones are ScaledSeries of E and H), with the diagnostics, energy and tracked positions of the stored
-    series folded by fold_pieces as one piece, which the fold cuts into column chunks as it does verify's pieces.
+def solve(s, method: str, *, fp_tol: float = DEFAULT_FP_TOL, max_iter: int = DEFAULT_MAX_ITER) -> FieldHistory:
+    """Solve a scenario of either law and store it.  The setups _dbf_blocks and _generalized_blocks state what each
+    method does; positions without data or on the kernel hold zero fields.  The pieces of field_pieces are written
+    into table-ordered E and H, and D and B under the generalized law (the classical ones are ScaledSeries of E and
+    H); the diagnostics, energy and tracked positions are those of the stored series, folded by fold_pieces as one
+    piece, which the fold cuts into column chunks as it does verify's pieces.
 
     The fold runs once all is stored: folding in lockstep holds the fold's scratch beside the growing fields.
     """
@@ -797,9 +768,9 @@ def _hypothesis_scan(shifted: np.ndarray, lams: list) -> float:
     return float(np.min(rel))
 
 
-def solve_generalized(g: GeneralizedScenario, method: str = "auto", *, fp_tol: float = DEFAULT_FP_TOL,
-                      max_iter: int = DEFAULT_MAX_ITER) -> FieldHistory:
-    """Solve an operator-law scenario, recover the flux pair and store both (see _stored_solve).
+def _generalized_blocks(g: GeneralizedScenario, method: str) -> tuple:
+    """The arguments of _block_pieces up to the stop rule for an operator-law scenario, the table positions
+    modes_of (n_blocks, width) of each block's modes, the hypothesis margin and the q0 sup.
 
     The reduction is per eigenvalue: N0 = (kappa0 + lambda)^-1 turns the
     law into one 2x2 operator shared by every mode with that lambda (see
@@ -819,12 +790,6 @@ def solve_generalized(g: GeneralizedScenario, method: str = "auto", *, fp_tol: f
     the propagator reads it off its state, the other methods apply it with
     the trapezoid running integral; both reproduce W0 at t = 0+.
     """
-    return _stored_solve(g, method, fp_tol, max_iter)
-
-
-def _generalized_blocks(g: GeneralizedScenario, method: str) -> tuple:
-    """The arguments of _block_pieces up to the stop rule for an operator-law scenario, the table positions
-    modes_of (n_blocks, width) of each block's modes, the hypothesis margin and the q0 sup."""
     if method not in GENERALIZED_METHODS:
         raise ValueError(f"method must be one of {GENERALIZED_METHODS}, got {method!r}")
     table, grid = g.table, g.grid

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from dbf.dbf_model import PairSeries, _block_law, assemble_reduced_ivp
+from dbf.dbf_model import PairSeries, _block_law
 from dbf.evo_solver import J2, WrongCase, _check_hermitian_posdef, _rows_at
 from dbf.paper import AbstractIVP
 from dbf.weighted_time import MaterialSymbol, TimeGrid, WeightedSignal, running_trapezoid
@@ -39,14 +39,16 @@ def source_column(s, i: int) -> np.ndarray:
 def dbf_blocks(s) -> dict:
     """Table position -> 2x2 problem of every non-kernel mode of a classical scenario.
 
-    Mode lambda has M0 = diag(eps, mu), M1 = c_lambda J and its data
-    divided by 1 + eta lambda.
+    Mode lambda has M0 = diag(eps, mu), M1 = c_lambda J with
+    c_lambda = lambda / (1 + eta lambda), and its data divided by
+    1 + eta lambda.  The kernel modes, 1 + eta lambda = 0, have none.
     """
-    reduced = assemble_reduced_ivp(s)
+    lam = s.table.eigenvalues
     M0 = np.diag([s.epsilon, s.mu]).astype(np.complex128)
     blocks = {}
-    for i in np.nonzero(~reduced.kernel)[0]:
-        c, f = reduced.coupling[i], reduced.factors[i]
+    for i in np.nonzero(~s.table.kernel_mask(s.eta))[0]:
+        f = 1.0 + s.eta * lam[i]
+        c = lam[i] / f
         M1 = MaterialSymbol(dim=2, poly_coeffs=[c * J2]) if c != 0.0 else MaterialSymbol.zero(2)
         samples = (source_column(s, i) / f if s.source_J is not None
                    else np.zeros((s.grid.n_samples, 2), dtype=np.complex128))

@@ -22,8 +22,7 @@ from dbf.dbf_model import (
     HypothesisViolated,
     NeumannDiverges,
     PairSeries,
-    solve_dbf,
-    solve_generalized,
+    solve,
 )
 from dbf.paper import (
     AbstractIVP,
@@ -176,8 +175,8 @@ def test_criterion_04_initial_value_recovery(table_k1, table_k2):
     start = time.perf_counter()
     worst_exact = worst_fixed = 0.0
     for s in build_corpus(table_k1, table_k2):
-        exact = solve_dbf(s, "exact")
-        fixed = solve_dbf(s, "fixed_point")
+        exact = solve(s, "exact")
+        fixed = solve(s, "fixed_point")
         worst_exact = max(worst_exact, exact.diagnostics["initial_value_error"])
         worst_fixed = max(worst_fixed, fixed.diagnostics["initial_value_error"])
         assert exact.diagnostics["initial_value_error"] <= 1e-8
@@ -192,7 +191,7 @@ def test_criterion_05_causality(table_k1, table_k2):
     start = time.perf_counter()
     worst = 0.0
     for s in build_corpus(table_k1, table_k2):
-        history = solve_dbf(s, "exact")
+        history = solve(s, "exact")
         worst = max(worst, history.diagnostics["causality_sup"])
         assert history.diagnostics["causality_sup"] <= 1e-10
     # Strong causality: a source switched on at t = 1 leaves every field at
@@ -202,7 +201,7 @@ def test_criterion_05_causality(table_k1, table_k2):
     shifted = DBFScenario(epsilon=1.0, mu=1.0, eta=0.5, nu=3.0, K=1, grid=CORPUS_GRID,
                           W0=field_pair(table_k1, {}),
                           source_J=mode_source(table_k1, CORPUS_GRID, {i: (0.5, 0.0)}, onset=onset))
-    history = solve_dbf(shifted, "fixed_point")
+    history = solve(shifted, "fixed_point")
     before = CORPUS_GRID.times < onset - 1e-9
     shifted_sup = max(np.max(np.abs(arr[before]), initial=0.0)
                       for arr in (history.E, history.H, history.D, history.B))
@@ -226,7 +225,7 @@ def test_criterion_06_modal_frequency_vs_reference(table_k1, table_k2):
         lam = table.eigenvalues[i]
         s = DBFScenario(epsilon=1.0, mu=1.0, eta=eta, nu=3.0, K=table.K, grid=grid,
                         W0=field_pair(table, {i: (1.0, 0.0)}))
-        history = solve_dbf(s, "exact")
+        history = solve(s, "exact")
         pos = grid.times >= -1e-12
         n_pos = int(pos.sum())
         stride = 100
@@ -321,7 +320,7 @@ def test_criterion_09_kernel_case(table_k1, tmp_path, capsys):
     s = DBFScenario(epsilon=1.0, mu=1.0, eta=-1.0, nu=3.0, K=1,
                     grid=TimeGrid(t_start=-1.0, dt=0.01, n_samples=512, pad_fraction=0.25),
                     W0=field_pair(table_k1, {j: (1.0, -0.5), g: (0.2, 0.0)}))
-    history = solve_dbf(s, "exact")
+    history = solve(s, "exact")
     kernel = table_k1.kernel_mask(-1.0)
     assert int(kernel.sum()) == 6
     for arr in (history.E, history.H, history.D, history.B):
@@ -366,9 +365,9 @@ def test_criterion_11_generalized_consistency(table_k1, tmp_path, capsys):
     ip = table_k1.position((1, 0, 0), "plus")
     im = table_k1.position((0, 1, 0), "minus")
     W0 = field_pair(table_k1, {ip: (1.0, 0.0), im: (0.0, -0.5j)})
-    classical = solve_dbf(DBFScenario(epsilon=eps, mu=mu, eta=eta, nu=3.0, K=1,
+    classical = solve(DBFScenario(epsilon=eps, mu=mu, eta=eta, nu=3.0, K=1,
                                       grid=grid, W0=W0), "exact")
-    degenerate = solve_generalized(GeneralizedScenario(
+    degenerate = solve(GeneralizedScenario(
         kappa0=(1.0 / eta) * np.eye(2), Mstar0=eta * np.diag([eps, mu]),
         nu=3.0, K=1, grid=grid, W0=W0), "auto")
     consistency = max(np.max(np.abs(a - b)) for a, b in
@@ -383,7 +382,7 @@ def test_criterion_11_generalized_consistency(table_k1, tmp_path, capsys):
     g = GeneralizedScenario(kappa0=kappa0, Mstar0=Mstar0, nu=nu, K=1,
                             grid=beta_grid, W0=field_pair(table_k1, {ip: (1.0, 0.0)}),
                             kappa1=MaterialSymbol(dim=2, poly_coeffs=[beta * np.eye(2)]))
-    history = solve_generalized(g, "auto", fp_tol=1e-12)
+    history = solve(g, "auto", fp_tol=1e-12)
     pos = beta_grid.times >= -1e-12
     stride = 10
     u, v = oracles.generalized_beta_rk4(kappa0, Mstar0, beta, 1.0,

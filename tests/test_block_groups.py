@@ -10,7 +10,7 @@ import pytest
 import single_mode
 from dbf import dbf_model, evo_solver, paper
 from dbf.curl_spectral import FieldPair, SpectralField
-from dbf.dbf_model import DBFScenario, GeneralizedScenario, solve_dbf, solve_generalized
+from dbf.dbf_model import DBFScenario, GeneralizedScenario, solve
 from dbf.evo_solver import NoConvergence, NotContractive, WrongCase, solve_propagator_blocks
 from dbf.paper import solve_fixed_point, solve_modal_exact
 from dbf.weighted_time import MaterialSymbol, TimeGrid
@@ -48,7 +48,7 @@ class TestColumnsMatchSoloBlocks:
                                                             7: (0.0, np.where(step, -0.2j, 0.0))})
         s = DBFScenario(epsilon=1.5, mu=0.5, eta=0.15, nu=10.0, K=2, grid=grid,
                         W0=loaded_pair(table_k2, rng, {tiny: 1e-6}), source_J=source)
-        history = solve_dbf(s, "fixed_point")
+        history = solve(s, "fixed_point")
         solo_iterations = []
         for i, ivp in single_mode.dbf_blocks(s).items():
             report = solve_fixed_point(ivp, s.nu)
@@ -64,7 +64,7 @@ class TestColumnsMatchSoloBlocks:
         lam = table_k2.eigenvalues
         tiny = int(np.nonzero(lam == -1.0)[0][0])
         g = memory_scenario(table_k2, rng, {tiny: 1e-6})
-        history = solve_generalized(g, "fixed_point")
+        history = solve(g, "fixed_point")
         solo_iterations = {}
         for i in range(table_k2.n_modes):
             report = solve_fixed_point(single_mode.generalized_block(g, i), g.nu)
@@ -78,7 +78,7 @@ class TestColumnsMatchSoloBlocks:
     def test_generalized_memory_auto(self, table_k2, rng):
         lam = table_k2.eigenvalues
         g = memory_scenario(table_k2, rng)
-        history = solve_generalized(g, "auto")
+        history = solve(g, "auto")
         for i in range(table_k2.n_modes):
             ivp = single_mode.generalized_block(g, i)
             try:  # a rotation block takes the closed form, any other the propagator
@@ -106,7 +106,7 @@ def test_memory_modes_make_one_call_per_group(table_k2, rng, monkeypatch):
     monkeypatch.setattr(dbf_model, "solve_fixed_point", solo, raising=False)
     monkeypatch.setattr(dbf_model, "solve_fixed_point_blocks", counted("picard", evo_solver.solve_fixed_point_blocks))
     monkeypatch.setattr(dbf_model, "solve_propagator_blocks", counted("propagator", evo_solver.solve_propagator_blocks))
-    history = solve_generalized(memory_scenario(table_k2, rng), "auto")
+    history = solve(memory_scenario(table_k2, rng), "auto")
     assert history.diagnostics["iterations"] == 0
     # With memory, the lambda = 0 group has M1 = N0 kappa1 Mstar0, no rotation, so it is propagated too.
     lambdas = len(set(table_k2.eigenvalues.tolist()))
@@ -135,7 +135,7 @@ def test_first_failing_block_is_raised(table_k1, nu, failing, error):
     with pytest.raises(error) as solo:
         solve_fixed_point(blocks[minus], nu, max_iter=8)
     with pytest.raises(error) as grouped:
-        solve_dbf(s, "fixed_point", max_iter=8)
+        solve(s, "fixed_point", max_iter=8)
     assert str(grouped.value) == str(solo.value)
 
 
@@ -157,7 +157,7 @@ class TestSourceRuleIndependentOfEta:
                         W0=FieldPair(SpectralField(table_k1, np.zeros(table_k1.n_modes)),
                                      SpectralField(table_k1, np.zeros(table_k1.n_modes))),
                         source_J=self.source(table_k1, i))
-        history = solve_dbf(s, method)
+        history = solve(s, method)
         pre = self.GRID.times < -1e-9
         assert np.any(history.E[~pre, i] != 0)
         for arr in (history.E, history.H, history.D, history.B):
@@ -170,7 +170,7 @@ class TestSourceRuleIndependentOfEta:
         zero = SpectralField(table_k1, np.zeros(table_k1.n_modes))
         g = GeneralizedScenario(kappa0=kappa * np.eye(2), Mstar0=np.eye(2), nu=60.0, K=1, grid=self.GRID,
                                 W0=FieldPair(zero, zero), source_J=self.source(table_k1, i))
-        history = solve_generalized(g, "auto")
+        history = solve(g, "auto")
         pre = self.GRID.times < -1e-9
         assert np.any(history.E[~pre, i] != 0)
         for arr in (history.E, history.H, history.D, history.B):

@@ -422,8 +422,8 @@ class TestRunOutput:
         assert cli.cmd_run(path, str(tmp_path / "out")) == cli.EXIT_OK
         cols = read_csv_columns(tmp_path / "out" / "scenario.csv")
         scenario = cli.build_scenario(cli.load_scenario_doc(path))
-        from dbf.dbf_model import solve_dbf
-        history = solve_dbf(scenario, "exact")
+        from dbf.dbf_model import solve
+        history = solve(scenario, "exact")
         i = scenario.table.position((1, 0, 0), "plus")
         assert len(cols["t"]) == 512
         np.testing.assert_array_equal(cols["t"], history.grid.times)
@@ -724,6 +724,18 @@ class TestVerify:
             assert cli.cmd_verify(write_doc(tmp_path, doc)) == cli.EXIT_INVALID
         out = capsys.readouterr().out
         assert "FAIL: weak_residual" in out and "linearity" in out
+
+    def test_overflowing_energy_reads_inf(self, tmp_path, capsys):
+        # |E|^2 overflows: the energy sums warned "overflow encountered in square" and the drift, inf - inf,
+        # read nan with "invalid value encountered in subtract".
+        doc = shipped_doc("dbf_basic.json")
+        del doc["data"]["source"]
+        doc["data"]["W0"][0][2] = 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.cmd_verify(write_doc(tmp_path, doc)) == cli.EXIT_INVALID
+        line = next(row for row in capsys.readouterr().out.splitlines() if row.startswith("energy_conservation"))
+        assert line.split()[1:] == ["inf", "1.0000e-12", "FAIL"]
 
     @pytest.mark.parametrize("make_doc", [memory_auto_doc, cross_auto_doc])
     def test_auto_memory_law_passes_linearity(self, tmp_path, capsys, make_doc):

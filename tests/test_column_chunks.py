@@ -22,10 +22,8 @@ from dbf.dbf_model import (
     DBFScenario,
     GeneralizedScenario,
     PairSeries,
-    assemble_reduced_ivp,
     column_chunks,
-    solve_dbf,
-    solve_generalized,
+    solve,
 )
 from dbf.evo_solver import rotation_closed_form
 from dbf.paper import recover_DB, verify_dbf_equation
@@ -66,10 +64,10 @@ def solved(law: str, grid_name: str, sourced: bool):
     source = source_on(table, grid, SOURCED, rng) if sourced else None
     if law == "dbf":
         s = DBFScenario(epsilon=1.5, mu=0.5, eta=0.15, nu=3.0, K=2, grid=grid, W0=W0, source_J=source)
-        return s, solve_dbf(s, "exact")
+        return s, solve(s, "exact")
     g = GeneralizedScenario(kappa0=np.diag([2.5, 2.5]), Mstar0=np.diag([1.0, 0.5]), nu=9.0, K=2, grid=grid, W0=W0,
                             kappa1=MaterialSymbol(dim=2, poly_coeffs=[np.diag([0.4, 0.4])]), source_J=source)
-    return g, solve_generalized(g, "auto")
+    return g, solve(g, "auto")
 
 
 def columns_of(history, s, cols):
@@ -126,7 +124,7 @@ class TestEnergyIsBitIdentical:
         s = DBFScenario(epsilon=1.5, mu=0.5, eta=0.15, nu=1.0, K=4, grid=grid,
                         W0=loaded_pair(table, np.random.default_rng(8)))
         assert len(column_chunks(grid.n_samples, table.n_modes)) > 10
-        history = solve_dbf(s, "exact")
+        history = solve(s, "exact")
         assert history.energy.tobytes() == oracles.material_energy_series(history, s).tobytes()
 
     def test_memory_law_with_cross_terms(self):
@@ -136,7 +134,7 @@ class TestEnergyIsBitIdentical:
                                 nu=9.0, K=2, grid=grid, W0=loaded_pair(table, np.random.default_rng(9)),
                                 kappa1=MaterialSymbol(dim=2, poly_coeffs=[np.diag([0.4, 0.4])]),
                                 k_cross=np.array([0.3, 0.1, 0.2]))
-        history = solve_generalized(g, "auto")
+        history = solve(g, "auto")
         assert history.energy.tobytes() == oracles.material_energy_series(history, g).tobytes()
 
     @pytest.mark.parametrize("law", ["dbf", "generalized"])
@@ -144,7 +142,7 @@ class TestEnergyIsBitIdentical:
         s, _ = solved(law, "aligned", False)
         zero = s.W0.with_coeffs(np.zeros(s.table.n_modes), np.zeros(s.table.n_modes))
         s = dataclasses.replace(s, W0=zero)
-        history = (solve_dbf if law == "dbf" else solve_generalized)(s)
+        history = solve(s, "exact" if law == "dbf" else "auto")
         assert history.energy.tobytes() == oracles.material_energy_series(history, s).tobytes()
         assert history.energy.tobytes() == bytes(history.energy.nbytes)  # every sample +0.0
 
@@ -157,13 +155,13 @@ class TestClosedFormIsBitIdentical:
         s = DBFScenario(epsilon=1.5, mu=0.5, eta=0.15, nu=1.0, K=3, grid=grid, W0=loaded_pair(table, rng),
                         source_J=source)
         assert len(column_chunks(grid.n_samples, table.n_modes)) > 4
-        history = solve_dbf(s, "exact")
-        reduced = assemble_reduced_ivp(s)
-        assert not reduced.kernel.any() and not reduced.near.any()
-        w0 = np.stack([s.W0.e_part.coeffs, s.W0.h_part.coeffs], axis=1) / reduced.factors[:, None]
+        history = solve(s, "exact")
+        assert not history.diagnostics["kernel_modes"] and not history.diagnostics["near_kernel_modes"]
+        factors = 1.0 + s.eta * table.eigenvalues
+        w0 = np.stack([s.W0.e_part.coeffs, s.W0.h_part.coeffs], axis=1) / factors[:, None]
         idx, samples = s.source_J.modes, s.source_J.samples
-        E, H = rotation_closed_form(s.epsilon, s.mu, reduced.coupling, w0, grid,
-                                    (idx, samples / reduced.factors[idx, None]))
+        E, H = rotation_closed_form(s.epsilon, s.mu, table.eigenvalues / factors, w0, grid,
+                                    (idx, samples / factors[idx, None]))
         for name, expected in zip("EHDB", (E, H) + recover_DB(E, H, s)):
             assert np.asarray(getattr(history, name)).tobytes() == expected.tobytes(), name
 
@@ -176,7 +174,7 @@ def verify_sized():
     source = source_on(table, grid, list(rng.choice(table.n_modes, 37, replace=False)) + [0], rng, t0=1.0)
     s = DBFScenario(epsilon=1.0, mu=1.0, eta=0.15, nu=1.0, K=4, grid=grid, W0=loaded_pair(table, rng),
                     source_J=source)
-    return s, solve_dbf(s, "exact")
+    return s, solve(s, "exact")
 
 
 def traced_peak(fn, *args, **kwargs):
@@ -200,7 +198,7 @@ class TestBoundedMemory:
     def test_closed_form_peak_beyond_its_output(self, verify_sized):
         # The stored solve, closed form and diagnostics fold, beyond the E and H it stores.
         s, history = verify_sized
-        out, peak = traced_peak(solve_dbf, s, "exact")
+        out, peak = traced_peak(solve, s, "exact")
         assert out.E.tobytes() == history.E.tobytes()
         beyond = peak - out.E.nbytes - out.H.nbytes
         assert beyond <= 16 * MB, f"{beyond / MB:.1f} MB"
@@ -208,7 +206,7 @@ class TestBoundedMemory:
     def test_solve_dbf_peak(self, verify_sized):
         # The history holds E and H, 19.7 MB; D and B are scaled where they are read.
         s, history = verify_sized
-        out, peak = traced_peak(solve_dbf, s, "exact")
+        out, peak = traced_peak(solve, s, "exact")
         assert out.E.tobytes() == history.E.tobytes()
         assert peak <= 32 * MB, f"{peak / MB:.1f} MB"
 
@@ -219,7 +217,7 @@ class TestBoundedMemory:
         g = GeneralizedScenario(kappa0=np.diag([2.5, 2.5]), Mstar0=np.diag([1.0, 0.5]), nu=9.0, K=3, grid=grid,
                                 W0=loaded_pair(table, np.random.default_rng(3)), k_cross=np.array([0.3, 0.1, 0.2]),
                                 kappa1=MaterialSymbol(dim=2, poly_coeffs=[np.diag([0.4, 0.4])]))
-        history, peak = traced_peak(solve_generalized, g, "auto")
+        history, peak = traced_peak(solve, g, "auto")
         stored = sum(a.nbytes for a in (history.E, history.H, history.D, history.B))
         assert table.n_modes == 369 and stored == 4 * 800 * 369 * 16
         assert peak <= 1.5 * stored, f"{peak / stored:.2f} times the stored fields"
@@ -231,7 +229,7 @@ class TestBoundedMemory:
         g = GeneralizedScenario(kappa0=np.diag([2.5, 2.5]), Mstar0=np.array([[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 0.5]]),
                                 nu=9.0, K=3, grid=grid, W0=loaded_pair(table, np.random.default_rng(3)),
                                 kappa1=MaterialSymbol(dim=2, poly_coeffs=[np.diag([0.4, 0.4])]))
-        history = solve_generalized(g, "auto")
+        history = solve(g, "auto")
         assert history.tracked.size == table.n_modes
         doc = {"material": {"model": "generalized"}, "method": "auto"}
         _, peak = traced_peak(cli.write_run_output, history, doc, str(tmp_path), "memory")

@@ -1,5 +1,7 @@
 """Tests for classical chiral scenarios: reduction, solving, verification."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,8 @@ from dbf.dbf_model import (
     NonFiniteSolution,
     PairSeries,
     RangeViolation,
-    assemble_reduced_ivp,
     check_data_range,
-    solve_dbf,
-    solve_generalized,
+    solve,
 )
 from dbf.paper import (
     AbstractIVP,
@@ -143,8 +143,7 @@ class TestAssemble:
     def test_block_count_excludes_kernel(self, table_k1):
         j = table_k1.position((1, 0, 0), "minus")
         s = scenario(table_k1, eta=-1.0, W0=field_pair(table_k1, {j: (1.0, 0.0)}))
-        reduced = assemble_reduced_ivp(s)
-        assert np.count_nonzero(reduced.kernel) == 6
+        assert len(solve(s, "exact").diagnostics["kernel_modes"]) == 6
         assert len(single_mode.dbf_blocks(s)) == table_k1.n_modes - 6
 
     def test_unit_mode_coupling_and_scaling(self, table_k1):
@@ -168,13 +167,13 @@ class TestAssemble:
         i = table_k1.position((1, 0, 0), "plus")
         s = scenario(table_k1, eta=-1.0, W0=field_pair(table_k1, {i: (1.0, 0.0)}))
         with pytest.raises(RangeViolation):
-            assemble_reduced_ivp(s)
+            solve(s, "exact")
 
 
 class TestSolveDBF:
     def test_zero_data_zero_history(self, table_k1):
         s = scenario(table_k1)
-        history = solve_dbf(s, "exact")
+        history = solve(s, "exact")
         for arr in (history.E, history.H, history.D, history.B):
             assert np.all(arr == 0)
         assert history.diagnostics["weak_residual"] == 0.0
@@ -183,7 +182,7 @@ class TestSolveDBF:
     def test_single_mode_rotation(self, table_k1):
         i = table_k1.position((1, 0, 0), "plus")
         s = scenario(table_k1, eta=0.5, W0=field_pair(table_k1, {i: (1.0, 0.0)}))
-        history = solve_dbf(s, "exact")
+        history = solve(s, "exact")
         # Reduced datum is W0 / (1 + eta), so the mode rotates at
         # omega = 2/3 from (2/3, 0).
         expect = oracles.rotation_solution(1.0, 1.0, 2.0 / 3.0,
@@ -205,29 +204,29 @@ class TestSolveDBF:
                           complex(rng.standard_normal(), rng.standard_normal()))
         s = scenario(table_k1, eta=0.5, epsilon=1.5, mu=0.5,
                      W0=field_pair(table_k1, entries))
-        history = solve_dbf(s, "exact")
+        history = solve(s, "exact")
         assert history.diagnostics["initial_value_error"] <= 1e-8
 
     def test_fixed_point_agrees_with_exact(self, table_k1):
         i = table_k1.position((1, 0, 0), "plus")
         W0 = field_pair(table_k1, {i: (1.0, 0.0)})
         s = scenario(table_k1, eta=0.5, nu=8.0, W0=W0)
-        exact = solve_dbf(s, "exact")
-        fixed = solve_dbf(s, "fixed_point")
+        exact = solve(s, "exact")
+        fixed = solve(s, "fixed_point")
         assert eh_gap(exact, fixed, 8.0) < 1e-6
         assert fixed.diagnostics["iterations"] >= 1
 
     def test_integrator_agrees_with_exact(self, table_k1):
         i = table_k1.position((1, 0, 0), "minus")
         s = scenario(table_k1, eta=0.5, nu=3.0, W0=field_pair(table_k1, {i: (0.5, 1.0)}))
-        exact = solve_dbf(s, "exact")
-        stepped = solve_dbf(s, "integrator")
+        exact = solve(s, "exact")
+        stepped = solve(s, "integrator")
         assert eh_gap(exact, stepped, 3.0) < 1e-4
 
     def test_kernel_coefficients_exactly_zero(self, table_k1):
         j = table_k1.position((1, 0, 0), "minus")
         s = scenario(table_k1, eta=-1.0, W0=field_pair(table_k1, {j: (1.0, -1.0)}))
-        history = solve_dbf(s, "exact")
+        history = solve(s, "exact")
         kernel = table_k1.kernel_mask(-1.0)
         assert int(kernel.sum()) == 6
         for arr in (history.E, history.H, history.D, history.B):
@@ -238,7 +237,7 @@ class TestSolveDBF:
         i = table_k1.position((1, 0, 0), "plus")
         source = step_series(table_k1, GRID, {i: (0.4, 0.0)})
         s = scenario(table_k1, eta=0.5, source=source)
-        history = solve_dbf(s, "exact")
+        history = solve(s, "exact")
         assert history.diagnostics["causality_sup"] <= 1e-10
         assert history.diagnostics["initial_value_error"] <= 1e-8
         assert np.any(history.E[:, i] != 0)
@@ -247,8 +246,8 @@ class TestSolveDBF:
         i = table_k1.position((0, 1, 0), "plus")
         W0 = field_pair(table_k1, {i: (0.7, -0.2j)})
         W0_double = field_pair(table_k1, {i: (1.4, -0.4j)})
-        a = solve_dbf(scenario(table_k1, W0=W0), "exact")
-        b = solve_dbf(scenario(table_k1, W0=W0_double), "exact")
+        a = solve(scenario(table_k1, W0=W0), "exact")
+        b = solve(scenario(table_k1, W0=W0_double), "exact")
         scale = np.max(np.abs(b.E))
         assert np.max(np.abs(b.E - 2.0 * a.E)) <= 1e-12 * scale
         assert np.max(np.abs(b.H - 2.0 * a.H)) <= 1e-12 * scale
@@ -256,12 +255,12 @@ class TestSolveDBF:
     def test_perturbation_gain_is_stable(self, table_k1, rng):
         i = table_k1.position((1, 0, 0), "plus")
         base = field_pair(table_k1, {i: (1.0, 0.0)})
-        base_history = solve_dbf(scenario(table_k1, W0=base), "exact")
+        base_history = solve(scenario(table_k1, W0=base), "exact")
         ratios = []
         for _ in range(5):
             delta = complex(rng.standard_normal(), rng.standard_normal()) * 0.1
             bumped = field_pair(table_k1, {i: (1.0 + delta, 0.0)})
-            history = solve_dbf(scenario(table_k1, W0=bumped), "exact")
+            history = solve(scenario(table_k1, W0=bumped), "exact")
             ratios.append(eh_gap(history, base_history, 3.0) / abs(delta))
         ratios = np.array(ratios)
         # One mode, one linear map: the gain per unit perturbation is a
@@ -270,13 +269,15 @@ class TestSolveDBF:
 
     def test_invalid_method_rejected(self, table_k1):
         with pytest.raises(ValueError):
-            solve_dbf(scenario(table_k1), "bogus")
+            solve(scenario(table_k1), "bogus")
+        with pytest.raises(ValueError, match=re.escape(str(dbf_model.DBF_METHODS))):
+            solve(scenario(table_k1), "auto")
 
     def test_near_kernel_forces_exact_with_warning(self, table_k1):
         i = table_k1.position((1, 0, 0), "plus")
         s = scenario(table_k1, eta=-0.9995, W0=field_pair(table_k1, {i: (1.0, 0.0)}))
         with pytest.warns(UserWarning, match="stiff"):
-            history = solve_dbf(s, "fixed_point")
+            history = solve(s, "fixed_point")
         assert history.diagnostics["near_kernel_modes"]
         assert np.all(np.isfinite(history.E))
         # The stiff mode still solves: rotation amplitude stays bounded.
@@ -340,7 +341,7 @@ class TestStackedExact:
             ((1, 1, 1), "minus", None): "jump+step",
         }
         s = mixed_data_scenario(table_k2, eta=0.5, nu=3.0, loads=loads)
-        history = solve_dbf(s, "exact")
+        history = solve(s, "exact")
         loaded = [table_k2.position(*key) for key in loads]
         self.check_against_single_modes(s, history, loaded, single_mode.dbf_blocks(s))
         idle = np.setdiff1d(np.arange(table_k2.n_modes), loaded)
@@ -355,9 +356,8 @@ class TestStackedExact:
                  ((0, 0, 0), "const", 0): "gaussian"}
         s = mixed_data_scenario(table_k2, eta=-(1.0 - 5e-4), nu=3.0, loads=loads)
         with pytest.warns(UserWarning, match="kernel"):
-            history = solve_dbf(s, "fixed_point")
-        with pytest.warns(UserWarning, match="kernel"):
-            blocks = single_mode.dbf_blocks(s)
+            history = solve(s, "fixed_point")
+        blocks = single_mode.dbf_blocks(s)
         near = table_k2.position((1, 0, 0), "plus")
         assert str(table_k2.modes[near].key()) in history.diagnostics["near_kernel_modes"]
         assert history.diagnostics["iterations"] > 0
@@ -370,7 +370,7 @@ class TestStackedExact:
         s = mixed_data_scenario(table_k2, eta=0.5, nu=3.0, loads={
             ((1, 0, 0), "plus", None): "jump", ((0, 0, 1), "plus", None): "gaussian"})
         monkeypatch.setattr(AbstractIVP, "__post_init__", refuse)
-        history = solve_dbf(s, "exact")
+        history = solve(s, "exact")
         assert np.any(history.E != 0)
         assert history.diagnostics["weak_residual"] < 1e-6
 
@@ -413,13 +413,13 @@ class TestRecoverDB:
 class TestVerifiers:
     def test_residual_zero_for_zero_history(self, table_k1):
         s = scenario(table_k1)
-        history = solve_dbf(s, "exact")
+        history = solve(s, "exact")
         assert verify_dbf_equation(history, s) == 0.0
 
     def test_residual_flags_corrupted_history(self, table_k1):
         i = table_k1.position((1, 0, 0), "plus")
         s = scenario(table_k1, eta=0.5, nu=2.0, W0=field_pair(table_k1, {i: (2.0, 0.0)}))
-        history = solve_dbf(s, "exact")
+        history = solve(s, "exact")
         assert verify_dbf_equation(history, s) <= 1e-8
         corrupted = FieldHistory(history.table, history.grid, history.nu,
                                  history.E * 1.01, history.H, history.D, history.B)
@@ -438,14 +438,14 @@ class TestVerifiers:
         i = table_k1.position((1, 0, 0), "plus")
         s = scenario(table_k1, eta=0.5, epsilon=1.5, mu=0.5,
                      W0=field_pair(table_k1, {i: (1.0, -0.5j)}))
-        history = solve_dbf(s, "exact")
+        history = solve(s, "exact")
         energy = history.energy[GRID.times >= -1e-9]
         assert np.max(np.abs(energy - energy[0])) <= 1e-12 * energy[0]
 
     def test_rotation_pairing_has_no_real_part(self, table_k1):
         i = table_k1.position((1, 0, 0), "plus")
         s = scenario(table_k1, eta=0.5, W0=field_pair(table_k1, {i: (1.0, 0.5j)}))
-        history = solve_dbf(s, "exact")
+        history = solve(s, "exact")
         c = 2.0 / 3.0
         pairing = np.vdot(-c * history.H[:, i], history.E[:, i]) + np.vdot(
             c * history.E[:, i], history.H[:, i])
@@ -464,23 +464,23 @@ class TestNonFiniteGuard:
         W0 = field_pair(table_k1, {plus: (1.0, 0.5j), const: (0.3, -0.2)})
         source = step_series(table_k1, SHORT_GRID, {plus: (0.4, 0.0)})
         if request.param == "dbf":
-            s, solve = scenario(table_k1, grid=SHORT_GRID, W0=W0, source=source), solve_dbf
+            s, method = scenario(table_k1, grid=SHORT_GRID, W0=W0, source=source), "exact"
         else:
             s = GeneralizedScenario(kappa0=2.0 * np.eye(2), Mstar0=np.diag([1.0, 0.5]), nu=3.0, K=1,
                                     grid=SHORT_GRID, W0=W0, source_J=source,
                                     kappa1=MaterialSymbol(dim=2, poly_coeffs=[0.4 * np.eye(2)]))
-            solve = solve_generalized
-        history = solve(s)
+            method = "auto"
+        history = solve(s, method)
         fields = [np.array(np.asarray(a)) for a in (history.E, history.H, history.D, history.B)]
         assert all(np.all(np.isfinite(a)) for a in fields)
-        return s, solve, fields
+        return s, method, fields
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.inf)], ids=["nan", "inf", "complex_inf"])
     @pytest.mark.parametrize("row", ["before_zero", "zero", "last"])
     def test_injected_value_raises(self, solved, table_k1, value, row, monkeypatch):
-        s, solve, fields = solved
+        s, method, fields = solved
         lam = table_k1.eigenvalues
         at = {"before_zero": SHORT_GRID.zero_index - 1, "zero": SHORT_GRID.zero_index, "last": -1}[row]
         poisoned = []
@@ -498,7 +498,7 @@ class TestNonFiniteGuard:
                 poisoned[:] = [a.copy() for a in fields]
                 poisoned[k][at, mode] = value
                 with pytest.raises(NonFiniteSolution):
-                    solve(s)
+                    solve(s, method)
 
 
 class TestPairSeries:

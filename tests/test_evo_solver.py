@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from dbf import dbf_model, evo_solver
 from dbf.curl_spectral import FieldPair, SpectralField
-from dbf.dbf_model import GeneralizedScenario, solve_generalized
+from dbf.dbf_model import GeneralizedScenario, solve
 from dbf.evo_solver import (
     NoConvergence,
     NotContractive,
@@ -247,7 +247,7 @@ class TestMarch:
             return solve_propagator_blocks(*args)
 
         monkeypatch.setattr(dbf_model, "solve_propagator_blocks", record)
-        solve_generalized(g, "auto")
+        solve(g, "auto")
         assert {args[1].dim for args in groups} == {2 if k_cross is None else 6}
         for M0, M1, source, w0, *_ in groups:
             marched = solve_march_blocks(M0, M1, source, w0, grid)
@@ -290,9 +290,9 @@ class TestMarch:
         for grid in (MEMORY_GRID, TimeGrid(t_start=-0.05, dt=0.01, n_samples=900, pad_fraction=0.25)):
             g3 = memory_law_scenario(table_k2, 3.0, grid)
             with pytest.raises(NotContractive):
-                solve_generalized(g3, "fixed_point")
-            h3 = solve_generalized(g3, "auto")
-            h8 = solve_generalized(memory_law_scenario(table_k2, 8.0, grid), "auto")
+                solve(g3, "fixed_point")
+            h3 = solve(g3, "auto")
+            h8 = solve(memory_law_scenario(table_k2, 8.0, grid), "auto")
             for a, b in ((h3.E, h8.E), (h3.H, h8.H), (h3.D, h8.D), (h3.B, h8.B)):
                 assert a.tobytes() == b.tobytes()
 
@@ -336,8 +336,8 @@ class TestPropagator:
         # Jump data is stepped exactly, so a solve at dt/8 agrees up to roundoff;
         # the trapezoid march it replaced was 6e-7 apart.
         fine_grid = TimeGrid(t_start=-0.05, dt=MEMORY_GRID.dt / 8, n_samples=800 + 8 * 411 + 1)
-        coarse = solve_generalized(memory_law_scenario(table_k2, 9.0), "auto")
-        fine = solve_generalized(memory_law_scenario(table_k2, 9.0, fine_grid), "auto")
+        coarse = solve(memory_law_scenario(table_k2, 9.0), "auto")
+        fine = solve(memory_law_scenario(table_k2, 9.0, fine_grid), "auto")
         z, zf = MEMORY_GRID.zero_index, fine_grid.zero_index
         assert fine_grid.times[zf] == 0.0 and MEMORY_GRID.n_samples - z == 412
         for a, b in ((coarse.E, fine.E), (coarse.H, fine.H), (coarse.D, fine.D), (coarse.B, fine.B)):

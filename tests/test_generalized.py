@@ -1,5 +1,6 @@
 """Tests for operator material laws: memory terms and cross coupling."""
 
+import re
 import warnings
 
 import numpy as np
@@ -15,8 +16,7 @@ from dbf.dbf_model import (
     HypothesisViolated,
     NeumannDiverges,
     block_scalar_matrix,
-    solve_dbf,
-    solve_generalized,
+    solve,
 )
 from dbf.paper import cross_coupling_matrix, synthesize_on_grid
 from dbf.weighted_time import MaterialSymbol, TimeGrid, WeightedSignal, weighted_norm
@@ -87,7 +87,11 @@ class TestScenarioValidation:
 
     def test_invalid_method_rejected(self, table_k1):
         with pytest.raises(ValueError):
-            solve_generalized(self.make(table_k1), "bogus")
+            solve(self.make(table_k1), "bogus")
+        classical = DBFScenario(epsilon=1.0, mu=1.0, eta=0.5, nu=3.0, K=table_k1.K, grid=GRID,
+                                W0=field_pair(table_k1, {}))
+        with pytest.raises(ValueError, match=re.escape(str(dbf_model.DBF_METHODS))):
+            solve(classical, "auto")
 
 
 class TestDegenerateConsistency:
@@ -102,8 +106,8 @@ class TestDegenerateConsistency:
         general = GeneralizedScenario(kappa0=(1.0 / eta) * I2,
                                       Mstar0=eta * np.diag([eps, mu]),
                                       nu=3.0, K=1, grid=GRID, W0=W0)
-        a = solve_dbf(classical, "exact")
-        b = solve_generalized(general, "auto")
+        a = solve(classical, "exact")
+        b = solve(general, "auto")
         for x, y in ((a.E, b.E), (a.H, b.H), (a.D, b.D), (a.B, b.B)):
             assert np.max(np.abs(x - y)) <= 1e-8
         assert b.diagnostics["iterations"] == 0
@@ -119,8 +123,8 @@ class TestDegenerateConsistency:
         big = GeneralizedScenario(kappa0=np.kron(core_k, np.eye(3)),
                                   Mstar0=np.kron(core_m, np.eye(3)),
                                   nu=3.0, K=1, grid=GRID, W0=W0)
-        a = solve_generalized(small, "auto")
-        b = solve_generalized(big, "auto")
+        a = solve(small, "auto")
+        b = solve(big, "auto")
         np.testing.assert_array_equal(a.E, b.E)
         np.testing.assert_array_equal(a.D, b.D)
 
@@ -135,7 +139,7 @@ class TestMemoryTerm:
         g = GeneralizedScenario(kappa0=kappa0, Mstar0=Mstar0, nu=nu, K=1,
                                 grid=BETA_GRID, W0=field_pair(table_k1, {i: (w0[0], w0[1])}),
                                 kappa1=MaterialSymbol(dim=2, poly_coeffs=[beta * I2]))
-        history = solve_generalized(g, "auto", fp_tol=1e-12)
+        history = solve(g, "auto", fp_tol=1e-12)
         pos = BETA_GRID.times >= -1e-12
         n_pos = int(pos.sum())
         stride = 10
@@ -158,7 +162,7 @@ class TestMemoryTerm:
         g = GeneralizedScenario(kappa0=kappa0, Mstar0=Mstar0, nu=3.0, K=1, grid=BETA_GRID,
                                 W0=field_pair(table_k1, {i: (1.0, 0.0)}),
                                 kappa1=MaterialSymbol(dim=2, poly_coeffs=[beta * I2]))
-        history = solve_generalized(g, "integrator")
+        history = solve(g, "integrator")
         pos = BETA_GRID.times >= -1e-12
         stride = 10
         u, v = oracles.generalized_beta_rk4(kappa0, Mstar0, beta, 1.0, np.array([1.0, 0.0]),
@@ -174,7 +178,7 @@ class TestMemoryTerm:
                                 W0=field_pair(table_k1, {i: (1.0, -0.3j)}),
                                 kappa1=MaterialSymbol(dim=2, poly_coeffs=[0.3 * I2, 0.04 * I2]),
                                 Mstar1=MaterialSymbol(dim=2, poly_coeffs=[np.diag([0.1, 0.05])]))
-        stepped, auto = solve_generalized(g, "integrator"), solve_generalized(g, "auto")
+        stepped, auto = solve(g, "integrator"), solve(g, "auto")
         for a, b in ((stepped.E, auto.E), (stepped.H, auto.H), (stepped.D, auto.D), (stepped.B, auto.B)):
             assert a.tobytes() == b.tobytes()
         assert stepped.diagnostics["weak_residual"] <= 1e-9
@@ -193,7 +197,7 @@ class TestMemoryTerm:
                                 kappa1=MaterialSymbol(dim=2, poly_coeffs=kappa1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            history = solve_generalized(g, "auto")
+            history = solve(g, "auto")
         z = grid.zero_index
         # The trapezoid march is the discrete law the un-reduced oracle solves.
         u = oracles.unreduced_trapezoid_solve(kappa0, kappa1, Mstar0, [], lam, w0,
@@ -224,7 +228,7 @@ class TestMemoryTerm:
                                 W0=field_pair(table_k1, {i: tuple(w0)}), source_J=source,
                                 kappa1=MaterialSymbol(dim=2, poly_coeffs=kappa1),
                                 Mstar1=MaterialSymbol(dim=2, poly_coeffs=Mstar1))
-        history = solve_generalized(g, "auto")
+        history = solve(g, "auto")
         j = np.stack([e[z:], h[z:]], axis=1)
         u = oracles.unreduced_trapezoid_solve(kappa0, kappa1, Mstar0, Mstar1, lam, w0, j, grid.dt)
         marched = single_mode.march_ivp(single_mode.generalized_block(g, i))[z:]
@@ -250,7 +254,7 @@ class TestMemoryTerm:
                                 W0=field_pair(table_k1, {i: tuple(w0)}),
                                 kappa1=MaterialSymbol(dim=2, poly_coeffs=kappa1),
                                 Mstar1=MaterialSymbol(dim=2, poly_coeffs=Mstar1) if Mstar1 else None)
-        history = solve_generalized(g, method)
+        history = solve(g, method)
         u = oracles.unreduced_trapezoid_solve(2.0 * I2, kappa1, I2, Mstar1, float(table_k1.eigenvalues[i]), w0,
                                               np.zeros((grid.n_samples - z, 2)), grid.dt)
         solved = np.stack([history.E[z:, i], history.H[z:, i]], axis=1)
@@ -264,7 +268,7 @@ class TestMemoryTerm:
         g = GeneralizedScenario(kappa0=2.0 * I2, Mstar0=I2, nu=3.0, K=1,
                                 grid=GRID, W0=field_pair(table_k1, {i: (0.0, 1.0)}),
                                 kappa1=MaterialSymbol(dim=2, poly_coeffs=[0.3 * I2]))
-        fixed = solve_generalized(g, "fixed_point", fp_tol=1e-12)
+        fixed = solve(g, "fixed_point", fp_tol=1e-12)
         # Picard converges to the trapezoid law, which the march solves directly.
         marched = single_mode.march_ivp(single_mode.generalized_block(g, i))
         diff = np.concatenate([marched[:, :1] - fixed.E[:, i:i + 1], marched[:, 1:] - fixed.H[:, i:i + 1]], axis=1)
@@ -321,7 +325,7 @@ class TestCrossCoupling:
         g = GeneralizedScenario(kappa0=kappa0, Mstar0=I2, nu=nu, K=1,
                                 grid=CROSS_GRID, W0=field_pair(table_k1, {i: (1.0, 0.0)}),
                                 k_cross=self.KC)
-        history = solve_generalized(g, "auto", fp_tol=1e-12)
+        history = solve(g, "auto", fp_tol=1e-12)
         assert history.diagnostics["causality_sup"] <= 1e-12
         assert history.diagnostics["initial_value_error"] <= 10 * CROSS_GRID.dt
         energy = history.energy
@@ -358,7 +362,7 @@ class TestCrossCoupling:
                                 W0=field_pair(table_k1, {plus: (1.0, 0.0)}), k_cross=self.KC,
                                 source_J=single_mode.source_series(
                                     table_k1, CROSS_GRID, {i: (e * step, h * step) for i, (e, h) in loads.items()}))
-        history = solve_generalized(g, method)
+        history = solve(g, method)
         assert history.diagnostics["causality_sup"] == 0.0
 
         m = table_k1.n_modes
@@ -396,7 +400,7 @@ class TestCrossCoupling:
         calls, propagate = [], dbf_model.solve_propagator_blocks
         monkeypatch.setattr(dbf_model, "solve_propagator_blocks",
                             lambda *args: calls.append(args) or propagate(*args))
-        solve_generalized(g, "auto")
+        solve(g, "auto")
         # Every block has data, so the groups arrive in block order, one block each.
         blocks = [np.flatnonzero(np.all(table_k1.kvectors == k, axis=1)) for k in
                   dict.fromkeys(map(tuple, table_k1.kvectors))]
@@ -428,7 +432,7 @@ class TestCrossCoupling:
         }
         g = GeneralizedScenario(kappa0=kappa0, Mstar0=I2, nu=nu, K=2, grid=grid,
                                 W0=field_pair(table_k2, entries), k_cross=kc)
-        history = solve_generalized(g, "auto")
+        history = solve(g, "auto")
         assert history.diagnostics["iterations"] == 0
         assert history.diagnostics["causality_sup"] <= 1e-12
 
@@ -455,19 +459,19 @@ class TestHypothesisGuards:
         g = GeneralizedScenario(kappa0=I2, Mstar0=I2, nu=3.0, K=1,
                                 grid=GRID, W0=field_pair(table_k1, {i: (1.0, 0.0)}))
         with pytest.raises(HypothesisViolated, match="singular"):
-            solve_generalized(g, "auto")
+            solve(g, "auto")
         # Two singular eigenvalues, -sqrt(2) and -1, are listed in sorted order.
         i = table_k2.position((1, 1, 0), "plus")
         g = GeneralizedScenario(kappa0=np.diag([1.0, np.sqrt(2.0)]), Mstar0=I2, nu=3.0, K=2,
                                 grid=GRID, W0=field_pair(table_k2, {i: (1.0, 0.0)}))
         with pytest.raises(HypothesisViolated, match=r"eigenvalue\(s\) \[-1\.41421356\d*, -1\.0\];"):
-            solve_generalized(g, "auto")
+            solve(g, "auto")
 
     def test_margin_reported(self, table_k1):
         i = table_k1.position((1, 0, 0), "plus")
         g = GeneralizedScenario(kappa0=2.0 * I2, Mstar0=I2, nu=3.0, K=1,
                                 grid=GRID, W0=field_pair(table_k1, {i: (1.0, 0.0)}))
-        history = solve_generalized(g, "auto")
+        history = solve(g, "auto")
         assert history.diagnostics["hypothesis_margin"] == pytest.approx(1.0, abs=1e-12)
 
     def test_large_memory_at_low_nu_diverges(self, table_k1):
@@ -477,4 +481,4 @@ class TestHypothesisGuards:
                                 kappa1=MaterialSymbol(dim=2, poly_coeffs=[20.0 * I2]))
         # Every eigenvalue fails the gate; the message names the least.
         with pytest.raises(NeumannDiverges, match=r"lambda=-1\.0; increase nu"):
-            solve_generalized(g, "auto")
+            solve(g, "auto")

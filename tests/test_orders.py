@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dbf.curl_spectral import FieldPair, SpectralField, build_basis
-from dbf.dbf_model import DBFScenario, GeneralizedScenario, PairSeries, solve_dbf, solve_generalized
+from dbf.dbf_model import DBFScenario, GeneralizedScenario, PairSeries, solve
 from dbf.weighted_time import MaterialSymbol, TimeGrid
 
 DTS = (0.01, 0.005, 0.0025)
@@ -37,7 +37,6 @@ def stepped(law: str, dt: float, onset: float):
 @pytest.mark.parametrize("law", ["dbf", "generalized"])
 @pytest.mark.parametrize("onset", [0.0, 0.5])
 def test_fixed_point_is_second_order_on_a_step(law, onset):
-    solve = solve_dbf if law == "dbf" else solve_generalized
     # fp_tol far below the gaps, so the Picard stop does not enter them.
     fields = [solve(stepped(law, dt, onset), "fixed_point", fp_tol=1e-14, max_iter=200) for dt in DTS]
     coarse = [np.stack([h.E, h.H])[:, ::2 ** i] for i, h in enumerate(fields)]
