@@ -19,7 +19,14 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from dbf.paper import AbstractIVP, solve_fixed_point, solve_integrator, solve_modal_exact, verify_regularity_ode
+from dbf.paper import (
+    AbstractIVP,
+    sobolev_norm,
+    solve_fixed_point,
+    solve_integrator,
+    solve_modal_exact,
+    verify_regularity_ode,
+)
 from dbf.weighted_time import MaterialSymbol, TimeGrid, WeightedSignal, weighted_norm
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -50,9 +57,9 @@ def main() -> int:
         exact = solve_modal_exact(p, args.nu)
         report = solve_fixed_point(p, args.nu, tol=1e-12)
         stepped = solve_integrator(p, args.nu)
-        gap_fp = weighted_norm(exact.with_samples(exact.samples - report.solution.samples), 0)
-        gap_int = weighted_norm(exact.with_samples(exact.samples - stepped.samples), 0)
-        raw = weighted_norm(report.solution, 1)
+        gap_fp = weighted_norm(WeightedSignal(exact.grid, exact.nu, exact.samples - report.solution.samples))
+        gap_int = weighted_norm(WeightedSignal(exact.grid, exact.nu, exact.samples - stepped.samples))
+        raw = sobolev_norm(report.solution, 1)
         split = verify_regularity_ode(report, M0, w0)
         print(f"{grid.dt:10.6f}  {gap_fp:12.3e}  {gap_int:12.3e}  {raw:10.3f}  {split:10.6f}")
     print("raw H1 grows ~sqrt(2) per halving (jump derivative); split H1 is flat")

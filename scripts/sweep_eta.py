@@ -52,7 +52,7 @@ def main() -> int:
         except RangeViolation:
             print(f"{eta:8.3f}  {'(kernel mode)':>16}  {'rejected':>15}  {'':>9}")
             continue
-        core = (grid.times >= 0.0) & (grid.times < grid.core_end_time)
+        core = (grid.times >= 0.0) & (grid.times < grid.t_start + grid.dt * grid.n_core)
         observed = _observed_omega(history.E[core, i], grid.times[core])
         rel = abs(observed - predicted) / abs(predicted)
         print(f"{eta:8.3f}  {predicted:16.6f}  {observed:15.6f}  {rel:9.2e}")

@@ -211,17 +211,17 @@ def _walk(node, rules: tuple) -> tuple | None:
     return None
 
 
-def _violation(node, schema: dict, path: tuple = ()) -> tuple | None:
-    """(path, message) of the first violation of the draft 2020-12 keywords SCENARIO_SCHEMA uses, or None.
+def _violation(doc) -> tuple | None:
+    """(path, message) of the first violation of SCENARIO_SCHEMA's draft 2020-12 keywords in doc, or None.
 
     A node's own rules come before its children, object keys in sorted order
     and array items in index order: this is the violation with the least path.
-    The schema's rules are gathered once (_rules), so the long W0 and
-    source-mode lists read no schema keyword per entry, and a path is built
-    only for the violation found.
+    The schema's rules are gathered once (_SCENARIO_RULES), so the long W0
+    and source-mode lists read no schema keyword per entry, and a path is
+    built only for the violation found.
     """
-    found = _walk(node, _SCENARIO_RULES if schema is SCENARIO_SCHEMA else _rules(schema))
-    return None if found is None else (path + tuple(reversed(found[0])), found[1])
+    found = _walk(doc, _SCENARIO_RULES)
+    return None if found is None else (tuple(reversed(found[0])), found[1])
 
 
 _SCENARIO_RULES = _rules(SCENARIO_SCHEMA)
@@ -293,7 +293,7 @@ def load_scenario_doc(path: str) -> dict:
                             parse_constant=_finite_float)
         except ValueError as exc:
             raise ScenarioError(f"{path}: not valid JSON: {exc}") from exc
-    found = _violation(doc, SCENARIO_SCHEMA)
+    found = _violation(doc)
     if found is not None:
         where = "/".join(str(p) for p in found[0]) or "<root>"
         raise ScenarioError(f"{path}: schema violation at {where}: {found[1]}")

@@ -140,20 +140,6 @@ class ModeTable:
         }
         return json.dumps(doc, indent=2, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ModeTable":
-        doc = json.loads(text)
-        modes = [
-            Mode(
-                k=tuple(int(c) for c in m["k"]),
-                helicity=m["helicity"],
-                eigenvalue=float(m["eigenvalue"]),
-                component_index=m["component_index"],
-            )
-            for m in doc["modes"]
-        ]
-        return _table_from_modes(int(doc["K"]), modes)
-
 
 def _table_from_modes(K: int, modes: list[Mode]) -> ModeTable:
     """Table over modes in the given order; the frame of each wavevector is built once."""
@@ -219,34 +205,6 @@ class SpectralField:
                 f"coeffs shape {self.coeffs.shape} != ({self.table.n_modes},)"
             )
 
-    def with_coeffs(self, coeffs: np.ndarray) -> "SpectralField":
-        return SpectralField(self.table, coeffs)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    def is_real_representable(self, tol: float = 1e-12) -> bool:
-        """Coefficient symmetry of a real-valued vector field.
-
-        With the deterministic frame convention, conj(p(k, s)) = p(-k, s) for
-        the Beltrami modes, p(-k, grad) = -p(k, grad), and const amplitudes
-        are real.  A real field therefore satisfies c(-k, s) = conj(c(k, s)),
-        c(-k, grad) = -conj(c(k, grad)), and real const coefficients.
-        """
-        t = self.table
-        for i, m in enumerate(t.modes):
-            c = self.coeffs[i]
-            if m.helicity == HELICITY_CONST:
-                if abs(c.imag) > tol:
-                    return False
-                continue
-            mk = tuple(-x for x in m.k)
-            j = t.position(mk, m.helicity, m.component_index)
-            sign = -1.0 if m.helicity == HELICITY_GRAD else 1.0
-            if abs(self.coeffs[j] - sign * np.conj(c)) > tol:
-                return False
-        return True
-
 
 @dataclass
 class FieldPair:
@@ -262,9 +220,6 @@ class FieldPair:
     @property
     def table(self) -> ModeTable:
         return self.e_part.table
-
-    def with_coeffs(self, e: np.ndarray, h: np.ndarray) -> "FieldPair":
-        return FieldPair(self.e_part.with_coeffs(e), self.h_part.with_coeffs(h))
 
 
 def generator_coefficients(eta: float, table: ModeTable) -> np.ndarray:

@@ -198,7 +198,7 @@ def solve_fixed_point_blocks(M0: np.ndarray, M1: MaterialSymbol, A: np.ndarray, 
         v_next = v0[:, active] - causal_resolvent(A_prime, _apply_symbol_time(m1_conj, v_active, grid), grid)
         diff = v_next - v_active
         for j, b in enumerate(active):
-            prev, update[b] = update[b], weighted_norm(WeightedSignal(grid, nu, diff[:, j]), 0)
+            prev, update[b] = update[b], weighted_norm(WeightedSignal(grid, nu, diff[:, j]))
             if sweep > 1 and prev > 0:
                 ratios[b].append(float(update[b] / prev))
         v[:, active] = v_next

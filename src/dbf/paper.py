@@ -5,9 +5,10 @@ package's runtime (weighted_time, curl_spectral, evo_solver, dbf_model,
 csv_cells, cli) is what `run`, `verify`, `sweep` and `basis` execute.  Here
 are the statements of the paper that the tests check against it:
 
-- the H_{nu,0} calculus: the inverse Fourier-Laplace transform, the causal
-  antiderivative, material symbols applied by frequency multiplication,
-  and the independence of that calculus from the weight nu;
+- the H_{nu,0} calculus: the Fourier-Laplace transform and its inverse, the
+  weighted norms of orders other than 0, the causal antiderivative,
+  material symbols (z and the delays exp(h/z)) applied by frequency
+  multiplication, and the independence of that calculus from the weight nu;
 - the chiral operators over the curl eigenbasis: curl itself, the
   projector onto the range of (1 + eta curl), its reduced resolvent, the
   bounded generator C, and the basis sampled on a grid of the torus;
@@ -46,20 +47,86 @@ from .evo_solver import (
 )
 from .weighted_time import (
     MaterialSymbol,
-    Spectrum,
     TimeGrid,
     WeightedSignal,
-    laplace_forward,
+    _grid_samples,
     running_simpson,
     running_trapezoid,
     weighted_norm,
 )
 
 NU_INDEP_TOL = 1e-6
+SUPPORTED_NORM_ORDERS = (-2, -1, 0, 1, 2)
 
 
 class NuTooSmall(ValueError):
     """The weight nu lies outside the symbol's declared analyticity region."""
+
+
+class UnsupportedOrder(ValueError):
+    """Requested derivative order outside the realized range {-2, ..., 2}."""
+
+
+@dataclass
+class Spectrum:
+    """Discrete Fourier-Laplace transform values on the grid's frequencies."""
+
+    grid: TimeGrid
+    nu: float
+    samples: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.samples = _grid_samples(self.grid, self.nu, self.samples)
+
+    def ell2_norm(self) -> float:
+        """sqrt(sum |S_m|^2 dxi); equals the H_{nu,0} norm of the signal."""
+        dxi = 2.0 * np.pi / (self.grid.n_samples * self.grid.dt)
+        return float(np.sqrt(np.sum(np.abs(self.samples) ** 2) * dxi))
+
+
+def laplace_forward(u: WeightedSignal) -> Spectrum:
+    """Discrete Fourier-Laplace transform of u.
+
+    The transform (L_nu u)(xi) = (1/sqrt(2 pi)) integral(exp(-i xi t) exp(-nu t) u(t) dt)
+    is unitary from H_{nu,0} onto L^2(R).  Discretely it is an FFT of the
+    exp(-nu t)-weighted samples, S_m = dt/sqrt(2 pi) exp(-i xi_m t_start)
+    FFT(exp(-nu t_j) u_j)_m with xi_m = 2 pi fftfreq(n, dt), and the window's
+    zero tail suppresses the circular wraparound of causal tails by
+    exp(-nu T).  The discrete Plancherel identity weighted_norm(u) =
+    Spectrum.ell2_norm() holds to rounding.
+    """
+    w = np.exp(-u.nu * u.times)[:, None] * u.samples
+    xi = u.grid.frequencies
+    phase = np.exp(-1j * xi * u.grid.t_start)[:, None]
+    S = (u.grid.dt / np.sqrt(2.0 * np.pi)) * phase * np.fft.fft(w, axis=0)
+    return Spectrum(u.grid, u.nu, S)
+
+
+def sobolev_norm(u: WeightedSignal, k: int) -> float:
+    """Discrete H_{nu,k} norm: |(d/dt)^k u| in the weighted space.
+
+    k = 0 is the runtime's weighted_norm; other orders multiply the
+    transform by (i xi + nu)^k, matching the definition of the norm through
+    the normal operator d/dt + nu.  Only k in {-2, ..., 2} is realized.
+    """
+    if k not in SUPPORTED_NORM_ORDERS:
+        raise UnsupportedOrder(f"order k={k} outside supported range {SUPPORTED_NORM_ORDERS}")
+    if k == 0:
+        return weighted_norm(u)
+    s = laplace_forward(u)
+    mult = (1j * u.grid.frequencies + u.nu) ** k
+    dxi = 2.0 * np.pi / (u.grid.n_samples * u.grid.dt)
+    return float(np.sqrt(np.sum(np.abs(mult[:, None] * s.samples) ** 2) * dxi))
+
+
+def inverse_derivative_symbol() -> MaterialSymbol:
+    """The symbol z itself: multiplication realizes the causal antiderivative."""
+    return MaterialSymbol(1, [np.zeros((1, 1)), np.eye(1)])
+
+
+def delay_symbol(h: float, coefficient=((1.0,),)) -> MaterialSymbol:
+    """The time translation exp(h / z), h <= 0, times a square coefficient matrix."""
+    return MaterialSymbol(len(coefficient), delays=[(h, coefficient)])
 
 
 def laplace_inverse(s: Spectrum) -> WeightedSignal:
@@ -73,17 +140,16 @@ def laplace_inverse(s: Spectrum) -> WeightedSignal:
 
 def apply_inverse_derivative(u: WeightedSignal) -> WeightedSignal:
     """Causal running integral of u (the inverse time derivative) by the cumulative trapezoid: exactly causal."""
-    return u.with_samples(running_trapezoid(u.samples, u.grid.dt))
+    return WeightedSignal(u.grid, u.nu, running_trapezoid(u.samples, u.grid.dt))
 
 
 def apply_symbol(M: MaterialSymbol, u: WeightedSignal) -> WeightedSignal:
     """Apply M(inverse time derivative) to u by frequency multiplication."""
-    if u.nu <= M.min_nu():
-        raise NuTooSmall(
-            f"nu={u.nu} must exceed 1/(2 radius)={M.min_nu()} for this symbol"
-        )
-    if u.channels != M.dim:
-        raise ValueError(f"signal channels {u.channels} != symbol dim {M.dim}")
+    min_nu = 1.0 / (2.0 * M.radius)
+    if u.nu <= min_nu:
+        raise NuTooSmall(f"nu={u.nu} must exceed 1/(2 radius)={min_nu} for this symbol")
+    if u.samples.shape[1] != M.dim:
+        raise ValueError(f"signal channels {u.samples.shape[1]} != symbol dim {M.dim}")
     s = laplace_forward(u)
     z = 1.0 / (1j * u.grid.frequencies + u.nu)
     vals = M.evaluate(z)
@@ -122,7 +188,7 @@ class NotInRange(ValueError):
 
 def curl_apply(f: SpectralField) -> SpectralField:
     """Diagonal curl action: coefficient at each mode scaled by its eigenvalue."""
-    return f.with_coeffs(f.table.eigenvalues * f.coeffs)
+    return SpectralField(f.table, f.table.eigenvalues * f.coeffs)
 
 
 def projector_P(eta: float, f: SpectralField) -> SpectralField:
@@ -136,7 +202,7 @@ def projector_P(eta: float, f: SpectralField) -> SpectralField:
         raise ValueError("eta must be nonzero")
     out = f.coeffs.copy()
     out[f.table.kernel_mask(eta)] = 0.0
-    return f.with_coeffs(out)
+    return SpectralField(f.table, out)
 
 
 def _assert_in_range(eta: float, coeffs: np.ndarray, table: ModeTable) -> np.ndarray:
@@ -160,7 +226,7 @@ def reduced_resolvent(eta: float, f: SpectralField) -> SpectralField:
     out = np.zeros_like(f.coeffs)
     keep = ~mask
     out[keep] = f.coeffs[keep] / (1.0 + eta * f.table.eigenvalues[keep])
-    return f.with_coeffs(out)
+    return SpectralField(f.table, out)
 
 
 def bounded_generator_C(eta: float, u: FieldPair) -> FieldPair:
@@ -175,7 +241,7 @@ def bounded_generator_C(eta: float, u: FieldPair) -> FieldPair:
     _assert_in_range(eta, u.e_part.coeffs, u.table)
     _assert_in_range(eta, u.h_part.coeffs, u.table)
     c = generator_coefficients(eta, u.table)
-    return u.with_coeffs(-c * u.h_part.coeffs, c * u.e_part.coeffs)
+    return FieldPair(SpectralField(u.table, -c * u.h_part.coeffs), SpectralField(u.table, c * u.e_part.coeffs))
 
 
 def synthesize_on_grid(f: SpectralField, n_grid: int) -> np.ndarray:
@@ -267,8 +333,8 @@ class AbstractIVP:
         if self.M1.dim != self.dim:
             raise ValueError(f"M1 dim {self.M1.dim} != {self.dim}")
         self.A = _check_skew(self.A, self.dim)
-        if self.source.channels != self.dim:
-            raise ValueError(f"source channels {self.source.channels} != dim {self.dim}")
+        if self.source.samples.shape[1] != self.dim:
+            raise ValueError(f"source channels {self.source.samples.shape[1]} != dim {self.dim}")
         self.W0 = np.asarray(self.W0, dtype=np.complex128).reshape(self.dim)
         if np.any(np.abs(self.source.samples[:self.source.grid.zero_index]) > SOURCE_CAUSALITY_TOL):
             raise ValueError("source must vanish on t < 0")
@@ -322,7 +388,7 @@ def weak_residual(p: AbstractIVP, u: WeightedSignal) -> tuple[WeightedSignal, fl
     r = np.zeros_like(u.samples)
     r[z:] = sol @ p.M0.T + running_simpson(integrand, grid.dt) - p.W0[None, :]
     r_sig = WeightedSignal(grid, u.nu, r)
-    return r_sig, weighted_norm(r_sig, 0)
+    return r_sig, weighted_norm(r_sig)
 
 
 def solve_fixed_point(p: AbstractIVP, nu: float, max_iter: int = DEFAULT_MAX_ITER, tol: float = DEFAULT_FP_TOL) -> SolveReport:
@@ -379,7 +445,7 @@ def verify_regularity_ode(report, M0: np.ndarray, W0: np.ndarray, A: np.ndarray 
     target = inv @ np.asarray(W0, dtype=np.complex128)
     jump = np.zeros_like(u.samples)
     jump[u.grid.zero_index:] = target[None, :]
-    return weighted_norm(u.with_samples(u.samples - jump), 1)
+    return sobolev_norm(WeightedSignal(u.grid, u.nu, u.samples - jump), 1)
 
 
 def verify_causality(report) -> float:
@@ -448,7 +514,7 @@ def recover_DB(E, H, s: DBFScenario):
     """
     fe, fh = flux_factors(s)
     if isinstance(E, SpectralField):
-        return E.with_coeffs(fe * E.coeffs), H.with_coeffs(fh * H.coeffs)
+        return SpectralField(E.table, fe * E.coeffs), SpectralField(H.table, fh * H.coeffs)
     E = np.asarray(E, dtype=np.complex128)
     H = np.asarray(H, dtype=np.complex128)
     return fe * E, fh * H

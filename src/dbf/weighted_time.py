@@ -1,19 +1,15 @@
-"""Exponentially weighted time spaces and the operator calculus on them.
+"""Exponentially weighted time spaces and the material symbols on them.
 
 A signal u lives in the discrete shadow of H_{nu,0}(R, C^m), the Hilbert
-space with inner product integral(conj(f) g exp(-2 nu t) dt), nu > 0.  The
-Fourier-Laplace transform
-
-    (L_nu u)(xi) = (1/sqrt(2 pi)) integral( exp(-i xi t) exp(-nu t) u(t) dt )
-
-is unitary from H_{nu,0} onto L^2(R).  Bounded analytic functions M of the
-inverse time derivative act by multiplication with M(1/(i xi + nu)) in the
-transformed picture.  The causal antiderivative has operator norm 1/nu.
+space with inner product integral(conj(f) g exp(-2 nu t) dt), nu > 0.
+Bounded analytic functions M of the inverse time derivative act at
+frequency xi by multiplication with M(1/(i xi + nu)); the causal
+antiderivative has operator norm 1/nu.  The solvers step in time and read
+only the order-0 weighted norm; dbf.paper states the Fourier-Laplace
+transform, the calculus through it and the norms of other orders.
 
 Discretely, a uniform window [t_start, t_start + n dt) carries the samples,
-the transform is an FFT of the exp(-nu t)-weighted samples, and the trailing
-pad_fraction of the window is kept zero so circular wraparound of causal
-tails is suppressed by exp(-nu T).
+and the trailing pad_fraction of the window is a tail outside the core.
 """
 
 from __future__ import annotations
@@ -25,11 +21,6 @@ from functools import cached_property
 import numpy as np
 
 ZERO_TIME_TOL = 1e-9
-SUPPORTED_NORM_ORDERS = (-2, -1, 0, 1, 2)
-
-
-class UnsupportedOrder(ValueError):
-    """Requested derivative order outside the realized range {-2, ..., 2}."""
 
 
 @dataclass(frozen=True)
@@ -43,7 +34,7 @@ class TimeGrid:
     dt : float
         Sample spacing, > 0.
     n_samples : int
-        Number of samples, >= 2 (powers of two recommended for the FFT).
+        Number of samples, >= 2.
     pad_fraction : float
         Fraction in [0, 1) of the window reserved as zero padding at the
         tail; signals declared causal-on-window must vanish there.
@@ -67,10 +58,6 @@ class TimeGrid:
         return self.t_start + self.dt * np.arange(self.n_samples)
 
     @property
-    def t_end(self) -> float:
-        return self.t_start + self.dt * self.n_samples
-
-    @property
     def n_pad(self) -> int:
         return int(round(self.pad_fraction * self.n_samples))
 
@@ -79,13 +66,8 @@ class TimeGrid:
         return self.n_samples - self.n_pad
 
     @property
-    def core_end_time(self) -> float:
-        """First time of the padded tail (exclusive end of the core window)."""
-        return self.t_start + self.dt * self.n_core
-
-    @property
     def frequencies(self) -> np.ndarray:
-        """Angular frequencies xi_m of the discrete transform, fftfreq order."""
+        """Angular frequencies xi_m = 2 pi m / (n dt) that the window resolves, fftfreq order."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n_samples, self.dt)
 
     @cached_property
@@ -102,15 +84,6 @@ class TimeGrid:
         """Raise error unless the first sample at t >= 0, where every solver starts, is t = 0."""
         if self.zero_index == self.n_samples or abs(self.times[self.zero_index]) > ZERO_TIME_TOL:
             raise error("time window must contain t = 0 as a sample: t_start must be a multiple of dt")
-
-    def index_at(self, t: float, *, tol: float = 1e-9) -> int:
-        """Grid index of time t; t must be grid-aligned within tol."""
-        i = int(round((t - self.t_start) / self.dt))
-        if not 0 <= i < self.n_samples:
-            raise ValueError(f"time {t} outside window [{self.t_start}, {self.t_end})")
-        if abs(self.t_start + i * self.dt - t) > tol * max(1.0, abs(t)):
-            raise ValueError(f"time {t} is not grid-aligned (dt={self.dt})")
-        return i
 
 
 def _grid_samples(grid: TimeGrid, nu: float, samples: np.ndarray) -> np.ndarray:
@@ -139,32 +112,8 @@ class WeightedSignal:
         self.samples = _grid_samples(self.grid, self.nu, self.samples)
 
     @property
-    def channels(self) -> int:
-        return self.samples.shape[1]
-
-    @property
     def times(self) -> np.ndarray:
         return self.grid.times
-
-    def with_samples(self, samples: np.ndarray) -> "WeightedSignal":
-        return WeightedSignal(self.grid, self.nu, samples)
-
-
-@dataclass
-class Spectrum:
-    """Discrete Fourier-Laplace transform values on the grid's frequencies."""
-
-    grid: TimeGrid
-    nu: float
-    samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.samples = _grid_samples(self.grid, self.nu, self.samples)
-
-    def ell2_norm(self) -> float:
-        """sqrt(sum |S_m|^2 dxi); equals the H_{nu,0} norm of the signal."""
-        dxi = 2.0 * np.pi / (self.grid.n_samples * self.grid.dt)
-        return float(np.sqrt(np.sum(np.abs(self.samples) ** 2) * dxi))
 
 
 @dataclass
@@ -203,30 +152,8 @@ class MaterialSymbol:
         return M
 
     @classmethod
-    def identity(cls, dim: int) -> "MaterialSymbol":
-        return cls(dim=dim, poly_coeffs=[np.eye(dim, dtype=np.complex128)])
-
-    @classmethod
     def zero(cls, dim: int) -> "MaterialSymbol":
         return cls(dim=dim, poly_coeffs=[])
-
-    @classmethod
-    def inverse_derivative(cls, dim: int = 1) -> "MaterialSymbol":
-        """The symbol z itself: multiplication realizes the causal antiderivative."""
-        z1 = np.eye(dim, dtype=np.complex128)
-        return cls(dim=dim, poly_coeffs=[np.zeros((dim, dim), dtype=np.complex128), z1])
-
-    @classmethod
-    def delay(cls, h: float, coefficient: np.ndarray | None = None, dim: int = 1) -> "MaterialSymbol":
-        """The time translation exp(h / z), h <= 0."""
-        if coefficient is None:
-            coefficient = np.eye(dim, dtype=np.complex128)
-        coefficient = np.atleast_2d(np.asarray(coefficient, dtype=np.complex128))
-        return cls(dim=coefficient.shape[0], delays=[(h, coefficient)])
-
-    def min_nu(self) -> float:
-        """Smallest admissible weight: nu must exceed 1/(2 radius)."""
-        return 0.0 if math.isinf(self.radius) else 1.0 / (2.0 * self.radius)
 
     def evaluate(self, z: np.ndarray | complex) -> np.ndarray:
         """Symbol values M(z); returns shape z.shape + (dim, dim)."""
@@ -245,20 +172,6 @@ class MaterialSymbol:
         if self.dim == 1:
             return float(np.max(np.abs(vals)))
         return float(np.max(np.linalg.svd(vals, compute_uv=False)))
-
-
-def laplace_forward(u: WeightedSignal) -> Spectrum:
-    """Discrete Fourier-Laplace transform of u.
-
-    S_m = dt/sqrt(2 pi) exp(-i xi_m t_start) FFT(exp(-nu t_j) u_j)_m with
-    xi_m = 2 pi fftfreq(n, dt).  The discrete Plancherel identity
-    weighted_norm(u, 0) = Spectrum.ell2_norm() holds to rounding.
-    """
-    w = np.exp(-u.nu * u.times)[:, None] * u.samples
-    xi = u.grid.frequencies
-    phase = np.exp(-1j * xi * u.grid.t_start)[:, None]
-    S = (u.grid.dt / np.sqrt(2.0 * np.pi)) * phase * np.fft.fft(w, axis=0)
-    return Spectrum(u.grid, u.nu, S)
 
 
 def running_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
@@ -312,20 +225,7 @@ def running_simpson(y: np.ndarray, dx: float, out: np.ndarray | None = None) -> 
     return out
 
 
-def weighted_norm(u: WeightedSignal, k: int = 0) -> float:
-    """Discrete H_{nu,k} norm: |(d/dt)^k u| in the weighted space.
-
-    k = 0 is the direct weighted quadrature sqrt(dt sum exp(-2 nu t)|u|^2);
-    other orders multiply the transform by (i xi + nu)^k, matching the
-    definition of the norm through the normal operator d/dt + nu.
-    Only k in {-2, ..., 2} is realized.
-    """
-    if k not in SUPPORTED_NORM_ORDERS:
-        raise UnsupportedOrder(f"order k={k} outside supported range {SUPPORTED_NORM_ORDERS}")
-    if k == 0:
-        w2 = np.exp(-2.0 * u.nu * u.times)
-        return float(np.sqrt(u.grid.dt * np.sum(w2[:, None] * np.abs(u.samples) ** 2)))
-    s = laplace_forward(u)
-    mult = (1j * u.grid.frequencies + u.nu) ** k
-    dxi = 2.0 * np.pi / (u.grid.n_samples * u.grid.dt)
-    return float(np.sqrt(np.sum(np.abs(mult[:, None] * s.samples) ** 2) * dxi))
+def weighted_norm(u: WeightedSignal) -> float:
+    """Discrete H_{nu,0} norm by the direct weighted quadrature sqrt(dt sum exp(-2 nu t)|u|^2)."""
+    w2 = np.exp(-2.0 * u.nu * u.times)
+    return float(np.sqrt(u.grid.dt * np.sum(w2[:, None] * np.abs(u.samples) ** 2)))

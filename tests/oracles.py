@@ -9,6 +9,8 @@ tautology.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -111,6 +113,13 @@ def mode_amplitude(k: tuple, helicity: str, component_index: int | None = None) 
     e2 = np.cross(khat, e1)
     sign = {"plus": 1.0, "minus": -1.0}.get(helicity)
     return khat.astype(np.complex128) if sign is None else (e1 + sign * 1j * e2) / np.sqrt(2.0)
+
+
+def basis_doc(text: str) -> tuple:
+    """(K, mode keys, eigenvalues) of a mode table written as JSON, read without the package."""
+    doc = json.loads(text)
+    keys = [(tuple(m["k"]), m["helicity"], m["component_index"]) for m in doc["modes"]]
+    return doc["K"], keys, np.array([m["eigenvalue"] for m in doc["modes"]])
 
 
 def fd_curl(samples: np.ndarray) -> np.ndarray:

@@ -146,7 +146,7 @@ class TestSourceRuleIndependentOfEta:
 
     def source(self, table, i):
         e = np.where(self.GRID.times >= -1e-9, 0.5, 0.0)
-        e[self.GRID.index_at(-0.1)] = 1e-15
+        e[10] = 1e-15  # the sample at t = -0.1
         return single_mode.source_series(table, self.GRID, {i: (e, 0.0)})
 
     @pytest.mark.parametrize("method", ["exact", "fixed_point"])

@@ -140,8 +140,8 @@ class TestEnergyIsBitIdentical:
     @pytest.mark.parametrize("law", ["dbf", "generalized"])
     def test_zero_data(self, law):
         s, _ = solved(law, "aligned", False)
-        zero = s.W0.with_coeffs(np.zeros(s.table.n_modes), np.zeros(s.table.n_modes))
-        s = dataclasses.replace(s, W0=zero)
+        zero = SpectralField(s.table, np.zeros(s.table.n_modes))
+        s = dataclasses.replace(s, W0=FieldPair(zero, zero))
         history = solve(s, "exact" if law == "dbf" else "auto")
         assert history.energy.tobytes() == oracles.material_energy_series(history, s).tobytes()
         assert history.energy.tobytes() == bytes(history.energy.nbytes)  # every sample +0.0

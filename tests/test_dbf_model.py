@@ -63,7 +63,7 @@ def scenario(table, *, eta=0.5, nu=3.0, epsilon=1.0, mu=1.0, grid=GRID,
 
 def eh_gap(a: FieldHistory, b: FieldHistory, nu: float) -> float:
     diff = np.concatenate([a.E - b.E, a.H - b.H], axis=1)
-    return weighted_norm(WeightedSignal(a.grid, nu, diff), 0)
+    return weighted_norm(WeightedSignal(a.grid, nu, diff))
 
 
 class TestDiagnose:

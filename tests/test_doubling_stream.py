@@ -21,7 +21,7 @@ import pytest
 
 import oracles
 from dbf import cli, dbf_model
-from dbf.curl_spectral import build_basis
+from dbf.curl_spectral import FieldPair, SpectralField, build_basis
 from dbf.dbf_model import field_pieces, fold_pieces
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -76,7 +76,8 @@ def scenario_of(case: str):
 
 def doubled_scenario(scenario):
     """The scenario with its W0 and source multiplied by 2."""
-    W0 = scenario.W0.with_coeffs(2.0 * scenario.W0.e_part.coeffs, 2.0 * scenario.W0.h_part.coeffs)
+    W0 = FieldPair(SpectralField(scenario.table, 2.0 * scenario.W0.e_part.coeffs),
+                   SpectralField(scenario.table, 2.0 * scenario.W0.h_part.coeffs))
     source = scenario.source_J
     if source is not None:
         source = dataclasses.replace(source, samples=2.0 * source.samples)

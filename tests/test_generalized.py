@@ -272,7 +272,7 @@ class TestMemoryTerm:
         # Picard converges to the trapezoid law, which the march solves directly.
         marched = single_mode.march_ivp(single_mode.generalized_block(g, i))
         diff = np.concatenate([marched[:, :1] - fixed.E[:, i:i + 1], marched[:, 1:] - fixed.H[:, i:i + 1]], axis=1)
-        assert weighted_norm(WeightedSignal(GRID, 3.0, diff), 0) < 1e-10
+        assert weighted_norm(WeightedSignal(GRID, 3.0, diff)) < 1e-10
 
 
 class TestCrossCoupling:

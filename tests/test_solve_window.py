@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dbf.evo_solver import WrongCase, _apply_symbol_time, causal_resolvent
-from dbf.paper import AbstractIVP, solve_fixed_point, weak_residual
+from dbf.paper import AbstractIVP, delay_symbol, solve_fixed_point, weak_residual
 from dbf.weighted_time import MaterialSymbol, TimeGrid, WeightedSignal
 
 
@@ -62,7 +62,7 @@ def test_polynomial_symbol_never_reads_rows_before_zero(rng):
 def test_delay_symbol_is_rejected_in_the_time_domain():
     # A delay would read rows before t = 0; it acts only through weighted_time.apply_symbol.
     grid = TimeGrid(t_start=-1.0, dt=0.01, n_samples=1024, pad_fraction=0.25)
-    sym = MaterialSymbol.delay(-0.1, 0.5 * np.array([[0.0, -1.0], [1.0, 0.0]]), dim=2)
+    sym = delay_symbol(-0.1, 0.5 * np.array([[0.0, -1.0], [1.0, 0.0]]))
     zero = WeightedSignal(grid, 2.0, np.zeros((grid.n_samples, 2), dtype=np.complex128))
     p = AbstractIVP(dim=2, M0=np.eye(2), M1=sym, A=np.zeros((2, 2)), source=zero, W0=np.array([1.0, 0.0]))
     with pytest.raises(WrongCase, match="polynomial"):
