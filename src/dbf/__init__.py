@@ -15,7 +15,7 @@ nu-independence of the calculus) are in dbf.paper, which imports the
 runtime; neither this package nor any runtime module imports it.
 """
 
-from .curl_spectral import FieldPair, Mode, ModeTable, SpectralField, build_basis, generator_coefficients
+from .curl_spectral import FieldPair, Mode, ModeTable, SpectralField, build_basis
 from .dbf_model import (
     DBFScenario,
     FieldHistory,
@@ -25,9 +25,6 @@ from .dbf_model import (
     NonFiniteSolution,
     PairSeries,
     RangeViolation,
-    Verdict,
-    block_scalar_matrix,
-    check_data_range,
     solve,
 )
 from .evo_solver import NoConvergence, NotContractive, WrongCase, causal_resolvent

@@ -12,8 +12,8 @@ projector P_eta onto the closed range of (1 + eta curl) simply zeroes the
 modes with 1 + eta lambda = 0, the reduced resolvent divides by
 (1 + eta lambda), and the bounded generator acts per mode by
 c_lambda = lambda / (1 + eta lambda) composed with the symplectic rotation.
-The solvers read c_lambda from generator_coefficients; dbf.paper states
-the operators themselves on a SpectralField.
+dbf.paper states these operators on a SpectralField; the classical setup of
+dbf_model applies them mode by mode.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 KERNEL_TOL = 1e-9
-DEFAULT_MAX_MODES = 4096
+MAX_MODES = 4096
 
 HELICITY_PLUS = "plus"
 HELICITY_MINUS = "minus"
@@ -155,19 +155,20 @@ def _table_from_modes(K: int, modes: list[Mode]) -> ModeTable:
     return ModeTable(K=K, modes=modes, amplitudes=amplitudes, kvectors=kvectors, eigenvalues=eigenvalues)
 
 
-def build_basis(K: int, *, max_modes: int = DEFAULT_MAX_MODES) -> ModeTable:
+def build_basis(K: int) -> ModeTable:
     """Truncated eigenbasis: 3 constant modes, then (plus, minus, grad) per k.
 
     Wavevectors run over 0 < |k|^2 <= K^2 sorted by (|k|^2, kx, ky, kz);
     the mode count is 3 #{k} + 3.  Eigenvalues are the floating-point
-    square roots of the integer |k|^2.
+    square roots of the integer |k|^2.  A truncation of more than
+    MAX_MODES modes raises TruncationTooLarge.
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     # The cube |kx|, |ky|, |kz| <= a, 3 a^2 <= K^2, lies in the ball: a lower bound before enumerating.
     least = 3 * (2 * math.isqrt(K * K // 3) + 1) ** 3
-    if least > max_modes:
-        raise TruncationTooLarge(f"K={K} yields at least {least} modes, exceeding the budget of {max_modes}")
+    if least > MAX_MODES:
+        raise TruncationTooLarge(f"K={K} yields at least {least} modes, exceeding the budget of {MAX_MODES}")
     kvecs = []
     for kx in range(-K, K + 1):
         for ky in range(-K, K + 1):
@@ -177,10 +178,8 @@ def build_basis(K: int, *, max_modes: int = DEFAULT_MAX_MODES) -> ModeTable:
                     kvecs.append((kk, kx, ky, kz))
     kvecs.sort()
     n_modes = 3 * len(kvecs) + 3
-    if n_modes > max_modes:
-        raise TruncationTooLarge(
-            f"K={K} yields {n_modes} modes, exceeding the budget of {max_modes}"
-        )
+    if n_modes > MAX_MODES:
+        raise TruncationTooLarge(f"K={K} yields {n_modes} modes, exceeding the budget of {MAX_MODES}")
     modes = [Mode(k=(0, 0, 0), helicity=HELICITY_CONST, eigenvalue=0.0, component_index=c) for c in range(3)]
     for kk, kx, ky, kz in kvecs:
         k = (kx, ky, kz)
@@ -220,12 +219,3 @@ class FieldPair:
     @property
     def table(self) -> ModeTable:
         return self.e_part.table
-
-
-def generator_coefficients(eta: float, table: ModeTable) -> np.ndarray:
-    """Per-mode scalars c = lambda/(1 + eta lambda); zero on kernel modes."""
-    mask = table.kernel_mask(eta)
-    c = np.zeros(table.n_modes)
-    keep = ~mask
-    c[keep] = table.eigenvalues[keep] / (1.0 + eta * table.eigenvalues[keep])
-    return c

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curl_spectral import FieldPair, ModeTable, generator_coefficients
+from .curl_spectral import FieldPair, ModeTable
 from .evo_solver import (
     SOURCE_CAUSALITY_TOL,
     DEFAULT_FP_TOL,
@@ -166,37 +166,14 @@ class DBFScenario:
         return self.W0.table
 
 
-def block_scalar_matrix(M: np.ndarray) -> np.ndarray:
-    """Compress a 6x6 blockwise scalar-times-identity matrix to its 2x2 core.
-
-    2x2 input passes through.  Each 3x3 block of a 6x6 input must equal a
-    scalar multiple of the identity; anything else has no per-mode reduction
-    over the scalar eigenbasis and is rejected.
-    """
-    M = np.asarray(M, dtype=np.complex128)
-    if M.shape == (2, 2):
-        return M
-    if M.shape != (6, 6):
-        raise ValueError(f"expected a 2x2 block-scalar matrix or a 6x6 matrix, got {M.shape}")
-    out = np.empty((2, 2), dtype=np.complex128)
-    for bi in range(2):
-        for bj in range(2):
-            blk = M[3 * bi:3 * bi + 3, 3 * bj:3 * bj + 3]
-            s = np.trace(blk) / 3.0
-            if not np.allclose(blk, s * np.eye(3), atol=1e-12 * max(1.0, abs(s))):
-                raise ValueError("6x6 block is not scalar times identity; cannot reduce per mode")
-            out[bi, bj] = s
-    return out
-
-
 @dataclass
 class GeneralizedScenario:
     """Operator material law run: kappa/Mstar pairs and optional cross coupling.
 
-    kappa0 and Mstar0 are selfadjoint with positive spectral floor, given as
-    the 2x2 block-scalar core (6x6 blockwise scalar-times-identity input is
-    compressed).  kappa1 and Mstar1 are polynomial symbols in the causal
-    antiderivative; delay terms are out of scope here.  k_cross, when set,
+    kappa0 and Mstar0 are 2x2 matrices, the block-scalar core acting on the
+    (e, h) pair of every mode, selfadjoint with positive spectral floor; any
+    other shape is rejected.  kappa1 and Mstar1 are polynomial symbols in
+    the causal antiderivative; delay terms are out of scope here.  k_cross, when set,
     is the fixed coupling vector of the constant term f -> k_cross x f added
     to Mstar1 at order zero (any physical prefactors are premultiplied into
     the vector, which is treated as dimensionless).  The term keeps the
@@ -215,8 +192,10 @@ class GeneralizedScenario:
     source_J: PairSeries | None = None
 
     def __post_init__(self) -> None:
-        self.kappa0 = block_scalar_matrix(self.kappa0)
-        self.Mstar0 = block_scalar_matrix(self.Mstar0)
+        self.kappa0, self.Mstar0 = (np.asarray(M, dtype=np.complex128) for M in (self.kappa0, self.Mstar0))
+        for name, M in (("kappa0", self.kappa0), ("Mstar0", self.Mstar0)):
+            if M.shape != (2, 2):
+                raise ValueError(f"{name} must be a 2x2 matrix, got shape {M.shape}")
         _check_hermitian_posdef(self.kappa0)
         _check_hermitian_posdef(self.Mstar0)
         for name, sym in (("kappa1", self.kappa1), ("Mstar1", self.Mstar1)):
@@ -286,34 +265,6 @@ class FieldHistory:
             if arr.shape != shape:
                 raise ValueError(f"{name} shape {arr.shape} != {shape}")
             setattr(self, name, arr)
-
-
-@dataclass
-class Verdict:
-    """Outcome of the kernel-mode data check, with offenders listed."""
-
-    passed: bool
-    offending: list
-    max_violation: float
-
-
-def check_data_range(eta: float, source: PairSeries | None, W0: FieldPair, table: ModeTable) -> Verdict:
-    """Verify the data never loads kernel modes of (1 + eta curl).
-
-    Solvability requires source and initial datum to lie in the closed range,
-    which over the truncated table means zero coefficients on every mode with
-    1 + eta lambda = 0.  The tolerance RANGE_TOL is relative to the largest
-    data coefficient (floor 1).
-    """
-    load = np.maximum(np.abs(W0.e_part.coeffs), np.abs(W0.h_part.coeffs))
-    scale = max(1.0, float(np.max(load, initial=0.0)))
-    if source is not None:
-        scale = max(scale, source.max_abs())
-        load[source.modes] = np.maximum(load[source.modes], np.max(np.abs(source.samples), axis=(0, 2), initial=0.0))
-    bad = np.nonzero(table.kernel_mask(eta) & (load > RANGE_TOL * scale))[0]
-    offending = [(str(table.modes[i].key()), float(load[i])) for i in bad]
-    worst = float(np.max(load[bad], initial=0.0))
-    return Verdict(passed=not offending, offending=offending, max_violation=worst)
 
 
 def column_chunks(n_rows: int, n_cols: int) -> list:
@@ -467,25 +418,38 @@ def _dbf_blocks(s: DBFScenario, method: str) -> tuple:
     """Reduce a classical scenario in one pass: the arguments of _block_pieces up to the stop rule, one block per
     table position, the table positions (m, 1) of each block's mode, and the kernel and near-kernel masks.
 
-    Mode lambda gets M0 = diag(eps, mu), c_lambda = lambda / (1 + eta lambda)
-    and its data divided by 1 + eta lambda, the inverse of (1 + eta curl) on
-    its range; data on a kernel mode raise RangeViolation.  Kernel modes are
-    in no group, so they stay exactly zero: the projection onto the range.
-    Near-kernel modes (|1 + eta lambda| <= NEAR_KERNEL_BAND) make c_lambda
-    stiff: they are flagged, with a warning, and solved in closed form under
-    any method, as every mode with data is under "exact"; fixed_point and
-    integrator make one call per group of modes with one eigenvalue.
+    This is the one place where the kernel of (1 + eta curl), the modes of
+    ModeTable.kernel_mask, and the coupling are decided.  Solvability needs
+    the source and the initial datum in the closed range, which over the
+    truncated table means no data on a kernel mode: a W0 or source value
+    there above RANGE_TOL times the largest W0 or source value (floor 1)
+    raises RangeViolation.  Mode lambda gets M0 = diag(eps, mu),
+    c_lambda = lambda / (1 + eta lambda) and its data divided by
+    1 + eta lambda, the inverse of (1 + eta curl) on its range.  Kernel
+    modes are in no group, so they stay exactly zero: the projection onto
+    the range.  Near-kernel modes (|1 + eta lambda| <= NEAR_KERNEL_BAND)
+    make c_lambda stiff: they are flagged, with a warning, and solved in
+    closed form under any method, as every mode with data is under "exact";
+    fixed_point and integrator make one call per group of modes with one
+    eigenvalue.
     """
     if method not in DBF_METHODS:
         raise ValueError(f"method must be one of {DBF_METHODS}, got {method!r}")
     table = s.table
-    verdict = check_data_range(s.eta, s.source_J, s.W0, table)
-    if not verdict.passed:
-        raise RangeViolation(
-            f"data loads {len(verdict.offending)} kernel mode(s) of (1 + eta curl): "
-            f"{verdict.offending[:4]}, max |coeff| = {verdict.max_violation:.3g}"
-        )
     factors, kernel = 1.0 + s.eta * table.eigenvalues, table.kernel_mask(s.eta)
+    load = np.maximum(np.abs(s.W0.e_part.coeffs), np.abs(s.W0.h_part.coeffs))  # the largest datum per mode
+    scale = max(1.0, float(np.max(load, initial=0.0)))
+    if s.source_J is not None:
+        scale = max(scale, s.source_J.max_abs())
+        cols = s.source_J.modes
+        load[cols] = np.maximum(load[cols], np.max(np.abs(s.source_J.samples), axis=(0, 2), initial=0.0))
+    bad = np.nonzero(kernel & (load > RANGE_TOL * scale))[0]
+    if bad.size:
+        raise RangeViolation(
+            f"data loads {bad.size} kernel mode(s) of (1 + eta curl): "
+            f"{[(str(table.modes[i].key()), float(load[i])) for i in bad[:4]]}, "
+            f"max |coeff| = {float(np.max(load[bad])):.3g}"
+        )
     near = ~kernel & (np.abs(factors) <= NEAR_KERNEL_BAND)
     if np.any(near):
         warnings.warn(
@@ -493,7 +457,8 @@ def _dbf_blocks(s: DBFScenario, method: str) -> tuple:
             "rotation coefficients are stiff, forcing the exact modal method",
             stacklevel=2,
         )
-    keep, coupling = ~kernel, generator_coefficients(s.eta, table)
+    keep, coupling = ~kernel, np.zeros(table.n_modes)
+    coupling[keep] = table.eigenvalues[keep] / factors[keep]
     w0 = np.zeros((table.n_modes, 2), dtype=np.complex128)
     w0[keep] = np.stack([s.W0.e_part.coeffs[keep], s.W0.h_part.coeffs[keep]], axis=1) / factors[keep, None]
     idx, samples = _source_columns(s, keep)
@@ -537,17 +502,17 @@ class PieceFold:
 
     A piece is (table positions, E, H, D, B), each (n, k), and optionally the
     E2 and H2 of the doubled-data solve at the same positions.  Per mode the
-    fold keeps the initial-value term, the weak residual and whether an E,
-    H, D or B value is nonzero (or NaN); over all modes, the largest value
-    before t = 0 (causality_sup), the largest |E|, |H|, |D|, |B| (maxima),
-    the doubling gap max(|E2 - 2 E|, |H2 - 2 H|) and, with energy, the row
-    sums from t = 0 on of |E|^2, |H|^2 and, under the generalized law,
-    conj(E) H, each over a piece's whole width.  close() folds the positions
-    no piece named as zero fields and then sums each per-mode array once,
-    over all modes, as one whole-array pass does.  It forms tracked, the
-    positions with a nonzero field value or with data, and energy, the
-    material energy per sample (eps |E|^2 + mu |H|^2, or the quadratic form
-    of the generalized law's Mstar0), +0.0 before t = 0.
+    fold keeps the initial-value term, the weak residual and peak, the
+    largest |E|, |H|, |D| or |B| (NaN if a value is); over all modes, the
+    largest value before t = 0 (causality_sup), the largest |E|, |H|, |D|,
+    |B| (maxima), the doubling gap max(|E2 - 2 E|, |H2 - 2 H|) and, with
+    energy, the row sums from t = 0 on of |E|^2, |H|^2 and, under the
+    generalized law, conj(E) H, each over a piece's whole width.  close()
+    folds the positions no piece named as zero fields and then sums each
+    per-mode array once, over all modes, as one whole-array pass does.  It
+    forms tracked, the positions with a nonzero (or NaN) peak or with data,
+    and energy, the material energy per sample (eps |E|^2 + mu |H|^2, or
+    the quadratic form of the generalized law's Mstar0), +0.0 before t = 0.
 
     Initial value: the flux-pair right limit, the t = 0 row, against W0 in
     the proxy norm with per-mode weight (1 + lambda^2)^(-1/2).  Weak
@@ -571,8 +536,8 @@ class PieceFold:
         self.grid, self.lam, self.e0, self.h0 = grid, lam, s.W0.e_part.coeffs, s.W0.h_part.coeffs
         self.times = grid.times[z:]
         self.weight, self.wt = 1.0 / (1.0 + lam**2), np.exp(-2.0 * s.nu * self.times)[:, None]
-        self.named, self.nonzero = np.zeros((2, lam.size), dtype=bool)
-        self.iv, self.resid = np.zeros((2, lam.size))
+        self.named = np.zeros(lam.size, dtype=bool)
+        self.peak, self.iv, self.resid = np.zeros((3, lam.size))
         self.maxima, self.causality_sup, self.gap = np.zeros(4), 0.0, 0.0
         self.energy, self.sums = None, None
         if energy:  # the weights of the row sums of |E|^2, |H|^2 and, under the generalized law, conj(E) H
@@ -613,7 +578,7 @@ class PieceFold:
             np.abs(a, out=mag)  # np.max and np.maximum keep a NaN
             self.causality_sup = np.maximum(self.causality_sup, np.max(mag[:z], initial=0.0))
             top = np.max(mag, axis=0)
-            self.nonzero[p] |= top != 0
+            self.peak[p] = np.maximum(self.peak[p], top)
             self.maxima[i] = np.maximum(self.maxima[i], np.max(top))
         twice = self._c[0, :, :k]
         for a, b in zip(doubled, (E, H)):
@@ -655,7 +620,7 @@ class PieceFold:
         self.initial_value_error = float(np.sqrt(np.sum(self.iv)))
         self.weak_residual = float(np.sum(self.resid / np.sqrt(1.0 + self.lam**2)))
         self.causality_sup, self.gap = float(self.causality_sup), float(self.gap)
-        self.tracked = np.nonzero(self.nonzero | (self.e0 != 0) | (self.h0 != 0) | (self.column >= 0))[0]
+        self.tracked = np.nonzero((self.peak != 0) | (self.e0 != 0) | (self.h0 != 0) | (self.column >= 0))[0]
         if self.sums is not None:
             (a, b, *c), (ee, hh, *cross) = self.law, self.sums
             self.energy = a * ee + b * hh  # +0.0 before t = 0, where no row is summed

@@ -11,7 +11,8 @@ are the statements of the paper that the tests check against it:
   multiplication, and the independence of that calculus from the weight nu;
 - the chiral operators over the curl eigenbasis: curl itself, the
   projector onto the range of (1 + eta curl), its reduced resolvent, the
-  bounded generator C, and the basis sampled on a grid of the torus;
+  bounded generator C with its per-mode coefficients, and the basis
+  sampled on a grid of the torus;
 - one causal initial value problem block (AbstractIVP) with its one-block
   solvers, the jump response of the semigroup, the weak residual, and the
   initial-value, regularity and causality checks;
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curl_spectral import KERNEL_TOL, FieldPair, ModeTable, SpectralField, generator_coefficients
+from .curl_spectral import KERNEL_TOL, FieldPair, ModeTable, SpectralField
 from .dbf_model import I2, DBFScenario, FieldHistory, _cross_block, _wavevector_blocks, flux_factors, fold_pieces
 from .evo_solver import (
     DEFAULT_FP_TOL,
@@ -227,6 +228,13 @@ def reduced_resolvent(eta: float, f: SpectralField) -> SpectralField:
     keep = ~mask
     out[keep] = f.coeffs[keep] / (1.0 + eta * f.table.eigenvalues[keep])
     return SpectralField(f.table, out)
+
+
+def generator_coefficients(eta: float, table: ModeTable) -> np.ndarray:
+    """Per-mode scalars c = lambda/(1 + eta lambda); zero on kernel modes."""
+    keep, c = ~table.kernel_mask(eta), np.zeros(table.n_modes)
+    c[keep] = table.eigenvalues[keep] / (1.0 + eta * table.eigenvalues[keep])
+    return c
 
 
 def bounded_generator_C(eta: float, u: FieldPair) -> FieldPair:

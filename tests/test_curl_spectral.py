@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from dbf import curl_spectral
 from dbf.curl_spectral import (
     FieldPair,
     Mode,
@@ -13,13 +14,13 @@ from dbf.curl_spectral import (
     SpectralField,
     TruncationTooLarge,
     build_basis,
-    generator_coefficients,
 )
 from dbf.paper import (
     NotInRange,
     NyquistViolation,
     bounded_generator_C,
     curl_apply,
+    generator_coefficients,
     gram_matrix,
     grid_inner_product,
     projector_P,
@@ -63,9 +64,10 @@ class TestBuildBasis:
         G = gram_matrix(table_k2, 32)
         assert np.max(np.abs(G - np.eye(table_k2.n_modes))) < 1e-12
 
-    def test_truncation_budget(self):
+    def test_truncation_budget(self, monkeypatch):
+        monkeypatch.setattr(curl_spectral, "MAX_MODES", 100)
         with pytest.raises(TruncationTooLarge):
-            build_basis(4, max_modes=100)
+            build_basis(4)
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
@@ -95,11 +97,13 @@ class TestModeBudget:
     """The budget is checked from a lower bound on the mode count before any enumeration."""
 
     @pytest.mark.parametrize("K", range(1, 13))
-    def test_count_matches_lattice_up_to_12(self, K):
+    def test_count_matches_lattice_up_to_12(self, K, monkeypatch):
         exact = 3 * oracles.lattice_count(K) + 3
-        assert build_basis(K, max_modes=exact).n_modes == exact
+        monkeypatch.setattr(curl_spectral, "MAX_MODES", exact)
+        assert build_basis(K).n_modes == exact
+        monkeypatch.setattr(curl_spectral, "MAX_MODES", exact - 1)
         with pytest.raises(TruncationTooLarge):
-            build_basis(K, max_modes=exact - 1)
+            build_basis(K)
 
     def test_huge_truncation_rejected_from_the_bound(self):
         # The cube |k_i| <= 34 alone holds 3 (69^3 - 1) + 3 modes; the ball holds 2,712,267.

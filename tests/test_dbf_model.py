@@ -16,7 +16,6 @@ from dbf.dbf_model import (
     NonFiniteSolution,
     PairSeries,
     RangeViolation,
-    check_data_range,
     solve,
 )
 from dbf.paper import (
@@ -104,39 +103,39 @@ class TestDiagnose:
 
 
 class TestCheckDataRange:
+    """solve's setup rejects data on the kernel of (1 + eta curl) before any block is solved."""
+
     def test_eta_half_passes_on_k1(self, table_k1, rng):
         # No eigenvalue of the K = 1 table equals -2, so any data is in range.
         coeffs = rng.standard_normal(table_k1.n_modes) + 1j * rng.standard_normal(table_k1.n_modes)
         W0 = FieldPair(SpectralField(table_k1, coeffs), SpectralField(table_k1, coeffs[::-1].copy()))
-        verdict = check_data_range(0.5, None, W0, table_k1)
-        assert verdict.passed
-        assert verdict.offending == []
+        h = solve(scenario(table_k1, eta=0.5, W0=W0), "exact")
+        assert h.diagnostics["kernel_modes"] == []
 
     def test_eta_half_rejects_kernel_mode_on_k2(self, table_k2):
         i = table_k2.position((2, 0, 0), "minus")
         W0 = field_pair(table_k2, {i: (1.0, 0.0)})
-        verdict = check_data_range(0.5, None, W0, table_k2)
-        assert not verdict.passed
-        assert len(verdict.offending) == 1
-        assert verdict.max_violation == 1.0
+        with pytest.raises(RangeViolation, match=re.escape(
+                "data loads 1 kernel mode(s) of (1 + eta curl): [(\"((2, 0, 0), 'minus', None)\", 1.0)], "
+                "max |coeff| = 1")):
+            solve(scenario(table_k2, eta=0.5, W0=W0), "exact")
 
     def test_eta_minus_one_rejects_unit_plus_mode(self, table_k1):
         i = table_k1.position((0, 1, 0), "plus")
         W0 = field_pair(table_k1, {i: (1.0, 0.0)})
-        verdict = check_data_range(-1.0, None, W0, table_k1)
-        assert not verdict.passed
-        assert len(verdict.offending) == 1
+        with pytest.raises(RangeViolation, match=r"^data loads 1 kernel mode\(s\) "):
+            solve(scenario(table_k1, eta=-1.0, W0=W0), "exact")
 
     def test_source_loading_is_checked(self, table_k1):
         i = table_k1.position((1, 0, 0), "plus")
         source = step_series(table_k1, GRID, {i: (0.0, 0.5)})
-        verdict = check_data_range(-1.0, source, field_pair(table_k1, {}), table_k1)
-        assert not verdict.passed
+        with pytest.raises(RangeViolation, match=r"^data loads 1 kernel mode\(s\) .*, max \|coeff\| = 0\.5$"):
+            solve(scenario(table_k1, eta=-1.0, source=source), "exact")
 
     def test_zero_data_passes(self, table_k1):
-        verdict = check_data_range(-1.0, None, field_pair(table_k1, {}), table_k1)
-        assert verdict.passed
-        assert verdict.max_violation == 0.0
+        h = solve(scenario(table_k1, eta=-1.0), "exact")
+        assert len(h.diagnostics["kernel_modes"]) == 6
+        assert np.all(h.E == 0) and np.all(h.H == 0)
 
 
 class TestAssemble:

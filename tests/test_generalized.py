@@ -15,7 +15,6 @@ from dbf.dbf_model import (
     GeneralizedScenario,
     HypothesisViolated,
     NeumannDiverges,
-    block_scalar_matrix,
     solve,
 )
 from dbf.paper import cross_coupling_matrix, synthesize_on_grid
@@ -36,33 +35,25 @@ def field_pair(table, entries) -> FieldPair:
     return FieldPair(SpectralField(table, e), SpectralField(table, h))
 
 
-class TestBlockScalar:
-    def test_two_by_two_passes_through(self):
-        M = np.array([[2.0, 1j], [-1j, 3.0]])
-        np.testing.assert_array_equal(block_scalar_matrix(M), M)
-
-    def test_six_by_six_compresses(self):
-        core = np.array([[2.0, 0.5], [0.5, 1.0]])
-        big = np.kron(core, np.eye(3))
-        np.testing.assert_allclose(block_scalar_matrix(big), core, rtol=0, atol=1e-14)
-
-    def test_non_scalar_block_rejected(self):
-        big = np.kron(np.eye(2), np.eye(3))
-        big[0, 1] = 0.1
-        with pytest.raises(ValueError):
-            block_scalar_matrix(big)
-
-    def test_odd_shape_rejected(self):
-        with pytest.raises(ValueError):
-            block_scalar_matrix(np.eye(3))
-
-
 class TestScenarioValidation:
     def make(self, table, **kw):
         defaults = dict(kappa0=2.0 * I2, Mstar0=I2, nu=3.0, K=table.K,
                         grid=GRID, W0=field_pair(table, {}))
         defaults.update(kw)
         return GeneralizedScenario(**defaults)
+
+    def test_two_by_two_kept_as_given(self, table_k1):
+        M = np.array([[2.0, 1j], [-1j, 3.0]])
+        g = self.make(table_k1, kappa0=M, Mstar0=M)
+        for got in (g.kappa0, g.Mstar0):
+            assert got.dtype == np.complex128
+            np.testing.assert_array_equal(got, M)
+
+    @pytest.mark.parametrize("name", ["kappa0", "Mstar0"])
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_other_shapes_rejected(self, table_k1, name, n):
+        with pytest.raises(ValueError, match=rf"^{name} must be a 2x2 matrix, got shape \({n}, {n}\)$"):
+            self.make(table_k1, **{name: np.eye(n)})
 
     def test_delay_symbol_rejected(self, table_k1):
         delayed = MaterialSymbol(dim=2, delays=[(-0.5, 0.1 * np.eye(2))])
@@ -112,21 +103,6 @@ class TestDegenerateConsistency:
             assert np.max(np.abs(x - y)) <= 1e-8
         assert b.diagnostics["iterations"] == 0
         assert b.diagnostics["q0_sup"] == 0.0
-
-    def test_six_by_six_input_equivalent(self, table_k1):
-        i = table_k1.position((1, 0, 0), "plus")
-        W0 = field_pair(table_k1, {i: (1.0, 0.5)})
-        core_k = 2.0 * I2
-        core_m = 0.5 * np.diag([1.5, 0.75])
-        small = GeneralizedScenario(kappa0=core_k, Mstar0=core_m, nu=3.0,
-                                    K=1, grid=GRID, W0=W0)
-        big = GeneralizedScenario(kappa0=np.kron(core_k, np.eye(3)),
-                                  Mstar0=np.kron(core_m, np.eye(3)),
-                                  nu=3.0, K=1, grid=GRID, W0=W0)
-        a = solve(small, "auto")
-        b = solve(big, "auto")
-        np.testing.assert_array_equal(a.E, b.E)
-        np.testing.assert_array_equal(a.D, b.D)
 
 
 class TestMemoryTerm:
