@@ -70,6 +70,9 @@ I2 = np.eye(2)
 
 DBF_METHODS = ("exact", "fixed_point", "integrator")
 GENERALIZED_METHODS = ("auto",) + DBF_METHODS
+# Per method, the kernel of a group that is a rotation and of one that is not.
+KERNELS = {"auto": ("closed_form", "propagator"), "exact": ("closed_form", "refused"),
+           "integrator": ("propagator", "propagator"), "fixed_point": ("picard", "picard")}
 
 
 class RangeViolation(ValueError):
@@ -289,23 +292,21 @@ def _as_slice(cols: np.ndarray):
     return slice(cols[0], cols[-1] + 1) if cols.size and cols[-1] - cols[0] == cols.size - 1 else cols
 
 
-def _block_pieces(method: str, grid: TimeGrid, nu: float, M0: np.ndarray, groups: list, w0: np.ndarray,
-                  source: tuple, closed: np.ndarray | None, fp_tol: float, max_iter: int, tally: dict,
-                  doubled: bool = False):
-    """Solve the blocks with data, jumps w0 (n_blocks, d) and sources (idx, samples (n, len(idx), d)), piece by piece.
+def _block_pieces(grid: TimeGrid, nu: float, M0: np.ndarray, plan: list, w0: np.ndarray, source: tuple,
+                  fp_tol: float, max_iter: int, tally: dict, doubled: bool = False):
+    """Run a setup's plan on jumps w0 (n_blocks, d) and sources (idx, samples (n, len(idx), d)), piece by piece.
 
-    Each group (blocks, M1, lift) shares M0, M1 and A = 0; lift holds the
-    flux symbol's coefficients, either in every group or in none.  One
-    rotation_closed_form call per column chunk solves the blocks flagged
-    closed and, under "auto" and "exact", every rotation block; "exact"
-    raises WrongCase on any other.  Each other group makes one call: the
-    exact propagator, which also lifts the flux, under "auto" and
-    "integrator", and Picard under "fixed_point".  Yields (blocks, fields
-    (d, n, len(blocks)), flux of the same shape or None without lifts) for
-    each call as it returns, the groups in block order and then the
-    closed-form chunks, whose arrays are scratch that the next chunk
-    overwrites; the flux the propagator does not read off its state is the
-    lift applied with the trapezoid running integral, per group.  With
+    Each entry (blocks, kernel, M1, lift, c) is a group of blocks sharing M0,
+    M1 and A = 0, and the kernel its setup chose; lift holds the flux
+    symbol's coefficients, in every entry or in none.  Only blocks with data
+    are solved: first the groups of other kernels, in block order, one call
+    each, by the "propagator", which also lifts the flux, or by "picard"
+    ("refused" raises the WrongCase of "exact"); then the "closed_form"
+    blocks, each by its c, one rotation_closed_form call per column chunk.  Yields
+    (blocks, fields (d, n, len(blocks)), flux of the same shape or None
+    without lifts) per call as it returns; a chunk's arrays are scratch that
+    the next chunk overwrites, and the flux the propagator does not read off
+    its state is the lift applied with the trapezoid running integral.  With
     doubled, each call also takes the doubled data as more columns, after
     the data's, so fields is (d, n, 2 len(blocks)): a kernel solves each
     column as if alone.  Once every group is tried, the first failing
@@ -313,12 +314,11 @@ def _block_pieces(method: str, grid: TimeGrid, nu: float, M0: np.ndarray, groups
     receives the data's Picard "iterations" and "contraction" estimate.
     """
     (n_blocks, d), n = w0.shape, grid.n_samples
-    A, row, c = np.zeros((d, d)), np.full(n_blocks, -1), np.zeros(n_blocks)
+    row, c, closed = np.full(n_blocks, -1), np.zeros(n_blocks), np.zeros(n_blocks, dtype=bool)
     row[source[0]] = np.arange(len(source[0]))
     data = np.any(w0 != 0, axis=1)
     data[source[0]] |= np.any(source[1] != 0, axis=(0, 2))
-    closed = data & (False if closed is None else closed)
-    lifts, lift_of = [], np.full(n_blocks, -1)  # each block's flux symbol in lifts
+    lifts, lift_of = [], np.full(n_blocks, -1)  # each closed-form block's flux symbol in lifts
     tally.update(iterations=0, contraction=0.0)
     n_copies = 2 if doubled else 1
 
@@ -326,17 +326,14 @@ def _block_pieces(method: str, grid: TimeGrid, nu: float, M0: np.ndarray, groups
         return np.concatenate([a, 2.0 * a], axis=axis) if doubled else a
 
     failure = None  # (copy, block, error) of the first failure
-    for blocks, M1, lift in sorted(groups, key=lambda group: group[0][0]):  # block order: a failure ends early
-        propagated = method == "integrator"
-        try:
-            c[blocks] = _rotation_constant(M0, M1, A)[2]
-            closed[blocks] |= data[blocks] & (method in ("auto", "exact"))
-        except WrongCase:
-            propagated |= method == "auto"
-        if lift is not None and not propagated:  # the flux is lifted here, not read off the propagator's state
-            lift_of[blocks] = len(lifts)
-            lifts.append(MaterialSymbol(d, lift))
-        cols = blocks[data[blocks] & ~closed[blocks]]
+    for blocks, kernel, M1, lift, rotation in sorted(plan, key=lambda entry: entry[0][0]):  # a failure ends early
+        if kernel == "closed_form":
+            closed[blocks], c[blocks] = True, rotation
+            if lift is not None:
+                lift_of[blocks] = len(lifts)
+                lifts.append(MaterialSymbol(d, lift))
+            continue
+        cols = blocks[data[blocks]]
         if not cols.size or (failure is not None and (0, cols[0]) > failure[:2]):
             continue
         k = row[cols]
@@ -344,18 +341,18 @@ def _block_pieces(method: str, grid: TimeGrid, nu: float, M0: np.ndarray, groups
         f[:, k >= 0] = source[1][:, k[k >= 0]]
         f, w = copies(f, 1), copies(w0[cols])
         try:
-            if method == "exact":
+            if kernel == "refused":
                 raise WrongCase("method 'exact' needs rotation blocks, and this law has a block that is not a "
                                 "rotation; use method 'auto' or 'integrator'")
             flux = None
-            if propagated:
+            if kernel == "propagator":
                 sol, flux = solve_propagator_blocks(M0, M1, f, w, grid, lift)
             else:
-                sol, iters, cest, _ = solve_fixed_point_blocks(M0, M1, A, f, w, grid, nu, max_iter, fp_tol)
-                tally["iterations"] = max(tally["iterations"], int(iters[:len(cols)].max()))
+                sol, its, cest, _ = solve_fixed_point_blocks(M0, M1, np.zeros((d, d)), f, w, grid, nu, max_iter, fp_tol)
+                tally["iterations"] = max(tally["iterations"], int(its[:len(cols)].max()))
                 tally["contraction"] = max(tally["contraction"], cest)
                 if lift is not None:
-                    flux = _apply_symbol_time(lifts[-1], sol[:, :len(cols)], grid)
+                    flux = _apply_symbol_time(MaterialSymbol(d, lift), sol[:, :len(cols)], grid)
         except (WrongCase, NotContractive, NoConvergence) as exc:
             copy, at = divmod(getattr(exc, "block", 0), len(cols))
             if failure is None or (copy, cols[at]) < failure[:2]:
@@ -364,7 +361,7 @@ def _block_pieces(method: str, grid: TimeGrid, nu: float, M0: np.ndarray, groups
         yield cols, sol.transpose(2, 0, 1), None if flux is None else flux[:, :len(cols)].transpose(2, 0, 1)
     if failure is not None:
         raise failure[2]
-    closed_cols = np.nonzero(closed)[0]
+    closed_cols = np.nonzero(closed & data)[0]
     chunks = column_chunks(n, closed_cols.size)  # every closed-form operation is per column
     # One output for every chunk: a fresh ~1 MB array per chunk faults its pages in again.
     widest = max((cols.stop - cols.start for cols in chunks), default=0)
@@ -415,8 +412,8 @@ def solution_diagnostics(s, method: str, fold: PieceFold, iterations: int, contr
 
 
 def _dbf_blocks(s: DBFScenario, method: str) -> tuple:
-    """Reduce a classical scenario in one pass: the arguments of _block_pieces up to the stop rule, one block per
-    table position, the table positions (m, 1) of each block's mode, and the kernel and near-kernel masks.
+    """Reduce and plan a classical scenario in one pass: the arguments of _block_pieces up to the stop rule, one block
+    per table position, the table positions (m, 1) of each block's mode, and the diagnostics keys of the setup.
 
     This is the one place where the kernel of (1 + eta curl), the modes of
     ModeTable.kernel_mask, and the coupling are decided.  Solvability needs
@@ -427,11 +424,10 @@ def _dbf_blocks(s: DBFScenario, method: str) -> tuple:
     c_lambda = lambda / (1 + eta lambda) and its data divided by
     1 + eta lambda, the inverse of (1 + eta curl) on its range.  Kernel
     modes are in no group, so they stay exactly zero: the projection onto
-    the range.  Near-kernel modes (|1 + eta lambda| <= NEAR_KERNEL_BAND)
-    make c_lambda stiff: they are flagged, with a warning, and solved in
-    closed form under any method, as every mode with data is under "exact";
-    fixed_point and integrator make one call per group of modes with one
-    eigenvalue.
+    the range.  Each eigenvalue is one group, a rotation by its c_lambda,
+    planned as KERNELS says; near-kernel modes (|1 + eta lambda| <=
+    NEAR_KERNEL_BAND) make c_lambda stiff, so they are flagged, with a
+    warning, and planned in closed form under any method.
     """
     if method not in DBF_METHODS:
         raise ValueError(f"method must be one of {DBF_METHODS}, got {method!r}")
@@ -463,12 +459,14 @@ def _dbf_blocks(s: DBFScenario, method: str) -> tuple:
     w0[keep] = np.stack([s.W0.e_part.coeffs[keep], s.W0.h_part.coeffs[keep]], axis=1) / factors[keep, None]
     idx, samples = _source_columns(s, keep)
     samples = samples / factors[idx, None]
-    groups = [(np.nonzero(keep & (coupling == c))[0],
-               MaterialSymbol(dim=2, poly_coeffs=[c * J2]) if c != 0.0 else MaterialSymbol.zero(2), None)
-              for c in set(coupling[keep].tolist())]  # not np.unique: its first call imports numpy.ma
+    plan = []
+    for c in set(coupling[keep].tolist()):  # not np.unique: its first call imports numpy.ma
+        blocks = np.nonzero(keep & (coupling == c))[0]  # one eigenvalue, so near the kernel in all or none
+        plan.append((blocks, "closed_form" if near[blocks[0]] else KERNELS[method][0],
+                     MaterialSymbol(2, [c * J2] if c != 0.0 else []), None, c))
     M0 = np.diag([s.epsilon, s.mu]).astype(np.complex128)
-    problem = (method, s.grid, s.nu, M0, groups, w0, (idx, samples), near)
-    return problem, np.arange(table.n_modes)[:, None], kernel, near
+    return ((s.grid, s.nu, M0, plan, w0, (idx, samples)), np.arange(table.n_modes)[:, None],
+            {"kernel": np.nonzero(kernel)[0], "near_kernel": np.nonzero(near)[0]})
 
 
 def field_pieces(s, method: str, *, fp_tol: float = DEFAULT_FP_TOL, max_iter: int = DEFAULT_MAX_ITER,
@@ -482,12 +480,8 @@ def field_pieces(s, method: str, *, fp_tol: float = DEFAULT_FP_TOL, max_iter: in
     so no whole field or flux pair is ever formed.  tally, when given, receives the keyword arguments of
     solution_diagnostics that the setup and the solve provide."""
     tally = {} if tally is None else tally
-    if isinstance(s, DBFScenario):
-        problem, modes_of, kernel, near = _dbf_blocks(s, method)
-        tally.update(kernel=np.nonzero(kernel)[0], near_kernel=np.nonzero(near)[0])
-    else:
-        problem, modes_of, margin, q0_sup = _generalized_blocks(s, method)
-        tally.update(hypothesis_margin=margin, q0_sup=q0_sup)
+    problem, modes_of, keys = (_dbf_blocks if isinstance(s, DBFScenario) else _generalized_blocks)(s, method)
+    tally.update(keys)
     for blocks, fields, flux in _block_pieces(*problem, fp_tol, max_iter, tally, doubled):
         k = len(blocks)
         for j in range(modes_of.shape[1]):
@@ -629,10 +623,9 @@ class PieceFold:
         return self
 
 
-def fold_pieces(s, pieces, *, energy: bool = False, grid: TimeGrid | None = None,
-                lam: np.ndarray | None = None) -> PieceFold:
-    """Fold the pieces of a solve of s into a closed PieceFold; grid and lam default to s's grid and eigenvalues."""
-    fold = PieceFold(s, s.grid if grid is None else grid, s.table.eigenvalues if lam is None else lam, energy)
+def fold_pieces(s, pieces, *, energy: bool = False) -> PieceFold:
+    """Fold the pieces of a solve of s into a closed PieceFold."""
+    fold = PieceFold(s, s.grid, s.table.eigenvalues, energy)
     for piece in pieces:
         fold.add(*piece)
     return fold.close()
@@ -656,8 +649,10 @@ def solve(s, method: str, *, fp_tol: float = DEFAULT_FP_TOL, max_iter: int = DEF
     E, H, *flux = stored
     D, B = flux or (ScaledSeries(factor, base) for factor, base in zip(flux_factors(s), (E, H)))
     fold = fold_pieces(s, [(slice(None), E, H, D, B)], energy=True)
-    return FieldHistory(s.table, s.grid, s.nu, E, H, D, B, solution_diagnostics(s, method, fold, **tally),
-                        fold.energy, fold.tracked)
+    diagnostics = solution_diagnostics(s, method, fold, **tally)
+    if not np.all(np.isfinite(fold.energy)):
+        raise NonFiniteSolution("non-finite values in energy")
+    return FieldHistory(s.table, s.grid, s.nu, E, H, D, B, diagnostics, fold.energy, fold.tracked)
 
 
 def flux_factors(s: DBFScenario, cols=slice(None)) -> tuple:
@@ -734,26 +729,24 @@ def _hypothesis_scan(shifted: np.ndarray, lams: list) -> float:
 
 
 def _generalized_blocks(g: GeneralizedScenario, method: str) -> tuple:
-    """The arguments of _block_pieces up to the stop rule for an operator-law scenario, the table positions
-    modes_of (n_blocks, width) of each block's modes, the hypothesis margin and the q0 sup.
+    """Reduce and plan an operator-law scenario: the arguments of _block_pieces up to the stop rule, the table
+    positions modes_of (n_blocks, width) of each block's modes, and the diagnostics keys of the setup.
 
     The reduction is per eigenvalue: N0 = (kappa0 + lambda)^-1 turns the
     law into one 2x2 operator shared by every mode with that lambda (see
     _block_law), and the data into N0 j and N0 W0 for all of them at once.
-    Each group of modes is solved in one call.  Method "auto" uses the
-    closed form when the coupling degenerates to a real rotation and
-    otherwise the exact propagator, which steps the polynomial law exactly
-    and needs no contraction, so it never raises NotContractive;
-    "integrator" takes the propagator for every group, and explicit
-    "fixed_point" is the Picard iteration, with the contraction test per
-    group.  A nonzero k_cross couples the three modes of each wavevector
-    (the const modes form the k = 0 block), so each wavevector is then one
-    6x6 block with its own operator.  Blocks without data are skipped.
-    NeumannDiverges is raised when the first correction
-    sup |N0 z kappa1(z)| on the nu-ball reaches 1.  The flux pair is the
-    product symbol (kappa(z) + lambda) Mstar(z) applied to the solution:
-    the propagator reads it off its state, the other methods apply it with
-    the trapezoid running integral; both reproduce W0 at t = 0+.
+    Each group is planned as KERNELS says, by whether its coupling is a real
+    rotation: "auto" takes the closed form for a rotation and otherwise the
+    exact propagator, which steps the polynomial law exactly and needs no
+    contraction, so it never raises NotContractive; explicit "fixed_point"
+    is the Picard iteration, with the contraction test per group.  A
+    nonzero k_cross couples the three modes of each wavevector (the const
+    modes form the k = 0 block), so each wavevector is then one 6x6 block
+    with its own operator.  NeumannDiverges is raised when the first
+    correction sup |N0 z kappa1(z)| on the nu-ball reaches 1.  The flux pair
+    is the product symbol (kappa(z) + lambda) Mstar(z) applied to the
+    solution: the propagator reads it off its state, the other kernels
+    apply it with the trapezoid running integral; both reproduce W0 at t = 0+.
     """
     if method not in GENERALIZED_METHODS:
         raise ValueError(f"method must be one of {GENERALIZED_METHODS}, got {method!r}")
@@ -796,7 +789,13 @@ def _generalized_blocks(g: GeneralizedScenario, method: str) -> tuple:
     for k, N0 in enumerate(n0):
         loaded = of_mode[sourced] == k
         reduced[zi:, at_block[loaded], at_slot[loaded]] += _rows_at(j[zi:, loaded], N0.T)
-    M0 = _block_diag([g.Mstar0] * width)
-    problem = (method, grid, g.nu, M0, groups, w0[modes_of].reshape(n_blocks, 2 * width),
-               (blocks, reduced.reshape(n, len(blocks), 2 * width)), None)
-    return problem, modes_of, margin, float(q0.max())
+    M0, A, plan = _block_diag([g.Mstar0] * width), np.zeros((2 * width, 2 * width)), []
+    for group, M1, lift in groups:
+        try:
+            c, kernel = _rotation_constant(M0, M1, A)[2], KERNELS[method][0]
+        except WrongCase:
+            c, kernel = None, KERNELS[method][1]
+        plan.append((group, kernel, M1, lift, c))
+    problem = (grid, g.nu, M0, plan, w0[modes_of].reshape(n_blocks, 2 * width),
+               (blocks, reduced.reshape(n, len(blocks), 2 * width)))
+    return problem, modes_of, {"hypothesis_margin": margin, "q0_sup": float(q0.max())}

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curl_spectral import KERNEL_TOL, FieldPair, ModeTable, SpectralField
-from .dbf_model import I2, DBFScenario, FieldHistory, _cross_block, _wavevector_blocks, flux_factors, fold_pieces
+from .dbf_model import I2, DBFScenario, FieldHistory, PieceFold, _cross_block, _wavevector_blocks, flux_factors
 from .evo_solver import (
     DEFAULT_FP_TOL,
     DEFAULT_MAX_ITER,
@@ -536,8 +536,9 @@ def verify_dbf_equation(history: FieldHistory, s) -> float:
     since only data and eigenvalues enter, and reads only the attributes
     the fold needs, so column subsets can be passed as plain namespaces.
     """
-    pieces = [(slice(None), history.E, history.H, history.D, history.B)]
-    return fold_pieces(s, pieces, grid=history.grid, lam=history.table.eigenvalues).weak_residual
+    fold = PieceFold(s, history.grid, history.table.eigenvalues)
+    fold.add(slice(None), history.E, history.H, history.D, history.B)
+    return fold.close().weak_residual
 
 
 def uniqueness_energy_probe(history: FieldHistory, s: DBFScenario) -> float:

@@ -151,10 +151,6 @@ class MaterialSymbol:
             raise ValueError(f"coefficient shape {M.shape} != ({self.dim}, {self.dim})")
         return M
 
-    @classmethod
-    def zero(cls, dim: int) -> "MaterialSymbol":
-        return cls(dim=dim, poly_coeffs=[])
-
     def evaluate(self, z: np.ndarray | complex) -> np.ndarray:
         """Symbol values M(z); returns shape z.shape + (dim, dim)."""
         z = np.asarray(z, dtype=np.complex128)

@@ -49,7 +49,7 @@ def dbf_blocks(s) -> dict:
     for i in np.nonzero(~s.table.kernel_mask(s.eta))[0]:
         f = 1.0 + s.eta * lam[i]
         c = lam[i] / f
-        M1 = MaterialSymbol(dim=2, poly_coeffs=[c * J2]) if c != 0.0 else MaterialSymbol.zero(2)
+        M1 = MaterialSymbol(dim=2, poly_coeffs=[c * J2]) if c != 0.0 else MaterialSymbol(2)
         samples = (source_column(s, i) / f if s.source_J is not None
                    else np.zeros((s.grid.n_samples, 2), dtype=np.complex128))
         w0 = np.array([s.W0.e_part.coeffs[i], s.W0.h_part.coeffs[i]]) / f

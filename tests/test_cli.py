@@ -615,6 +615,20 @@ class TestExitCodes:
         assert "solution is not finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("datum, source, key", [(1e160, False, "energy"), (1e308, True, "weak_residual")])
+    def test_overflowing_energy_exits_four(self, tmp_path, capsys, datum, source, key):
+        # The fields of W0 1e160 are finite but their energy overflows, and JSON has no infinity: run writes
+        # nothing.  A datum that overflows the solve itself is still reported by its diagnostics.
+        doc = shipped_doc("dbf_basic.json")
+        if not source:
+            del doc["data"]["source"]
+        doc["data"]["W0"][0][2] = datum
+        assert cli.cmd_run(write_doc(tmp_path, doc), str(tmp_path / "out")) == cli.EXIT_NO_CONVERGENCE
+        assert capsys.readouterr().err == f"solution is not finite: non-finite values in {key}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_subnormal_spectral_floor_is_invalid(self, tmp_path, capsys):
         # Passes the schema and epsilon > 0, but 1/sqrt(epsilon) overflows: the
         # scenario is rejected before any solve instead of failing after it.
